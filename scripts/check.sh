@@ -158,22 +158,6 @@ echo
 echo "== bench binaries =="
 for b in "$BUILD"/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue  # skip CMakeFiles/ etc.
-  case "$(basename "$b")" in
-    perf_gate) continue ;;  # needs a Release build; gated separately below
-  esac
   echo "--- $(basename "$b") ---"
   "$b"
 done
-
-echo
-echo "== wall-clock perf gate (Release, vs committed BENCH_PR5.json) =="
-# The committed baseline was measured on a Release build; comparing a
-# RelWithDebInfo/Debug binary against it would always "regress", so the gate
-# gets its own Release tree (docs/performance.md).
-cmake -B build-perf -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-perf --target perf_gate >/dev/null
-build-perf/bench/perf_gate --smoke --baseline BENCH_PR5.json
-
-echo
-echo "== sharded-engine perf gate (Release, vs committed BENCH_PR10.json) =="
-build-perf/bench/perf_gate --sharded-smoke --sharded-baseline BENCH_PR10.json

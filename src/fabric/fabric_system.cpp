@@ -1,37 +1,20 @@
 #include "fabric/fabric_system.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-
-#include "core/policy_factory.hpp"
 
 namespace uvmsim {
 
 namespace {
 
-void accumulate(DriverStats& into, const DriverStats& s) {
-  into.page_faults += s.page_faults;
-  into.faults_coalesced += s.faults_coalesced;
-  into.pages_migrated_in += s.pages_migrated_in;
-  into.pages_demanded += s.pages_demanded;
-  into.pages_prefetched += s.pages_prefetched;
-  into.pages_evicted += s.pages_evicted;
-  into.chunks_evicted += s.chunks_evicted;
-  into.migration_ops += s.migration_ops;
-  into.demand_evictions += s.demand_evictions;
-  into.pre_evictions += s.pre_evictions;
-  into.fault_wait_cycles += s.fault_wait_cycles;
-  into.remote_accesses += s.remote_accesses;
-  into.peer_fetches += s.peer_fetches;
-  into.spill_hopbacks += s.spill_hopbacks;
-  into.faults_forwarded += s.faults_forwarded;
-  into.chunks_spilled += s.chunks_spilled;
-  into.pages_spilled += s.pages_spilled;
-  into.pages_surrendered += s.pages_surrendered;
-  into.coalesces += s.coalesces;
-  into.splinters += s.splinters;
-  into.large_frames_evicted += s.large_frames_evicted;
+/// Sharded needs >= 2 devices (one shard per device); otherwise a single
+/// shard makes the engine a verbatim sequential EventQueue.
+EngineShape engine_shape(const SystemConfig& sys, const FabricConfig& fabric,
+                         const EngineConfig& engine) {
+  const u32 n = std::max(1u, fabric.gpus);
+  if (engine.kind != EngineKind::kSharded || n == 1) return {};
+  const Cycle hop_latency = std::max<Cycle>(
+      1, static_cast<Cycle>(fabric.nvlink_latency_us * sys.core_ghz * 1000.0));
+  return {n, hop_latency, engine.threads};
 }
 
 }  // namespace
@@ -40,232 +23,81 @@ FabricSystem::FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
                            const Workload& workload, double oversub,
                            const FabricConfig& fabric,
                            const EngineConfig& engine)
-    : sys_cfg_(sys),
-      pol_cfg_(pol),
+    : SystemBase(engine_shape(sys, fabric, engine)),
       fab_cfg_(fabric),
       workload_(workload),
       oversub_(oversub) {
   const u32 n = std::max(1u, fabric.gpus);
   fab_cfg_.gpus = n;
   const u64 footprint = workload.footprint_pages();
-  // Per-device share of the capacity the oversubscription rate grants, with
-  // UvmSystem's per-driver floor (admission-pinning deadlock freedom). At
-  // N = 1 this is exactly UvmSystem's capacity.
-  const u64 floor_pages = 16 * kChunkPages;
-  const u64 capacity = std::max<u64>(
-      floor_pages,
-      std::min<u64>(footprint,
-                    static_cast<u64>(std::ceil(
-                        oversub * static_cast<double>(footprint) /
-                        static_cast<double>(n)))));
-
-  // Sharded needs >= 2 devices (one shard per device); otherwise a single
-  // shard makes the engine a verbatim sequential EventQueue.
-  const bool shard = engine.kind == EngineKind::kSharded && n > 1;
-  const Cycle hop_latency = std::max<Cycle>(
-      1, static_cast<Cycle>(fab_cfg_.nvlink_latency_us * sys_cfg_.core_ghz *
-                            1000.0));
-  engine_ = std::make_unique<ShardedEngine>(shard ? n : 1,
-                                            shard ? hop_latency : Cycle{1},
-                                            shard ? engine.threads : 1);
-  if (shard) {
+  if (sharded()) {
     fab_cfg_.spill = false;  // chunks may not change device (sharded_fabric.hpp)
-    sharded_ = std::make_unique<ShardedFabric>(*engine_, sys_cfg_, fab_cfg_,
-                                               footprint);
+    sharded_ = std::make_unique<ShardedFabric>(engine_, sys, fab_cfg_, footprint);
   } else if (n > 1) {
-    coord_ = std::make_unique<FabricCoordinator>(engine_->queue(0), sys_cfg_,
-                                                 fab_cfg_, footprint);
+    coord_ = std::make_unique<FabricCoordinator>(queue(), sys, fab_cfg_, footprint);
   }
 
-  const u32 warps_per_device = sys_cfg_.num_sms * sys_cfg_.warps_per_sm;
+  // Each device gets a 1/N share of the capacity; at N = 1 this is exactly
+  // UvmSystem's capacity.
+  const u64 capacity = device_capacity(footprint, oversub, n);
+  const u32 warps_per_device = sys.num_sms * sys.warps_per_sm;
   for (u32 d = 0; d < n; ++d) {
-    EventQueue& q = engine_->queue(shard ? d : 0);
-    auto rec = std::make_unique<FlightRecorder>(q);
-    if (n > 1) rec->set_device(d);
-
-    auto driver = std::make_unique<UvmDriver>(q, sys_cfg_, pol_cfg_,
-                                              footprint, capacity);
-    driver->set_recorder(rec.get());
-    driver->set_policy(make_eviction_policy(pol_cfg_, driver->chain()));
-    driver->set_prefetcher(make_prefetcher(pol_cfg_));
-    if (shard)
-      driver->attach_fabric(sharded_->port(d), d, /*spill=*/false);
-    else if (n > 1)
-      driver->attach_fabric(coord_.get(), d, fab_cfg_.spill);
+    DeviceStack& s = add_stack(sharded() ? d : 0, sys, pol, footprint, capacity,
+                               n > 1 ? d : kNoTraceDevice);
+    if (n > 1)
+      s.driver().attach_fabric(sharded_ ? sharded_->port(d) : coord_.get(), d,
+                               fab_cfg_.spill);
 
     shards_.push_back(std::make_unique<ShardedWorkload>(
         workload_, d * warps_per_device, n * warps_per_device));
     // Per-device warp seeds derive from pol.seed + device id, so device 0
     // of a 1-GPU fabric matches UvmSystem's seeding exactly.
-    auto gpu = std::make_unique<Gpu>(q, sys_cfg_, *driver, *shards_.back(),
-                                     pol_cfg_.seed + d);
-    if (shard) {
-      sharded_->attach_device(d, driver.get());
-      sharded_->set_invalidator(
-          d, [g = gpu.get()](PageId p) { g->remote_shootdown(p); });
-    } else if (n > 1) {
-      coord_->attach_device(d, driver.get());
-      coord_->set_invalidator(
-          d, [g = gpu.get()](PageId p) { g->remote_shootdown(p); });
+    auto gpu = std::make_unique<Gpu>(s.queue(), sys, s.driver(), *shards_.back(),
+                                     pol.seed + d);
+    auto invalidate = [g = gpu.get()](PageId p) { g->remote_shootdown(p); };
+    if (sharded_) {
+      sharded_->attach_device(d, &s.driver());
+      sharded_->set_invalidator(d, invalidate);
+    } else if (coord_) {
+      coord_->attach_device(d, &s.driver());
+      coord_->set_invalidator(d, invalidate);
     }
-    recorders_.push_back(std::move(rec));
-    drivers_.push_back(std::move(driver));
     gpus_.push_back(std::move(gpu));
   }
 }
 
 FabricSystem::~FabricSystem() = default;
 
-void FabricSystem::add_sink(TraceSink* sink) {
-  user_sinks_.push_back(sink);
-  if (sharded_ == nullptr) {
-    for (auto& rec : recorders_) rec->add_sink(sink);
-    return;
-  }
-  // Sharded: recorders stage into per-shard buffers (created on the first
-  // sink, so sink-less runs record nothing — same as sequential); run()
-  // merges the buffers into every user sink deterministically.
-  if (shard_buffers_.empty()) {
-    for (auto& rec : recorders_) {
-      shard_buffers_.push_back(std::make_unique<BufferSink>());
-      rec->add_sink(shard_buffers_.back().get());
-    }
-  }
-}
-
-void FabricSystem::set_event_mask(u32 mask) {
-  for (auto& rec : recorders_) rec->set_event_mask(mask);
-}
-
 RunResult FabricSystem::run(Cycle max_cycles) {
-  for (auto& g : gpus_) g->launch();
-  engine_->run(max_cycles);
-
-  RunResult r;
+  RunResult r = run_and_collect(gpus_, max_cycles);
   r.workload = workload_.abbr();
-  r.eviction_name = drivers_[0]->policy().name();
-  r.prefetcher_name = drivers_[0]->prefetcher().name();
   r.oversub = oversub_;
   r.footprint_pages = workload_.footprint_pages();
+  r.h2d_utilisation = driver(0).h2d().utilisation(r.cycles);
   // Fabric-shaped result fields stay at their defaults for 1-GPU systems so
   // the result (and its JSON) is indistinguishable from a UvmSystem run.
-  if (num_gpus() > 1) {
-    r.fabric = to_string(fab_cfg_.topology);
-    r.gpus = num_gpus();
-  }
-
-  r.completed = true;
-  Cycle last_finish = 0;
-  Cycle last_now = 0;
+  if (num_gpus() == 1) return r;
+  r.fabric = to_string(fab_cfg_.topology);
+  r.gpus = num_gpus();
   for (u32 d = 0; d < num_gpus(); ++d) {
     const Gpu& g = *gpus_[d];
-    const UvmDriver& drv = *drivers_[d];
-    const EventQueue& q = engine_->queue(sharded_ ? d : 0);
-    last_now = std::max(last_now, q.now());
-    r.capacity_pages += drv.capacity_pages();
-    r.completed = r.completed && g.finished();
-    const Cycle fin = g.finished() ? g.finish_cycle() : q.now();
-    last_finish = std::max(last_finish, fin);
-
-    DeviceRunResult dr;
-    dr.id = d;
-    dr.capacity_pages = drv.capacity_pages();
-    dr.finish_cycle = fin;
-    dr.completed = g.finished();
-    dr.driver = drv.stats();
-    dr.h2d_pages = drv.h2d().units_moved();
-    dr.d2h_pages = drv.d2h().units_moved();
-    if (num_gpus() > 1) r.devices.push_back(dr);
-
-    accumulate(r.driver, drv.stats());
-    r.h2d_pages += dr.h2d_pages;
-    r.d2h_pages += dr.d2h_pages;
-    const Gpu::Stats gs = g.stats();
-    r.gpu.accesses += gs.accesses;
-    r.gpu.l1_tlb_hits += gs.l1_tlb_hits;
-    r.gpu.l1_tlb_misses += gs.l1_tlb_misses;
-    r.gpu.l2_tlb_hits += gs.l2_tlb_hits;
-    r.gpu.l2_tlb_misses += gs.l2_tlb_misses;
-    r.gpu.far_faults += gs.far_faults;
-    r.gpu.l1d_hits += gs.l1d_hits;
-    r.gpu.l1d_misses += gs.l1d_misses;
-    r.gpu.l2c_hits += gs.l2c_hits;
-    r.gpu.l2c_misses += gs.l2c_misses;
-    r.gpu.l1_tlb_large_hits += gs.l1_tlb_large_hits;
-    r.gpu.l2_tlb_large_hits += gs.l2_tlb_large_hits;
-    r.gpu.walks_performed += gs.walks_performed;
-    r.gpu.walk_cycles += gs.walk_cycles;
-    r.gpu.large_walks += gs.large_walks;
-    r.final_chain_length += drv.chain().size();
-    r.trace_events_recorded += recorders_[d]->events_recorded();
+    r.devices.push_back(stack(d).result(
+        d, g.finished() ? g.finish_cycle() : stack(d).queue().now(), g.finished()));
   }
-  r.cycles = r.completed ? last_finish : last_now;
-  r.h2d_utilisation = drivers_[0]->h2d().utilisation(r.cycles);
-
-  if (coord_ != nullptr) {
-    for (const FabricTopology::Link& l : coord_->topology().links())
-      r.links.push_back(
-          {l.name, l.link.units_moved(), l.link.utilisation(r.cycles)});
-  } else if (sharded_ != nullptr) {
-    // Every device charges its private topology copy; the copies share link
-    // ordering, so per-link totals are the index-wise sums (utilisation =
-    // busy/now is additive across copies at the same `now`).
-    const auto& base = sharded_->topology(0).links();
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      LinkRunResult lr{base[i].name, 0, 0.0};
-      for (u32 d = 0; d < num_gpus(); ++d) {
-        const FabricTopology::Link& l = sharded_->topology(d).links()[i];
-        lr.units_moved += l.link.units_moved();
-        lr.utilisation += l.link.utilisation(r.cycles);
-      }
-      r.links.push_back(lr);
+  // The coordinator charges one topology; sharded, every device charges its
+  // private copy. The copies share link ordering, so per-link totals are
+  // index-wise sums (utilisation = busy/now is additive at the same `now`).
+  std::vector<const FabricTopology*> topologies;
+  if (coord_ != nullptr) topologies.push_back(&coord_->topology());
+  for (u32 d = 0; sharded_ != nullptr && d < num_gpus(); ++d)
+    topologies.push_back(&sharded_->topology(d));
+  for (std::size_t i = 0; i < topologies[0]->links().size(); ++i) {
+    LinkRunResult lr{topologies[0]->links()[i].name, 0, 0.0};
+    for (const FabricTopology* t : topologies) {
+      lr.units_moved += t->links()[i].link.units_moved();
+      lr.utilisation += t->links()[i].link.utilisation(r.cycles);
     }
-  }
-  r.large_pages = drivers_[0]->large_pages_enabled();
-  r.fault_backend = drivers_[0]->fault_backend().name();
-  r.gpu_fault_backend =
-      drivers_[0]->fault_backend_kind() == FaultBackendKind::kGpuDriven;
-  for (const auto& drv : drivers_) {
-    const FaultBackendStats& bs = drv->backend_stats();
-    r.faultsvc.faults_enqueued += bs.faults_enqueued;
-    r.faultsvc.queue_full_stalls += bs.queue_full_stalls;
-    r.faultsvc.handler_pickups += bs.handler_pickups;
-    r.faultsvc.handler_busy_cycles += bs.handler_busy_cycles;
-    r.faultsvc.max_queue_depth =
-        std::max(r.faultsvc.max_queue_depth, bs.max_queue_depth);
-  }
-  for (u32 s = 0; s < engine_->num_shards(); ++s) {
-    const EventQueue& q = engine_->queue(s);
-    r.clamped_past += q.clamped_past();
-    r.sim.events_executed += q.executed();
-    r.sim.event_heap_peak += q.peak_pending();
-    r.sim.event_heap_capacity += q.heap_capacity();
-    r.sim.oversize_events += q.oversize_events();
-  }
-  for (const auto& drv : drivers_) {
-    r.sim.chain_slab_capacity += drv->chains().total_slab_capacity();
-    r.sim.page_table_capacity += drv->page_table().table_capacity();
-    r.sim.page_table_load =
-        std::max(r.sim.page_table_load, drv->page_table().load_factor());
-  }
-  if (sharded_ != nullptr) {
-    r.engine_stats.sharded = true;
-    r.engine_stats.shards = engine_->num_shards();
-    r.engine_stats.threads = engine_->threads();
-    r.engine_stats.lookahead_cycles = engine_->lookahead();
-    const EngineStats& es = engine_->stats();
-    r.engine_stats.windows = es.windows;
-    r.engine_stats.messages = es.messages;
-    r.engine_stats.stall_windows = es.stall_windows;
-    r.engine_stats.barrier_waits = es.barrier_waits;
-    r.engine_stats.max_skew = es.max_skew;
-  }
-  for (auto& rec : recorders_) rec->flush();
-  if (sharded_ != nullptr && !shard_buffers_.empty()) {
-    std::vector<const BufferSink*> streams;
-    for (const auto& b : shard_buffers_) streams.push_back(b.get());
-    merge_shard_traces(streams, user_sinks_);
-    for (auto& b : shard_buffers_) b->clear();
+    r.links.push_back(lr);
   }
   return r;
 }

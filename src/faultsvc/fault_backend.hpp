@@ -19,6 +19,7 @@
 // batches, absorbed entries skipped, trimmed leads requeued at the front.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -39,6 +40,16 @@ struct FaultBackendStats {
   u64 handler_pickups = 0;     ///< doorbell-coalesced handler wakeups
   u64 handler_busy_cycles = 0; ///< total handler occupancy charged
   u64 max_queue_depth = 0;     ///< high-water mark over all SM queues
+
+  /// Fold in another backend's counters: sums, except the high-water mark,
+  /// which takes the max.
+  void merge(const FaultBackendStats& s) noexcept {
+    faults_enqueued += s.faults_enqueued;
+    queue_full_stalls += s.queue_full_stalls;
+    handler_pickups += s.handler_pickups;
+    handler_busy_cycles += s.handler_busy_cycles;
+    max_queue_depth = std::max(max_queue_depth, s.max_queue_depth);
+  }
 };
 
 class FaultServiceBackend {

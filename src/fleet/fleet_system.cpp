@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/rng.hpp"
-#include "core/policy_factory.hpp"
+#include "core/uvm_system.hpp"
 #include "harness/percentile.hpp"
 #include "tenancy/fairness.hpp"
 
@@ -21,82 +21,42 @@ constexpr u64 kAlign = TenantTable::kNamespaceAlignPages;
   return (pages + kAlign - 1) / kAlign * kAlign;
 }
 
-void accumulate(Gpu::Stats& into, const Gpu::Stats& s) {
-  into.accesses += s.accesses;
-  into.l1_tlb_hits += s.l1_tlb_hits;
-  into.l1_tlb_misses += s.l1_tlb_misses;
-  into.l2_tlb_hits += s.l2_tlb_hits;
-  into.l2_tlb_misses += s.l2_tlb_misses;
-  into.far_faults += s.far_faults;
-  into.l1d_hits += s.l1d_hits;
-  into.l1d_misses += s.l1d_misses;
-  into.l2c_hits += s.l2c_hits;
-  into.l2c_misses += s.l2c_misses;
-  into.l1_tlb_large_hits += s.l1_tlb_large_hits;
-  into.l2_tlb_large_hits += s.l2_tlb_large_hits;
-  into.walks_performed += s.walks_performed;
-  into.walk_cycles += s.walk_cycles;
-  into.large_walks += s.large_walks;
-}
-
-void accumulate(DriverStats& into, const DriverStats& s) {
-  into.page_faults += s.page_faults;
-  into.faults_coalesced += s.faults_coalesced;
-  into.pages_migrated_in += s.pages_migrated_in;
-  into.pages_demanded += s.pages_demanded;
-  into.pages_prefetched += s.pages_prefetched;
-  into.pages_evicted += s.pages_evicted;
-  into.chunks_evicted += s.chunks_evicted;
-  into.migration_ops += s.migration_ops;
-  into.demand_evictions += s.demand_evictions;
-  into.pre_evictions += s.pre_evictions;
-  into.fault_wait_cycles += s.fault_wait_cycles;
-  into.remote_accesses += s.remote_accesses;
-  into.peer_fetches += s.peer_fetches;
-  into.spill_hopbacks += s.spill_hopbacks;
-  into.faults_forwarded += s.faults_forwarded;
-  into.chunks_spilled += s.chunks_spilled;
-  into.pages_spilled += s.pages_spilled;
-  into.pages_surrendered += s.pages_surrendered;
-  into.coalesces += s.coalesces;
-  into.splinters += s.splinters;
-  into.large_frames_evicted += s.large_frames_evicted;
+/// Sharded: shard 0 is the control plane, shard 1+d is device d; the
+/// admission/completion round trip crosses shards at the fault-service
+/// latency, which is therefore the conservative lookahead.
+EngineShape engine_shape(const SystemConfig& sys, const FleetConfig& fleet,
+                         const EngineConfig& engine) {
+  if (engine.kind != EngineKind::kSharded) return {};
+  return {1 + fleet.devices, std::max<Cycle>(1, sys.fault_latency_cycles()),
+          engine.threads};
 }
 
 }  // namespace
 
 FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
                          const FleetConfig& fleet, const EngineConfig& engine)
-    : sys_cfg_(sys),
+    : SystemBase(engine_shape(sys, fleet, engine)),
+      sys_cfg_(sys),
       job_cfg_(sys),
       pol_cfg_(pol),
       fleet_(fleet),
       admission_(fleet.admission, fleet.headroom, fleet.quota_frac),
       scheduler_(fleet.scheduler) {
-  assert(fleet_.devices > 0 && fleet_.jobs > 0);
-  assert(fleet_.arena_pages > 0 && fleet_.arena_pages % kAlign == 0);
+  if (fleet_.devices == 0 || fleet_.jobs == 0)
+    throw std::invalid_argument("fleet needs at least one device and one job");
+  if (fleet_.arena_pages == 0 || fleet_.arena_pages % kAlign != 0)
+    throw std::invalid_argument("fleet arena_pages must be a positive multiple of " +
+                                std::to_string(kAlign));
   job_cfg_.num_sms = std::max<u32>(1, fleet_.job_sms);
   job_slots_ = std::max<u64>(1, sys_cfg_.num_sms / job_cfg_.num_sms);
 
   // Device capacity: a fraction of the arena (resident jobs oversubscribe),
   // floored at the admission-pinning minimum so one job can always migrate.
-  const u64 floor_frames = 16 * kChunkPages;
-  capacity_frames_ = std::min(
-      fleet_.arena_pages,
-      std::max(floor_frames,
-               static_cast<u64>(std::ceil(
-                   fleet_.oversub * static_cast<double>(fleet_.arena_pages)))));
+  capacity_frames_ = device_capacity(fleet_.arena_pages, fleet_.oversub);
 
-  // Sharded: shard 0 is the control plane, shard 1+d is device d; the
-  // admission/completion round trip crosses shards at the fault-service
-  // latency, which is therefore the conservative lookahead.
-  sharded_ = engine.kind == EngineKind::kSharded;
-  lookahead_ =
-      sharded_ ? std::max<Cycle>(1, sys_cfg_.fault_latency_cycles()) : 1;
-  engine_ = std::make_unique<ShardedEngine>(
-      sharded_ ? 1 + fleet_.devices : 1, lookahead_,
-      sharded_ ? engine.threads : 1);
-  job_recorder_ = std::make_unique<FlightRecorder>(engine_->queue(0));
+  // The job recorder sits on the control shard, so it fans out first.
+  job_recorder_ = std::make_unique<FlightRecorder>(queue());
+  trace_.add_recorder(*job_recorder_);
 
   mix_ = make_fleet_job_mix();
 
@@ -115,23 +75,14 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
   arrivals_ = std::make_unique<ArrivalStream>(
       fleet_, pol_cfg_.seed, static_cast<u32>(mix_.size()), std::move(trace));
 
+  devices_.resize(fleet_.devices);
   for (u32 d = 0; d < fleet_.devices; ++d) {
-    EventQueue& q = dev_queue(d);
-    auto dev = std::make_unique<Device>(q);
-    dev->table.enable_arena(fleet_.arena_pages);
-    dev->driver = std::make_unique<UvmDriver>(q, sys_cfg_, pol_cfg_,
-                                              fleet_.arena_pages,
-                                              capacity_frames_);
-    dev->recorder.set_tenant_table(&dev->table);
-    if (fleet_.devices > 1) dev->recorder.set_device(d);
-    dev->driver->set_recorder(&dev->recorder);
-    dev->driver->configure_tenancy(&dev->table, TenantMode::kShared,
-                                   EvictionScope::kGlobal);
-    dev->driver->set_policy(
-        make_eviction_policy(pol_cfg_, dev->driver->chain()));
-    dev->driver->set_prefetcher(make_prefetcher(pol_cfg_));
-    devices_.push_back(std::move(dev));
-    if (sharded_) {
+    StackTenancy arena;
+    arena.table.enable_arena(fleet_.arena_pages);
+    add_stack(sharded() ? 1 + d : 0, sys_cfg_, pol_cfg_, fleet_.arena_pages,
+              capacity_frames_, fleet_.devices > 1 ? d : kNoTraceDevice,
+              std::move(arena));
+    if (sharded()) {
       shadow_tables_.push_back(std::make_unique<TenantTable>());
       shadow_tables_.back()->enable_arena(fleet_.arena_pages);
     }
@@ -142,31 +93,6 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
 }
 
 FleetSystem::~FleetSystem() = default;
-
-void FleetSystem::add_sink(TraceSink* sink) {
-  user_sinks_.push_back(sink);
-  if (!sharded_) {
-    job_recorder_->add_sink(sink);
-    for (auto& d : devices_) d->recorder.add_sink(sink);
-    return;
-  }
-  // Sharded: recorders stage into per-shard buffers (created on the first
-  // sink, so sink-less runs record nothing — same as sequential); run()
-  // merges the buffers into every user sink deterministically.
-  if (shard_buffers_.empty()) {
-    shard_buffers_.push_back(std::make_unique<BufferSink>());
-    job_recorder_->add_sink(shard_buffers_.back().get());
-    for (auto& d : devices_) {
-      shard_buffers_.push_back(std::make_unique<BufferSink>());
-      d->recorder.add_sink(shard_buffers_.back().get());
-    }
-  }
-}
-
-void FleetSystem::set_event_mask(u32 mask) {
-  job_recorder_->set_event_mask(mask);
-  for (auto& d : devices_) d->recorder.set_event_mask(mask);
-}
 
 u64 FleetSystem::job_seed(u64 id) const {
   // Independent per-job stream: jobs of the same template differ in their
@@ -179,15 +105,15 @@ u64 FleetSystem::promise_of(const Job& j) const {
 }
 
 DeviceLoad FleetSystem::load_of(u32 device, const Job& j) const {
-  const Device& d = *devices_[device];
+  const Device& d = devices_[device];
   DeviceLoad l;
   l.capacity_frames = capacity_frames_;
   l.promised_frames = d.promised_frames;
   l.active_jobs = d.active_jobs;
   l.job_slots = job_slots_;
-  l.namespace_fits = sharded_
+  l.namespace_fits = sharded()
                          ? shadow_tables_[device]->can_fit(j.footprint_pages)
-                         : d.table.can_fit(j.footprint_pages);
+                         : stack(device).tenants()->can_fit(j.footprint_pages);
   l.same_pattern_jobs = d.pattern_active[static_cast<std::size_t>(j.pattern)];
   return l;
 }
@@ -246,7 +172,7 @@ bool FleetSystem::try_admit(u64 id) {
 
 void FleetSystem::admit(u64 id, u32 device) {
   Job& j = jobs_[id];
-  Device& d = *devices_[device];
+  Device& d = devices_[device];
   const TenantId t = view(device).attach(mix_[j.tpl]->abbr(),
                                          j.footprint_pages);
   assert(t != kNoTenant && "admissible() guaranteed a namespace region");
@@ -257,54 +183,43 @@ void FleetSystem::admit(u64 id, u32 device) {
   d.promised_frames += promise_of(j);
   ++d.active_jobs;
   ++d.pattern_active[static_cast<std::size_t>(j.pattern)];
-
-  if (sharded_) {
-    // Control half only: the device shard replays the attach at the base
-    // the shadow table chose, one admission round trip later. The shadow
-    // attaches now and detaches at finish + lookahead, so its occupied set
-    // is a superset of the device's — the region is guaranteed free there.
-    const PageId base = view(device).info(t).base;
-    job_recorder_->record(EventType::kJobAdmitted, id, device,
-                          j.admit - j.arrival);
-    engine_->post(0, 1 + device, j.admit + lookahead_,
-                  [this, id, device, base] { launch_job(id, device, base); });
+  job_recorder_->record(EventType::kJobAdmitted, id, device,
+                        j.admit - j.arrival);
+  if (!sharded()) {
+    start_job(id, device, t);
     return;
   }
+  // Control half only: the device shard replays the attach at the base the
+  // shadow table chose, one admission round trip later. The shadow attaches
+  // now and detaches at finish + lookahead, so its occupied set is a
+  // superset of the device's — the region is guaranteed free there.
+  const PageId base = view(device).info(t).base;
+  engine_.post(0, 1 + device, j.admit + engine_.lookahead(),
+               [this, id, device, base] {
+                 const Job& job = jobs_[id];
+                 const TenantId dt = stack(device).tenants()->attach_at(
+                     mix_[job.tpl]->abbr(), job.footprint_pages, base);
+                 assert(dt != kNoTenant && "subset invariant: prescribed region free");
+                 start_job(id, device, dt);
+               });
+}
 
+void FleetSystem::start_job(u64 id, u32 device, TenantId t) {
+  // Device-shard context when sharded: the control shard finalised the job
+  // fields before it posted the launch, so the reads below are race-free.
+  const Job& j = jobs_[id];
+  DeviceStack& s = stack(device);
   Running& r = running_[id];
   r.device = device;
+  r.tenant = t;
   r.workload =
-      std::make_unique<OffsetWorkload>(*mix_[j.tpl], d.table.info(t).base);
-  r.gpu = std::make_unique<Gpu>(queue(), job_cfg_, *d.driver, *r.workload,
+      std::make_unique<OffsetWorkload>(*mix_[j.tpl], s.tenants()->info(t).base);
+  r.gpu = std::make_unique<Gpu>(s.queue(), job_cfg_, s.driver(), *r.workload,
                                 job_seed(id));
   // The hook fires inside the last warp's event — defer teardown one event
   // so the Gpu never destroys itself re-entrantly.
-  r.gpu->set_on_finished([this, id] {
-    queue().schedule_at(queue().now(), [this, id] { complete(id); });
-  });
-  job_recorder_->record(EventType::kJobAdmitted, id, device,
-                        j.admit - j.arrival);
-  r.gpu->launch();
-}
-
-void FleetSystem::launch_job(u64 id, u32 device, PageId base) {
-  // Device-shard context. Job fields were finalised by the control shard
-  // before it posted this message, so the reads below are race-free; the
-  // device-table tenant id lives in Running (slots can differ between the
-  // shadow and device tables).
-  const Job& j = jobs_[id];
-  Device& d = *devices_[device];
-  Running& r = running_[id];
-  r.device = device;
-  r.tenant = d.table.attach_at(mix_[j.tpl]->abbr(), j.footprint_pages, base);
-  assert(r.tenant != kNoTenant && "subset invariant: prescribed region free");
-  r.workload = std::make_unique<OffsetWorkload>(*mix_[j.tpl], base);
-  EventQueue& q = dev_queue(device);
-  r.gpu = std::make_unique<Gpu>(q, job_cfg_, *d.driver, *r.workload,
-                                job_seed(id));
-  r.gpu->set_on_finished([this, id, device] {
-    EventQueue& dq = dev_queue(device);
-    dq.schedule_at(dq.now(), [this, id] { device_complete(id); });
+  r.gpu->set_on_finished([this, id, &s] {
+    s.queue().schedule_at(s.queue().now(), [this, id] { retire_job(id); });
   });
   r.gpu->launch();
 }
@@ -318,54 +233,30 @@ void FleetSystem::reject(u64 id, JobRejectReason reason) {
                         queue_.size());
 }
 
-void FleetSystem::complete(u64 id) {
-  Job& j = jobs_[id];
-  Device& d = *devices_[j.device];
+void FleetSystem::retire_job(u64 id) {
+  // Device half: full local teardown (frames, arena region and slot return
+  // to the device). Sharded, the control shard learns the finish cycle one
+  // round trip later.
   Running& r = running_[id];
-  j.finish = r.gpu->finish_cycle();
-  accumulate(d.gpu_total, r.gpu->stats());
-  // Teardown order matters: the Gpu unregisters its shootdown handlers
-  // first, then the driver surrenders every resident page (used_frames
-  // returns to zero), and only then can the arena slot detach.
-  r.gpu.reset();
-  d.driver->detach_tenant(j.tenant);
-  d.table.detach(j.tenant);
-  r.workload.reset();
-  d.promised_frames -= promise_of(j);
-  --d.active_jobs;
-  --d.pattern_active[static_cast<std::size_t>(j.pattern)];
-  j.state = JobState::kCompleted;
-  ++completed_;
-  completion_order_.push_back(id);
-  job_recorder_->record(EventType::kJobCompleted, id, j.device,
-                        j.finish - j.admit);
-  drain_queue();
-}
-
-void FleetSystem::device_complete(u64 id) {
-  // Device-shard half: full local teardown (frames, arena region and slot
-  // return to this device), then tell the control shard the finish cycle.
-  Running& r = running_[id];
-  const u32 device = r.device;
-  Device& d = *devices_[device];
+  DeviceStack& s = stack(r.device);
   const Cycle finish = r.gpu->finish_cycle();
-  accumulate(d.gpu_total, r.gpu->stats());
-  r.gpu.reset();
-  d.driver->detach_tenant(r.tenant);
-  d.table.detach(r.tenant);
+  s.retire_tenant(r.tenant, std::move(r.gpu));
   r.workload.reset();
-  r.tenant = kNoTenant;
-  engine_->post(1 + device, 0, dev_queue(device).now() + lookahead_,
-                [this, id, finish] { control_complete(id, finish); });
+  if (!sharded()) {
+    finish_job(id, finish);
+    return;
+  }
+  engine_.post(1 + r.device, 0, s.queue().now() + engine_.lookahead(),
+               [this, id, finish] { finish_job(id, finish); });
 }
 
-void FleetSystem::control_complete(u64 id, Cycle finish) {
-  // Control-shard half: the shadow region frees only now (finish +
+void FleetSystem::finish_job(u64 id, Cycle finish) {
+  // Control half. Sharded, the shadow region frees only now (finish +
   // lookahead), preserving the subset invariant for later admissions.
   Job& j = jobs_[id];
-  Device& d = *devices_[j.device];
+  Device& d = devices_[j.device];
   j.finish = finish;
-  view(j.device).detach(j.tenant);
+  if (sharded()) view(j.device).detach(j.tenant);
   d.promised_frames -= promise_of(j);
   --d.active_jobs;
   --d.pattern_active[static_cast<std::size_t>(j.pattern)];
@@ -390,97 +281,31 @@ void FleetSystem::drain_queue() {
 
 RunResult FleetSystem::run(Cycle max_cycles) {
   schedule_next_arrival();
-  engine_->run(max_cycles);
-
-  RunResult r;
+  // Job Gpus come and go; every retired one is folded into its stack.
+  RunResult r = run_and_collect({}, max_cycles);
   r.workload = "fleet";
-  r.eviction_name = devices_[0]->driver->policy().name();
-  r.prefetcher_name = devices_[0]->driver->prefetcher().name();
   r.oversub = fleet_.oversub;
-  r.capacity_pages = capacity_frames_ * devices_.size();
   // The queue drains once the last job finishes, and a drained clock
   // fast-forwards to a finite max_cycles — so the fleet's makespan is the
   // last job event, not the engine clock.
-  Cycle now_max = 0;
-  for (u32 s = 0; s < engine_->num_shards(); ++s)
-    now_max = std::max(now_max, engine_->queue(s).now());
   Cycle makespan = 0;
   for (const Job& j : jobs_)
     makespan = std::max({makespan, j.finish, j.arrival});
-  r.cycles = std::min(now_max, std::max<Cycle>(makespan, 1));
+  r.cycles = std::min(r.cycles, std::max<Cycle>(makespan, 1));
   r.completed =
       submitted_ == fleet_.jobs && completed_ + rejected_ == submitted_;
-  r.large_pages = pol_cfg_.large_pages;
-  r.fault_backend = to_string(sys_cfg_.fault_backend);
-  r.gpu_fault_backend = sys_cfg_.fault_backend == FaultBackendKind::kGpuDriven;
-
   double h2d_util = 0.0;
-  r.trace_events_recorded = job_recorder_->events_recorded();
-  for (u32 i = 0; i < devices_.size(); ++i) {
-    Device& d = *devices_[i];
-    DeviceRunResult dr;
-    dr.id = i;
-    dr.capacity_pages = capacity_frames_;
-    dr.finish_cycle = r.cycles;
-    dr.completed = r.completed;
-    dr.driver = d.driver->stats();
-    dr.h2d_pages = d.driver->h2d().units_moved();
-    dr.d2h_pages = d.driver->d2h().units_moved();
-    r.devices.push_back(dr);
-    accumulate(r.driver, dr.driver);
-    accumulate(r.gpu, d.gpu_total);
-    r.h2d_pages += dr.h2d_pages;
-    r.d2h_pages += dr.d2h_pages;
-    h2d_util += d.driver->h2d().utilisation(r.cycles);
-    r.final_chain_length += d.driver->chains().chain(0).size();
-    r.trace_events_recorded += d.recorder.events_recorded();
-    const FaultBackendStats& bs = d.driver->backend_stats();
-    r.faultsvc.faults_enqueued += bs.faults_enqueued;
-    r.faultsvc.queue_full_stalls += bs.queue_full_stalls;
-    r.faultsvc.handler_pickups += bs.handler_pickups;
-    r.faultsvc.handler_busy_cycles += bs.handler_busy_cycles;
-    r.faultsvc.max_queue_depth =
-        std::max(r.faultsvc.max_queue_depth, bs.max_queue_depth);
-    r.sim.chain_slab_capacity += d.driver->chains().total_slab_capacity();
-    r.sim.page_table_capacity += d.driver->page_table().table_capacity();
-    r.sim.page_table_load =
-        std::max(r.sim.page_table_load, d.driver->page_table().load_factor());
-    d.recorder.flush();
+  for (u32 d = 0; d < devices(); ++d) {
+    r.devices.push_back(stack(d).result(d, r.cycles, r.completed));
+    h2d_util += stack(d).driver().h2d().utilisation(r.cycles);
   }
-  r.h2d_utilisation = h2d_util / static_cast<double>(devices_.size());
-  for (u32 s = 0; s < engine_->num_shards(); ++s) {
-    const EventQueue& q = engine_->queue(s);
-    r.clamped_past += q.clamped_past();
-    r.sim.events_executed += q.executed();
-    r.sim.event_heap_peak += q.peak_pending();
-    r.sim.event_heap_capacity += q.heap_capacity();
-    r.sim.oversize_events += q.oversize_events();
-  }
-  if (sharded_) {
-    r.engine_stats.sharded = true;
-    r.engine_stats.shards = engine_->num_shards();
-    r.engine_stats.threads = engine_->threads();
-    r.engine_stats.lookahead_cycles = engine_->lookahead();
-    const EngineStats& es = engine_->stats();
-    r.engine_stats.windows = es.windows;
-    r.engine_stats.messages = es.messages;
-    r.engine_stats.stall_windows = es.stall_windows;
-    r.engine_stats.barrier_waits = es.barrier_waits;
-    r.engine_stats.max_skew = es.max_skew;
-  }
-  job_recorder_->flush();
-  if (sharded_ && !shard_buffers_.empty()) {
-    std::vector<const BufferSink*> streams;
-    for (const auto& b : shard_buffers_) streams.push_back(b.get());
-    merge_shard_traces(streams, user_sinks_);
-    for (auto& b : shard_buffers_) b->clear();
-  }
+  r.h2d_utilisation = h2d_util / static_cast<double>(devices());
 
   FleetRunResult& f = r.fleet;
   f.enabled = true;
   f.admission = std::string(to_string(fleet_.admission));
   f.scheduler = std::string(to_string(fleet_.scheduler));
-  f.devices = static_cast<u32>(devices_.size());
+  f.devices = devices();
   f.arrival_rate = fleet_.arrival_rate;
   f.jobs_submitted = submitted_;
   f.jobs_completed = completed_;

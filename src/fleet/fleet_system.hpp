@@ -2,10 +2,10 @@
 // multi-device fabric of independent memory systems (docs/fleet.md).
 //
 // A ShardedEngine (sim/sharded_engine.hpp) drives everything. Each device
-// owns an arena TenantTable (dynamic attach/detach with namespace and slot
-// recycling), a UvmDriver over the fixed arena span with capacity =
-// oversub * arena (so resident jobs genuinely oversubscribe device memory),
-// and a FlightRecorder. Jobs arrive open-loop (ArrivalStream), pass
+// is a DeviceStack owning an arena TenantTable (dynamic attach/detach with
+// namespace and slot recycling) and a UvmDriver over the fixed arena span
+// with capacity = oversub * arena (so resident jobs genuinely oversubscribe
+// device memory). Jobs arrive open-loop (ArrivalStream), pass
 // admission control (AdmissionController), are placed by the FleetScheduler,
 // run as a SM-sliced Gpu over an OffsetWorkload at their attached namespace
 // base, and on completion detach — returning their namespace region, tenant
@@ -15,7 +15,7 @@
 // component shares its queue — byte-identical to the historical build.
 // Under --engine sharded, shard 0 is the CONTROL plane (arrivals, admission,
 // placement, job bookkeeping, per-device shadow tables) and shard 1+d is
-// device d (table, driver, recorder, running Gpus); admission and completion
+// device d (its stack and running Gpus); admission and completion
 // cross shards as messages delayed by the fault-service round trip (the
 // lookahead), and the control shard's shadow table attaches earlier /
 // detaches later than the device table, so the region it prescribes is
@@ -40,7 +40,8 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "core/uvm_system.hpp"
+#include "core/run_result.hpp"
+#include "core/system_base.hpp"
 #include "fleet/admission.hpp"
 #include "fleet/arrival.hpp"
 #include "fleet/fleet_config.hpp"
@@ -48,22 +49,19 @@
 #include "fleet/scheduler.hpp"
 #include "gpu/gpu.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/shard_trace.hpp"
-#include "sim/sharded_engine.hpp"
 #include "tenancy/offset_workload.hpp"
 #include "tenancy/tenant.hpp"
 #include "uvm/driver.hpp"
 
 namespace uvmsim {
 
-class FleetSystem {
+class FleetSystem : public SystemBase {
  public:
+  /// Throws std::invalid_argument when `fleet` has no devices or jobs, or an
+  /// arena that is not a positive multiple of the namespace alignment.
   FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
               const FleetConfig& fleet, const EngineConfig& engine = {});
   ~FleetSystem();
-
-  FleetSystem(const FleetSystem&) = delete;
-  FleetSystem& operator=(const FleetSystem&) = delete;
 
   /// Drive the whole job stream to completion (or `max_cycles`) and return
   /// the aggregate result: fleet SLA slice in `result.fleet`, per-device
@@ -71,18 +69,9 @@ class FleetSystem {
   [[nodiscard]] RunResult run(
       Cycle max_cycles = std::numeric_limits<Cycle>::max());
 
-  /// Attach a sink to the fleet-level recorder and every device recorder —
-  /// one JSONL stream carries job lifecycle and fault traffic interleaved.
-  /// Sharded runs stage per-shard buffers and deliver the merged,
-  /// deterministic stream after run().
-  void add_sink(TraceSink* sink);
-  /// Apply an event filter to the fleet-level and every device recorder.
-  void set_event_mask(u32 mask);
-
-  /// The control shard's queue — THE queue under --engine seq.
-  [[nodiscard]] EventQueue& queue() noexcept { return engine_->queue(0); }
-  [[nodiscard]] ShardedEngine& engine() noexcept { return *engine_; }
-  [[nodiscard]] bool sharded() const noexcept { return sharded_; }
+  /// add_sink/set_event_mask reach the fleet-level recorder and every
+  /// device recorder: one JSONL stream carries job lifecycle and fault
+  /// traffic interleaved. queue() is the control shard's.
   [[nodiscard]] FlightRecorder& job_recorder() noexcept {
     return *job_recorder_;
   }
@@ -94,20 +83,15 @@ class FleetSystem {
   [[nodiscard]] Cycle solo_cycles(u32 tpl) const { return solo_cycles_[tpl]; }
 
  private:
-  /// One device's memory system: arena table, driver, recorder, and the
-  /// load counters admission and placement consult. Under --engine sharded,
-  /// `table`/`driver`/`recorder`/`gpu_total` belong to the device shard;
-  /// the accounting counters are written only by the control shard.
+  /// The load counters admission and placement consult for one device,
+  /// whose memory system is device stack d (with its arena table). Under
+  /// --engine sharded, the stack belongs to the device shard and these
+  /// counters are written only by the control shard.
   struct Device {
-    explicit Device(const EventQueue& eq) : recorder(eq) {}
-    TenantTable table;
-    FlightRecorder recorder;
-    std::unique_ptr<UvmDriver> driver;
     u64 promised_frames = 0;  ///< Σ min(footprint, capacity) of resident jobs
     u64 active_jobs = 0;
     /// Resident jobs per PatternType (indexed by enum value, 1..6).
     std::array<u64, 8> pattern_active{};
-    Gpu::Stats gpu_total;     ///< accumulated at each job's teardown
   };
 
   /// A running job's simulation objects, destroyed at teardown. Owned by
@@ -115,7 +99,7 @@ class FleetSystem {
   struct Running {
     std::unique_ptr<OffsetWorkload> workload;
     std::unique_ptr<Gpu> gpu;
-    TenantId tenant = kNoTenant;  ///< DEVICE-table slot (sharded only)
+    TenantId tenant = kNoTenant;  ///< slot in the DEVICE table
     u32 device = ~u32{0};
   };
 
@@ -123,29 +107,23 @@ class FleetSystem {
   void on_arrival(u64 id);
   /// Admit `id` somewhere if a device passes admission; false = no device.
   bool try_admit(u64 id);
+  /// Admission bookkeeping; sharded, the device shard starts the job one
+  /// admission round trip later at the base the shadow table chose.
   void admit(u64 id, u32 device);
   void reject(u64 id, JobRejectReason reason);
-  /// Device-shard half of a sharded admission: replay the control shard's
-  /// attach at the prescribed base and launch the Gpu.
-  void launch_job(u64 id, u32 device, PageId base);
-  /// Teardown, scheduled onto the queue by the Gpu's on_finished hook (the
-  /// hook fires inside the last warp's event; destroying the Gpu there
-  /// would free the running callback's owner). Sequential engine only —
-  /// sharded runs split this into device_complete + control_complete.
-  void complete(u64 id);
-  /// Device-shard half of a sharded completion: teardown, then message the
-  /// control shard with the finish cycle.
-  void device_complete(u64 id);
-  /// Control-shard half: bookkeeping, shadow detach, queue re-drain.
-  void control_complete(u64 id, Cycle finish);
+  /// Build and launch the job's Gpu as tenant `t` of its device.
+  void start_job(u64 id, u32 device, TenantId t);
+  /// Device-side teardown, scheduled onto the device queue by the Gpu's
+  /// on_finished hook (destroying the Gpu inside its own last warp event
+  /// would free the running callback's owner).
+  void retire_job(u64 id);
+  /// Control-side bookkeeping and queue re-drain once the job has finished.
+  void finish_job(u64 id, Cycle finish);
   void drain_queue();
   /// The table admission consults: the device table itself (sequential) or
   /// the control shard's shadow of it (sharded).
   [[nodiscard]] TenantTable& view(u32 device) noexcept {
-    return sharded_ ? *shadow_tables_[device] : devices_[device]->table;
-  }
-  [[nodiscard]] EventQueue& dev_queue(u32 device) noexcept {
-    return engine_->queue(sharded_ ? 1 + device : 0);
+    return sharded() ? *shadow_tables_[device] : *stack(device).tenants();
   }
   [[nodiscard]] DeviceLoad load_of(u32 device, const Job& j) const;
   [[nodiscard]] u64 job_seed(u64 id) const;
@@ -157,23 +135,16 @@ class FleetSystem {
   FleetConfig fleet_;
   u64 capacity_frames_ = 0;  ///< per device
   u64 job_slots_ = 0;        ///< concurrent SM-slice slots per device
-  bool sharded_ = false;
-  Cycle lookahead_ = 1;      ///< cross-shard message delay (fault RTT)
 
-  std::unique_ptr<ShardedEngine> engine_;
   std::unique_ptr<FlightRecorder> job_recorder_;
   std::vector<std::unique_ptr<Workload>> mix_;
   std::vector<Cycle> solo_cycles_;  ///< per template
   std::unique_ptr<ArrivalStream> arrivals_;
   AdmissionController admission_;
   FleetScheduler scheduler_;
-  std::vector<std::unique_ptr<Device>> devices_;
+  std::vector<Device> devices_;
   /// Sharded only: the control shard's per-device shadow arena tables.
   std::vector<std::unique_ptr<TenantTable>> shadow_tables_;
-  /// Sharded tracing: per-shard staging buffers (0 = job recorder, 1+d =
-  /// device d) + the caller's real sinks.
-  std::vector<std::unique_ptr<BufferSink>> shard_buffers_;
-  std::vector<TraceSink*> user_sinks_;
 
   std::vector<Job> jobs_;
   std::vector<Running> running_;  ///< indexed by job id

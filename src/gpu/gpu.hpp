@@ -75,6 +75,28 @@ class Gpu {
     u64 walks_performed = 0;
     u64 walk_cycles = 0;
     u64 large_walks = 0;
+
+    /// Field-wise sum over several Gpus (tenants, devices, fleet jobs). A
+    /// new counter must be added here too; tests/core/device_stack_test.cpp
+    /// holds the struct size to this list.
+    Stats& operator+=(const Stats& s) noexcept {
+      accesses += s.accesses;
+      l1_tlb_hits += s.l1_tlb_hits;
+      l1_tlb_misses += s.l1_tlb_misses;
+      l2_tlb_hits += s.l2_tlb_hits;
+      l2_tlb_misses += s.l2_tlb_misses;
+      far_faults += s.far_faults;
+      l1d_hits += s.l1d_hits;
+      l1d_misses += s.l1d_misses;
+      l2c_hits += s.l2c_hits;
+      l2c_misses += s.l2c_misses;
+      l1_tlb_large_hits += s.l1_tlb_large_hits;
+      l2_tlb_large_hits += s.l2_tlb_large_hits;
+      walks_performed += s.walks_performed;
+      walk_cycles += s.walk_cycles;
+      large_walks += s.large_walks;
+      return *this;
+    }
   };
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const PageWalker& walker() const noexcept { return walker_; }

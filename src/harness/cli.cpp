@@ -119,4 +119,16 @@ std::string CliParser::help() const {
   return os.str();
 }
 
+std::vector<std::string> split_list(const std::string& s, char sep) {
+  std::vector<std::string> out(1);
+  for (const char c : s) {
+    if (c == sep)
+      out.emplace_back();
+    else if (c != ' ')
+      out.back() += c;
+  }
+  std::erase(out, std::string{});
+  return out;
+}
+
 }  // namespace uvmsim

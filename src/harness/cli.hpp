@@ -49,4 +49,9 @@ class CliParser {
   std::string error_;
 };
 
+/// Split a list-valued option ("NW,BFS", "NW+BFS;MVT+SRD") on `sep`,
+/// dropping spaces and empty items.
+[[nodiscard]] std::vector<std::string> split_list(const std::string& s,
+                                                  char sep = ',');
+
 }  // namespace uvmsim

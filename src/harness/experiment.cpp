@@ -5,122 +5,63 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/uvm_system.hpp"
 #include "fabric/fabric_system.hpp"
 #include "fleet/fleet_system.hpp"
 #include "obs/trace_sink.hpp"
-#include "tenancy/fairness.hpp"
 #include "tenancy/multi_tenant_system.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace uvmsim {
 
-namespace {
-
-// Multi-tenant experiments build a MultiTenantSystem over the shared driver
-// stack. Solo baselines (one UvmSystem per tenant, same SM slice, same
-// oversubscription) fill in slowdown_vs_solo and the Jain index; they are
-// independent deterministic runs, so the whole experiment stays reproducible.
-LabelledResult run_multi_tenant(const ExperimentSpec& spec) {
-  std::vector<std::unique_ptr<Workload>> workloads;
-  std::vector<const Workload*> ptrs;
-  for (const std::string& abbr : spec.tenants) {
-    workloads.push_back(make_benchmark(abbr));
-    ptrs.push_back(workloads.back().get());
-  }
-
-  MultiTenantSystem system(spec.system, spec.policy, ptrs, spec.oversub,
-                           spec.tenant_mode, spec.tenant_scope);
-
-  std::ofstream trace_file;
-  std::unique_ptr<JsonlSink> trace_sink;
-  if (!spec.trace_out.empty()) {
-    trace_file.open(spec.trace_out);
-    if (!trace_file) throw std::runtime_error("cannot open trace file: " + spec.trace_out);
-    trace_sink = std::make_unique<JsonlSink>(trace_file);
-    system.recorder().set_event_mask(spec.trace_event_mask);
-    system.recorder().add_sink(trace_sink.get());
-  }
-
-  LabelledResult out{spec, system.run(spec.max_cycles)};
-
-  if (spec.tenant_solo_baselines) {
-    SystemConfig solo_cfg = spec.system;
-    solo_cfg.num_sms = system.sms_per_tenant();
-    std::vector<Cycle> solo_cycles;
-    for (const Workload* w : ptrs) {
-      UvmSystem solo(solo_cfg, spec.policy, *w, spec.oversub);
-      solo_cycles.push_back(solo.run(spec.max_cycles).cycles);
-    }
-    apply_solo_baselines(out.result, solo_cycles);
-  }
-  return out;
-}
-
-// Multi-GPU experiments shard one workload across a FabricSystem. The sink
-// wiring mirrors the single-GPU path; every device's recorder shares one
-// JSONL stream (device-stamped events interleave in simulation order).
-LabelledResult run_fabric(const ExperimentSpec& spec) {
-  const auto workload = make_benchmark(spec.workload);
-  FabricSystem system(spec.system, spec.policy, *workload, spec.oversub,
-                      spec.fabric, spec.engine);
-
-  std::ofstream trace_file;
-  std::unique_ptr<JsonlSink> trace_sink;
-  if (!spec.trace_out.empty()) {
-    trace_file.open(spec.trace_out);
-    if (!trace_file) throw std::runtime_error("cannot open trace file: " + spec.trace_out);
-    trace_sink = std::make_unique<JsonlSink>(trace_file);
-    system.set_event_mask(spec.trace_event_mask);
-    system.add_sink(trace_sink.get());
-  }
-
-  return {spec, system.run(spec.max_cycles)};
-}
-
-// Fleet experiments drive an open-loop job stream through a FleetSystem.
-// One JSONL stream carries the fleet-level job lifecycle events and every
-// device's fault traffic, interleaved in simulation order.
-LabelledResult run_fleet(const ExperimentSpec& spec) {
-  FleetSystem system(spec.system, spec.policy, spec.fleet, spec.engine);
-
-  std::ofstream trace_file;
-  std::unique_ptr<JsonlSink> trace_sink;
-  if (!spec.trace_out.empty()) {
-    trace_file.open(spec.trace_out);
-    if (!trace_file) throw std::runtime_error("cannot open trace file: " + spec.trace_out);
-    trace_sink = std::make_unique<JsonlSink>(trace_file);
-    system.set_event_mask(spec.trace_event_mask);
-    system.add_sink(trace_sink.get());
-  }
-
-  return {spec, system.run(spec.max_cycles)};
-}
-
-}  // namespace
-
 LabelledResult run_experiment(const ExperimentSpec& spec) {
-  if (spec.fleet.enabled) return run_fleet(spec);
-  if (spec.tenants.size() >= 2) return run_multi_tenant(spec);
-  if (spec.fabric.gpus >= 2) return run_fabric(spec);
-
-  const auto workload = make_benchmark(spec.workload);
-  UvmSystem system(spec.system, spec.policy, *workload, spec.oversub);
-
   // Observability: stream the run's events to disk when requested. The sink
-  // must outlive run(); the recorder only borrows it.
+  // must outlive run(); the recorders only borrow it. Every system fans it
+  // out to all of its recorders (device-stamped events interleave in
+  // simulation order).
   std::ofstream trace_file;
   std::unique_ptr<JsonlSink> trace_sink;
   if (!spec.trace_out.empty()) {
     trace_file.open(spec.trace_out);
     if (!trace_file) throw std::runtime_error("cannot open trace file: " + spec.trace_out);
     trace_sink = std::make_unique<JsonlSink>(trace_file);
-    system.recorder().set_event_mask(spec.trace_event_mask);
-    system.recorder().add_sink(trace_sink.get());
+  }
+  const auto attach_trace = [&](SystemBase& system) {
+    system.set_event_mask(spec.trace_event_mask);
+    if (trace_sink) system.add_sink(trace_sink.get());
+  };
+
+  if (spec.fleet.enabled) {
+    FleetSystem system(spec.system, spec.policy, spec.fleet, spec.engine);
+    attach_trace(system);
+    return {spec, system.run(spec.max_cycles)};
   }
 
-  LabelledResult out{spec, system.run(spec.max_cycles)};
-  if (spec.post_run) spec.post_run(system, out.result);
-  return out;
+  if (spec.tenants.size() >= 2) {
+    std::vector<std::unique_ptr<Workload>> workloads;
+    std::vector<const Workload*> ptrs;
+    for (const std::string& abbr : spec.tenants) {
+      workloads.push_back(make_benchmark(abbr));
+      ptrs.push_back(workloads.back().get());
+    }
+    MultiTenantSystem system(spec.system, spec.policy, ptrs, spec.oversub,
+                             spec.tenant_mode, spec.tenant_scope);
+    attach_trace(system);
+    LabelledResult out{spec, system.run(spec.max_cycles)};
+    if (spec.tenant_solo_baselines) system.run_solo_baselines(out.result, spec.max_cycles);
+    return out;
+  }
+
+  const auto workload = make_benchmark(spec.workload);
+  if (spec.fabric.gpus >= 2) {
+    FabricSystem system(spec.system, spec.policy, *workload, spec.oversub,
+                        spec.fabric, spec.engine);
+    attach_trace(system);
+    return {spec, system.run(spec.max_cycles)};
+  }
+  UvmSystem system(spec.system, spec.policy, *workload, spec.oversub);
+  attach_trace(system);
+  return {spec, system.run(spec.max_cycles)};
 }
 
 }  // namespace uvmsim

@@ -3,7 +3,6 @@
 // deterministic, so any sweep can be distributed over threads freely.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -57,10 +56,6 @@ struct ExperimentSpec {
   /// setting a path.
   std::string trace_out;
   u32 trace_event_mask = kAllEventsMask;
-  /// Invoked after run() with the still-live system (recorder, driver and
-  /// policy introspection available) and the result — the harness's generic
-  /// post-run dump point for custom timelines.
-  std::function<void(UvmSystem&, const RunResult&)> post_run;
 };
 
 /// Result annotated with its spec label.

@@ -13,9 +13,7 @@ ShardedEngine::ShardedEngine(u32 shards, Cycle lookahead, u32 threads)
   for (u32 s = 0; s < shards; ++s)
     shards_.push_back(std::make_unique<Shard>(s));
 
-  u32 hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  threads_ = threads == 0 ? hw : threads;
+  threads_ = threads == 0 ? std::thread::hardware_concurrency() : threads;
   threads_ = std::min(threads_, shards);
   threads_ = std::max<u32>(1, threads_);
 

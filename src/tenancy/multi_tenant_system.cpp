@@ -1,95 +1,77 @@
 #include "tenancy/multi_tenant_system.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <stdexcept>
+#include <string>
 
-#include "core/policy_factory.hpp"
+#include "core/uvm_system.hpp"
+#include "tenancy/fairness.hpp"
 
 namespace uvmsim {
+
+namespace {
+
+/// The tenants' disjoint namespaces, carved in registration order.
+StackTenancy tenancy_of(const std::vector<const Workload*>& workloads,
+                        TenantMode mode, EvictionScope scope) {
+  if (workloads.empty())
+    throw std::invalid_argument("MultiTenantSystem needs at least one workload");
+  StackTenancy t;
+  for (const Workload* w : workloads) t.table.add(w->abbr(), w->footprint_pages());
+  t.mode = mode;
+  t.scope = scope;
+  return t;
+}
+
+}  // namespace
 
 MultiTenantSystem::MultiTenantSystem(const SystemConfig& sys,
                                      const PolicyConfig& pol,
                                      const std::vector<const Workload*>& workloads,
                                      double oversub, TenantMode mode,
                                      EvictionScope scope)
-    : sys_cfg_(sys), pol_cfg_(pol), oversub_(oversub), mode_(mode) {
-  assert(!workloads.empty());
+    : tenant_cfg_(sys),
+      pol_cfg_(pol),
+      oversub_(oversub),
+      mode_(mode),
+      workloads_(workloads) {
+  StackTenancy tenancy = tenancy_of(workloads, mode, scope);
   const u64 n = workloads.size();
-  sms_per_tenant_ = std::max<u32>(1, sys_cfg_.num_sms / static_cast<u32>(n));
+  tenant_cfg_.num_sms = std::max<u32>(1, sys.num_sms / static_cast<u32>(n));
 
-  // Carve the disjoint namespaces and size the shared pool off the combined
-  // footprint. The capacity floor scales with the tenant count so every
-  // tenant's quota can hold at least the admission-pinning minimum
-  // (UvmSystem's deadlock-freedom argument, per tenant).
+  // One shared pool sized off the combined footprint, with the capacity
+  // floor scaled by the tenant count so every tenant's quota can hold the
+  // admission-pinning minimum.
   u64 total_footprint = 0;
-  for (const Workload* w : workloads) {
-    table_.add(w->abbr(), w->footprint_pages());
-    total_footprint += w->footprint_pages();
-  }
-  const u64 floor_pages = n * 16 * kChunkPages;
-  const u64 capacity = std::max<u64>(
-      floor_pages,
-      std::min<u64>(total_footprint,
-                    static_cast<u64>(std::ceil(
-                        oversub * static_cast<double>(total_footprint)))));
-
-  driver_ = std::make_unique<UvmDriver>(eq_, sys_cfg_, pol_cfg_,
-                                        table_.span_pages(), capacity);
-  recorder_.set_tenant_table(&table_);
-  driver_->set_recorder(&recorder_);
-  driver_->configure_tenancy(&table_, mode, scope);
-
-  // Shared mode keeps the single domain-0 policy; partitioned/quota get one
-  // policy instance per tenant chain (stateful policies run per tenant).
-  if (mode == TenantMode::kShared) {
-    driver_->set_policy(make_eviction_policy(pol_cfg_, driver_->chain()));
-  } else {
-    for (u64 d = 0; d < n; ++d)
-      driver_->set_domain_policy(
-          d, make_eviction_policy(pol_cfg_, driver_->chains().chain(d)));
-  }
-  driver_->set_prefetcher(make_prefetcher(pol_cfg_));
+  for (const Workload* w : workloads) total_footprint += w->footprint_pages();
+  const u64 span = tenancy.table.span_pages();
+  DeviceStack& s = add_stack(0, sys, pol, span,
+                             device_capacity(total_footprint, oversub, 1, n),
+                             kNoTraceDevice, std::move(tenancy));
 
   // One Gpu per tenant on its SM slice. Warp seeds stay pol.seed-derived as
   // in the solo run, so a tenant's access streams match its solo behaviour.
-  SystemConfig tenant_cfg = sys_cfg_;
-  tenant_cfg.num_sms = sms_per_tenant_;
   for (u64 t = 0; t < n; ++t) {
     offset_workloads_.push_back(std::make_unique<OffsetWorkload>(
-        *workloads[t], table_.info(static_cast<TenantId>(t)).base));
-    gpus_.push_back(std::make_unique<Gpu>(eq_, tenant_cfg, *driver_,
-                                          *offset_workloads_.back(),
-                                          pol_cfg_.seed));
+        *workloads[t], s.tenants()->info(static_cast<TenantId>(t)).base));
+    gpus_.push_back(std::make_unique<Gpu>(s.queue(), tenant_cfg_, s.driver(),
+                                          *offset_workloads_.back(), pol.seed));
   }
 }
 
 MultiTenantSystem::~MultiTenantSystem() = default;
 
 RunResult MultiTenantSystem::run(Cycle max_cycles) {
-  for (auto& g : gpus_) g->launch();
-  eq_.run(max_cycles);
-
-  RunResult r;
-  for (u64 t = 0; t < table_.size(); ++t) {
-    if (!r.workload.empty()) r.workload += '+';
-    r.workload += table_.info(static_cast<TenantId>(t)).name;
-  }
-  r.eviction_name = driver_->policy().name();
-  r.prefetcher_name = driver_->prefetcher().name();
+  RunResult r = run_and_collect(gpus_, max_cycles);
   r.oversub = oversub_;
-  r.capacity_pages = driver_->capacity_pages();
-  r.driver = driver_->stats();
-  r.h2d_pages = driver_->h2d().units_moved();
-  r.d2h_pages = driver_->d2h().units_moved();
   r.tenant_mode = std::string(to_string(mode_));
-
-  r.completed = true;
-  Cycle last_finish = 0;
-  for (u64 t = 0; t < table_.size(); ++t) {
+  const TenantTable& table = tenants();
+  for (u64 t = 0; t < table.size(); ++t) {
     const TenantId id = static_cast<TenantId>(t);
-    const TenantInfo& info = table_.info(id);
+    const TenantInfo& info = table.info(id);
     const Gpu& g = *gpus_[t];
+    if (!r.workload.empty()) r.workload += '+';
+    r.workload += info.name;
     r.footprint_pages += info.footprint_pages;
 
     TenantRunResult tr;
@@ -98,51 +80,25 @@ RunResult MultiTenantSystem::run(Cycle max_cycles) {
     tr.footprint_pages = info.footprint_pages;
     tr.quota_frames = mode_ == TenantMode::kShared ? 0 : info.quota_frames;
     tr.completed = g.finished();
-    tr.finish_cycle = g.finished() ? g.finish_cycle() : eq_.now();
+    tr.finish_cycle = g.finished() ? g.finish_cycle() : queue().now();
     tr.stats = info.stats;
     r.tenants.push_back(std::move(tr));
-
-    r.completed = r.completed && g.finished();
-    last_finish = std::max(last_finish, r.tenants.back().finish_cycle);
-
-    const Gpu::Stats gs = g.stats();
-    r.gpu.accesses += gs.accesses;
-    r.gpu.l1_tlb_hits += gs.l1_tlb_hits;
-    r.gpu.l1_tlb_misses += gs.l1_tlb_misses;
-    r.gpu.l2_tlb_hits += gs.l2_tlb_hits;
-    r.gpu.l2_tlb_misses += gs.l2_tlb_misses;
-    r.gpu.far_faults += gs.far_faults;
-    r.gpu.l1d_hits += gs.l1d_hits;
-    r.gpu.l1d_misses += gs.l1d_misses;
-    r.gpu.l2c_hits += gs.l2c_hits;
-    r.gpu.l2c_misses += gs.l2c_misses;
-    r.gpu.l1_tlb_large_hits += gs.l1_tlb_large_hits;
-    r.gpu.l2_tlb_large_hits += gs.l2_tlb_large_hits;
-    r.gpu.walks_performed += gs.walks_performed;
-    r.gpu.walk_cycles += gs.walk_cycles;
-    r.gpu.large_walks += gs.large_walks;
   }
-  r.cycles = r.completed ? last_finish : eq_.now();
-  r.h2d_utilisation = driver_->h2d().utilisation(r.cycles);
-  r.final_chain_length = 0;
-  for (u64 d = 0; d < driver_->chains().domains(); ++d)
-    r.final_chain_length += driver_->chains().chain(d).size();
-  r.large_pages = driver_->large_pages_enabled();
-  r.fault_backend = driver_->fault_backend().name();
-  r.gpu_fault_backend =
-      driver_->fault_backend_kind() == FaultBackendKind::kGpuDriven;
-  r.faultsvc = driver_->backend_stats();
-  r.trace_events_recorded = recorder_.events_recorded();
-  r.clamped_past = eq_.clamped_past();
-  r.sim.events_executed = eq_.executed();
-  r.sim.event_heap_peak = eq_.peak_pending();
-  r.sim.event_heap_capacity = eq_.heap_capacity();
-  r.sim.oversize_events = eq_.oversize_events();
-  r.sim.chain_slab_capacity = driver_->chains().total_slab_capacity();
-  r.sim.page_table_capacity = driver_->page_table().table_capacity();
-  r.sim.page_table_load = driver_->page_table().load_factor();
-  recorder_.flush();
+  r.h2d_utilisation = driver().h2d().utilisation(r.cycles);
   return r;
+}
+
+void MultiTenantSystem::run_solo_baselines(RunResult& r, Cycle max_cycles) const {
+  std::vector<Cycle> solo_cycles;
+  for (const Workload* w : workloads_) {
+    UvmSystem solo(tenant_cfg_, pol_cfg_, *w, oversub_);
+    const RunResult s = solo.run(max_cycles);
+    if (!s.completed || s.clamped_past > 0)
+      throw std::runtime_error("solo baseline of " + w->abbr() +
+                               " did not complete cleanly");
+    solo_cycles.push_back(s.cycles);
+  }
+  apply_solo_baselines(r, solo_cycles);
 }
 
 }  // namespace uvmsim

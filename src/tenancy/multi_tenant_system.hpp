@@ -1,8 +1,8 @@
 // MultiTenantSystem: N workloads co-scheduled on one shared memory system.
 //
 // The multi-tenant sibling of UvmSystem (core/uvm_system.hpp): one
-// EventQueue, one UvmDriver (one FramePool, one pair of PCIe links, one
-// prefetcher) serving every tenant, and one Gpu instance per tenant running
+// DeviceStack (one UvmDriver, FramePool, pair of PCIe links and prefetcher)
+// serving every tenant, and one Gpu instance per tenant running
 // its workload on a spatial slice of the SMs (num_sms / N each, at least
 // one). Tenant namespaces are disjoint (OffsetWorkload + TenantTable), so
 // all driver state is keyed unambiguously; the sharing mode decides how
@@ -14,66 +14,63 @@
 // memory-management layer this repo studies, not in DRAM banking).
 //
 // run() drives all tenants to completion and returns one RunResult whose
-// `tenants` vector carries the per-tenant slices. Slowdown-vs-solo and the
-// Jain index are filled in by the caller once solo baselines exist
-// (tenancy/fairness.hpp), since solos are independent runs.
+// `tenants` vector carries the per-tenant slices; run_solo_baselines() then
+// fills slowdown-vs-solo and the Jain index from independent solo runs.
 #pragma once
 
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/config.hpp"
-#include "core/uvm_system.hpp"
+#include "core/run_result.hpp"
+#include "core/system_base.hpp"
 #include "gpu/gpu.hpp"
 #include "obs/flight_recorder.hpp"
-#include "sim/event_queue.hpp"
 #include "tenancy/offset_workload.hpp"
 #include "tenancy/tenant.hpp"
 #include "uvm/driver.hpp"
 
 namespace uvmsim {
 
-class MultiTenantSystem {
+class MultiTenantSystem : public SystemBase {
  public:
   /// `workloads` are borrowed for the system's lifetime. `oversub` is the
   /// fraction of the *combined* footprint that fits in device memory.
+  /// Throws std::invalid_argument when `workloads` is empty.
   MultiTenantSystem(const SystemConfig& sys, const PolicyConfig& pol,
                     const std::vector<const Workload*>& workloads,
                     double oversub, TenantMode mode,
                     EvictionScope scope = EvictionScope::kGlobal);
   ~MultiTenantSystem();
 
-  MultiTenantSystem(const MultiTenantSystem&) = delete;
-  MultiTenantSystem& operator=(const MultiTenantSystem&) = delete;
-
   /// Simulate until every tenant's warps finish (or `max_cycles`).
   [[nodiscard]] RunResult run(
       Cycle max_cycles = std::numeric_limits<Cycle>::max());
 
-  [[nodiscard]] u64 num_tenants() const noexcept { return table_.size(); }
-  [[nodiscard]] const TenantTable& tenants() const noexcept { return table_; }
-  [[nodiscard]] UvmDriver& driver() noexcept { return *driver_; }
+  /// Run each tenant's workload alone, on the same SM slice at the same
+  /// oversubscription, and fill `r`'s slowdown_vs_solo and Jain index
+  /// (tenancy/fairness.hpp). Throws std::runtime_error when a solo run hits
+  /// `max_cycles` or clamps an event into the past: a truncated baseline
+  /// would make every slowdown meaningless.
+  void run_solo_baselines(RunResult& r, Cycle max_cycles) const;
+
+  [[nodiscard]] u64 num_tenants() const noexcept { return workloads_.size(); }
+  [[nodiscard]] const TenantTable& tenants() noexcept { return *stack(0).tenants(); }
+  [[nodiscard]] UvmDriver& driver() noexcept { return stack(0).driver(); }
   [[nodiscard]] Gpu& gpu(TenantId t) noexcept { return *gpus_[t]; }
-  [[nodiscard]] EventQueue& queue() noexcept { return eq_; }
-  [[nodiscard]] FlightRecorder& recorder() noexcept { return recorder_; }
+  [[nodiscard]] FlightRecorder& recorder() noexcept { return stack(0).recorder(); }
   /// SMs each tenant's Gpu runs on — the solo-baseline run must use the
   /// same count for slowdown to isolate memory interference.
-  [[nodiscard]] u32 sms_per_tenant() const noexcept { return sms_per_tenant_; }
+  [[nodiscard]] u32 sms_per_tenant() const noexcept { return tenant_cfg_.num_sms; }
 
  private:
-  SystemConfig sys_cfg_;
+  SystemConfig tenant_cfg_;  ///< the system config with the per-tenant SM slice
   PolicyConfig pol_cfg_;
   double oversub_;
   TenantMode mode_;
-  u32 sms_per_tenant_ = 1;
-
-  EventQueue eq_;
-  FlightRecorder recorder_{eq_};
-  TenantTable table_;
+  std::vector<const Workload*> workloads_;
   std::vector<std::unique_ptr<OffsetWorkload>> offset_workloads_;
-  std::unique_ptr<UvmDriver> driver_;
   std::vector<std::unique_ptr<Gpu>> gpus_;
 };
 

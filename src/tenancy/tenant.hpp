@@ -159,32 +159,9 @@ class TenantTable {
   TenantId attach(std::string name, u64 footprint_pages) {
     assert(arena_ && footprint_pages > 0);
     const u64 need = align_up(footprint_pages);
-    std::size_t r = 0;
-    for (; r < free_regions_.size(); ++r)
-      if (free_regions_[r].second >= need) break;
-    if (r == free_regions_.size()) return kNoTenant;
-    const PageId base = free_regions_[r].first;
-    if (free_regions_[r].second == need) {
-      free_regions_.erase(free_regions_.begin() + static_cast<long>(r));
-    } else {
-      free_regions_[r].first += need;
-      free_regions_[r].second -= need;
-    }
-    std::size_t slot = tenants_.size();
-    for (std::size_t i = 0; i < tenants_.size(); ++i)
-      if (!active_[i]) { slot = i; break; }
-    if (slot == tenants_.size()) {
-      tenants_.emplace_back();
-      active_.push_back(false);
-    }
-    TenantInfo& t = tenants_[slot];
-    t = TenantInfo{};
-    t.name = std::move(name);
-    t.base = base;
-    t.footprint_pages = footprint_pages;
-    active_[slot] = true;
-    ++attached_;
-    return static_cast<TenantId>(slot);
+    for (const auto& [base, pages] : free_regions_)
+      if (pages >= need) return attach_at(std::move(name), footprint_pages, base);
+    return kNoTenant;
   }
 
   /// Attach a tenant at a PRESCRIBED base. The sharded fleet engine admits
@@ -213,9 +190,9 @@ class TenantTable {
     if (base > rb)
       free_regions_.insert(free_regions_.begin() + static_cast<long>(r),
                            {rb, base - rb});
-    std::size_t slot = tenants_.size();
-    for (std::size_t i = 0; i < tenants_.size(); ++i)
-      if (!active_[i]) { slot = i; break; }
+    // Lowest free slot id, with fresh stats and usage counters.
+    std::size_t slot = 0;
+    while (slot < tenants_.size() && active_[slot]) ++slot;
     if (slot == tenants_.size()) {
       tenants_.emplace_back();
       active_.push_back(false);

@@ -90,6 +90,34 @@ struct DriverStats {
   u64 coalesces = 0;            ///< regions promoted to a 2 MB frame
   u64 splinters = 0;            ///< 2 MB frames demoted back to chunks
   u64 large_frames_evicted = 0; ///< whole-frame evictions (one DMA each)
+
+  /// Field-wise sum: the run total over several drivers (fabric devices,
+  /// fleet devices). A new counter must be added here too;
+  /// tests/core/device_stack_test.cpp holds the struct size to this list.
+  DriverStats& operator+=(const DriverStats& s) noexcept {
+    page_faults += s.page_faults;
+    faults_coalesced += s.faults_coalesced;
+    pages_migrated_in += s.pages_migrated_in;
+    pages_demanded += s.pages_demanded;
+    pages_prefetched += s.pages_prefetched;
+    pages_evicted += s.pages_evicted;
+    chunks_evicted += s.chunks_evicted;
+    migration_ops += s.migration_ops;
+    demand_evictions += s.demand_evictions;
+    pre_evictions += s.pre_evictions;
+    fault_wait_cycles += s.fault_wait_cycles;
+    remote_accesses += s.remote_accesses;
+    peer_fetches += s.peer_fetches;
+    spill_hopbacks += s.spill_hopbacks;
+    faults_forwarded += s.faults_forwarded;
+    chunks_spilled += s.chunks_spilled;
+    pages_spilled += s.pages_spilled;
+    pages_surrendered += s.pages_surrendered;
+    coalesces += s.coalesces;
+    splinters += s.splinters;
+    large_frames_evicted += s.large_frames_evicted;
+    return *this;
+  }
 };
 
 }  // namespace uvmsim

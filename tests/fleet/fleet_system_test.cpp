@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/config.hpp"
 
 namespace uvmsim {
@@ -197,6 +199,23 @@ TEST(FleetSystem, AcceptanceThousandJobsFourDevices) {
   EXPECT_GE(r.fleet.mean_queue_wait, 0.0);
   EXPECT_GE(r.fleet.slowdown_p99, r.fleet.slowdown_p50);
   EXPECT_GT(r.fleet.slowdown_p50, 0.5);
+}
+
+// Bad fleet shapes must fail loudly in every build type, not only where
+// asserts run: run() reads device 0, and arena regions are carved in
+// namespace-aligned units.
+TEST(FleetSystem, RejectsZeroDevices) {
+  FleetConfig fl = small_fleet();
+  fl.devices = 0;
+  EXPECT_THROW(FleetSystem(small_system(), PolicyConfig{}, fl), std::invalid_argument);
+}
+
+TEST(FleetSystem, RejectsMisalignedArena) {
+  FleetConfig fl = small_fleet();
+  fl.arena_pages = TenantTable::kNamespaceAlignPages + kChunkPages;
+  EXPECT_THROW(FleetSystem(small_system(), PolicyConfig{}, fl), std::invalid_argument);
+  fl.arena_pages = 0;
+  EXPECT_THROW(FleetSystem(small_system(), PolicyConfig{}, fl), std::invalid_argument);
 }
 
 }  // namespace

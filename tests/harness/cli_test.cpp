@@ -86,5 +86,15 @@ TEST(Cli, HelpListsDefaults) {
   EXPECT_NE(p.help().find("default: NW"), std::string::npos);
 }
 
+TEST(Cli, SplitListDropsSpacesAndEmptyItems) {
+  using V = std::vector<std::string>;
+  EXPECT_EQ(split_list("NW,BFS"), (V{"NW", "BFS"}));
+  EXPECT_EQ(split_list(" NW , BFS,,"), (V{"NW", "BFS"}));
+  EXPECT_EQ(split_list("NW+BFS;MVT+SRD", ';'), (V{"NW+BFS", "MVT+SRD"}));
+  EXPECT_EQ(split_list("NW+BFS", '+'), (V{"NW", "BFS"}));
+  EXPECT_TRUE(split_list("").empty());
+  EXPECT_TRUE(split_list(",,").empty());
+}
+
 }  // namespace
 }  // namespace uvmsim

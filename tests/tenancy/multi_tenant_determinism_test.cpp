@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/policy_factory.hpp"
+#include "core/uvm_system.hpp"
 #include "harness/runner.hpp"
 #include "obs/trace_sink.hpp"
 #include "tenancy/multi_tenant_system.hpp"

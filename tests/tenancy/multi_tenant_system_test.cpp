@@ -5,10 +5,13 @@
 // metrics exist to measure.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/policy_factory.hpp"
+#include "harness/experiment.hpp"
 #include "tenancy/fairness.hpp"
 #include "tenancy/multi_tenant_system.hpp"
 #include "workloads/benchmarks.hpp"
@@ -151,6 +154,42 @@ TEST(MultiTenantSystem, ThreeTenantsShareOneDriver) {
   }
   EXPECT_EQ(quota_sum, r.capacity_pages);
   EXPECT_EQ(r.workload, "NW+HOT+BFS");
+}
+
+// The SM slice divides num_sms by the tenant count, so an empty tenant list
+// must fail loudly in every build type, not only where asserts run.
+TEST(MultiTenantSystem, RejectsEmptyWorkloadList) {
+  EXPECT_THROW(MultiTenantSystem(SystemConfig{}, presets::cppe(), {}, 0.5,
+                                 TenantMode::kShared),
+               std::invalid_argument);
+}
+
+// A solo baseline cut short by the cycle cap would make every slowdown and
+// the Jain index meaningless, so it throws instead of being used.
+TEST(MultiTenantSystem, TruncatedSoloBaselineThrows) {
+  ExperimentSpec spec;
+  spec.policy = presets::cppe();
+  spec.oversub = 0.5;
+  spec.tenants = {"NW", "HOT"};
+  spec.max_cycles = 2000;
+  EXPECT_THROW((void)run_experiment(spec), std::runtime_error);
+
+  // Without solo baselines the capped run itself is still reported.
+  spec.tenant_solo_baselines = false;
+  const LabelledResult out = run_experiment(spec);
+  EXPECT_FALSE(out.result.completed);
+  EXPECT_EQ(out.result.jain_fairness, 0.0);
+}
+
+TEST(MultiTenantSystem, SoloBaselinesFillSlowdownAndFairness) {
+  const Pair p;
+  MultiTenantSystem sys(SystemConfig{}, presets::cppe(), p.ptrs, 0.5,
+                        TenantMode::kQuota);
+  RunResult r = sys.run();
+  sys.run_solo_baselines(r, std::numeric_limits<Cycle>::max());
+  for (const TenantRunResult& t : r.tenants) EXPECT_GT(t.slowdown_vs_solo, 0.0);
+  EXPECT_GT(r.jain_fairness, 0.0);
+  EXPECT_LE(r.jain_fairness, 1.0);
 }
 
 }  // namespace

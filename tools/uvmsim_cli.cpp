@@ -21,6 +21,7 @@
 //   uvmsim --tenants NW,BFS,MVT --tenant-mode shared --tenant-evict self
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,14 +29,12 @@
 #include "core/policy_factory.hpp"
 #include "core/policy_registry.hpp"
 #include "core/uvm_system.hpp"
-#include "fabric/fabric_system.hpp"
-#include "fleet/fleet_system.hpp"
+#include "fleet/arrival.hpp"
 #include "harness/cli.hpp"
+#include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "obs/interval_metrics.hpp"
 #include "obs/trace_sink.hpp"
-#include "tenancy/fairness.hpp"
-#include "tenancy/multi_tenant_system.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_workload.hpp"
 #include "workloads/benchmarks.hpp"
@@ -290,21 +289,6 @@ void print_fleet_csv(const RunResult& r) {
             << fl.mean_slowdown << ',' << fl.slowdown_p50 << ','
             << fl.slowdown_p95 << ',' << fl.slowdown_p99 << ','
             << fl.fairness_min << ',' << fl.fairness_mean << "\n";
-}
-
-std::vector<std::string> split_csv_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else if (c != ' ') {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
 }
 
 void print_tenants(const RunResult& r, bool have_solos) {
@@ -571,8 +555,21 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Fleet, multi-tenant and fabric runs go through run_experiment; the
+    // CLI's runs are uncapped.
+    ExperimentSpec spec;
+    spec.workload = cli.get("workload");
+    spec.policy = pol;
+    spec.oversub = cli.get_double("oversub");
+    spec.system = sys;
+    spec.engine = eng;
+    spec.max_cycles = std::numeric_limits<Cycle>::max();
+    spec.trace_event_mask = *event_mask;
+    if (cli.was_set("trace-out")) spec.trace_out = cli.get("trace-out");
+
+    RunResult r;
     if (cli.get_flag("fleet")) {
-      FleetConfig fl;
+      FleetConfig& fl = spec.fleet;
       fl.enabled = true;
       if (cli.was_set("gpus"))
         fl.devices = static_cast<u32>(std::max(1ll, cli.get_int("gpus")));
@@ -599,34 +596,10 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-
-      FleetSystem system(sys, pol, fl, eng);
-      std::ofstream trace_file;
-      std::unique_ptr<JsonlSink> trace_sink;
-      system.set_event_mask(*event_mask);
-      if (cli.was_set("trace-out")) {
-        trace_file.open(cli.get("trace-out"));
-        if (!trace_file) {
-          std::cerr << "error: cannot open " << cli.get("trace-out") << "\n";
-          return 2;
-        }
-        trace_sink = std::make_unique<JsonlSink>(trace_file);
-        system.add_sink(trace_sink.get());
-      }
-
-      const RunResult r = system.run();
-      if (cli.get_flag("csv")) {
-        print_fleet_csv(r);
-      } else {
-        print_fleet(r);
-        if (cli.get_flag("sim-stats")) print_sim_stats(r);
-      }
-      return r.completed ? 0 : 1;
-    }
-
-    if (cli.was_set("tenants")) {
-      const auto names = split_csv_list(cli.get("tenants"));
-      if (names.size() < 2) {
+      r = run_experiment(spec).result;
+    } else if (cli.was_set("tenants")) {
+      spec.tenants = split_list(cli.get("tenants"));
+      if (spec.tenants.size() < 2) {
         std::cerr << "--tenants needs at least two workloads, e.g. NW,BFS\n";
         return 2;
       }
@@ -635,64 +608,20 @@ int main(int argc, char** argv) {
         std::cerr << "unknown --tenant-mode: " << cli.get("tenant-mode") << "\n";
         return 2;
       }
+      spec.tenant_mode = *mode;
       const auto scope = parse_eviction_scope(cli.get("tenant-evict"));
       if (!scope) {
         std::cerr << "unknown --tenant-evict: " << cli.get("tenant-evict") << "\n";
         return 2;
       }
-
-      std::vector<std::unique_ptr<Workload>> workloads;
-      std::vector<const Workload*> ptrs;
-      for (const auto& n : names) {
-        workloads.push_back(make_benchmark(n));
-        ptrs.push_back(workloads.back().get());
-      }
-
-      MultiTenantSystem system(sys, pol, ptrs, cli.get_double("oversub"),
-                               *mode, *scope);
-      std::ofstream trace_file;
-      std::unique_ptr<JsonlSink> trace_sink;
-      system.recorder().set_event_mask(*event_mask);
-      if (cli.was_set("trace-out")) {
-        trace_file.open(cli.get("trace-out"));
-        if (!trace_file) {
-          std::cerr << "error: cannot open " << cli.get("trace-out") << "\n";
-          return 2;
-        }
-        trace_sink = std::make_unique<JsonlSink>(trace_file);
-        system.recorder().add_sink(trace_sink.get());
-      }
-
-      RunResult r = system.run();
-
-      const bool solos = !cli.get_flag("no-solo");
-      if (solos) {
-        // Solo baseline: same workload alone on the tenant's SM slice at
-        // the same oversubscription, so slowdown isolates memory-system
-        // interference from the static SM split.
-        SystemConfig solo_cfg = sys;
-        solo_cfg.num_sms = system.sms_per_tenant();
-        std::vector<Cycle> solo_cycles;
-        for (const Workload* w : ptrs) {
-          UvmSystem solo(solo_cfg, pol, *w, cli.get_double("oversub"));
-          solo_cycles.push_back(solo.run().cycles);
-        }
-        apply_solo_baselines(r, solo_cycles);
-      }
-
-      if (cli.get_flag("csv")) {
-        print_csv(r);
-        print_tenant_csv(r);
-      } else {
-        print_text(r);
-        print_tenants(r, solos);
-        if (cli.get_flag("sim-stats")) print_sim_stats(r);
-      }
-      return r.completed ? 0 : 1;
-    }
-
-    if (cli.get_int("gpus") >= 2) {
-      FabricConfig fab;
+      spec.tenant_scope = *scope;
+      // Solo baseline: same workload alone on the tenant's SM slice at the
+      // same oversubscription, so slowdown isolates memory-system
+      // interference from the static SM split.
+      spec.tenant_solo_baselines = !cli.get_flag("no-solo");
+      r = run_experiment(spec).result;
+    } else if (cli.get_int("gpus") >= 2) {
+      FabricConfig& fab = spec.fabric;
       fab.gpus = static_cast<u32>(cli.get_int("gpus"));
       const auto kind = parse_fabric_kind(cli.get("fabric"));
       if (!kind) {
@@ -708,14 +637,35 @@ int main(int argc, char** argv) {
       fab.placement = *placement;
       fab.remote_threshold = static_cast<u32>(cli.get_int("remote-threshold"));
       fab.spill = cli.get_flag("spill");
+      r = run_experiment(spec).result;
+    } else {
+      // Single GPU: the CLI builds the system itself for a trace replay,
+      // trace recording and interval metrics.
+      std::unique_ptr<Workload> workload;
+      if (cli.was_set("trace")) {
+        workload = std::make_unique<TraceWorkload>(load_trace(cli.get("trace")));
+      } else {
+        workload = make_benchmark(cli.get("workload"));
+      }
 
-      const auto workload = make_benchmark(cli.get("workload"));
-      FabricSystem system(sys, pol, *workload, cli.get_double("oversub"), fab,
-                          eng);
+      if (cli.was_set("record-trace")) {
+        const Trace t =
+            record_trace(*workload, sys.num_sms * sys.warps_per_sm, pol.seed);
+        save_trace(cli.get("record-trace"), t);
+        u64 total = 0;
+        for (const auto& s : t.streams) total += s.accesses.size();
+        std::cout << "recorded " << t.streams.size() << " warp streams, " << total
+                  << " accesses -> " << cli.get("record-trace") << "\n";
+        return 0;
+      }
 
+      UvmSystem system(sys, pol, *workload, cli.get_double("oversub"));
+
+      // Flight-recorder sinks must outlive run(); the recorder borrows them.
       std::ofstream trace_file;
       std::unique_ptr<JsonlSink> trace_sink;
-      system.set_event_mask(*event_mask);
+      IntervalMetricsSink interval_sink;
+      system.recorder().set_event_mask(*event_mask);
       if (cli.was_set("trace-out")) {
         trace_file.open(cli.get("trace-out"));
         if (!trace_file) {
@@ -723,78 +673,44 @@ int main(int argc, char** argv) {
           return 2;
         }
         trace_sink = std::make_unique<JsonlSink>(trace_file);
-        system.add_sink(trace_sink.get());
+        system.recorder().add_sink(trace_sink.get());
       }
+      if (cli.was_set("interval-metrics"))
+        system.recorder().add_sink(&interval_sink);
 
-      const RunResult r = system.run();
-      if (cli.get_flag("csv")) {
-        print_csv(r);
-        print_fabric_csv(r);
-      } else {
-        print_text(r);
-        print_fabric(r);
-        if (cli.get_flag("sim-stats")) print_sim_stats(r);
+      r = system.run();
+
+      if (cli.was_set("interval-metrics")) {
+        const std::string path = cli.get("interval-metrics");
+        interval_sink.finalize(system.queue().now());
+        std::ofstream mf(path);
+        if (!mf) {
+          std::cerr << "error: cannot open " << path << "\n";
+          return 2;
+        }
+        if (path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0)
+          interval_sink.write_jsonl(mf);
+        else
+          interval_sink.write_csv(mf);
       }
-      return r.completed ? 0 : 1;
-    }
-
-    std::unique_ptr<Workload> workload;
-    if (cli.was_set("trace")) {
-      workload = std::make_unique<TraceWorkload>(load_trace(cli.get("trace")));
-    } else {
-      workload = make_benchmark(cli.get("workload"));
-    }
-
-    if (cli.was_set("record-trace")) {
-      const Trace t =
-          record_trace(*workload, sys.num_sms * sys.warps_per_sm, pol.seed);
-      save_trace(cli.get("record-trace"), t);
-      u64 total = 0;
-      for (const auto& s : t.streams) total += s.accesses.size();
-      std::cout << "recorded " << t.streams.size() << " warp streams, " << total
-                << " accesses -> " << cli.get("record-trace") << "\n";
-      return 0;
-    }
-
-    UvmSystem system(sys, pol, *workload, cli.get_double("oversub"));
-
-    // Flight-recorder sinks must outlive run(); the recorder borrows them.
-    std::ofstream trace_file;
-    std::unique_ptr<JsonlSink> trace_sink;
-    IntervalMetricsSink interval_sink;
-    system.recorder().set_event_mask(*event_mask);
-    if (cli.was_set("trace-out")) {
-      trace_file.open(cli.get("trace-out"));
-      if (!trace_file) {
-        std::cerr << "error: cannot open " << cli.get("trace-out") << "\n";
-        return 2;
-      }
-      trace_sink = std::make_unique<JsonlSink>(trace_file);
-      system.recorder().add_sink(trace_sink.get());
-    }
-    if (cli.was_set("interval-metrics"))
-      system.recorder().add_sink(&interval_sink);
-
-    const RunResult r = system.run();
-
-    if (cli.was_set("interval-metrics")) {
-      const std::string path = cli.get("interval-metrics");
-      interval_sink.finalize(system.queue().now());
-      std::ofstream mf(path);
-      if (!mf) {
-        std::cerr << "error: cannot open " << path << "\n";
-        return 2;
-      }
-      if (path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0)
-        interval_sink.write_jsonl(mf);
-      else
-        interval_sink.write_csv(mf);
     }
 
     if (cli.get_flag("csv")) {
-      print_csv(r);
+      if (r.fleet.enabled) {
+        print_fleet_csv(r);
+      } else {
+        print_csv(r);
+        if (!r.tenants.empty()) print_tenant_csv(r);
+        if (!r.devices.empty()) print_fabric_csv(r);
+      }
     } else {
-      print_text(r);
+      if (r.fleet.enabled) {
+        print_fleet(r);
+      } else {
+        print_text(r);
+        if (!r.tenants.empty()) print_tenants(r, !cli.get_flag("no-solo"));
+        if (!r.devices.empty()) print_fabric(r);
+      }
       if (cli.get_flag("sim-stats")) print_sim_stats(r);
     }
     return r.completed ? 0 : 1;

@@ -22,19 +22,7 @@ namespace {
 
 std::vector<double> parse_rates(const std::string& s) {
   std::vector<double> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(std::stod(item));
-  return out;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, sep))
-    if (!item.empty()) out.push_back(item);
+  for (const std::string& item : split_list(s)) out.push_back(std::stod(item));
   return out;
 }
 
@@ -125,13 +113,13 @@ int main(int argc, char** argv) {
   if (cli.was_set("tenants") && !rates.empty()) {
     const double ov = rates.front();
     std::vector<ExperimentSpec> tspecs;
-    for (const auto& group : split(cli.get("tenants"), ';')) {
-      const auto members = split(group, '+');
+    for (const auto& group : split_list(cli.get("tenants"), ';')) {
+      const auto members = split_list(group, '+');
       if (members.size() < 2) {
         std::cerr << "tenant group needs >= 2 workloads: " << group << "\n";
         return 2;
       }
-      for (const auto& mode_str : split(cli.get("tenant-modes"), ',')) {
+      for (const auto& mode_str : split_list(cli.get("tenant-modes"))) {
         const auto mode = parse_tenant_mode(mode_str);
         if (!mode) {
           std::cerr << "unknown tenant mode: " << mode_str << "\n";
@@ -223,7 +211,7 @@ int main(int argc, char** argv) {
   if (cli.was_set("large-pages") && !rates.empty()) {
     const double ov = rates.front();
     std::vector<ExperimentSpec> lspecs;
-    for (const auto& abbr : split(cli.get("large-pages"), ',')) {
+    for (const auto& abbr : split_list(cli.get("large-pages"))) {
       for (bool lp : {false, true}) {
         ExperimentSpec s;
         s.workload = abbr;

@@ -10,7 +10,6 @@
 //   uvmsim_sweep --tenants "NW+BFS;MVT+SRD" --tenant-modes shared,quota
 //                --out results.csv --tenant-out tenants.csv
 #include <iostream>
-#include <sstream>
 
 #include "core/policy_factory.hpp"
 #include "core/policy_registry.hpp"
@@ -21,19 +20,6 @@
 #include "workloads/benchmarks.hpp"
 
 using namespace uvmsim;
-
-namespace {
-
-std::vector<std::string> split(const std::string& s, char sep = ',') {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, sep))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("uvmsim_sweep — run a policy/workload/oversubscription grid");
@@ -60,9 +46,9 @@ int main(int argc, char** argv) {
 
   const auto workloads = cli.get("workloads") == "all"
                              ? benchmark_abbrs()
-                             : split(cli.get("workloads"));
+                             : split_list(cli.get("workloads"));
   std::vector<std::pair<std::string, PolicyConfig>> policies;
-  for (const auto& p : split(cli.get("policies"))) {
+  for (const auto& p : split_list(cli.get("policies"))) {
     if (p == "baseline") policies.emplace_back(p, presets::baseline());
     else if (p == "cppe") policies.emplace_back(p, presets::cppe());
     else if (p == "cppe-s1") policies.emplace_back(p, presets::cppe_scheme1());
@@ -105,14 +91,14 @@ int main(int argc, char** argv) {
       std::cerr << "unknown --tenant-evict: " << cli.get("tenant-evict") << "\n";
       return 2;
     }
-    for (const auto& group : split(cli.get("tenants"), ';')) {
-      const auto members = split(group, '+');
+    for (const auto& group : split_list(cli.get("tenants"), ';')) {
+      const auto members = split_list(group, '+');
       if (members.size() < 2) {
         std::cerr << "tenant group needs >= 2 workloads: " << group << "\n";
         return 2;
       }
-      for (const auto& mode_str : split(cli.get("tenant-modes")))
-        for (const auto& ov_str : split(cli.get("oversubs")))
+      for (const auto& mode_str : split_list(cli.get("tenant-modes")))
+        for (const auto& ov_str : split_list(cli.get("oversubs")))
           for (const auto& [label, pol] : policies) {
             const auto mode = parse_tenant_mode(mode_str);
             if (!mode) {
@@ -132,7 +118,7 @@ int main(int argc, char** argv) {
     }
   } else {
     for (const auto& w : workloads)
-      for (const auto& ov_str : split(cli.get("oversubs")))
+      for (const auto& ov_str : split_list(cli.get("oversubs")))
         for (const auto& [label, pol] : policies) {
           ExperimentSpec s;
           s.workload = w;
