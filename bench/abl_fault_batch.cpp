@@ -1,4 +1,4 @@
-// Ablation: driver fault-batch window (uvm/fault_batcher). The real CUDA
+// Ablation: driver fault-batch window (--fault-batch). The real CUDA
 // driver drains its whole fault buffer per wakeup; the simulator's window
 // controls how many backlogged faults one driver operation may service.
 //

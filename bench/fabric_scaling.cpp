@@ -17,17 +17,11 @@
 // Expected shape: on a thrashing workload spill-to-peer converts host
 // write-backs into NVLink traffic, so summed d2h drops when --spill is on
 // and drops further on topologies with more peer bandwidth (switch > ring).
-// `--smoke` runs the 2-GPU ring subset only, then times the 4-GPU switch
-// preset under --engine seq vs --engine sharded with 4 worker threads and
-// fails if the sharded engine is slower (CI's check.sh gate). The printed
-// speedup folds together the leaner forward-only sharded protocol and any
-// real parallelism — on hosts with fewer than 4 hardware threads the run
-// notes that the workers time-slice (docs/performance.md).
-#include <algorithm>
-#include <chrono>
-#include <cstring>
+// `--smoke` runs the 2-GPU ring subset only and fails unless spill cuts
+// host write-back (CI's check.sh gate). Engine wall-clock is measured
+// like-for-like by the benchmark's fabric4 workload (bench/ledger), not
+// here: seq and sharded runs use two different fabric models.
 #include <iostream>
-#include <thread>
 
 #include "bench_common.hpp"
 
@@ -78,26 +72,6 @@ void print_rows(const std::vector<FabricCell>& cells) {
   std::cout << t.str() << "\n";
 }
 
-/// Wall-clock of `reps` back-to-back 4-GPU switch runs of NW@0.50 under the
-/// given engine. Repetition damps scheduler noise; the cell results are
-/// deterministic, so only the timing varies between reps.
-double time_engine_ms(EngineKind kind, u32 threads, std::size_t reps = 3) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < reps; ++i) {
-    ExperimentSpec s;
-    s.workload = "NW";
-    s.policy = presets::cppe();
-    s.oversub = 0.5;
-    s.fabric.gpus = 4;
-    s.fabric.topology = FabricKind::kSwitch;
-    s.engine.kind = kind;
-    s.engine.threads = threads;
-    (void)run_experiment(s);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -135,27 +109,6 @@ int main(int argc, char** argv) {
     std::cout << "SMOKE OK: spill cut host write-back "
               << off.result.d2h_pages << " -> " << on.result.d2h_pages
               << " d2h pages\n";
-
-    // Engine gate: the 4-thread sharded engine must not lose to the
-    // sequential engine on the 4-GPU switch preset. The speedup combines the
-    // leaner sharded fabric protocol with parallel window execution, so it
-    // holds even when the 4 workers time-slice fewer hardware threads.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const double seq_ms = time_engine_ms(EngineKind::kSequential, 0);
-    const double sh_ms = time_engine_ms(EngineKind::kSharded, 4);
-    std::cout << "engine smoke (4-GPU switch, NW@0.50): seq " << fmt(seq_ms, 1)
-              << " ms, sharded@4 " << fmt(sh_ms, 1) << " ms -> "
-              << fmt(seq_ms / sh_ms, 2) << "x speedup";
-    if (hw < 4)
-      std::cout << " (" << hw << " hw thread" << (hw == 1 ? "" : "s")
-                << "; workers time-slice, no parallel gain measurable)";
-    std::cout << "\n";
-    if (sh_ms > seq_ms) {
-      std::cout << "SMOKE FAIL: sharded engine slower than seq ("
-                << fmt(sh_ms, 1) << " > " << fmt(seq_ms, 1) << " ms)\n";
-      return 1;
-    }
-    std::cout << "SMOKE OK: sharded engine not slower than seq\n";
     return 0;
   }
 
@@ -178,25 +131,6 @@ int main(int argc, char** argv) {
     for (bool spill : {false, true})
       topo.push_back(run_cell(wl, oversub, 4, k, spill));
   print_rows(topo);
-
-  std::cout << "--- engine wall-clock (4 GPUs, switch): seq vs sharded ---\n";
-  {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    TextTable t({"engine", "threads", "wall ms", "vs seq"});
-    const double seq_ms = time_engine_ms(EngineKind::kSequential, 0);
-    t.add_row({"seq", "-", fmt(seq_ms, 1), "1.00x"});
-    for (u32 th : {1u, 2u, 4u}) {
-      const double ms = time_engine_ms(EngineKind::kSharded, th);
-      t.add_row({"sharded", std::to_string(th), fmt(ms, 1),
-                 fmt(seq_ms / ms, 2) + "x"});
-    }
-    std::cout << t.str();
-    if (hw < 4)
-      std::cout << "(" << hw << " hw thread" << (hw == 1 ? "" : "s")
-                << ": sharded rows time-slice — protocol difference only, "
-                   "no parallel gain)\n";
-    std::cout << "\n";
-  }
 
   std::cout
       << "Reading the table: d2h counts host write-backs — spill-to-peer\n"

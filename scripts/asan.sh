@@ -30,7 +30,7 @@ grep -q '"ev":"coalesce"' "$TRACE_DIR/lp.jsonl"
 echo "sanitized large-pages run OK: $(wc -l < "$TRACE_DIR/lp.jsonl") events"
 
 # A traced GPU-driven fault-backend run: per-SM queue churn, overflow-list
-# erase-in-the-middle, and WakeCallback moves through the pending map are
+# erase-in-the-middle, and WakeCallback moves through the fault table are
 # the allocation-heavy paths the backend adds (docs/faultsvc.md).
 build-asan/tools/uvmsim --workload BFR --oversub 0.5 --fault-backend gpu-driven \
   --trace-out "$TRACE_DIR/gb.jsonl" >/dev/null

@@ -77,6 +77,26 @@ done
 echo "engine flag validation OK"
 
 echo
+echo "== run-shape flag validation (flags a run cannot honour must exit 2) =="
+for bad in "--trace $TRACE_DIR/none.trc --gpus 2" "--trace $TRACE_DIR/none.trc --fleet" \
+           "--trace $TRACE_DIR/none.trc --tenants NW,BFS" \
+           "--record-trace $TRACE_DIR/r.trc --gpus 2" "--record-trace $TRACE_DIR/r.trc --fleet" \
+           "--record-trace $TRACE_DIR/r.trc --tenants NW,BFS" \
+           "--interval-metrics $TRACE_DIR/iv.csv --gpus 2" \
+           "--interval-metrics $TRACE_DIR/iv.csv --fleet" \
+           "--interval-metrics $TRACE_DIR/iv.csv --tenants NW,BFS" \
+           "--tenants NW,BFS --gpus 2" "--tenants NW,BFS --fleet"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$BUILD"/tools/uvmsim --workload NW $bad >/dev/null 2>&1 || rc=$?
+  if [ "$rc" != 2 ]; then
+    echo "FAIL: '$bad' exited $rc, not 2"
+    exit 1
+  fi
+done
+echo "run-shape flag validation OK"
+
+echo
 echo "== fabric spill smoke (spill-to-peer must cut host write-back) =="
 "$BUILD"/bench/fabric_scaling --smoke
 

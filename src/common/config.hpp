@@ -27,7 +27,7 @@ enum class PlacementKind : u8 {
 /// Which fault-service backend models the far-fault service path
 /// (src/faultsvc, docs/faultsvc.md).
 enum class FaultBackendKind : u8 {
-  kHostDriver,  ///< classic host round trip: fault_latency_us + FaultBatcher
+  kHostDriver,  ///< classic host round trip: fault_latency_us + FIFO backlog
   kGpuDriven,   ///< GPUVM-style per-SM queues + GPU-resident handler
 };
 

@@ -55,7 +55,7 @@ RunResult SystemBase::run_and_collect(
   r.prefetcher_name = first.prefetcher().name();
   r.large_pages = first.large_pages_enabled();
   r.fault_backend = first.fault_backend().name();
-  r.gpu_fault_backend = first.fault_backend_kind() == FaultBackendKind::kGpuDriven;
+  r.gpu_fault_backend = first.fault_backend().kind() == FaultBackendKind::kGpuDriven;
   for (const auto& s : stacks_) {
     const UvmDriver& drv = s->driver();
     r.gpu += s->retired_gpu_stats();
@@ -63,7 +63,7 @@ RunResult SystemBase::run_and_collect(
     r.driver += drv.stats();
     r.h2d_pages += drv.h2d().units_moved();
     r.d2h_pages += drv.d2h().units_moved();
-    r.faultsvc.merge(drv.backend_stats());
+    r.faultsvc.merge(drv.fault_backend().backend_stats());
     ChainSet& chains = s->driver().chains();
     for (u64 d = 0; d < chains.domains(); ++d)
       r.final_chain_length += chains.chain(d).size();

@@ -5,14 +5,14 @@
 namespace uvmsim {
 
 std::unique_ptr<FaultServiceBackend> make_fault_backend(
-    const SystemConfig& sys, const PolicyConfig& pol) {
+    const SystemConfig& sys, const PolicyConfig& pol, const FaultTable& faults) {
   switch (sys.fault_backend) {
     case FaultBackendKind::kHostDriver:
-      return std::make_unique<HostDriverBackend>(sys, pol);
+      return std::make_unique<HostDriverBackend>(sys, pol, faults);
     case FaultBackendKind::kGpuDriven:
-      return std::make_unique<GpuDrivenBackend>(sys, pol);
+      return std::make_unique<GpuDrivenBackend>(sys, pol, faults);
   }
-  return std::make_unique<HostDriverBackend>(sys, pol);
+  return std::make_unique<HostDriverBackend>(sys, pol, faults);
 }
 
 }  // namespace uvmsim

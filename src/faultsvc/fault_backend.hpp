@@ -1,25 +1,26 @@
 // FaultServiceBackend: the pluggable fault-service seam (docs/faultsvc.md).
 //
-// Two things define a fault-service implementation: how raised faults are
-// queued and formed into service batches (the intake half), and how long
-// the driver-side service work of an admitted batch takes (the timing
-// half). The seam covers both, so UvmDriver and MigrationScheduler stay
-// backend-agnostic:
+// Every outstanding fault lives in the driver's FaultTable from raise to
+// wake. A backend holds only what differs between fault-service models: the
+// queue discipline that forms raised faults into service batches, and how
+// long the driver-side service work of an admitted batch takes. UvmDriver
+// and MigrationScheduler stay backend-agnostic:
 //
-//   HostDriverBackend  the paper's model — one FIFO backlog drained through
-//                      FaultBatcher windows, every batch charged the fixed
-//                      host round trip (fault_latency_us). Byte-identical
-//                      to the pre-seam driver.
+//   HostDriverBackend  the paper's model — one FIFO backlog drained in
+//                      `fault_batch` windows, every batch charged the fixed
+//                      host round trip (fault_latency_us).
 //   GpuDrivenBackend   GPUVM (arXiv 2411.05309) — per-SM bounded fault
 //                      queues feeding a GPU-resident handler with a much
 //                      smaller per-fault cost; bursts serialize on handler
 //                      occupancy instead of paying the round trip each.
 //
-// Batch formation keeps FaultBatcher's contract: tenant-homogeneous
-// batches, absorbed entries skipped, trimmed leads requeued at the front.
+// Both drain through drain_one: tenant-homogeneous batches, entries the
+// table no longer holds as pending (absorbed) skipped, trimmed leads
+// requeued at the front.
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -54,28 +55,23 @@ struct FaultBackendStats {
 
 class FaultServiceBackend {
  public:
+  FaultServiceBackend(const FaultTable& faults, const PolicyConfig& pol)
+      : faults_(faults), window_(std::max(1u, pol.fault_batch)) {}
   virtual ~FaultServiceBackend() = default;
 
   [[nodiscard]] virtual FaultBackendKind kind() const noexcept = 0;
   [[nodiscard]] const char* name() const noexcept { return to_string(kind()); }
 
-  // --- Intake (FaultBatcher's contract) -------------------------------------
-  /// A fault for an already-raised page: attach the waiter, no new entry.
-  /// Returns false when the page has no pending fault (caller must raise).
-  virtual bool coalesce(PageId p, WakeCallback&& wake) = 0;
-  /// Raise a new fault from SM `sm` (0 when the source SM is unknown —
-  /// fabric forwards and direct driver calls).
-  virtual void raise(PageId p, u32 sm, WakeCallback&& wake, Cycle now) = 0;
-  [[nodiscard]] virtual bool pending(PageId p) const = 0;
-  /// Faults raised and backlogged, including entries already absorbed.
+  // --- Queue discipline -----------------------------------------------------
+  /// Queue a fault just raised in the table, from SM `sm` (0 when the
+  /// source SM is unknown — fabric forwards and direct driver calls).
+  virtual void raise(PageId p, u32 sm) = 0;
+  /// Faults queued, including entries absorbed since.
   [[nodiscard]] virtual u64 queued() const = 0;
-  /// Form the next service batch (tenant-homogeneous when a table is
-  /// attached; absorbed entries are discarded as they are encountered).
+  /// Form the next service batch of up to `fault_batch` pending faults
+  /// (tenant-homogeneous when a table is attached).
   [[nodiscard]] virtual std::vector<PageId> take_batch(
       const TenantTable* tenants) = 0;
-  /// Absorb `p` into a migration plan: remove and return its pending entry
-  /// (empty default when the page was planned purely as a prefetch).
-  [[nodiscard]] virtual PendingFault extract(PageId p) = 0;
   /// A still-pending lead fault was trimmed out of an admitted plan: put it
   /// back so it is serviced next.
   virtual void requeue_front(PageId p) = 0;
@@ -94,12 +90,41 @@ class FaultServiceBackend {
   }
 
  protected:
+  /// Pop the front of `dq` into `batch` if it is still pending and from the
+  /// batch's tenant; discards absorbed entries. Returns true when an entry
+  /// was taken; a fault from another tenant stays queued to lead the next
+  /// batch, so global FIFO order across tenants is preserved.
+  bool drain_one(std::deque<PageId>& dq, std::vector<PageId>& batch,
+                 const TenantTable* tenants, TenantId& batch_tenant) const {
+    while (!dq.empty()) {
+      const PageId next = dq.front();
+      if (!faults_.pending(next)) {  // absorbed by an earlier plan
+        dq.pop_front();
+        continue;
+      }
+      if (tenants != nullptr) {
+        const TenantId t = tenants->tenant_of_page(next);
+        if (batch.empty())
+          batch_tenant = t;
+        else if (t != batch_tenant)
+          return false;
+      }
+      dq.pop_front();
+      batch.push_back(next);
+      return true;
+    }
+    return false;
+  }
+
+  const FaultTable& faults_;
+  u32 window_;  ///< faults per service batch (--fault-batch)
   FlightRecorder* rec_ = nullptr;
   FaultBackendStats bstats_;
 };
 
-/// Build the backend SystemConfig::fault_backend selects.
+/// Build the backend SystemConfig::fault_backend selects, borrowing the
+/// driver's fault table.
 [[nodiscard]] std::unique_ptr<FaultServiceBackend> make_fault_backend(
-    const SystemConfig& sys, const PolicyConfig& pol);
+    const SystemConfig& sys, const PolicyConfig& pol, const FaultTable& faults);
 
 }  // namespace uvmsim

@@ -6,28 +6,16 @@
 namespace uvmsim {
 
 GpuDrivenBackend::GpuDrivenBackend(const SystemConfig& sys,
-                                   const PolicyConfig& pol)
-    : window_(std::max(1u, pol.fault_batch)),
+                                   const PolicyConfig& pol,
+                                   const FaultTable& faults)
+    : FaultServiceBackend(faults, pol),
       queue_depth_(std::max(1u, sys.gpu_fault_queue_depth)),
       per_fault_cycles_(sys.gpu_fault_service_cycles()),
       doorbell_cycles_(sys.gpu_doorbell_cycles()),
       evict_service_cycles_(sys.evict_service_cycles()),
       queues_(std::max(1u, sys.num_sms)) {}
 
-bool GpuDrivenBackend::coalesce(PageId p, WakeCallback&& wake) {
-  PendingFault* f = pending_.find(p);
-  if (f == nullptr) return false;
-  f->waiters.push_back(std::move(wake));
-  return true;
-}
-
-void GpuDrivenBackend::raise(PageId p, u32 sm, WakeCallback&& wake, Cycle now) {
-  assert(!pending_.contains(p));
-  PendingFault& f = pending_[p];
-  f.waiters.push_back(std::move(wake));
-  f.raised_at = now;
-  f.faulted = true;
-
+void GpuDrivenBackend::raise(PageId p, u32 sm) {
   const u32 q = sm % static_cast<u32>(queues_.size());
   if (queues_[q].size() >= queue_depth_) {
     // The SM's queue is full: GPUVM's faulting warp keeps replaying until a
@@ -57,7 +45,7 @@ void GpuDrivenBackend::refill_from_overflow() {
   std::size_t kept = 0;
   while (kept < overflow_.size()) {
     const Overflow o = overflow_[kept];
-    if (!pending_.contains(o.page)) {  // absorbed while spilled
+    if (!faults_.pending(o.page)) {  // absorbed while spilled
       overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(kept));
       continue;
     }
@@ -73,30 +61,6 @@ void GpuDrivenBackend::refill_from_overflow() {
                  queues_[o.queue].size());
     overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(kept));
   }
-}
-
-bool GpuDrivenBackend::drain_one(std::deque<PageId>& dq,
-                                 std::vector<PageId>& batch,
-                                 const TenantTable* tenants,
-                                 TenantId& batch_tenant) {
-  while (!dq.empty()) {
-    const PageId next = dq.front();
-    if (!pending_.contains(next)) {  // absorbed by an earlier plan
-      dq.pop_front();
-      continue;
-    }
-    if (tenants != nullptr) {
-      const TenantId t = tenants->tenant_of_page(next);
-      if (batch.empty())
-        batch_tenant = t;
-      else if (t != batch_tenant)
-        return false;  // different tenant: stays queued for the next batch
-    }
-    dq.pop_front();
-    batch.push_back(next);
-    return true;
-  }
-  return false;
 }
 
 std::vector<PageId> GpuDrivenBackend::take_batch(const TenantTable* tenants) {
@@ -125,14 +89,8 @@ std::vector<PageId> GpuDrivenBackend::take_batch(const TenantTable* tenants) {
   return batch;
 }
 
-PendingFault GpuDrivenBackend::extract(PageId p) {
-  PendingFault out;
-  pending_.take(p, out);  // leaves the empty default when not pending
-  return out;
-}
-
 void GpuDrivenBackend::requeue_front(PageId p) {
-  assert(pending_.contains(p));
+  assert(faults_.pending(p));
   priority_.push_front(p);
 }
 

@@ -18,7 +18,8 @@
 // is parked either way; the stall is visible in stats and the trace).
 //
 // Batch formation keeps the seam's contract: tenant-homogeneous batches,
-// absorbed entries discarded, trimmed leads requeued with priority.
+// absorbed entries discarded, trimmed leads requeued with priority. The
+// faults themselves live in the driver's FaultTable; the queues hold pages.
 // Everything is deterministic — queue order and the round-robin cursor are
 // pure functions of the event stream.
 #pragma once
@@ -27,28 +28,23 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
 #include "faultsvc/fault_backend.hpp"
 
 namespace uvmsim {
 
 class GpuDrivenBackend final : public FaultServiceBackend {
  public:
-  GpuDrivenBackend(const SystemConfig& sys, const PolicyConfig& pol);
+  GpuDrivenBackend(const SystemConfig& sys, const PolicyConfig& pol,
+                   const FaultTable& faults);
 
   [[nodiscard]] FaultBackendKind kind() const noexcept override {
     return FaultBackendKind::kGpuDriven;
   }
 
-  bool coalesce(PageId p, WakeCallback&& wake) override;
-  void raise(PageId p, u32 sm, WakeCallback&& wake, Cycle now) override;
-  [[nodiscard]] bool pending(PageId p) const override {
-    return pending_.contains(p);
-  }
+  void raise(PageId p, u32 sm) override;
   [[nodiscard]] u64 queued() const override;
   [[nodiscard]] std::vector<PageId> take_batch(
       const TenantTable* tenants) override;
-  [[nodiscard]] PendingFault extract(PageId p) override;
   void requeue_front(PageId p) override;
 
   Cycle reserve_service(Cycle now, PageId lead, u32 faults,
@@ -65,21 +61,13 @@ class GpuDrivenBackend final : public FaultServiceBackend {
 
   /// Move overflowed faults into their SM queues while slots are free.
   void refill_from_overflow();
-  /// Pop the front of `dq` into `batch` if it is still pending and
-  /// tenant-compatible; discards absorbed entries. Returns true when an
-  /// entry was taken.
-  bool drain_one(std::deque<PageId>& dq, std::vector<PageId>& batch,
-                 const TenantTable* tenants, TenantId& batch_tenant);
 
-  u32 window_;       ///< faults drained per handler pickup (--fault-batch)
   u32 queue_depth_;  ///< per-SM bounded queue entries
   Cycle per_fault_cycles_;
   Cycle doorbell_cycles_;
   Cycle evict_service_cycles_;
   Cycle handler_free_ = 0;  ///< handler occupancy horizon
 
-  /// Faults raised but not yet covered by a migration plan (page -> entry).
-  FlatMap<PageId, PendingFault> pending_;
   std::vector<std::deque<PageId>> queues_;  ///< one bounded queue per SM
   std::deque<Overflow> overflow_;           ///< raises that found a full queue
   std::deque<PageId> priority_;             ///< requeued leads, drained first

@@ -1,21 +1,24 @@
 // HostDriverBackend: the classic host-serviced fault path behind the seam.
 //
-// Intake delegates to FaultBatcher unchanged; timing is the paper's fixed
-// host round trip plus any synchronous eviction work. Every default-config
-// artefact is byte-identical to the pre-seam driver — this class adds no
-// state, emits no events and keeps FaultBackendStats at zero.
+// Queue discipline is one FIFO backlog drained in `fault_batch` windows per
+// driver wakeup (a window of 1 is the classic one-fault-per-wakeup driver);
+// timing is the paper's fixed host round trip plus any synchronous eviction
+// work. It emits no events and keeps FaultBackendStats at zero.
 #pragma once
+
+#include <cassert>
+#include <deque>
 
 #include "common/config.hpp"
 #include "faultsvc/fault_backend.hpp"
-#include "uvm/fault_batcher.hpp"
 
 namespace uvmsim {
 
 class HostDriverBackend final : public FaultServiceBackend {
  public:
-  HostDriverBackend(const SystemConfig& sys, const PolicyConfig& pol)
-      : batcher_(pol.fault_batch),
+  HostDriverBackend(const SystemConfig& sys, const PolicyConfig& pol,
+                    const FaultTable& faults)
+      : FaultServiceBackend(faults, pol),
         fault_latency_cycles_(sys.fault_latency_cycles()),
         evict_service_cycles_(sys.evict_service_cycles()) {}
 
@@ -23,24 +26,21 @@ class HostDriverBackend final : public FaultServiceBackend {
     return FaultBackendKind::kHostDriver;
   }
 
-  bool coalesce(PageId p, WakeCallback&& wake) override {
-    return batcher_.coalesce(p, std::move(wake));
-  }
-  void raise(PageId p, u32 /*sm*/, WakeCallback&& wake, Cycle now) override {
-    batcher_.raise(p, std::move(wake), now);
-  }
-  [[nodiscard]] bool pending(PageId p) const override {
-    return batcher_.pending(p);
-  }
-  [[nodiscard]] u64 queued() const override { return batcher_.queued(); }
+  void raise(PageId p, u32 /*sm*/) override { backlog_.push_back(p); }
+  [[nodiscard]] u64 queued() const override { return backlog_.size(); }
   [[nodiscard]] std::vector<PageId> take_batch(
       const TenantTable* tenants) override {
-    return batcher_.take_batch(tenants);
+    std::vector<PageId> batch;
+    TenantId batch_tenant = kNoTenant;
+    while (batch.size() < window_ &&
+           drain_one(backlog_, batch, tenants, batch_tenant)) {
+    }
+    return batch;
   }
-  [[nodiscard]] PendingFault extract(PageId p) override {
-    return batcher_.extract(p);
+  void requeue_front(PageId p) override {
+    assert(faults_.pending(p));
+    backlog_.push_front(p);
   }
-  void requeue_front(PageId p) override { batcher_.requeue_front(p); }
 
   Cycle reserve_service(Cycle now, PageId /*lead*/, u32 /*faults*/,
                         u64 demand_evictions) override {
@@ -51,7 +51,7 @@ class HostDriverBackend final : public FaultServiceBackend {
   }
 
  private:
-  FaultBatcher batcher_;
+  std::deque<PageId> backlog_;  ///< raised faults in arrival order
   Cycle fault_latency_cycles_;
   Cycle evict_service_cycles_;
 };

@@ -15,6 +15,10 @@
 namespace uvmsim {
 
 LabelledResult run_experiment(const ExperimentSpec& spec) {
+  if ((spec.tenants.size() >= 2) + (spec.fabric.gpus >= 2) + spec.fleet.enabled > 1)
+    throw std::invalid_argument(
+        "experiment sets more than one of tenants, fabric and fleet");
+
   // Observability: stream the run's events to disk when requested. The sink
   // must outlive run(); the recorders only borrow it. Every system fans it
   // out to all of its recorders (device-stamped events interleave in

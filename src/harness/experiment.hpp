@@ -34,7 +34,8 @@ struct ExperimentSpec {
 
   // --- Multi-GPU fabric (src/fabric) ---------------------------------------
   /// fabric.gpus >= 2 switches the experiment to a FabricSystem run (one
-  /// workload sharded over N devices). Mutually exclusive with `tenants`.
+  /// workload sharded over N devices). Mutually exclusive with `tenants`
+  /// and `fleet`.
   FabricConfig fabric;
 
   // --- Simulation engine (src/sim/sharded_engine.hpp) ----------------------
@@ -64,7 +65,9 @@ struct LabelledResult {
   RunResult result;
 };
 
-/// Build and run one experiment to completion.
+/// Build and run one experiment to completion. Throws
+/// std::invalid_argument when the spec sets more than one of `tenants`
+/// (two or more), `fabric` (two or more GPUs) and `fleet`.
 [[nodiscard]] LabelledResult run_experiment(const ExperimentSpec& spec);
 
 }  // namespace uvmsim

@@ -343,11 +343,4 @@ void save_tenant_csv(const std::string& path,
   write_tenant_csv(os, results);
 }
 
-void save_fleet_csv(const std::string& path,
-                    const std::vector<LabelledResult>& results) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("results: cannot open " + path);
-  write_fleet_csv(os, results);
-}
-
 }  // namespace uvmsim

@@ -46,7 +46,5 @@ void save_csv(const std::string& path, const std::vector<LabelledResult>& result
 void save_json(const std::string& path, const std::vector<LabelledResult>& results);
 void save_tenant_csv(const std::string& path,
                      const std::vector<LabelledResult>& results);
-void save_fleet_csv(const std::string& path,
-                    const std::vector<LabelledResult>& results);
 
 }  // namespace uvmsim

@@ -13,12 +13,12 @@ UvmDriver::UvmDriver(EventQueue& eq, const SystemConfig& sys,
       footprint_pages_(footprint_pages),
       chains_(pol.interval_faults),
       frames_(capacity_pages, u64{pol.pre_evict_watermark_chunks} * kChunkPages),
-      backend_(make_fault_backend(sys, pol)),
+      backend_(make_fault_backend(sys, pol, faults_)),
       evictor_(eq, chains_, pt_, frames_, sys.pcie_page_cycles(), stats_),
-      scheduler_(eq, sys, pol, frames_, pt_, chains_, stats_) {
+      scheduler_(eq, sys, pol, frames_, pt_, chains_, faults_, *backend_,
+                 stats_) {
   scheduler_.set_completion_hook(
       [this](TenantId t, bool peer) { post_migration(t, peer); });
-  scheduler_.set_backend(backend_.get());
   // Mapped pages never exceed the frames backing them: size the page table
   // once so the fault path never rehashes mid-run.
   pt_.reserve(capacity_pages);
@@ -143,19 +143,14 @@ void UvmDriver::fault(PageId p, u32 sm, WakeCallback wake) {
     return;
   }
   const TenantId t = tenant_of(p);
-  if (scheduler_.in_flight(p)) {
-    // A migration covering this page is in flight: the fault coalesces
-    // (replayable far faults simply replay once the page lands).
+  if (PendingFault* f = faults_.find(p)) {
+    // The page already has an outstanding fault — raised (stage 0) or with
+    // its migration in flight (stage 1): the fault coalesces (replayable far
+    // faults simply replay once the page lands).
     ++stats_.faults_coalesced;
     if (t != kNoTenant) ++table_->stats(t).faults_coalesced;
-    record_event(rec_, EventType::kFaultCoalesced, p, 1);
-    scheduler_.add_waiter(p, std::move(wake));
-    return;
-  }
-  if (backend_->coalesce(p, std::move(wake))) {
-    ++stats_.faults_coalesced;  // fault already raised, not yet serviced
-    if (t != kNoTenant) ++table_->stats(t).faults_coalesced;
-    record_event(rec_, EventType::kFaultCoalesced, p, 0);
+    record_event(rec_, EventType::kFaultCoalesced, p, f->in_flight ? 1 : 0);
+    f->waiters.push_back(std::move(wake));
     return;
   }
   if (fabric_ != nullptr) {
@@ -199,7 +194,8 @@ void UvmDriver::fault(PageId p, u32 sm, WakeCallback wake) {
   // Wrong-eviction detection happens per fault event, in the domain that
   // evicted (and may re-admit) the page's chunk.
   chains_.policy_for(t)->on_fault(p);
-  backend_->raise(p, sm, std::move(wake), eq_.now());
+  faults_.raise(p, std::move(wake), eq_.now());
+  backend_->raise(p, sm);
   dispatch_pending();
 }
 
@@ -207,7 +203,7 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
   // Any of the batch's faults may have been absorbed into another plan (or
   // even completed) between formation/retry and now; if none are left,
   // release the slot and move on.
-  std::erase_if(leads, [&](PageId p) { return !backend_->pending(p); });
+  std::erase_if(leads, [&](PageId p) { return !faults_.pending(p); });
   if (leads.empty()) {
     scheduler_.release_slot();
     dispatch_pending();
@@ -316,10 +312,9 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
   frames_.reserve(m.pages.size(), t);
 
   // 3. Mark every planned page in flight, absorbing pending faults: their
-  //    waiters ride this migration and their backlog entries will be
-  //    skipped at batch formation.
-  for (const PageId page : m.pages)
-    scheduler_.mark_in_flight(page, backend_->extract(page));
+  //    waiters ride this migration and their queue entries will be skipped
+  //    at batch formation.
+  for (const PageId page : m.pages) faults_.start(page);
 
   // 4. Hand over to the scheduler for timing and completion.
   m.lead = leads.front();
@@ -338,11 +333,7 @@ void UvmDriver::peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake) {
   // Wrong-eviction detection sees hop-backs exactly as the paper intends: a
   // re-fault on a chunk this device evicted (spilled) is a wrong eviction.
   chains_.policy_for(tenant_of(p))->on_fault(p);
-  PendingFault pf;
-  pf.waiters.push_back(std::move(wake));
-  pf.raised_at = eq_.now();
-  pf.faulted = true;
-  scheduler_.mark_in_flight(p, std::move(pf));
+  faults_.raise(p, std::move(wake), eq_.now()).in_flight = true;
   service_peer(p, src);
 }
 
@@ -442,7 +433,7 @@ void UvmDriver::post_migration(TenantId tenant, bool peer) {
   }
 
   // Admit backlogged faults into the freed driver slot. Peer fetches never
-  // held a slot (they bypass the batcher), so there is nothing to release.
+  // held a slot (they bypass the backend), so there is nothing to release.
   if (peer) return;
   scheduler_.release_slot();
   dispatch_pending();

@@ -1,11 +1,12 @@
 // UvmDriver: the GPU software runtime + GMMU pair that manages unified
-// memory (paper §II-A) — now a thin facade wiring the four layers of the
+// memory (paper §II-A) — now a thin facade wiring the layers of the
 // fault-service pipeline (docs/architecture.md):
 //
-//   FaultServiceBackend intake, batch formation and service timing — the
-//                       pluggable seam (src/faultsvc): the classic host
-//                       driver (FaultBatcher + fault_latency_us) or the
-//                       GPUVM-style GPU-driven handler (--fault-backend)
+//   FaultTable          every outstanding fault, one entry from raise to wake
+//   FaultServiceBackend queue discipline and service timing — the pluggable
+//                       seam (src/faultsvc): the classic host driver (FIFO
+//                       backlog + fault_latency_us) or the GPUVM-style
+//                       GPU-driven handler (--fault-backend)
 //   FramePool           frame accounting, oversubscription cap, live pressure
 //   EvictionEngine      room-making: demand eviction + pre-eviction
 //   MigrationScheduler  plan timing, PCIe scheduling, completion + wake
@@ -15,7 +16,7 @@
 // chunks a plan touches, and the post-completion step (pre-evict, free the
 // slot, admit the next batch):
 //
-//   fault -> (coalesce with in-flight?) -> admission backlog ->
+//   fault -> (coalesce with an outstanding fault?) -> backend queue ->
 //   batch of <= fault_batch faults -> prefetcher plans merged/deduped ->
 //   evict chunks until frames free -> 20 us fault service + PCIe H2D
 //   occupancy -> map pages, fill chain, wake stalled warps.
@@ -63,8 +64,6 @@ namespace uvmsim {
 
 class UvmDriver final : public ResidencyView {
  public:
-  using WakeCallback = uvmsim::WakeCallback;
-  using ShootdownHandler = uvmsim::ShootdownHandler;
   /// Driver-wide counters (kept under the historical name).
   using Stats = DriverStats;
 
@@ -88,10 +87,6 @@ class UvmDriver final : public ResidencyView {
   }
   void remove_shootdown_handler(u64 handle) {
     evictor_.remove_shootdown_handler(handle);
-  }
-  /// Legacy single-observer form: replaces all registered handlers.
-  void set_shootdown_handler(ShootdownHandler h) {
-    evictor_.set_shootdown_handler(std::move(h));
   }
 
   // --- Large-pages mode (docs/memory.md) -------------------------------------
@@ -143,14 +138,14 @@ class UvmDriver final : public ResidencyView {
   /// directory. Never called in single-GPU runs — the driver is then
   /// bit-for-bit the pre-fabric driver.
   void attach_fabric(FabricPort* fabric, u32 device, bool spill);
-  [[nodiscard]] u32 device_id() const noexcept { return device_; }
-  /// Is a migration covering `p` in flight on this device?
+  /// Is a migration covering `p` in flight on this device? True for pages
+  /// planned purely as prefetches, false for raised but unplanned faults.
   [[nodiscard]] bool migration_in_flight(PageId p) const {
-    return scheduler_.in_flight(p);
+    return faults_.in_flight(p);
   }
   /// Bring `p` in from peer `src` (fabric-routed fault). `hopback` marks a
   /// spill second chance. Peer fetches are single-page and bypass both the
-  /// fault batcher and the driver-concurrency slots.
+  /// backend's queues and the driver-concurrency slots.
   void peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake);
   /// A peer finished fetching `p` from us: unmap and free our (pinned) copy.
   void surrender_page(PageId p);
@@ -176,15 +171,10 @@ class UvmDriver final : public ResidencyView {
   /// lands in SM queue 0 under the GPU-driven backend.
   void fault(PageId p, WakeCallback wake) { fault(p, 0, std::move(wake)); }
 
-  /// The fault-service backend in charge (--fault-backend; docs/faultsvc.md).
+  /// The fault-service backend in charge (--fault-backend; docs/faultsvc.md):
+  /// its kind, name and FaultBackendStats.
   [[nodiscard]] const FaultServiceBackend& fault_backend() const noexcept {
     return *backend_;
-  }
-  [[nodiscard]] FaultBackendKind fault_backend_kind() const noexcept {
-    return backend_->kind();
-  }
-  [[nodiscard]] const FaultBackendStats& backend_stats() const noexcept {
-    return backend_->backend_stats();
   }
 
   // --- ResidencyView (prefetcher oracle: resident OR already in flight) ------
@@ -192,7 +182,7 @@ class UvmDriver final : public ResidencyView {
   /// homes elsewhere) also read as "resident": prefetch plans must never
   /// pull them from the host.
   [[nodiscard]] bool is_resident(PageId p) const override {
-    return pt_.resident(p) || scheduler_.in_flight(p) ||
+    return pt_.resident(p) || faults_.in_flight(p) ||
            (fabric_ != nullptr && !fabric_->host_fetchable(device_, p));
   }
   [[nodiscard]] PageId footprint_pages() const override { return footprint_pages_; }
@@ -226,7 +216,7 @@ class UvmDriver final : public ResidencyView {
   /// plans, pin, make room (retrying later if every chunk is pinned), then
   /// hand the migration to the scheduler.
   void service_batch(std::vector<PageId> leads);
-  /// Service a single-page peer fetch (no batcher, no slot): make room for
+  /// Service a single-page peer fetch (no queue, no slot): make room for
   /// one frame, then dispatch a src-device migration.
   void service_peer(PageId p, u32 src);
   /// Post-completion: pre-evict back to the watermark (scoped to the
@@ -252,8 +242,9 @@ class UvmDriver final : public ResidencyView {
   u32 device_ = kHostDevice;
 
   FramePool frames_;
-  /// The pluggable fault-service seam (src/faultsvc): intake, batch
-  /// formation and service timing. Chosen once at construction from
+  FaultTable faults_;
+  /// The pluggable fault-service seam (src/faultsvc): queue discipline and
+  /// service timing. Chosen once at construction from
   /// SystemConfig::fault_backend.
   std::unique_ptr<FaultServiceBackend> backend_;
   EvictionEngine evictor_;

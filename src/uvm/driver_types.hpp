@@ -1,12 +1,14 @@
 // Shared vocabulary of the layered fault-service pipeline (FramePool,
-// FaultBatcher, EvictionEngine, MigrationScheduler — see
+// FaultTable, EvictionEngine, MigrationScheduler — see
 // docs/architecture.md). Kept in one small header so the layers can talk
 // about faults, batches and statistics without including each other.
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/inline_function.hpp"
 #include "common/types.hpp"
 #include "tlb/page_table.hpp"  // FrameId
@@ -33,13 +35,50 @@ using ShootdownHandler = std::function<void(PageId, FrameId)>;
 /// unaffected by a pure splinter (the frames stay put).
 using LargeShootdownHandler = std::function<void(LargeId)>;
 
-/// A raised-but-unserviced (or in-flight) far fault: the warps waiting on
-/// the page, plus when the first fault for it was raised (post-coalescing),
-/// which feeds the fault-service-latency statistic.
+/// An outstanding far fault, raise to wake: the warps waiting on the page,
+/// plus when the first fault for it was raised (post-coalescing), which
+/// feeds the fault-service-latency statistic.
 struct PendingFault {
   std::vector<WakeCallback> waiters;
   Cycle raised_at = 0;
-  bool faulted = false;  ///< true when this entry stems from a raised fault
+  bool faulted = false;    ///< true when this entry stems from a raised fault
+  bool in_flight = false;  ///< a dispatched migration covers the page
+};
+
+/// Every outstanding fault of one driver, one entry per page. A raised
+/// fault is pending until a migration plan absorbs it (`start`), then in
+/// flight until completion `take`s the entry and wakes its waiters. A page
+/// planned purely as a prefetch gets an in-flight entry with no waiters.
+/// The driver owns the table; the migration scheduler and, read-only, the
+/// fault-service backends borrow it.
+class FaultTable {
+ public:
+  [[nodiscard]] PendingFault* find(PageId p) { return faults_.find(p); }
+  /// Raised, but not yet covered by a migration plan.
+  [[nodiscard]] bool pending(PageId p) const {
+    const PendingFault* f = faults_.find(p);
+    return f != nullptr && !f->in_flight;
+  }
+  [[nodiscard]] bool in_flight(PageId p) const {
+    const PendingFault* f = faults_.find(p);
+    return f != nullptr && f->in_flight;
+  }
+  /// Create the entry of a new fault on a page that has none.
+  PendingFault& raise(PageId p, WakeCallback&& wake, Cycle now) {
+    [[maybe_unused]] const auto [f, fresh] = faults_.try_emplace(p);
+    assert(fresh);
+    f->waiters.push_back(std::move(wake));
+    f->raised_at = now;
+    f->faulted = true;
+    return *f;
+  }
+  /// A migration plan covers `p`: its waiters, if any, ride it.
+  void start(PageId p) { faults_[p].in_flight = true; }
+  /// The migration landed: remove the entry into `out`.
+  bool take(PageId p, PendingFault& out) { return faults_.take(p, out); }
+
+ private:
+  FlatMap<PageId, PendingFault> faults_;
 };
 
 /// One driver service operation: the merged migration plan of a batch of
@@ -51,13 +90,13 @@ struct MigrationBatch {
   PageId lead = 0;              ///< first faulted page (event payloads)
   u32 faults = 1;               ///< distinct faults serviced by this operation
   Cycle formed_at = 0;          ///< cycle the batch entered service
-  /// Owning tenant — batches are tenant-homogeneous (FaultBatcher stops a
-  /// batch at the first fault from a different tenant); kNoTenant when
+  /// Owning tenant — batches are tenant-homogeneous (the backends' shared
+  /// drain keeps other tenants' faults out of a batch); kNoTenant when
   /// tenancy is off.
   TenantId tenant = kNoTenant;
   /// Where the pages come from: kHostDevice for ordinary host migrations,
   /// a peer device id for NVLink peer migrations (src/fabric). Peer batches
-  /// bypass the FaultBatcher and the driver-concurrency slots.
+  /// bypass the backend's queues and the driver-concurrency slots.
   u32 src_device = kHostDevice;
 };
 

@@ -70,11 +70,6 @@ class EvictionEngine {
       }
     }
   }
-  /// Legacy single-observer form: replaces all registered handlers.
-  void set_shootdown_handler(ShootdownHandler h) {
-    shootdowns_.clear();
-    (void)add_shootdown_handler(std::move(h));
-  }
   void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
   /// Multi-tenant wiring (tenancy off when table is null).
   void set_tenancy(TenantTable* table, TenantMode mode, EvictionScope scope) {

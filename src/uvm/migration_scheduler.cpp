@@ -11,15 +11,17 @@ namespace uvmsim {
 MigrationScheduler::MigrationScheduler(EventQueue& eq, const SystemConfig& sys,
                                        const PolicyConfig& pol,
                                        FramePool& frames, PageTable& pt,
-                                       ChainSet& chains, DriverStats& stats)
+                                       ChainSet& chains, FaultTable& faults,
+                                       FaultServiceBackend& backend,
+                                       DriverStats& stats)
     : eq_(eq),
       frames_(frames),
       pt_(pt),
       chains_(chains),
+      faults_(faults),
+      backend_(backend),
       stats_(stats),
       h2d_(sys.pcie_page_cycles()),
-      fault_latency_cycles_(sys.fault_latency_cycles()),
-      evict_service_cycles_(sys.evict_service_cycles()),
       fault_batch_(std::max(1u, pol.fault_batch)),
       max_concurrent_migrations_(std::max(1u, pol.driver_concurrency)) {}
 
@@ -38,11 +40,7 @@ void MigrationScheduler::dispatch(MigrationBatch&& m, u64 demand_evictions) {
   // critical path (pre-eviction exists to keep demand_evictions at zero) —
   // then the pages occupy the H2D link.
   const Cycle service_done =
-      backend_ != nullptr
-          ? backend_->reserve_service(eq_.now(), m.lead, m.faults,
-                                      demand_evictions)
-          : eq_.now() + fault_latency_cycles_ +
-                demand_evictions * evict_service_cycles_;
+      backend_.reserve_service(eq_.now(), m.lead, m.faults, demand_evictions);
   // Peer batches cross the fabric instead of the host H2D link.
   const Cycle transfer_done =
       m.src_device != kHostDevice && fabric_ != nullptr
@@ -90,7 +88,7 @@ void MigrationScheduler::complete(MigrationBatch m) {
 
     // Wake any warps that faulted on this page; their presence marks the
     // page as demanded (touched) rather than purely prefetched.
-    if (PendingFault pf; inflight_.take(page, pf) && !pf.waiters.empty()) {
+    if (PendingFault pf; faults_.take(page, pf) && !pf.waiters.empty()) {
       e->touched.set(idx);
       e->last_touch_interval = chain.current_interval();
       ++stats_.pages_demanded;

@@ -20,11 +20,20 @@ SystemConfig gpu_cfg(u32 sms = 4, u32 depth = 32) {
   return sys;
 }
 
-GpuDrivenBackend make_gpu(u32 sms = 4, u32 depth = 32, u32 window = 16) {
+GpuDrivenBackend make_gpu(const FaultTable& t, u32 sms = 4, u32 depth = 32,
+                          u32 window = 16) {
   PolicyConfig pol = presets::cppe();
   pol.fault_batch = window;  // the handler window; 1 (the default) drains
                              // one fault per pickup like the classic driver
-  return GpuDrivenBackend(gpu_cfg(sms, depth), pol);
+  return GpuDrivenBackend(gpu_cfg(sms, depth), pol, t);
+}
+
+/// What UvmDriver::fault does for a page with no outstanding fault: create
+/// its table entry, then queue it with the backend.
+void raise(FaultTable& t, FaultServiceBackend& b, PageId p, u32 sm,
+           Cycle now = 0) {
+  t.raise(p, WakeCallback{}, now);
+  b.raise(p, sm);
 }
 
 // --- Factory ----------------------------------------------------------------
@@ -32,12 +41,13 @@ GpuDrivenBackend make_gpu(u32 sms = 4, u32 depth = 32, u32 window = 16) {
 TEST(FaultBackendFactory, SelectsBackendFromSystemConfig) {
   SystemConfig sys;
   const PolicyConfig pol = presets::cppe();
-  auto host = make_fault_backend(sys, pol);
+  const FaultTable t;
+  auto host = make_fault_backend(sys, pol, t);
   EXPECT_EQ(host->kind(), FaultBackendKind::kHostDriver);
   EXPECT_STREQ(host->name(), "host");
 
   sys.fault_backend = FaultBackendKind::kGpuDriven;
-  auto gpu = make_fault_backend(sys, pol);
+  auto gpu = make_fault_backend(sys, pol, t);
   EXPECT_EQ(gpu->kind(), FaultBackendKind::kGpuDriven);
   EXPECT_STREQ(gpu->name(), "gpu-driven");
 }
@@ -52,13 +62,81 @@ TEST(FaultBackendFactory, ParseRoundTrips) {
   EXPECT_FALSE(parse_fault_backend_kind("bogus").has_value());
 }
 
+// --- The fault table ----------------------------------------------------------
+
+// One entry per page from raise to wake: a second fault attaches to the
+// entry, `start` keeps its waiters for the migration, `take` hands them
+// over. A page planned purely as a prefetch gets an entry without waiters.
+TEST(FaultTable, OneEntryFromRaiseToTake) {
+  FaultTable t;
+  EXPECT_EQ(t.find(5), nullptr);
+  t.raise(5, [] {}, 3);
+  ASSERT_NE(t.find(5), nullptr);
+  t.find(5)->waiters.push_back([] {});  // a coalesced fault
+  EXPECT_TRUE(t.pending(5));
+  EXPECT_FALSE(t.in_flight(5));
+
+  t.start(5);
+  t.start(6);
+  EXPECT_FALSE(t.pending(5));
+  EXPECT_TRUE(t.in_flight(5));
+  EXPECT_TRUE(t.in_flight(6));
+
+  PendingFault f;
+  ASSERT_TRUE(t.take(5, f));
+  EXPECT_EQ(f.waiters.size(), 2u);
+  EXPECT_EQ(f.raised_at, 3u);
+  EXPECT_TRUE(f.faulted);
+  ASSERT_TRUE(t.take(6, f));
+  EXPECT_TRUE(f.waiters.empty());
+  EXPECT_FALSE(f.faulted);
+  EXPECT_EQ(t.find(5), nullptr);
+  EXPECT_FALSE(t.take(6, f));
+}
+
+// --- Both backends: the shared drain ------------------------------------------
+
+// Batches are tenant-homogeneous under both queue disciplines. The host FIFO
+// ends a batch at the first fault from another tenant, which then leads the
+// next batch; the GPU handler skips that SM queue for the rest of the
+// pickup and keeps draining the lead tenant's faults from the others.
+TEST(FaultBackendDrain, BatchesAreTenantHomogeneous) {
+  TenantTable tenants;
+  const PageId a = tenants.info(tenants.add("A", 64)).base;
+  const PageId b = tenants.info(tenants.add("B", 64)).base;
+  PolicyConfig pol = presets::cppe();
+  pol.fault_batch = 8;
+  using Batches = std::vector<std::vector<PageId>>;
+  for (const FaultBackendKind kind :
+       {FaultBackendKind::kHostDriver, FaultBackendKind::kGpuDriven}) {
+    SCOPED_TRACE(to_string(kind));
+    SystemConfig sys = gpu_cfg(/*sms=*/2);
+    sys.fault_backend = kind;
+    FaultTable t;
+    auto be = make_fault_backend(sys, pol, t);
+    raise(t, *be, a, 0);
+    raise(t, *be, b, 1);
+    raise(t, *be, a + 1, 0);
+    raise(t, *be, b + 1, 1);
+    Batches batches;
+    for (auto batch = be->take_batch(&tenants); !batch.empty();
+         batch = be->take_batch(&tenants))
+      batches.push_back(batch);
+    if (kind == FaultBackendKind::kHostDriver)
+      EXPECT_EQ(batches, (Batches{{a}, {b}, {a + 1}, {b + 1}}));
+    else
+      EXPECT_EQ(batches, (Batches{{a, a + 1}, {b, b + 1}}));
+  }
+}
+
 // --- Host backend: the byte-identity contract -------------------------------
 
 // The host backend charges exactly the pre-seam formula and emits no events
 // and no stats, so every golden artefact stays byte-identical.
 TEST(HostDriverBackend, ChargesFixedLatencyAndStaysSilent) {
   SystemConfig sys;
-  HostDriverBackend b(sys, presets::cppe());
+  const FaultTable t;
+  HostDriverBackend b(sys, presets::cppe(), t);
   const Cycle done = b.reserve_service(/*now=*/1000, /*lead=*/7, /*faults=*/3,
                                        /*demand_evictions=*/2);
   EXPECT_EQ(done, 1000 + sys.fault_latency_cycles() +
@@ -95,15 +173,39 @@ TEST(HostDriverBackend, ExplicitHostMatchesDefaultRun) {
   EXPECT_EQ(rb.faultsvc.handler_pickups, 0u);
 }
 
+// The host FIFO skips entries absorbed into another plan, and a requeued
+// lead drains ahead of newer faults.
+TEST(HostDriverBackend, SkipsAbsorbedEntriesAndHonoursRequeue) {
+  PolicyConfig pol = presets::cppe();
+  pol.fault_batch = 2;
+  FaultTable t;
+  HostDriverBackend b(SystemConfig{}, pol, t);
+  raise(t, b, 10, 0);
+  raise(t, b, 11, 0);
+  raise(t, b, 12, 0);
+  t.start(11);  // swept into another fault's plan
+  EXPECT_FALSE(t.pending(11));
+  EXPECT_EQ(b.queued(), 3u);  // absorbed entries still count until drained
+  // Window 2, one entry absorbed: the batch skips it and drains 10 and 12.
+  EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{10, 12}));
+  // 12 was trimmed back out of the admitted plan: it drains ahead of newer
+  // faults at the next wakeup.
+  b.requeue_front(12);
+  raise(t, b, 13, 0, 1);
+  EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{12, 13}));
+  EXPECT_TRUE(b.take_batch(nullptr).empty());
+}
+
 // --- GPU-driven backend: queues, overflow, drain order ----------------------
 
 TEST(GpuDrivenBackend, RoundRobinDrainInterleavesSmQueues) {
-  GpuDrivenBackend b = make_gpu(/*sms=*/2, /*depth=*/8);
+  FaultTable t;
+  GpuDrivenBackend b = make_gpu(t, /*sms=*/2, /*depth=*/8);
   // SM 0 raises pages 10, 11; SM 1 raises 20, 21.
-  b.raise(10, 0, WakeCallback{}, 0);
-  b.raise(11, 0, WakeCallback{}, 0);
-  b.raise(20, 1, WakeCallback{}, 0);
-  b.raise(21, 1, WakeCallback{}, 0);
+  raise(t, b, 10, 0);
+  raise(t, b, 11, 0);
+  raise(t, b, 20, 1);
+  raise(t, b, 21, 1);
   EXPECT_EQ(b.queued(), 4u);
   // One fault per queue visit, starting at the cursor (queue 0).
   const std::vector<PageId> batch = b.take_batch(nullptr);
@@ -115,41 +217,44 @@ TEST(GpuDrivenBackend, WindowBoundsTheBatch) {
   SystemConfig sys = gpu_cfg(/*sms=*/1, /*depth=*/16);
   PolicyConfig pol = presets::cppe();
   pol.fault_batch = 2;
-  GpuDrivenBackend b(sys, pol);
-  for (PageId p = 0; p < 5; ++p) b.raise(p, 0, WakeCallback{}, 0);
+  FaultTable t;
+  GpuDrivenBackend b(sys, pol, t);
+  for (PageId p = 0; p < 5; ++p) raise(t, b, p, 0);
   EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{0, 1}));
   EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{2, 3}));
   EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{4}));
 }
 
 TEST(GpuDrivenBackend, RequeuedLeadDrainsFirst) {
-  GpuDrivenBackend b = make_gpu(/*sms=*/1, /*depth=*/8);
-  b.raise(1, 0, WakeCallback{}, 0);
-  b.raise(2, 0, WakeCallback{}, 0);
+  FaultTable t;
+  GpuDrivenBackend b = make_gpu(t, /*sms=*/1, /*depth=*/8);
+  raise(t, b, 1, 0);
+  raise(t, b, 2, 0);
   auto first = b.take_batch(nullptr);
   ASSERT_EQ(first.size(), 2u);
   // Page 2 was trimmed out of the plan: it must lead the next batch even
   // though newer faults have arrived since.
   b.requeue_front(2);
-  b.raise(3, 0, WakeCallback{}, 0);
+  raise(t, b, 3, 0);
   const auto next = b.take_batch(nullptr);
   ASSERT_FALSE(next.empty());
   EXPECT_EQ(next.front(), 2u);
 }
 
 TEST(GpuDrivenBackend, FullQueueOverflowsAndRefills) {
-  GpuDrivenBackend b = make_gpu(/*sms=*/1, /*depth=*/2);
-  b.raise(1, 0, WakeCallback{}, 0);
-  b.raise(2, 0, WakeCallback{}, 0);
-  b.raise(3, 0, WakeCallback{}, 0);  // queue full -> overflow
-  b.raise(4, 0, WakeCallback{}, 0);
+  FaultTable t;
+  GpuDrivenBackend b = make_gpu(t, /*sms=*/1, /*depth=*/2);
+  raise(t, b, 1, 0);
+  raise(t, b, 2, 0);
+  raise(t, b, 3, 0);  // queue full -> overflow
+  raise(t, b, 4, 0);
   const FaultBackendStats& s = b.backend_stats();
   EXPECT_EQ(s.queue_full_stalls, 2u);
   EXPECT_EQ(s.faults_enqueued, 2u);
   EXPECT_EQ(s.max_queue_depth, 2u);
   // All four faults are still pending and queued (the spill list counts).
   EXPECT_EQ(b.queued(), 4u);
-  EXPECT_TRUE(b.pending(3));
+  EXPECT_TRUE(t.pending(3));
   // The first pickup drains the queue; the freed slots absorb the spill
   // list in FIFO order, so the overflowed faults are serviced on the next
   // pickup and nothing is lost.
@@ -160,23 +265,30 @@ TEST(GpuDrivenBackend, FullQueueOverflowsAndRefills) {
 }
 
 TEST(GpuDrivenBackend, AbsorbedEntriesAreDiscardedOnDrain) {
-  GpuDrivenBackend b = make_gpu(/*sms=*/1, /*depth=*/8);
-  b.raise(1, 0, WakeCallback{}, 0);
-  b.raise(2, 0, WakeCallback{}, 0);
-  b.raise(3, 0, WakeCallback{}, 0);
+  FaultTable t;
+  GpuDrivenBackend b = make_gpu(t, /*sms=*/1, /*depth=*/8);
+  raise(t, b, 1, 0);
+  raise(t, b, 2, 0);
+  raise(t, b, 3, 0);
   // Page 2 is absorbed into another plan before the handler picks it up.
-  const PendingFault pf = b.extract(2);
-  EXPECT_TRUE(pf.faulted);
-  EXPECT_FALSE(b.pending(2));
+  t.start(2);
+  EXPECT_FALSE(t.pending(2));
+  EXPECT_TRUE(t.find(2)->faulted);
   EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{1, 3}));
 }
 
+// A second fault on a queued page joins its table entry and never takes a
+// second SM-queue slot.
 TEST(GpuDrivenBackend, CoalesceAttachesToPendingFaultOnly) {
-  GpuDrivenBackend b = make_gpu();
-  EXPECT_FALSE(b.coalesce(5, WakeCallback{}));  // nothing pending yet
-  b.raise(5, 2, WakeCallback{}, 10);
-  EXPECT_TRUE(b.coalesce(5, WakeCallback{}));
-  const PendingFault pf = b.extract(5);
+  FaultTable t;
+  GpuDrivenBackend b = make_gpu(t);
+  raise(t, b, 5, 2, 10);
+  t.find(5)->waiters.push_back(WakeCallback{});
+  EXPECT_EQ(b.queued(), 1u);
+  EXPECT_EQ(b.backend_stats().faults_enqueued, 1u);
+  EXPECT_EQ(b.take_batch(nullptr), (std::vector<PageId>{5}));
+  PendingFault pf;
+  ASSERT_TRUE(t.take(5, pf));
   EXPECT_EQ(pf.raised_at, 10u);
   EXPECT_EQ(pf.waiters.size(), 2u);
 }
@@ -185,7 +297,8 @@ TEST(GpuDrivenBackend, CoalesceAttachesToPendingFaultOnly) {
 
 TEST(GpuDrivenBackend, HandlerOccupancySerializesBursts) {
   SystemConfig sys = gpu_cfg();
-  GpuDrivenBackend b(sys, presets::cppe());
+  const FaultTable t;
+  GpuDrivenBackend b(sys, presets::cppe(), t);
   const Cycle doorbell = sys.gpu_doorbell_cycles();
   const Cycle per_fault = sys.gpu_fault_service_cycles();
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/policy_factory.hpp"
 
 namespace uvmsim {
@@ -96,6 +98,34 @@ TEST(Runner, EngineThreadsOfResolvesShardsAndFallbacks) {
   fleet.fleet.enabled = true;
   fleet.fleet.devices = 4;
   EXPECT_EQ(engine_threads_of(fleet), 5u);  // control shard + 4 devices
+}
+
+// Tenants, fabric and fleet are mutually exclusive experiment shapes; a
+// spec that sets two of them is refused instead of silently running one.
+TEST(Runner, RunExperimentRejectsTwoModes) {
+  ExperimentSpec base;
+  base.workload = "STN";
+  base.policy = presets::baseline();
+  base.system.num_sms = 2;
+
+  ExperimentSpec tenants_fabric = base;
+  tenants_fabric.tenants = {"STN", "HOT"};
+  tenants_fabric.fabric.gpus = 2;
+  ExperimentSpec fabric_fleet = base;
+  fabric_fleet.fabric.gpus = 2;
+  fabric_fleet.fleet.enabled = true;
+  ExperimentSpec tenants_fleet = base;
+  tenants_fleet.tenants = {"STN", "HOT"};
+  tenants_fleet.fleet.enabled = true;
+  for (const ExperimentSpec& s : {tenants_fabric, fabric_fleet, tenants_fleet})
+    EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+
+  // One tenant is a plain single-GPU run, not a second mode.
+  ExperimentSpec one_tenant = base;
+  one_tenant.tenants = {"STN"};
+  one_tenant.fabric.gpus = 2;
+  one_tenant.oversub = 1.0;
+  EXPECT_TRUE(run_experiment(one_tenant).result.completed);
 }
 
 TEST(Runner, MoreThreadsThanWork) {

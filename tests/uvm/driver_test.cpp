@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "obs/trace_sink.hpp"
 #include "policy/lru.hpp"
 #include "prefetch/prefetcher.hpp"
 
@@ -107,6 +111,52 @@ TEST_F(DriverFixture, FrameAccountingConserved) {
   EXPECT_EQ(d->free_frames() + d->page_table().mapped_pages(), d->capacity_pages());
 }
 
+// One slot: fault 0's chunk is in flight while fault 32 waits in the
+// backend queue. A fault on either page coalesces into its one table
+// entry; the trace tells the stages apart (0 = raised, 1 = in flight).
+TEST_F(DriverFixture, PendingAndInFlightFaultsCoalesceWithTheirStage) {
+  pol.driver_concurrency = 1;
+  auto d = make_driver(256, 128);
+  FlightRecorder rec(eq);
+  RingSink ring(256);
+  rec.add_sink(&ring);
+  d->set_recorder(&rec);
+  int wakes = 0;
+  const auto wake = [&] { ++wakes; };
+  d->fault(0, wake);
+  d->fault(32, wake);
+  d->fault(1, wake);   // prefetched by fault 0's plan: in flight
+  d->fault(32, wake);  // raised, not yet planned
+  EXPECT_EQ(d->stats().page_faults, 2u);
+  EXPECT_EQ(d->stats().faults_coalesced, 2u);
+  std::vector<std::pair<u64, u64>> coalesced;  // (page, stage)
+  for (const TraceEvent& e : ring.events())
+    if (e.type == EventType::kFaultCoalesced) coalesced.emplace_back(e.a, e.b);
+  EXPECT_EQ(coalesced, (std::vector<std::pair<u64, u64>>{{1, 1}, {32, 0}}));
+  eq.run();
+  EXPECT_EQ(wakes, 4);
+  EXPECT_EQ(d->stats().pages_demanded, 3u);  // pages 0, 1 and 32
+}
+
+// migration_in_flight (the fabric's route_fault/host_fetchable oracle)
+// covers every planned page, prefetch-only ones included, but not a fault
+// still waiting in the backend queue.
+TEST_F(DriverFixture, MigrationInFlightCoversPlannedPagesOnly) {
+  pol.driver_concurrency = 1;
+  auto d = make_driver(256, 128);
+  d->fault(0, [] {});
+  d->fault(32, [] {});
+  EXPECT_TRUE(d->migration_in_flight(0));
+  EXPECT_TRUE(d->migration_in_flight(5));  // planned only as a prefetch
+  EXPECT_TRUE(d->is_resident(5));          // so no second plan pulls it
+  EXPECT_FALSE(d->migration_in_flight(32));
+  EXPECT_FALSE(d->is_resident(32));
+  eq.run();
+  EXPECT_FALSE(d->migration_in_flight(5));
+  EXPECT_FALSE(d->migration_in_flight(32));
+  EXPECT_TRUE(d->page_resident(32));
+}
+
 TEST_F(DriverFixture, CapacityIsNeverExceededMidRun) {
   auto d = make_driver(64 * 16, 6 * 16);
   for (ChunkId c = 0; c < 30; ++c) d->fault(first_page_of_chunk(c), [] {});
@@ -132,7 +182,7 @@ TEST_F(DriverFixture, PrefetchGatingWhenMemoryFull) {
 TEST_F(DriverFixture, ShootdownFiresPerEvictedPage) {
   auto d = make_driver(16 * 16, 4 * 16);
   u64 shootdowns = 0;
-  d->set_shootdown_handler([&](PageId, FrameId) { ++shootdowns; });
+  d->add_shootdown_handler([&](PageId, FrameId) { ++shootdowns; });
   for (ChunkId c = 0; c < 5; ++c) {
     d->fault(first_page_of_chunk(c), [] {});
     eq.run();

@@ -1,4 +1,4 @@
-// Batched fault service (ISSUE tentpole): the FaultBatcher drains up to
+// Batched fault service: the fault-service backend drains up to
 // `fault_batch` pending faults per driver wakeup and the scheduler merges
 // their plans into one migration operation. Window 1 must reproduce the
 // classic one-fault-per-wakeup driver exactly; wider windows amortise
@@ -11,7 +11,6 @@
 #include "policy/lru.hpp"
 #include "prefetch/prefetcher.hpp"
 #include "uvm/driver.hpp"
-#include "uvm/fault_batcher.hpp"
 
 namespace uvmsim {
 namespace {
@@ -155,37 +154,6 @@ TEST_F(FaultBatchFixture, TrimmedLeadIsRequeuedAndServicedNext) {
   EXPECT_FALSE(d->page_resident(0));
   // Pins balance: nothing left pinned once the queue drains.
   for (const ChunkEntry& e : d->chain()) EXPECT_EQ(e.pin_count, 0u);
-}
-
-// FaultBatcher unit coverage: absorbed entries are skipped at batch
-// formation, and a requeued lead is drained first.
-TEST(FaultBatcher, SkipsAbsorbedEntriesAndHonoursRequeue) {
-  FaultBatcher b(2);
-  b.raise(10, [] {}, 0);
-  b.raise(11, [] {}, 0);
-  b.raise(12, [] {}, 0);
-  const PendingFault absorbed = b.extract(11);  // swept into another plan
-  EXPECT_TRUE(absorbed.faulted);
-  EXPECT_EQ(absorbed.waiters.size(), 1u);
-  EXPECT_FALSE(b.pending(11));
-  // Window 2, one entry absorbed: the batch skips it and drains 10 and 12.
-  EXPECT_EQ(b.take_batch(), (std::vector<PageId>{10, 12}));
-  // 12 was trimmed back out of the admitted plan: it drains ahead of newer
-  // faults at the next wakeup.
-  b.requeue_front(12);
-  b.raise(13, [] {}, 1);
-  EXPECT_EQ(b.take_batch(), (std::vector<PageId>{12, 13}));
-  EXPECT_TRUE(b.take_batch().empty());
-}
-
-TEST(FaultBatcher, CoalesceOnlyAttachesToPendingFaults) {
-  FaultBatcher b(1);
-  EXPECT_FALSE(b.coalesce(5, [] {}));
-  b.raise(5, [] {}, 3);
-  EXPECT_TRUE(b.coalesce(5, [] {}));
-  const PendingFault f = b.extract(5);
-  EXPECT_EQ(f.waiters.size(), 2u);
-  EXPECT_EQ(f.raised_at, 3u);
 }
 
 }  // namespace

@@ -52,33 +52,6 @@ std::string join_names(const std::vector<std::string>& names) {
   return out;
 }
 
-// Resolve --eviction / --prefetch through the PolicyRegistry. Built-in
-// canonical names also set the matching PolicyConfig enum (anything keyed on
-// the enum — presets, reports — keeps working bit-for-bit); every other
-// registered name goes through the name field. Unknown names list what IS
-// registered.
-bool resolve_eviction(const std::string& s, PolicyConfig& pol) {
-  if (s == "lru") pol.eviction = EvictionKind::kLru;
-  else if (s == "fifo") pol.eviction = EvictionKind::kFifo;
-  else if (s == "random") pol.eviction = EvictionKind::kRandom;
-  else if (s == "reserved") pol.eviction = EvictionKind::kReservedLru;
-  else if (s == "hpe") pol.eviction = EvictionKind::kHpe;
-  else if (s == "mhpe") pol.eviction = EvictionKind::kMhpe;
-  else if (PolicyRegistry::instance().has_eviction(s)) pol.eviction_name = s;
-  else return false;
-  return true;
-}
-
-bool resolve_prefetch(const std::string& s, PolicyConfig& pol) {
-  if (s == "none") pol.prefetch = PrefetchKind::kNone;
-  else if (s == "locality") pol.prefetch = PrefetchKind::kLocality;
-  else if (s == "tree") pol.prefetch = PrefetchKind::kTreeNeighborhood;
-  else if (s == "pattern") pol.prefetch = PrefetchKind::kPatternAware;
-  else if (PolicyRegistry::instance().has_prefetch(s)) pol.prefetch_name = s;
-  else return false;
-  return true;
-}
-
 void print_text(const RunResult& r) {
   TextTable t({"metric", "value"});
   t.add_row({"workload", r.workload});
@@ -455,19 +428,20 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Policies resolve by registered name only; unknown names list what IS
+  // registered.
+  const PolicyRegistry& reg = PolicyRegistry::instance();
   PolicyConfig pol;
-  if (!resolve_eviction(cli.get("eviction"), pol)) {
-    std::cerr << "unknown eviction policy: " << cli.get("eviction")
-              << " (registered: "
-              << join_names(PolicyRegistry::instance().eviction_names())
-              << ")\n";
+  pol.eviction_name = cli.get("eviction");
+  if (!reg.has_eviction(pol.eviction_name)) {
+    std::cerr << "unknown eviction policy: " << pol.eviction_name
+              << " (registered: " << join_names(reg.eviction_names()) << ")\n";
     return 2;
   }
-  if (!resolve_prefetch(cli.get("prefetch"), pol)) {
-    std::cerr << "unknown prefetcher: " << cli.get("prefetch")
-              << " (registered: "
-              << join_names(PolicyRegistry::instance().prefetch_names())
-              << ")\n";
+  pol.prefetch_name = cli.get("prefetch");
+  if (!reg.has_prefetch(pol.prefetch_name)) {
+    std::cerr << "unknown prefetcher: " << pol.prefetch_name
+              << " (registered: " << join_names(reg.prefetch_names()) << ")\n";
     return 2;
   }
   pol.deletion = cli.get("deletion") == "scheme1" ? DeletionScheme::kScheme1
@@ -524,6 +498,8 @@ int main(int argc, char** argv) {
   }
   sys.gpu_fault_queue_depth = static_cast<u32>(queue_depth);
 
+  const bool fleet = cli.get_flag("fleet");
+  const bool multi_gpu = cli.get_int("gpus") >= 2;
   EngineConfig eng;
   const auto engine_kind = parse_engine_kind(cli.get("engine"));
   if (!engine_kind) {
@@ -547,9 +523,25 @@ int main(int argc, char** argv) {
                    "(one shared driver cannot shard)\n";
       return 2;
     }
-    if (cli.get_flag("spill") && !cli.get_flag("fleet")) {
+    if (cli.get_flag("spill") && !fleet) {
       std::cerr << "--engine sharded does not support --spill "
                    "(chunks may not change device)\n";
+      return 2;
+    }
+  }
+
+  // Tenants share one driver on one GPU, and trace replay, trace recording
+  // and interval metrics exist only for one workload on one GPU: refuse what
+  // a run cannot honour instead of dropping it.
+  if (cli.was_set("tenants") && (fleet || multi_gpu)) {
+    std::cerr << "--tenants runs on one GPU: not with --fleet or --gpus >= 2\n";
+    return 2;
+  }
+  const bool one_workload_one_gpu = !fleet && !multi_gpu && !cli.was_set("tenants");
+  for (const char* flag : {"trace", "record-trace", "interval-metrics"}) {
+    if (cli.was_set(flag) && !one_workload_one_gpu) {
+      std::cerr << "--" << flag << " applies to one workload on one GPU: not "
+                << "with --fleet, --tenants or --gpus >= 2\n";
       return 2;
     }
   }
@@ -568,7 +560,7 @@ int main(int argc, char** argv) {
     if (cli.was_set("trace-out")) spec.trace_out = cli.get("trace-out");
 
     RunResult r;
-    if (cli.get_flag("fleet")) {
+    if (fleet) {
       FleetConfig& fl = spec.fleet;
       fl.enabled = true;
       if (cli.was_set("gpus"))
@@ -620,7 +612,7 @@ int main(int argc, char** argv) {
       // interference from the static SM split.
       spec.tenant_solo_baselines = !cli.get_flag("no-solo");
       r = run_experiment(spec).result;
-    } else if (cli.get_int("gpus") >= 2) {
+    } else if (multi_gpu) {
       FabricConfig& fab = spec.fabric;
       fab.gpus = static_cast<u32>(cli.get_int("gpus"));
       const auto kind = parse_fabric_kind(cli.get("fabric"));
