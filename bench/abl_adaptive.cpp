@@ -75,8 +75,8 @@ std::vector<std::unique_ptr<PhaseShiftWorkload>> make_composites() {
 
 std::vector<std::pair<std::string, PolicyConfig>> make_policies() {
   PolicyConfig tree;
-  tree.eviction = EvictionKind::kLru;
-  tree.prefetch = PrefetchKind::kTreeNeighborhood;
+  tree.eviction_name = "lru";
+  tree.prefetch_name = "tree";
   PolicyConfig adaptive;
   adaptive.eviction_name = "adaptive";
   adaptive.prefetch_name = "adaptive";
@@ -93,7 +93,10 @@ std::string phase_timeline(const RunResult& r) {
   std::string s;
   for (const auto& [cycle, phase] : r.adaptive_phase_history) {
     if (!s.empty()) s += " ";
-    s += "@" + std::to_string(cycle) + "->" + to_string(phase);
+    s += '@';
+    s += std::to_string(cycle);
+    s += "->";
+    s += to_string(phase);
   }
   return s.empty() ? "none" : s;
 }

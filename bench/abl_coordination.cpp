@@ -22,13 +22,16 @@ int main() {
 
   const std::vector<std::string> workloads = {"2DC", "NW", "MVT", "SRD", "HIS", "B+T"};
   std::vector<std::pair<std::string, PolicyConfig>> policies;
-  for (EvictionKind ev : {EvictionKind::kLru, EvictionKind::kMhpe}) {
-    for (PrefetchKind pf : {PrefetchKind::kLocality, PrefetchKind::kTreeNeighborhood,
-                            PrefetchKind::kPatternAware}) {
+  // {registered name, printed label}
+  using Named = std::pair<const char*, const char*>;
+  for (const auto& [ev, ev_label] : {Named{"lru", "LRU"}, Named{"mhpe", "MHPE"}}) {
+    for (const auto& [pf, pf_label] :
+         {Named{"locality", "locality"}, Named{"tree", "tree"},
+          Named{"pattern", "pattern-aware"}}) {
       PolicyConfig c;
-      c.eviction = ev;
-      c.prefetch = pf;
-      policies.emplace_back(std::string(to_string(ev)) + "+" + to_string(pf), c);
+      c.eviction_name = ev;
+      c.prefetch_name = pf;
+      policies.emplace_back(std::string(ev_label) + "+" + pf_label, c);
     }
   }
   const auto results = run_sweep(cross(workloads, policies, {0.5}));

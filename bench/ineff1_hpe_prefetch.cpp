@@ -53,7 +53,7 @@ int main() {
                                         {"MHPE+locality",
                                          [] {
                                            PolicyConfig c = presets::baseline();
-                                           c.eviction = EvictionKind::kMhpe;
+                                           c.eviction_name = "mhpe";
                                            return c;
                                          }()}},
                                        {0.5}));

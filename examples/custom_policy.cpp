@@ -79,8 +79,8 @@ int main() {
   std::cout << "Custom eviction policy demo: CLOCK vs LRU vs MHPE\n"
             << "(\"clock\" resolved through the PolicyRegistry by name)\n\n";
 
-  // Three configs, one resolution path. The presets still carry enums; the
-  // CLOCK config names its policy — the registry treats both identically.
+  // Three configs, one resolution path: the presets and the CLOCK config
+  // all name their eviction policy, and the registry resolves each name.
   const PolicyConfig lru_cfg = presets::baseline();
   PolicyConfig clock_cfg = presets::baseline();
   clock_cfg.eviction_name = "clock";

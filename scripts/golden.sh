@@ -4,6 +4,11 @@
 # result must match tests/golden/digests.txt line for line, so any change in
 # simulated behaviour or in an output format shows up as a named scenario.
 #
+# Alongside the digests it checks assertions that hold whatever the manifest
+# says: malformed or unsupported invocations exit exactly 2, scenario pairs
+# that must agree (thread counts, an explicit default flag) hash equal, and
+# gated trace events appear where expected and nowhere else.
+#
 # Usage: scripts/golden.sh [--update] [build-dir]
 #   (default)  compare with the manifest; list the scenarios that changed and
 #              exit 1 on any mismatch
@@ -23,7 +28,8 @@ BUILD="${1:-$ROOT/build}"
 MANIFEST="$ROOT/tests/golden/digests.txt"
 UVMSIM="$BUILD/tools/uvmsim"
 SWEEP="$BUILD/tools/uvmsim_sweep"
-for bin in "$UVMSIM" "$SWEEP"; do
+REPORT="$BUILD/tools/uvmsim_report"
+for bin in "$UVMSIM" "$SWEEP" "$REPORT"; do
   [ -x "$bin" ] || { echo "golden: missing $bin (build first)" >&2; exit 2; }
 done
 
@@ -39,10 +45,15 @@ digest() {
   if [ -f "$1" ]; then sha256sum "$1" | cut -c1-16; else echo "-"; fi
 }
 
+FAILED=()
+ASSERTIONS=0
+fail() { FAILED+=("$*"); }
+
 # cli <scenario> <traced:0|1> <uvmsim args...>
 cli() {
   local name="$1" traced="$2" rc=0
   shift 2
+  LAST="$name"
   rm -f "$TMP/trace.jsonl"
   if [ "$traced" = 1 ]; then
     "$UVMSIM" "$@" --trace-out "$TMP/trace.jsonl" > "$TMP/stdout" 2>/dev/null || rc=$?
@@ -61,6 +72,39 @@ sweep() {
   echo "$name $rc $(digest "$TMP/stdout") $(digest "$TMP/sweep.json")" >> "$OUT"
 }
 
+# rejects <scenario> <binary> <args...>: an invocation that must be refused
+# with exit code 2 and nothing on stdout.
+rejects() {
+  local name="$1" bin="$BUILD/tools/$2" rc=0
+  shift 2
+  "$bin" "$@" > "$TMP/stdout" 2>/dev/null || rc=$?
+  ASSERTIONS=$((ASSERTIONS + 1))
+  [ "$rc" = 2 ] || fail "$name exited $rc, not 2"
+  echo "$name $rc $(digest "$TMP/stdout") -" >> "$OUT"
+}
+
+# same <a> <b>: two scenarios already run must have equal exit code, stdout
+# and trace digests.
+same() {
+  local a b
+  a="$(awk -v n="$1" '$1 == n { $1 = ""; print }' "$OUT")"
+  b="$(awk -v n="$2" '$1 == n { $1 = ""; print }' "$OUT")"
+  ASSERTIONS=$((ASSERTIONS + 1))
+  [ -n "$a" ] && [ "$a" = "$b" ] || fail "$1 and $2 differ"
+}
+
+# has / lacks <stdout|trace> <regex>: the scenario just run by cli() does or
+# does not print / trace a match.
+has() {
+  ASSERTIONS=$((ASSERTIONS + 1))
+  grep -qE "$2" "$(output "$1")" || fail "$LAST: $1 has no match for $2"
+}
+lacks() {
+  ASSERTIONS=$((ASSERTIONS + 1))
+  ! grep -qE "$2" "$(output "$1")" || fail "$LAST: $1 matches $2"
+}
+output() { if [ "$1" = trace ]; then echo "$TMP/trace.jsonl"; else echo "$TMP/stdout"; fi; }
+
 FIG8="HOT LEU 2DC 3DC BKP PAT DWT KMN SAD NW BFS MVT BIC SRD HSD MRQ STN HWL SGM HIS SPV B+T HYB"
 BASELINE="--eviction lru --prefetch locality"
 
@@ -76,7 +120,10 @@ done
 
 # Single-GPU feature runs.
 cli single/SRD-0.9-large-pages 1 --workload SRD --oversub 0.9 --large-pages
+has trace '"ev":"coalesce"'
 cli single/BFR-0.5-gpu-driven 1 --workload BFR --oversub 0.5 --fault-backend gpu-driven
+has trace '"ev":"fault_enqueued"'
+has trace '"ev":"gpu_fault_serviced"'
 cli single/NW-0.5-fault-batch-8 1 --workload NW --oversub 0.5 --fault-batch 8
 cli single/NW-0.5-adaptive 1 --workload NW --oversub 0.5 --eviction adaptive --prefetch adaptive
 cli single/NW-0.5-trace-events 1 --workload NW --oversub 0.5 \
@@ -87,6 +134,7 @@ cli single/BFR-0.5-gpu-driven-csv 0 --workload BFR --oversub 0.5 --fault-backend
 
 # Multi-GPU fabric runs.
 cli fabric/ring2-NW-0.5 1 --workload NW --oversub 0.5 --gpus 2 --fabric ring
+has trace '"dev":'
 cli fabric/ring2-NW-0.5-spill 1 --workload NW --oversub 0.5 --gpus 2 --fabric ring --spill
 cli fabric/ring2-NW-0.5-adaptive 1 --workload NW --oversub 0.5 --gpus 2 --fabric ring \
   --eviction adaptive --prefetch adaptive
@@ -109,6 +157,7 @@ FLEET="--fleet --jobs 100 --gpus 2 --arrival-rate 40 --oversub 0.4"
 # shellcheck disable=SC2086
 {
   cli fleet/2gpu-seq 1 $FLEET
+  has trace '"ev":"job_admitted"'
   cli fleet/2gpu-sharded 1 $FLEET --engine sharded --engine-threads 2
   cli fleet/2gpu-seq-csv 0 $FLEET --csv
   cli fleet/2gpu-sharded-sim-stats 0 $FLEET --engine sharded --engine-threads 2 --sim-stats
@@ -119,8 +168,80 @@ sweep sweep/fig8 --workloads "${FIG8// /,}" --policies baseline,cppe --oversubs 
 sweep sweep/tenants-NW+BFS --tenants NW+BFS --tenant-modes shared,quota --oversubs 0.5 \
   --policies cppe
 
+# Explicit default flags and extra outputs change nothing: an explicit
+# --fault-backend host and --interval-metrics leave stdout and trace as the
+# default CPPE run's, whose trace starts with the schema header, prints no
+# clamped-event warning and carries no GPU-backend event.
+cli single/NW-0.5-fault-backend-host 1 --workload NW --oversub 0.5 --fault-backend host
+has trace '^\{"schema":"uvmsim-trace","v":1\}$'
+lacks stdout clamped
+lacks trace '"ev":"(fault_enqueued|fault_queue_full|gpu_fault_serviced)"'
+same single/NW-0.5-fault-backend-host fig8/NW/0.5/cppe
+cli single/NW-0.5-interval-metrics 1 --workload NW --oversub 0.5 \
+  --interval-metrics "$TMP/intervals.csv"
+same single/NW-0.5-interval-metrics fig8/NW/0.5/cppe
+
+# The sharded engine gives the same stdout and trace on any thread count.
+cli fabric/ring4-NW-0.5-sharded-t1 1 --workload NW --oversub 0.5 --gpus 4 --fabric ring \
+  --engine sharded --engine-threads 1
+cli fabric/ring4-NW-0.5-sharded-t4 1 --workload NW --oversub 0.5 --gpus 4 --fabric ring \
+  --engine sharded --engine-threads 4
+same fabric/ring4-NW-0.5-sharded-t1 fabric/ring4-NW-0.5-sharded-t4
+# shellcheck disable=SC2086
+{
+  FLEET4="--fleet --jobs 100 --gpus 4 --arrival-rate 50 --oversub 0.4 --engine sharded"
+  cli fleet/4gpu-sharded-t1 1 $FLEET4 --engine-threads 1
+  has trace '"ev":"job_completed"'
+  cli fleet/4gpu-sharded-t5 1 $FLEET4 --engine-threads 5
+  same fleet/4gpu-sharded-t1 fleet/4gpu-sharded-t5
+}
+
+# Invocations that must exit 2: unsupported engine and run-shape
+# combinations, malformed flag values, and unknown names.
+for bad in "engine-bogus:--engine bogus" \
+           "engine-sharded-tenants:--engine sharded --tenants NW,BFS" \
+           "engine-sharded-spill:--engine sharded --gpus 2 --spill" \
+           "engine-threads-negative:--engine-threads -1" \
+           "trace-gpus2:--trace $TMP/none.trc --gpus 2" \
+           "trace-fleet:--trace $TMP/none.trc --fleet" \
+           "trace-tenants:--trace $TMP/none.trc --tenants NW,BFS" \
+           "record-trace-gpus2:--record-trace $TMP/r.trc --gpus 2" \
+           "record-trace-fleet:--record-trace $TMP/r.trc --fleet" \
+           "record-trace-tenants:--record-trace $TMP/r.trc --tenants NW,BFS" \
+           "interval-metrics-gpus2:--interval-metrics $TMP/iv.csv --gpus 2" \
+           "interval-metrics-fleet:--interval-metrics $TMP/iv.csv --fleet" \
+           "interval-metrics-tenants:--interval-metrics $TMP/iv.csv --tenants NW,BFS" \
+           "tenants-gpus2:--tenants NW,BFS --gpus 2" \
+           "tenants-fleet:--tenants NW,BFS --fleet" \
+           "tenants-one:--tenants NW" \
+           "fault-backend-bogus:--fault-backend bogus" \
+           "fault-latency-zero:--fault-latency-us 0" \
+           "evict-service-negative:--evict-service-us -1" \
+           "gpu-fault-queue-depth-zero:--gpu-fault-queue-depth 0" \
+           "deletion-bogus:--deletion bogus" \
+           "gpus-abc:--gpus abc" \
+           "oversub-abc:--oversub abc" \
+           "sms-zero:--sms 0" \
+           "seed-xyz:--seed xyz" \
+           "remote-threshold-negative:--gpus 2 --remote-threshold -1" \
+           "jobs-abc:--fleet --jobs abc"; do
+  # shellcheck disable=SC2086
+  rejects "reject/uvmsim/${bad%%:*}" uvmsim --workload NW ${bad#*:}
+done
+rejects reject/sweep/oversubs-abc uvmsim_sweep --oversubs abc
+rejects reject/sweep/workloads-XYZ uvmsim_sweep --workloads XYZ
+rejects reject/sweep/threads-abc uvmsim_sweep --threads abc
+rejects reject/report/oversubs-abc uvmsim_report --oversubs abc
+rejects reject/report/threads-abc uvmsim_report --threads abc
+
+if [ "${#FAILED[@]}" -gt 0 ]; then
+  printf 'golden: assertion failed: %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
+
 if [ -f "$MANIFEST" ] && cmp -s "$MANIFEST" "$OUT"; then
-  echo "golden: $(grep -vc '^#' "$OUT") scenarios match $MANIFEST"
+  echo "golden: $(grep -vc '^#' "$OUT") scenarios match $MANIFEST;" \
+    "$ASSERTIONS assertions hold"
   exit 0
 fi
 

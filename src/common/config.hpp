@@ -176,24 +176,6 @@ struct SystemConfig {
   [[nodiscard]] Cycle dram_access_cycles() const { return dram_latency; }
 };
 
-/// Which eviction policy manages the chunk chain.
-enum class EvictionKind : u8 {
-  kLru,           ///< classic LRU over chunks
-  kFifo,          ///< arrival-order (prefetch-order) pre-eviction
-  kRandom,        ///< uniform random resident chunk
-  kReservedLru,   ///< LRU with the top N% of the chain protected (Ganguly et al.)
-  kHpe,           ///< hierarchical page eviction (Yu et al., counter-based)
-  kMhpe,          ///< modified HPE — the paper's eviction policy (Algorithm 1)
-};
-
-/// Which prefetcher decides what to migrate on a fault.
-enum class PrefetchKind : u8 {
-  kNone,              ///< demand paging only
-  kLocality,          ///< sequential-local: whole 16-page chunk (64 KB block)
-  kTreeNeighborhood,  ///< CUDA-driver-style tree-based neighborhood prefetcher
-  kPatternAware,      ///< CPPE's access-pattern-aware prefetcher
-};
-
 /// Pattern-buffer entry deletion scheme (§IV-C, Fig 6).
 enum class DeletionScheme : u8 {
   kScheme1,  ///< delete on any pattern mismatch
@@ -202,15 +184,10 @@ enum class DeletionScheme : u8 {
 
 /// Policy-layer parameters (paper §IV-B and §VI-A defaults).
 struct PolicyConfig {
-  EvictionKind eviction = EvictionKind::kMhpe;
-  PrefetchKind prefetch = PrefetchKind::kPatternAware;
-  /// Registry lookup keys (core/policy_registry.hpp). Empty = derive the key
-  /// from the enum above, so enum-driven configs resolve through the
-  /// registry to exactly the policy the old switches built. Non-empty
-  /// selects a policy by registered name instead — the route to composites
-  /// ("adaptive") and out-of-tree registrations, which have no enum value.
-  std::string eviction_name;
-  std::string prefetch_name;
+  /// Eviction policy and prefetcher by registered name
+  /// (core/policy_registry.hpp; `uvmsim --list-policies` lists them).
+  std::string eviction_name = "mhpe";
+  std::string prefetch_name = "pattern";
 
   u32 interval_faults = 64;        ///< interval length, in page faults
   u32 t1_untouch = 32;             ///< T1: per-interval untouch switch threshold
@@ -259,28 +236,6 @@ struct PolicyConfig {
   // HPE-specific knobs (counter-based classification; see policy/hpe.hpp).
   u32 hpe_regular_counter = 12;    ///< counter >= this marks a chunk "well used"
 };
-
-[[nodiscard]] constexpr const char* to_string(EvictionKind k) noexcept {
-  switch (k) {
-    case EvictionKind::kLru: return "LRU";
-    case EvictionKind::kFifo: return "FIFO";
-    case EvictionKind::kRandom: return "Random";
-    case EvictionKind::kReservedLru: return "ReservedLRU";
-    case EvictionKind::kHpe: return "HPE";
-    case EvictionKind::kMhpe: return "MHPE";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr const char* to_string(PrefetchKind k) noexcept {
-  switch (k) {
-    case PrefetchKind::kNone: return "none";
-    case PrefetchKind::kLocality: return "locality";
-    case PrefetchKind::kTreeNeighborhood: return "tree";
-    case PrefetchKind::kPatternAware: return "pattern-aware";
-  }
-  return "?";
-}
 
 [[nodiscard]] constexpr const char* to_string(FabricKind k) noexcept {
   switch (k) {
@@ -336,6 +291,13 @@ struct PolicyConfig {
   if (s == "host" || s == "host-driver") return FaultBackendKind::kHostDriver;
   if (s == "gpu-driven" || s == "gpu" || s == "gpuvm")
     return FaultBackendKind::kGpuDriven;
+  return std::nullopt;
+}
+
+[[nodiscard]] inline std::optional<DeletionScheme> parse_deletion_scheme(
+    std::string_view s) noexcept {
+  if (s == "scheme1") return DeletionScheme::kScheme1;
+  if (s == "scheme2") return DeletionScheme::kScheme2;
   return std::nullopt;
 }
 

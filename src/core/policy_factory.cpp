@@ -7,34 +7,32 @@ namespace uvmsim {
 // Thin registry wrappers: every construction site (UvmSystem,
 // MultiTenantSystem, FabricSystem, tools, benches) funnels through these
 // two calls, so a name registered with PolicyRegistry participates
-// everywhere. Unknown names — including the enum(N) key an out-of-range
-// enum degrades to, which the old switches answered with a nullptr the
-// callers dereferenced — throw std::invalid_argument listing the
+// everywhere. Unknown names throw std::invalid_argument listing the
 // registered names.
 
 std::unique_ptr<EvictionPolicy> make_eviction_policy(const PolicyConfig& cfg,
                                                      ChunkChain& chain) {
-  return PolicyRegistry::instance().make_eviction(eviction_key(cfg), cfg, chain);
+  return PolicyRegistry::instance().make_eviction(cfg.eviction_name, cfg, chain);
 }
 
 std::unique_ptr<Prefetcher> make_prefetcher(const PolicyConfig& cfg) {
-  return PolicyRegistry::instance().make_prefetch(prefetch_key(cfg), cfg);
+  return PolicyRegistry::instance().make_prefetch(cfg.prefetch_name, cfg);
 }
 
 namespace presets {
 
 PolicyConfig baseline() {
   PolicyConfig c;
-  c.eviction = EvictionKind::kLru;
-  c.prefetch = PrefetchKind::kLocality;
+  c.eviction_name = "lru";
+  c.prefetch_name = "locality";
   c.prefetch_when_full = true;
   return c;
 }
 
 PolicyConfig cppe() {
   PolicyConfig c;
-  c.eviction = EvictionKind::kMhpe;
-  c.prefetch = PrefetchKind::kPatternAware;
+  c.eviction_name = "mhpe";
+  c.prefetch_name = "pattern";
   c.deletion = DeletionScheme::kScheme2;
   return c;
 }
@@ -47,13 +45,13 @@ PolicyConfig cppe_scheme1() {
 
 PolicyConfig random_evict() {
   PolicyConfig c = baseline();
-  c.eviction = EvictionKind::kRandom;
+  c.eviction_name = "random";
   return c;
 }
 
 PolicyConfig reserved_lru(double fraction) {
   PolicyConfig c = baseline();
-  c.eviction = EvictionKind::kReservedLru;
+  c.eviction_name = "reserved";
   c.reserved_fraction = fraction;
   return c;
 }
@@ -66,14 +64,14 @@ PolicyConfig disable_prefetch_when_full() {
 
 PolicyConfig hpe() {
   PolicyConfig c = baseline();
-  c.eviction = EvictionKind::kHpe;
+  c.eviction_name = "hpe";
   return c;
 }
 
 PolicyConfig demand_only() {
   PolicyConfig c;
-  c.eviction = EvictionKind::kLru;
-  c.prefetch = PrefetchKind::kNone;
+  c.eviction_name = "lru";
+  c.prefetch_name = "none";
   return c;
 }
 

@@ -42,9 +42,7 @@ PolicyRegistry& PolicyRegistry::instance() {
 }
 
 PolicyRegistry::PolicyRegistry() {
-  // Built-in eviction policies. Each factory constructs exactly what the
-  // old policy_factory switch built for the matching enum value — the
-  // equivalence tests (tests/core/policy_registry_test.cpp) pin this.
+  // Built-in eviction policies.
   register_eviction("lru", [](const PolicyConfig&, ChunkChain& chain) {
     return std::make_unique<LruPolicy>(chain);
   });
@@ -142,40 +140,6 @@ std::vector<std::string> PolicyRegistry::prefetch_names() const {
   out.reserve(prefetches_.size());
   for (const auto& e : prefetches_) out.push_back(e.name);
   return out;
-}
-
-std::string registry_key(EvictionKind k) {
-  switch (k) {
-    case EvictionKind::kLru: return "lru";
-    case EvictionKind::kFifo: return "fifo";
-    case EvictionKind::kRandom: return "random";
-    case EvictionKind::kReservedLru: return "reserved";
-    case EvictionKind::kHpe: return "hpe";
-    case EvictionKind::kMhpe: return "mhpe";
-  }
-  // Out-of-range enum: degrade to a key no factory registers, so the
-  // lookup throws a diagnosable error instead of the old nullptr deref.
-  return "enum(" + std::to_string(static_cast<int>(k)) + ")";
-}
-
-std::string registry_key(PrefetchKind k) {
-  switch (k) {
-    case PrefetchKind::kNone: return "none";
-    case PrefetchKind::kLocality: return "locality";
-    case PrefetchKind::kTreeNeighborhood: return "tree";
-    case PrefetchKind::kPatternAware: return "pattern";
-  }
-  return "enum(" + std::to_string(static_cast<int>(k)) + ")";
-}
-
-std::string eviction_key(const PolicyConfig& cfg) {
-  return cfg.eviction_name.empty() ? registry_key(cfg.eviction)
-                                   : cfg.eviction_name;
-}
-
-std::string prefetch_key(const PolicyConfig& cfg) {
-  return cfg.prefetch_name.empty() ? registry_key(cfg.prefetch)
-                                   : cfg.prefetch_name;
 }
 
 }  // namespace uvmsim

@@ -1,19 +1,13 @@
 // PolicyRegistry: named eviction-policy / prefetcher factories.
 //
-// The registry replaces the hard-coded switches that used to live in
-// policy_factory.cpp: every construction site (CLI, sweep harness,
-// UvmSystem, MultiTenantSystem, FabricSystem) resolves a *name* to a
-// factory, so a policy added out of tree participates everywhere — CLI
+// Every construction site (CLI, sweep harness, UvmSystem, MultiTenantSystem,
+// FabricSystem) resolves a PolicyConfig's eviction_name / prefetch_name to
+// a factory, so a policy added out of tree participates everywhere — CLI
 // flags, sweeps, multi-tenant and multi-GPU runs — without touching core
 // (docs/policies.md has the recipe; examples/custom_policy.cpp a worked
-// one). Enum-driven configs keep working: an empty PolicyConfig name field
-// derives the lookup key from the enum, and the seeded built-in factories
-// construct exactly what the old switches did, so existing runs are
-// byte-identical.
+// one).
 //
-// Failure is loud by design. Lookup of an unknown name — including the
-// "enum(N)" key an out-of-range enum degrades to, which the old switches
-// answered with a nullptr that callers dereferenced — throws
+// Failure is loud by design. Lookup of an unknown or empty name throws
 // std::invalid_argument naming the offender and every registered name.
 // Duplicate registration throws std::logic_error at registration time
 // (almost always two translation units claiming one name).
@@ -77,17 +71,13 @@ class PolicyRegistry {
   std::vector<Entry<PrefetchFactory>> prefetches_;
 };
 
-/// Canonical registry key for an enum value ("lru", "pattern", ...). An
-/// out-of-range enum — the case the old switches turned into a nullptr
-/// deref — yields "enum(N)", which no factory registers, so the lookup
-/// throws with the full name list instead of crashing.
-[[nodiscard]] std::string registry_key(EvictionKind k);
-[[nodiscard]] std::string registry_key(PrefetchKind k);
-
-/// The lookup key a PolicyConfig resolves through: the explicit name field
-/// when set, the enum-derived canonical key otherwise.
-[[nodiscard]] std::string eviction_key(const PolicyConfig& cfg);
-[[nodiscard]] std::string prefetch_key(const PolicyConfig& cfg);
+/// The lookup keys a PolicyConfig resolves through.
+[[nodiscard]] inline const std::string& eviction_key(const PolicyConfig& cfg) {
+  return cfg.eviction_name;
+}
+[[nodiscard]] inline const std::string& prefetch_key(const PolicyConfig& cfg) {
+  return cfg.prefetch_name;
+}
 
 /// Register-at-static-init helpers for out-of-tree policies: define one at
 /// namespace scope in your translation unit and the policy is available to

@@ -1,6 +1,7 @@
 #include "fabric/fabric_system.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace uvmsim {
 
@@ -31,7 +32,10 @@ FabricSystem::FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
   fab_cfg_.gpus = n;
   const u64 footprint = workload.footprint_pages();
   if (sharded()) {
-    fab_cfg_.spill = false;  // chunks may not change device (sharded_fabric.hpp)
+    if (fabric.spill)
+      throw std::invalid_argument(
+          "the sharded engine does not support spill (chunks may not change "
+          "device; sharded_fabric.hpp)");
     sharded_ = std::make_unique<ShardedFabric>(engine_, sys, fab_cfg_, footprint);
   } else if (n > 1) {
     coord_ = std::make_unique<FabricCoordinator>(queue(), sys, fab_cfg_, footprint);

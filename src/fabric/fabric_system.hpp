@@ -41,7 +41,8 @@ class FabricSystem : public SystemBase {
   /// `oversub` is the fraction of the footprint that fits in the COMBINED
   /// device memory; each device gets a 1/N share (with UvmSystem's
   /// per-driver capacity floor), so oversubscription pressure per device
-  /// matches the single-GPU run at N = 1.
+  /// matches the single-GPU run at N = 1. Throws std::invalid_argument for
+  /// `fabric.spill` under a sharded engine with two or more GPUs.
   FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
                const Workload& workload, double oversub,
                const FabricConfig& fabric, const EngineConfig& engine = {});

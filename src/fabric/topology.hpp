@@ -45,18 +45,17 @@ class FabricTopology {
 
     const auto add_peer = [&](u32 a, u32 b) {
       peer_index_[a][b] = static_cast<u32>(links_.size());
-      links_.push_back({a, b, "d" + std::to_string(a) + "->d" + std::to_string(b),
-                        BandwidthLink(peer_cy)});
+      links_.push_back({a, b, link_name(a, b), BandwidthLink(peer_cy)});
     };
     switch (kind_) {
       case FabricKind::kPcie:
         // Peer transfers bounce through the host at PCIe rate.
         for (u32 d = 0; d < gpus_; ++d) {
           up_index_.push_back(static_cast<u32>(links_.size()));
-          links_.push_back({d, kHostDevice, "d" + std::to_string(d) + "->host",
+          links_.push_back({d, kHostDevice, link_name(d, kHostDevice),
                             BandwidthLink(host_cy)});
           down_index_.push_back(static_cast<u32>(links_.size()));
-          links_.push_back({kHostDevice, d, "host->d" + std::to_string(d),
+          links_.push_back({kHostDevice, d, link_name(kHostDevice, d),
                             BandwidthLink(host_cy)});
         }
         break;
@@ -124,6 +123,22 @@ class FabricTopology {
 
  private:
   static constexpr u32 kNoLink = ~u32{0};
+
+  /// "<src>-><dst>", each end "d<N>" or "host". Built by appending: GCC 12
+  /// at -O3 reports a false -Wrestrict on `"literal" + std::to_string(...)`.
+  [[nodiscard]] static std::string link_name(u32 src, u32 dst) {
+    std::string name;
+    for (const u32 end : {src, dst}) {
+      if (!name.empty()) name += "->";
+      if (end == kHostDevice) {
+        name += "host";
+      } else {
+        name += 'd';
+        name += std::to_string(end);
+      }
+    }
+    return name;
+  }
 
   FabricKind kind_;
   u32 gpus_;

@@ -1,6 +1,6 @@
 #include "harness/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -8,6 +8,34 @@
 #include "harness/version.hpp"
 
 namespace uvmsim {
+
+namespace {
+
+/// Parse all of `text` with std::from_chars; NaN and values outside
+/// [min, max] are rejected like non-numbers.
+template <class T>
+T parse_number(const std::string& what, const std::string& text, T min, T max,
+               const char* kind) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc{} && ptr == end && value >= min && value <= max) return value;
+  std::ostringstream msg;
+  msg << what << ": expected " << kind;
+  const bool bounded_below = min != std::numeric_limits<T>::lowest();
+  if (bounded_below) msg << " >= " << min;
+  if (max != std::numeric_limits<T>::max())
+    msg << (bounded_below ? " and" : "") << " <= " << max;
+  msg << ", got '" << text << "'";
+  throw std::invalid_argument(msg.str());
+}
+
+}  // namespace
+
+double parse_double(const std::string& what, const std::string& text, double min,
+                    double max) {
+  return parse_number(what, text, min, max, "a number");
+}
 
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -83,12 +111,17 @@ std::string CliParser::get(const std::string& name) const {
   return it->second.value;
 }
 
-double CliParser::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+double CliParser::get_double(const std::string& name, double min, double max) const {
+  return parse_double("--" + name, get(name), min, max);
 }
 
-long long CliParser::get_int(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+long long CliParser::get_int(const std::string& name, long long min,
+                             long long max) const {
+  return parse_number("--" + name, get(name), min, max, "an integer");
+}
+
+u32 CliParser::get_u32(const std::string& name, u32 min) const {
+  return static_cast<u32>(get_int(name, min, std::numeric_limits<u32>::max()));
 }
 
 bool CliParser::get_flag(const std::string& name) const {

@@ -3,10 +3,13 @@
 // with generated --help text.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "common/types.hpp"
 
 namespace uvmsim {
 
@@ -26,8 +29,16 @@ class CliParser {
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
-  [[nodiscard]] double get_double(const std::string& name) const;
-  [[nodiscard]] long long get_int(const std::string& name) const;
+  /// Numeric values. Throw std::invalid_argument naming the option unless
+  /// the whole value is a number in [min, max].
+  [[nodiscard]] double get_double(
+      const std::string& name, double min = std::numeric_limits<double>::lowest(),
+      double max = std::numeric_limits<double>::max()) const;
+  [[nodiscard]] long long get_int(
+      const std::string& name, long long min = std::numeric_limits<long long>::min(),
+      long long max = std::numeric_limits<long long>::max()) const;
+  /// get_int over [min, UINT32_MAX].
+  [[nodiscard]] u32 get_u32(const std::string& name, u32 min = 0) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] bool was_set(const std::string& name) const;
 
@@ -48,6 +59,12 @@ class CliParser {
   std::map<std::string, Option> opts_;
   std::string error_;
 };
+
+/// Parse all of `text` as a number in [min, max]. Throws
+/// std::invalid_argument naming `what` otherwise.
+[[nodiscard]] double parse_double(const std::string& what, const std::string& text,
+                                  double min = std::numeric_limits<double>::lowest(),
+                                  double max = std::numeric_limits<double>::max());
 
 /// Split a list-valued option ("NW,BFS", "NW+BFS;MVT+SRD") on `sep`,
 /// dropping spaces and empty items.

@@ -15,9 +15,16 @@
 namespace uvmsim {
 
 LabelledResult run_experiment(const ExperimentSpec& spec) {
-  if ((spec.tenants.size() >= 2) + (spec.fabric.gpus >= 2) + spec.fleet.enabled > 1)
+  const bool tenants = !spec.tenants.empty();
+  if (spec.tenants.size() == 1)
+    throw std::invalid_argument("a tenant run needs at least two workloads");
+  if (tenants + (spec.fabric.gpus >= 2) + spec.fleet.enabled > 1)
     throw std::invalid_argument(
         "experiment sets more than one of tenants, fabric and fleet");
+  if (tenants && spec.engine.kind == EngineKind::kSharded)
+    throw std::invalid_argument(
+        "the sharded engine does not support tenant runs (one shared driver "
+        "cannot shard)");
 
   // Observability: stream the run's events to disk when requested. The sink
   // must outlive run(); the recorders only borrow it. Every system fans it
@@ -41,7 +48,7 @@ LabelledResult run_experiment(const ExperimentSpec& spec) {
     return {spec, system.run(spec.max_cycles)};
   }
 
-  if (spec.tenants.size() >= 2) {
+  if (tenants) {
     std::vector<std::unique_ptr<Workload>> workloads;
     std::vector<const Workload*> ptrs;
     for (const std::string& abbr : spec.tenants) {

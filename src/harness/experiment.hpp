@@ -24,7 +24,8 @@ struct ExperimentSpec {
   // --- Multi-tenancy (src/tenancy) -----------------------------------------
   /// Two or more workload abbreviations switch the experiment to a
   /// MultiTenantSystem run (`workload` above is then ignored for
-  /// construction and only used as a display fallback).
+  /// construction and only used as a display fallback); exactly one is
+  /// refused.
   std::vector<std::string> tenants;
   TenantMode tenant_mode = TenantMode::kShared;
   EvictionScope tenant_scope = EvictionScope::kGlobal;
@@ -40,8 +41,8 @@ struct ExperimentSpec {
 
   // --- Simulation engine (src/sim/sharded_engine.hpp) ----------------------
   /// --engine sharded parallelises multi-GPU fabric and fleet runs (one
-  /// shard per device, conservative barrier windows); ignored — with the
-  /// sequential single shard — for single-GPU and multi-tenant runs.
+  /// shard per device, conservative barrier windows). A single-GPU run has
+  /// one shard, which is the sequential engine; tenant runs refuse it.
   EngineConfig engine;
 
   // --- Fleet serving (src/fleet) -------------------------------------------
@@ -66,8 +67,10 @@ struct LabelledResult {
 };
 
 /// Build and run one experiment to completion. Throws
-/// std::invalid_argument when the spec sets more than one of `tenants`
-/// (two or more), `fabric` (two or more GPUs) and `fleet`.
+/// std::invalid_argument instead of running something other than the spec
+/// asks for: when it sets more than one of `tenants`, `fabric` (two or more
+/// GPUs) and `fleet`, lists exactly one tenant, asks for the sharded engine
+/// on a tenant run, or for spill on a sharded fabric.
 [[nodiscard]] LabelledResult run_experiment(const ExperimentSpec& spec);
 
 }  // namespace uvmsim

@@ -8,6 +8,7 @@
 // POD keeps the ring sink a memcpy and the hot path branch-cheap.
 #pragma once
 
+#include <iterator>
 #include <string_view>
 
 #include "common/types.hpp"
@@ -65,8 +66,6 @@ enum class EventType : u8 {
   kGpuFaultServiced,       ///< a: lead page, b: faults in pickup, c: handler busy cycles
 };
 
-inline constexpr u32 kNumEventTypes = 27;
-
 /// Reasons carried in kPatternDeleted's `b` field.
 enum class PatternDeleteReason : u8 {
   kScheme1Mismatch = 1,     ///< Scheme-1: any mismatch
@@ -115,116 +114,70 @@ inline constexpr u32 kNoTraceDevice = ~u32{0};
 /// stamps those only when the emitter passes the tenant explicitly).
 enum class TenantKeyKind : u8 { kNone, kPage, kChunk };
 
-[[nodiscard]] constexpr TenantKeyKind tenant_key_kind(EventType t) noexcept {
-  switch (t) {
-    case EventType::kFaultRaised:
-    case EventType::kFaultCoalesced:
-    case EventType::kMigrationPlanned:
-    case EventType::kShootdownIssued:
-    case EventType::kFaultBatchFormed:
-    case EventType::kBatchServiced:
-    case EventType::kRemoteAccess:
-    case EventType::kPeerMigration:
-    case EventType::kFaultEnqueued:
-    case EventType::kFaultQueueFull:
-    case EventType::kGpuFaultServiced:
-      return TenantKeyKind::kPage;
-    case EventType::kPageSpilled:
-    case EventType::kEvictionChosen:
-    case EventType::kCoalesce:
-    case EventType::kSplinter:
-    case EventType::kLargeFrameEvicted:
-    case EventType::kWrongEvictionDetected:
-    case EventType::kPatternHit:
-    case EventType::kPatternHitEmpty:
-    case EventType::kPatternMiss:
-    case EventType::kPatternDeleted:
-      return TenantKeyKind::kChunk;
-    case EventType::kIntervalBoundary:
-    case EventType::kPreEvictionTriggered:
-    // Job events carry a job id, not a page/chunk; the fleet recorder has
-    // no tenant table attached, so nothing is ever auto-stamped.
-    case EventType::kJobArrived:
-    case EventType::kJobAdmitted:
-    case EventType::kJobRejected:
-    case EventType::kJobCompleted:
-      return TenantKeyKind::kNone;
-  }
-  return TenantKeyKind::kNone;
-}
-
-/// Stable snake_case names: the JSONL "ev" values and the --trace-events
-/// vocabulary. Order matches EventType.
-[[nodiscard]] constexpr std::string_view to_string(EventType t) noexcept {
-  switch (t) {
-    case EventType::kFaultRaised: return "fault_raised";
-    case EventType::kFaultCoalesced: return "fault_coalesced";
-    case EventType::kMigrationPlanned: return "migration_planned";
-    case EventType::kEvictionChosen: return "eviction_chosen";
-    case EventType::kWrongEvictionDetected: return "wrong_eviction_detected";
-    case EventType::kPatternHit: return "pattern_hit";
-    case EventType::kPatternMiss: return "pattern_miss";
-    case EventType::kPatternDeleted: return "pattern_deleted";
-    case EventType::kIntervalBoundary: return "interval_boundary";
-    case EventType::kPreEvictionTriggered: return "pre_eviction_triggered";
-    case EventType::kShootdownIssued: return "shootdown_issued";
-    case EventType::kFaultBatchFormed: return "fault_batch_formed";
-    case EventType::kBatchServiced: return "batch_serviced";
-    case EventType::kPageSpilled: return "page_spilled";
-    case EventType::kRemoteAccess: return "remote_access";
-    case EventType::kPeerMigration: return "peer_migration";
-    case EventType::kPatternHitEmpty: return "pattern_hit_empty";
-    case EventType::kCoalesce: return "coalesce";
-    case EventType::kSplinter: return "splinter";
-    case EventType::kLargeFrameEvicted: return "large_frame_evicted";
-    case EventType::kJobArrived: return "job_arrived";
-    case EventType::kJobAdmitted: return "job_admitted";
-    case EventType::kJobRejected: return "job_rejected";
-    case EventType::kJobCompleted: return "job_completed";
-    case EventType::kFaultEnqueued: return "fault_enqueued";
-    case EventType::kFaultQueueFull: return "fault_queue_full";
-    case EventType::kGpuFaultServiced: return "gpu_fault_serviced";
-  }
-  return "?";
-}
-
-/// JSONL key names for the a/b/c payload of each event type (nullptr-
-/// terminated is not needed: exactly three entries, unused ones empty).
+/// JSONL key names for the a/b/c payload of an event; an empty name means
+/// the field is not emitted.
 struct EventFieldNames {
   std::string_view a, b, c;
 };
 
+struct EventInfo {
+  /// Stable snake_case name: the JSONL "ev" value and the --trace-events
+  /// vocabulary.
+  std::string_view name;
+  EventFieldNames fields;
+  TenantKeyKind tenant_key;
+};
+
+/// One row per EventType, in enum order. Job events carry a job id, not a
+/// page or chunk, and the fleet recorder has no tenant table attached, so
+/// nothing is ever auto-stamped on them.
+inline constexpr EventInfo kEventTable[] = {
+    {"fault_raised", {"page", "chunk", {}}, TenantKeyKind::kPage},
+    {"fault_coalesced", {"page", "stage", {}}, TenantKeyKind::kPage},
+    {"migration_planned", {"page", "pages", "busy"}, TenantKeyKind::kPage},
+    {"eviction_chosen", {"chunk", "untouch", "pages"}, TenantKeyKind::kChunk},
+    {"wrong_eviction_detected", {"chunk", "total", {}}, TenantKeyKind::kChunk},
+    {"pattern_hit", {"chunk", "pages", "popcount"}, TenantKeyKind::kChunk},
+    {"pattern_miss", {"chunk", "first", {}}, TenantKeyKind::kChunk},
+    {"pattern_deleted", {"chunk", "reason", {}}, TenantKeyKind::kChunk},
+    {"interval_boundary", {"interval", "pages_migrated", {}}, TenantKeyKind::kNone},
+    {"pre_eviction_triggered", {"free_frames", "watermark", {}}, TenantKeyKind::kNone},
+    {"shootdown_issued", {"page", "frame", {}}, TenantKeyKind::kPage},
+    {"fault_batch_formed", {"page", "faults", "backlog"}, TenantKeyKind::kPage},
+    {"batch_serviced", {"page", "faults", "amortised"}, TenantKeyKind::kPage},
+    {"page_spilled", {"chunk", "dst", "pages"}, TenantKeyKind::kChunk},
+    {"remote_access", {"page", "owner", "cycles"}, TenantKeyKind::kPage},
+    {"peer_migration", {"page", "src", "hopback"}, TenantKeyKind::kPage},
+    {"pattern_hit_empty", {"chunk", "popcount", {}}, TenantKeyKind::kChunk},
+    {"coalesce", {"chunk", "frame", "region"}, TenantKeyKind::kChunk},
+    {"splinter", {"chunk", "region", "reason"}, TenantKeyKind::kChunk},
+    {"large_frame_evicted", {"chunk", "untouch", "pages"}, TenantKeyKind::kChunk},
+    {"job_arrived", {"job", "pages", "pattern"}, TenantKeyKind::kNone},
+    {"job_admitted", {"job", "device", "wait"}, TenantKeyKind::kNone},
+    {"job_rejected", {"job", "reason", "queued"}, TenantKeyKind::kNone},
+    {"job_completed", {"job", "device", "cycles"}, TenantKeyKind::kNone},
+    {"fault_enqueued", {"page", "queue", "depth"}, TenantKeyKind::kPage},
+    {"fault_queue_full", {"page", "queue", "backlog"}, TenantKeyKind::kPage},
+    {"gpu_fault_serviced", {"page", "faults", "busy"}, TenantKeyKind::kPage},
+};
+
+/// A new event appends an enumerator, a row above, and moves this check to
+/// the new last enumerator.
+inline constexpr u32 kNumEventTypes = static_cast<u32>(std::size(kEventTable));
+static_assert(kNumEventTypes == static_cast<u32>(EventType::kGpuFaultServiced) + 1,
+              "kEventTable needs exactly one row per EventType");
+
+[[nodiscard]] constexpr const EventInfo& event_info(EventType t) noexcept {
+  return kEventTable[static_cast<u32>(t)];
+}
+[[nodiscard]] constexpr std::string_view to_string(EventType t) noexcept {
+  return event_info(t).name;
+}
 [[nodiscard]] constexpr EventFieldNames field_names(EventType t) noexcept {
-  switch (t) {
-    case EventType::kFaultRaised: return {"page", "chunk", {}};
-    case EventType::kFaultCoalesced: return {"page", "stage", {}};
-    case EventType::kMigrationPlanned: return {"page", "pages", "busy"};
-    case EventType::kEvictionChosen: return {"chunk", "untouch", "pages"};
-    case EventType::kWrongEvictionDetected: return {"chunk", "total", {}};
-    case EventType::kPatternHit: return {"chunk", "pages", "popcount"};
-    case EventType::kPatternMiss: return {"chunk", "first", {}};
-    case EventType::kPatternDeleted: return {"chunk", "reason", {}};
-    case EventType::kIntervalBoundary: return {"interval", "pages_migrated", {}};
-    case EventType::kPreEvictionTriggered: return {"free_frames", "watermark", {}};
-    case EventType::kShootdownIssued: return {"page", "frame", {}};
-    case EventType::kFaultBatchFormed: return {"page", "faults", "backlog"};
-    case EventType::kBatchServiced: return {"page", "faults", "amortised"};
-    case EventType::kPageSpilled: return {"chunk", "dst", "pages"};
-    case EventType::kRemoteAccess: return {"page", "owner", "cycles"};
-    case EventType::kPeerMigration: return {"page", "src", "hopback"};
-    case EventType::kPatternHitEmpty: return {"chunk", "popcount", {}};
-    case EventType::kCoalesce: return {"chunk", "frame", "region"};
-    case EventType::kSplinter: return {"chunk", "region", "reason"};
-    case EventType::kLargeFrameEvicted: return {"chunk", "untouch", "pages"};
-    case EventType::kJobArrived: return {"job", "pages", "pattern"};
-    case EventType::kJobAdmitted: return {"job", "device", "wait"};
-    case EventType::kJobRejected: return {"job", "reason", "queued"};
-    case EventType::kJobCompleted: return {"job", "device", "cycles"};
-    case EventType::kFaultEnqueued: return {"page", "queue", "depth"};
-    case EventType::kFaultQueueFull: return {"page", "queue", "backlog"};
-    case EventType::kGpuFaultServiced: return {"page", "faults", "busy"};
-  }
-  return {{}, {}, {}};
+  return event_info(t).fields;
+}
+[[nodiscard]] constexpr TenantKeyKind tenant_key_kind(EventType t) noexcept {
+  return event_info(t).tenant_key;
 }
 
 /// Bitmask helpers for event filtering (--trace-events).

@@ -1,5 +1,6 @@
 #include "obs/trace_sink.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <string_view>
 
@@ -58,15 +59,10 @@ std::optional<u32> parse_event_mask(std::string_view spec) {
   while (!spec.empty()) {
     const std::size_t comma = spec.find(',');
     const std::string_view name = spec.substr(0, comma);
-    bool found = false;
-    for (u32 i = 0; i < kNumEventTypes; ++i) {
-      if (to_string(static_cast<EventType>(i)) == name) {
-        mask |= 1u << i;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return std::nullopt;
+    const auto row = std::find_if(std::begin(kEventTable), std::end(kEventTable),
+                                  [name](const EventInfo& e) { return e.name == name; });
+    if (row == std::end(kEventTable)) return std::nullopt;
+    mask |= 1u << (row - std::begin(kEventTable));
     spec = comma == std::string_view::npos ? std::string_view{} : spec.substr(comma + 1);
   }
   return mask;

@@ -8,6 +8,45 @@
 
 namespace uvmsim {
 
+namespace {
+
+/// Factory for the pattern family W, constructed as
+/// W(name, abbr, pages, args...).
+template <class W, class... Args>
+BenchmarkInfo::Factory family(Args... args) {
+  return [=](std::string name, std::string abbr, u64 pages) -> std::unique_ptr<Workload> {
+    return std::make_unique<W>(std::move(name), std::move(abbr), pages, args...);
+  };
+}
+
+/// Workloads outside Table II, built by make_benchmark only.
+const std::vector<BenchmarkInfo>& extension_table() {
+  static const std::vector<BenchmarkInfo> table = {
+      // BFR: UVMBench-style BFS frontier traversal — bursty irregular far
+      // faults from every SM at once, the pattern GPUVM's GPU-driven paging
+      // targets.
+      {"BFR", "bfs-frontier", "UVMBench", 36.0, PatternType::kMostlyRepetitive,
+       family<GraphFrontierWorkload>()},
+      // MLT: ML-training epochs — an activations-streaming forward pass
+      // alternating with a weights-hot backward pass over the same buffers.
+      {"MLT", "ml-training", "extension", 48.0, PatternType::kStreaming,
+       [](std::string name, std::string abbr, u64 pages) -> std::unique_ptr<Workload> {
+         std::vector<std::unique_ptr<PatternWorkloadBase>> phases;
+         for (int epoch = 0; epoch < 2; ++epoch) {
+           phases.push_back(
+               std::make_unique<StreamingWorkload>("activations", "ACT", pages, 1.0));
+           phases.push_back(std::make_unique<RepetitiveThrashingWorkload>(
+               "weights", "WGT", pages, 0.30, 6.0, 0.5, ColdTraffic::kStream));
+         }
+         return std::make_unique<PhaseShiftWorkload>(std::move(name), std::move(abbr),
+                                                     std::move(phases));
+       }},
+  };
+  return table;
+}
+
+}  // namespace
+
 u64 scaled_pages(double paper_mb) {
   // 1/4 scale, floor 4 MB: pages = max(1024, paper_MB * 256 / 4).
   const auto pages = static_cast<u64>(paper_mb * 64.0);
@@ -15,30 +54,60 @@ u64 scaled_pages(double paper_mb) {
 }
 
 const std::vector<BenchmarkInfo>& benchmark_table() {
+  using P = PatternType;
   static const std::vector<BenchmarkInfo> table = {
-      {"HOT", "hotspot", "Rodinia", 12.0, PatternType::kStreaming},
-      {"LEU", "leukocyte", "Rodinia", 5.6, PatternType::kStreaming},
-      {"2DC", "2DCONV", "Polybench", 128.0, PatternType::kStreaming},
-      {"3DC", "3DCONV", "Polybench", 127.5, PatternType::kStreaming},
-      {"BKP", "backprop", "Rodinia", 9.0, PatternType::kPartlyRepetitive},
-      {"PAT", "pathfinder", "Rodinia", 38.5, PatternType::kPartlyRepetitive},
-      {"DWT", "dwt2d", "Rodinia", 27.0, PatternType::kPartlyRepetitive},
-      {"KMN", "kmeans", "Rodinia", 130.0, PatternType::kPartlyRepetitive},
-      {"SAD", "sad", "Parboil", 8.5, PatternType::kMostlyRepetitive},
-      {"NW", "nw", "Rodinia", 32.0, PatternType::kMostlyRepetitive},
-      {"BFS", "bfs", "Rodinia", 37.2, PatternType::kMostlyRepetitive},
-      {"MVT", "MVT", "Polybench", 64.1, PatternType::kMostlyRepetitive},
-      {"BIC", "BICG", "Polybench", 64.1, PatternType::kMostlyRepetitive},
-      {"SRD", "srad_v2", "Rodinia", 96.0, PatternType::kThrashing},
-      {"HSD", "hotspot3D", "Rodinia", 24.0, PatternType::kThrashing},
-      {"MRQ", "mri-q", "Parboil", 5.0, PatternType::kThrashing},
-      {"STN", "stencil", "Parboil", 4.0, PatternType::kThrashing},
-      {"HWL", "heartwall", "Rodinia", 40.7, PatternType::kRepetitiveThrashing},
-      {"SGM", "sgemm", "Parboil", 12.0, PatternType::kRepetitiveThrashing},
-      {"HIS", "histo", "Parboil", 13.2, PatternType::kRepetitiveThrashing},
-      {"SPV", "spmv", "Parboil", 27.3, PatternType::kRepetitiveThrashing},
-      {"B+T", "b+tree", "Rodinia", 34.7, PatternType::kRegionMoving},
-      {"HYB", "hybridsort", "Rodinia", 104.0, PatternType::kRegionMoving},
+      // --- Type I: streaming ------------------------------------------------
+      {"HOT", "hotspot", "Rodinia", 12.0, P::kStreaming, family<StreamingWorkload>(1.0)},
+      {"LEU", "leukocyte", "Rodinia", 5.6, P::kStreaming, family<StreamingWorkload>(1.0)},
+      {"2DC", "2DCONV", "Polybench", 128.0, P::kStreaming,
+       family<StreamingWorkload>(1.0)},
+      {"3DC", "3DCONV", "Polybench", 127.5, P::kStreaming,
+       family<StreamingWorkload>(1.0)},
+      // --- Type II: partly repetitive ---------------------------------------
+      {"BKP", "backprop", "Rodinia", 9.0, P::kPartlyRepetitive,
+       family<PartlyRepetitiveWorkload>(1.0, 0.30, 3.0)},
+      {"PAT", "pathfinder", "Rodinia", 38.5, P::kPartlyRepetitive,
+       family<PartlyRepetitiveWorkload>(1.0, 0.25, 2.0)},
+      {"DWT", "dwt2d", "Rodinia", 27.0, P::kPartlyRepetitive,
+       family<PartlyRepetitiveWorkload>(1.0, 0.50, 2.0)},
+      {"KMN", "kmeans", "Rodinia", 130.0, P::kPartlyRepetitive,
+       family<PartlyRepetitiveWorkload>(2.0, 0.05, 8.0)},
+      // --- Type III: mostly repetitive (strided / sparse) -------------------
+      {"SAD", "sad", "Parboil", 8.5, P::kMostlyRepetitive,
+       family<StridedWorkload>(2, 4.0, 0.5, P::kMostlyRepetitive, 0.03)},
+      {"NW", "nw", "Rodinia", 32.0, P::kMostlyRepetitive,
+       family<StridedWorkload>(2, 8.0, 0.0, P::kMostlyRepetitive, 0.02)},
+      {"BFS", "bfs", "Rodinia", 37.2, P::kMostlyRepetitive,
+       family<IrregularSparseWorkload>(6, 0.5)},
+      {"MVT", "MVT", "Polybench", 64.1, P::kMostlyRepetitive,
+       family<StridedWorkload>(4, 10.0, 0.0, P::kMostlyRepetitive, 0.01)},
+      {"BIC", "BICG", "Polybench", 64.1, P::kMostlyRepetitive,
+       family<StridedWorkload>(4, 10.0, 0.25, P::kMostlyRepetitive, 0.01)},
+      // --- Type IV: thrashing -----------------------------------------------
+      {"SRD", "srad_v2", "Rodinia", 96.0, P::kThrashing, family<ThrashingWorkload>(6.0)},
+      {"HSD", "hotspot3D", "Rodinia", 24.0, P::kThrashing,
+       family<ThrashingWorkload>(8.0)},
+      {"MRQ", "mri-q", "Parboil", 5.0, P::kThrashing,
+       family<ThrashingWorkload>(8.0, /*jitter=*/80, /*shared_pages=*/true,
+                                 /*backtrack_prob=*/0.008, /*backtrack_pages=*/120)},
+      {"STN", "stencil", "Parboil", 4.0, P::kThrashing, family<ThrashingWorkload>(10.0)},
+      // --- Type V: repetitive-thrashing -------------------------------------
+      {"HWL", "heartwall", "Rodinia", 40.7, P::kRepetitiveThrashing,
+       family<RepetitiveThrashingWorkload>(0.50, 4.0, 1.0, ColdTraffic::kRandom)},
+      {"SGM", "sgemm", "Parboil", 12.0, P::kRepetitiveThrashing,
+       family<RepetitiveThrashingWorkload>(0.60, 5.0, 2.0, ColdTraffic::kStream)},
+      {"HIS", "histo", "Parboil", 13.2, P::kRepetitiveThrashing,
+       family<StridedWorkload>(2, 5.0, 1.0, P::kRepetitiveThrashing, 0.02)},
+      {"SPV", "spmv", "Parboil", 27.3, P::kRepetitiveThrashing,
+       family<RepetitiveThrashingWorkload>(0.20, 6.0, 1.5, ColdTraffic::kFixedSparse)},
+      // --- Type VI: region moving -------------------------------------------
+      // Region sizes close to the oversubscribed capacity make these
+      // capacity-sensitive, which is what lets reserved LRU hurt them (paper
+      // Fig 3/9).
+      {"B+T", "b+tree", "Rodinia", 34.7, P::kRegionMoving,
+       family<RegionMovingWorkload>(0.45, 0.45)},
+      {"HYB", "hybridsort", "Rodinia", 104.0, P::kRegionMoving,
+       family<RegionMovingWorkload>(0.40, 0.45)},
   };
   return table;
 }
@@ -51,102 +120,9 @@ std::vector<std::string> benchmark_abbrs() {
 }
 
 std::unique_ptr<Workload> make_benchmark(std::string_view abbr) {
-  const auto pages = [&](const char* a) {
-    for (const auto& b : benchmark_table())
-      if (b.abbr == a) return scaled_pages(b.paper_mb);
-    throw std::logic_error("benchmark missing from table");
-  };
-
-  // --- Type I: streaming --------------------------------------------------
-  if (abbr == "HOT") return std::make_unique<StreamingWorkload>("hotspot", "HOT", pages("HOT"), 1.0);
-  if (abbr == "LEU") return std::make_unique<StreamingWorkload>("leukocyte", "LEU", pages("LEU"), 1.0);
-  if (abbr == "2DC") return std::make_unique<StreamingWorkload>("2DCONV", "2DC", pages("2DC"), 1.0);
-  if (abbr == "3DC") return std::make_unique<StreamingWorkload>("3DCONV", "3DC", pages("3DC"), 1.0);
-
-  // --- Type II: partly repetitive ------------------------------------------
-  if (abbr == "BKP")
-    return std::make_unique<PartlyRepetitiveWorkload>("backprop", "BKP", pages("BKP"), 1.0, 0.30, 3.0);
-  if (abbr == "PAT")
-    return std::make_unique<PartlyRepetitiveWorkload>("pathfinder", "PAT", pages("PAT"), 1.0, 0.25, 2.0);
-  if (abbr == "DWT")
-    return std::make_unique<PartlyRepetitiveWorkload>("dwt2d", "DWT", pages("DWT"), 1.0, 0.50, 2.0);
-  if (abbr == "KMN")
-    return std::make_unique<PartlyRepetitiveWorkload>("kmeans", "KMN", pages("KMN"), 2.0, 0.05, 8.0);
-
-  // --- Type III: mostly repetitive (strided / sparse) ----------------------
-  if (abbr == "SAD")
-    return std::make_unique<StridedWorkload>("sad", "SAD", pages("SAD"), 2, 4.0, 0.5,
-                                             PatternType::kMostlyRepetitive, 0.03);
-  if (abbr == "NW")
-    return std::make_unique<StridedWorkload>("nw", "NW", pages("NW"), 2, 8.0, 0.0,
-                                             PatternType::kMostlyRepetitive, 0.02);
-  if (abbr == "BFS")
-    return std::make_unique<IrregularSparseWorkload>("bfs", "BFS", pages("BFS"), 6, 0.5);
-  if (abbr == "MVT")
-    return std::make_unique<StridedWorkload>("MVT", "MVT", pages("MVT"), 4, 10.0, 0.0,
-                                             PatternType::kMostlyRepetitive, 0.01);
-  if (abbr == "BIC")
-    return std::make_unique<StridedWorkload>("BICG", "BIC", pages("BIC"), 4, 10.0, 0.25,
-                                             PatternType::kMostlyRepetitive, 0.01);
-
-  // --- Type IV: thrashing ---------------------------------------------------
-  if (abbr == "SRD")
-    return std::make_unique<ThrashingWorkload>("srad_v2", "SRD", pages("SRD"), 6.0);
-  if (abbr == "HSD")
-    return std::make_unique<ThrashingWorkload>("hotspot3D", "HSD", pages("HSD"), 8.0);
-  if (abbr == "MRQ")
-    return std::make_unique<ThrashingWorkload>("mri-q", "MRQ", pages("MRQ"), 8.0,
-                                               /*jitter=*/80, /*shared_pages=*/true,
-                                               /*backtrack_prob=*/0.008,
-                                               /*backtrack_pages=*/120);
-  if (abbr == "STN")
-    return std::make_unique<ThrashingWorkload>("stencil", "STN", pages("STN"), 10.0);
-
-  // --- Type V: repetitive-thrashing -----------------------------------------
-  if (abbr == "HWL")
-    return std::make_unique<RepetitiveThrashingWorkload>("heartwall", "HWL", pages("HWL"),
-                                                         0.50, 4.0, 1.0, ColdTraffic::kRandom);
-  if (abbr == "SGM")
-    return std::make_unique<RepetitiveThrashingWorkload>("sgemm", "SGM", pages("SGM"),
-                                                         0.60, 5.0, 2.0, ColdTraffic::kStream);
-  if (abbr == "HIS")
-    return std::make_unique<StridedWorkload>("histo", "HIS", pages("HIS"), 2, 5.0, 1.0,
-                                             PatternType::kRepetitiveThrashing, 0.02);
-  if (abbr == "SPV")
-    return std::make_unique<RepetitiveThrashingWorkload>("spmv", "SPV", pages("SPV"),
-                                                         0.20, 6.0, 1.5,
-                                                         ColdTraffic::kFixedSparse);
-
-  // --- Type VI: region moving -----------------------------------------------
-  // Region sizes close to the oversubscribed capacity make these capacity-
-  // sensitive, which is what lets reserved LRU hurt them (paper Fig 3/9).
-  if (abbr == "B+T")
-    return std::make_unique<RegionMovingWorkload>("b+tree", "B+T", pages("B+T"), 0.45, 0.45);
-  if (abbr == "HYB")
-    return std::make_unique<RegionMovingWorkload>("hybridsort", "HYB", pages("HYB"), 0.40, 0.45);
-
-  // --- Extensions (not in Table II; excluded from benchmark_table() so the
-  // paper-figure geomeans and golden artefacts keep their 23-workload base).
-  // BFR: UVMBench-style BFS frontier traversal — bursty irregular far faults
-  // from every SM at once, the pattern GPUVM's GPU-driven paging targets.
-  if (abbr == "BFR")
-    return std::make_unique<GraphFrontierWorkload>("bfs-frontier", "BFR",
-                                                   scaled_pages(36.0));
-  // MLT: ML-training epochs — an activations-streaming forward pass
-  // alternating with a weights-hot backward pass over the same buffers.
-  if (abbr == "MLT") {
-    const u64 n = scaled_pages(48.0);
-    std::vector<std::unique_ptr<PatternWorkloadBase>> phases;
-    for (int epoch = 0; epoch < 2; ++epoch) {
-      phases.push_back(
-          std::make_unique<StreamingWorkload>("activations", "ACT", n, 1.0));
-      phases.push_back(std::make_unique<RepetitiveThrashingWorkload>(
-          "weights", "WGT", n, 0.30, 6.0, 0.5, ColdTraffic::kStream));
-    }
-    return std::make_unique<PhaseShiftWorkload>("ml-training", "MLT",
-                                                std::move(phases));
-  }
-
+  for (const auto* table : {&benchmark_table(), &extension_table()})
+    for (const BenchmarkInfo& b : *table)
+      if (b.abbr == abbr) return b.make(b.name, b.abbr, scaled_pages(b.paper_mb));
   throw std::invalid_argument("unknown benchmark abbreviation: " + std::string(abbr));
 }
 

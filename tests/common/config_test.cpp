@@ -52,13 +52,18 @@ TEST(Config, PolicyDefaultsMatchPaper) {
   EXPECT_EQ(p.wrong_evict_chain_divisor, 64u);
   EXPECT_EQ(p.pattern_min_untouch, 8u);
   EXPECT_EQ(p.deletion, DeletionScheme::kScheme2);
+  EXPECT_EQ(p.eviction_name, "mhpe");
+  EXPECT_EQ(p.prefetch_name, "pattern");
 }
 
 TEST(Config, EnumNames) {
-  EXPECT_STREQ(to_string(EvictionKind::kMhpe), "MHPE");
-  EXPECT_STREQ(to_string(EvictionKind::kReservedLru), "ReservedLRU");
-  EXPECT_STREQ(to_string(PrefetchKind::kPatternAware), "pattern-aware");
-  EXPECT_STREQ(to_string(PrefetchKind::kTreeNeighborhood), "tree");
+  EXPECT_STREQ(to_string(FabricKind::kSwitch), "switch");
+  EXPECT_STREQ(to_string(PlacementKind::kRoundRobin), "round-robin");
+  EXPECT_STREQ(to_string(FaultBackendKind::kGpuDriven), "gpu-driven");
+  EXPECT_STREQ(to_string(EngineKind::kSharded), "sharded");
+  EXPECT_EQ(parse_deletion_scheme("scheme1"), DeletionScheme::kScheme1);
+  EXPECT_EQ(parse_deletion_scheme("scheme2"), DeletionScheme::kScheme2);
+  EXPECT_EQ(parse_deletion_scheme("bogus"), std::nullopt);
 }
 
 }  // namespace

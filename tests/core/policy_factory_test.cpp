@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/policy_registry.hpp"
 #include "policy/mhpe.hpp"
 #include "prefetch/pattern_aware.hpp"
 
@@ -10,39 +11,35 @@ namespace {
 
 TEST(PolicyFactory, BuildsEveryEvictionKind) {
   ChunkChain chain;
-  for (EvictionKind k : {EvictionKind::kLru, EvictionKind::kFifo,
-                         EvictionKind::kRandom, EvictionKind::kReservedLru,
-                         EvictionKind::kHpe, EvictionKind::kMhpe}) {
+  for (const std::string& name : PolicyRegistry::instance().eviction_names()) {
     PolicyConfig cfg;
-    cfg.eviction = k;
+    cfg.eviction_name = name;
     auto pol = make_eviction_policy(cfg, chain);
-    ASSERT_NE(pol, nullptr) << to_string(k);
+    ASSERT_NE(pol, nullptr) << name;
     EXPECT_FALSE(pol->name().empty());
   }
 }
 
 TEST(PolicyFactory, BuildsEveryPrefetchKind) {
-  for (PrefetchKind k : {PrefetchKind::kNone, PrefetchKind::kLocality,
-                         PrefetchKind::kTreeNeighborhood,
-                         PrefetchKind::kPatternAware}) {
+  for (const std::string& name : PolicyRegistry::instance().prefetch_names()) {
     PolicyConfig cfg;
-    cfg.prefetch = k;
+    cfg.prefetch_name = name;
     auto pf = make_prefetcher(cfg);
-    ASSERT_NE(pf, nullptr) << to_string(k);
+    ASSERT_NE(pf, nullptr) << name;
   }
 }
 
 TEST(Presets, BaselineIsLruPlusLocality) {
   const PolicyConfig c = presets::baseline();
-  EXPECT_EQ(c.eviction, EvictionKind::kLru);
-  EXPECT_EQ(c.prefetch, PrefetchKind::kLocality);
+  EXPECT_EQ(c.eviction_name, "lru");
+  EXPECT_EQ(c.prefetch_name, "locality");
   EXPECT_TRUE(c.prefetch_when_full);
 }
 
 TEST(Presets, CppeIsMhpePlusPatternAwareScheme2) {
   const PolicyConfig c = presets::cppe();
-  EXPECT_EQ(c.eviction, EvictionKind::kMhpe);
-  EXPECT_EQ(c.prefetch, PrefetchKind::kPatternAware);
+  EXPECT_EQ(c.eviction_name, "mhpe");
+  EXPECT_EQ(c.prefetch_name, "pattern");
   EXPECT_EQ(c.deletion, DeletionScheme::kScheme2);
   // Paper thresholds (§VI-A).
   EXPECT_EQ(c.t1_untouch, 32u);
@@ -54,13 +51,13 @@ TEST(Presets, CppeIsMhpePlusPatternAwareScheme2) {
 TEST(Presets, Scheme1VariantDiffersOnlyInDeletion) {
   const PolicyConfig a = presets::cppe(), b = presets::cppe_scheme1();
   EXPECT_EQ(b.deletion, DeletionScheme::kScheme1);
-  EXPECT_EQ(a.eviction, b.eviction);
-  EXPECT_EQ(a.prefetch, b.prefetch);
+  EXPECT_EQ(a.eviction_name, b.eviction_name);
+  EXPECT_EQ(a.prefetch_name, b.prefetch_name);
 }
 
 TEST(Presets, ReservedLruCarriesFraction) {
   EXPECT_DOUBLE_EQ(presets::reserved_lru(0.1).reserved_fraction, 0.1);
-  EXPECT_EQ(presets::reserved_lru(0.2).eviction, EvictionKind::kReservedLru);
+  EXPECT_EQ(presets::reserved_lru(0.2).eviction_name, "reserved");
 }
 
 TEST(Presets, DisablePrefetchTogglesGate) {

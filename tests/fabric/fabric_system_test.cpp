@@ -1,10 +1,12 @@
 // FabricSystem end-to-end: single-GPU equivalence with UvmSystem (the
 // byte-identity acceptance criterion), 2- and 4-GPU determinism, placement
-// homing, the remote-vs-migrate threshold, and eviction spill-to-peer
-// relieving the host PCIe write-back path.
+// homing, the remote-vs-migrate threshold, eviction spill-to-peer
+// relieving the host PCIe write-back path, and its refusal under the
+// sharded engine.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/policy_factory.hpp"
@@ -171,6 +173,16 @@ TEST(FabricSystem, ZeroRemoteThresholdAlwaysMigrates) {
   const FabricRun r = fabric_run("NW", 0.5, f);
   EXPECT_TRUE(r.result.completed);
   EXPECT_EQ(r.result.driver.remote_accesses, 0u);
+}
+
+// The sharded fabric pins chunks to their home device, so it refuses spill.
+TEST(FabricSystem, ShardedEngineRejectsSpill) {
+  const auto wl = make_benchmark("NW");
+  EngineConfig sharded;
+  sharded.kind = EngineKind::kSharded;
+  EXPECT_THROW(FabricSystem(SystemConfig{}, presets::cppe(), *wl, 0.5,
+                            fabric_of(2, FabricKind::kRing, /*spill=*/true), sharded),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace uvmsim {
 namespace {
 
@@ -84,6 +87,56 @@ TEST(Cli, HelpReturnsFalseWithoutError) {
 TEST(Cli, HelpListsDefaults) {
   CliParser p = make();
   EXPECT_NE(p.help().find("default: NW"), std::string::npos);
+}
+
+TEST(Cli, NonNumericValuesAreRejected) {
+  CliParser p = make();
+  ASSERT_TRUE(parse(p, {"--oversub", "abc", "--count", "7x"}));
+  EXPECT_THROW((void)p.get_double("oversub"), std::invalid_argument);
+  EXPECT_THROW((void)p.get_int("count"), std::invalid_argument);
+  EXPECT_THROW((void)p.get_u32("count"), std::invalid_argument);
+  for (const char* bad : {"", " 1", "1.5", "0x10", "nan"}) {
+    CliParser q = make();
+    ASSERT_TRUE(parse(q, {"--count", bad}));
+    EXPECT_THROW((void)q.get_int("count"), std::invalid_argument) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "0.5 ", "nan", "inf", "1e999"}) {
+    CliParser q = make();
+    ASSERT_TRUE(parse(q, {"--oversub", bad}));
+    EXPECT_THROW((void)q.get_double("oversub"), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(Cli, OutOfRangeValuesAreRejected) {
+  CliParser p = make();
+  ASSERT_TRUE(parse(p, {"--count", "-1", "--oversub", "1.5"}));
+  EXPECT_EQ(p.get_int("count"), -1);
+  EXPECT_THROW((void)p.get_int("count", 0), std::invalid_argument);
+  EXPECT_THROW((void)p.get_u32("count"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(p.get_double("oversub"), 1.5);
+  EXPECT_THROW((void)p.get_double("oversub", 0.0, 1.0), std::invalid_argument);
+
+  CliParser q = make();
+  ASSERT_TRUE(parse(q, {"--count", "4294967296"}));
+  EXPECT_THROW((void)q.get_u32("count"), std::invalid_argument);
+  EXPECT_EQ(q.get_int("count"), 4294967296ll);
+
+  CliParser r = make();
+  ASSERT_TRUE(parse(r, {"--count", "99999999999999999999"}));
+  EXPECT_THROW((void)r.get_int("count"), std::invalid_argument);
+}
+
+TEST(Cli, ParseDoubleNamesTheOffender) {
+  EXPECT_DOUBLE_EQ(parse_double("--oversubs", "0.75", 0.0), 0.75);
+  try {
+    (void)parse_double("--oversubs", "abc", 0.0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--oversubs"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'abc'"), std::string::npos) << msg;
+  }
 }
 
 TEST(Cli, SplitListDropsSpacesAndEmptyItems) {

@@ -119,13 +119,24 @@ TEST(Runner, RunExperimentRejectsTwoModes) {
   tenants_fleet.fleet.enabled = true;
   for (const ExperimentSpec& s : {tenants_fabric, fabric_fleet, tenants_fleet})
     EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+}
 
-  // One tenant is a plain single-GPU run, not a second mode.
-  ExperimentSpec one_tenant = base;
-  one_tenant.tenants = {"STN"};
-  one_tenant.fabric.gpus = 2;
-  one_tenant.oversub = 1.0;
-  EXPECT_TRUE(run_experiment(one_tenant).result.completed);
+// A one-entry tenant list is refused instead of running `workload` alone.
+TEST(Runner, RunExperimentRejectsOneTenant) {
+  ExperimentSpec s;
+  s.workload = "STN";
+  s.tenants = {"STN"};
+  EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+}
+
+// Tenants share one driver, which cannot shard: a tenant run asking for
+// the sharded engine is refused instead of running sequentially.
+TEST(Runner, RunExperimentRejectsShardedTenants) {
+  ExperimentSpec s;
+  s.workload = "STN";
+  s.tenants = {"STN", "HOT"};
+  s.engine.kind = EngineKind::kSharded;
+  EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
 }
 
 TEST(Runner, MoreThreadsThanWork) {

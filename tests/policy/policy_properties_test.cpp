@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/policy_factory.hpp"
 #include "policy/eviction_policy.hpp"
@@ -12,7 +13,20 @@
 namespace uvmsim {
 namespace {
 
-class EveryPolicy : public ::testing::TestWithParam<EvictionKind> {
+// The built-in policies: display label and registered name. A test case is
+// an index into this table.
+struct Builtin {
+  const char* label;
+  const char* name;
+};
+constexpr Builtin kBuiltins[] = {{"LRU", "lru"},       {"FIFO", "fifo"},
+                                 {"Random", "random"}, {"ReservedLRU", "reserved"},
+                                 {"HPE", "hpe"},       {"MHPE", "mhpe"}};
+struct BuiltinIndex {
+  u8 i;
+};
+
+class EveryPolicy : public ::testing::TestWithParam<BuiltinIndex> {
  protected:
   void fill(ChunkChain& chain, u32 n) {
     for (ChunkId c = 0; c < n; ++c) {
@@ -23,20 +37,21 @@ class EveryPolicy : public ::testing::TestWithParam<EvictionKind> {
     }
   }
 
+  static const char* label() { return kBuiltins[GetParam().i].label; }
+
   std::unique_ptr<EvictionPolicy> make(ChunkChain& chain) {
     PolicyConfig cfg;
-    cfg.eviction = GetParam();
+    cfg.eviction_name = kBuiltins[GetParam().i].name;
     return make_eviction_policy(cfg, chain);
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, EveryPolicy,
-                         ::testing::Values(EvictionKind::kLru, EvictionKind::kFifo,
-                                           EvictionKind::kRandom,
-                                           EvictionKind::kReservedLru,
-                                           EvictionKind::kHpe, EvictionKind::kMhpe),
+                         ::testing::Values(BuiltinIndex{0}, BuiltinIndex{1},
+                                           BuiltinIndex{2}, BuiltinIndex{3},
+                                           BuiltinIndex{4}, BuiltinIndex{5}),
                          [](const auto& pinfo) {
-                           return std::string(to_string(pinfo.param));
+                           return std::string(kBuiltins[pinfo.param.i].label);
                          });
 
 TEST_P(EveryPolicy, VictimIsAlwaysAValidUnpinnedChunk) {
@@ -71,7 +86,7 @@ TEST_P(EveryPolicy, HeavyPinningNeverYieldsPinnedVictim) {
   auto pol = make(chain);
   for (int i = 0; i < 20; ++i) {
     const ChunkId v = pol->select_victim();
-    ASSERT_TRUE(v == 5 || v == 23) << to_string(GetParam());
+    ASSERT_TRUE(v == 5 || v == 23) << label();
   }
 }
 

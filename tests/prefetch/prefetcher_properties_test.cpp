@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/policy_factory.hpp"
@@ -31,11 +32,20 @@ class RandomView final : public ResidencyView {
   PageId footprint_;
 };
 
-class EveryPrefetcher : public ::testing::TestWithParam<PrefetchKind> {
+// The built-in prefetchers by registered name. A test case is an index into
+// this table.
+constexpr const char* kBuiltins[] = {"none", "locality", "tree", "pattern"};
+struct BuiltinIndex {
+  u8 i;
+};
+
+class EveryPrefetcher : public ::testing::TestWithParam<BuiltinIndex> {
  protected:
+  static std::string name() { return kBuiltins[GetParam().i]; }
+
   std::unique_ptr<Prefetcher> make() {
     PolicyConfig cfg;
-    cfg.prefetch = GetParam();
+    cfg.prefetch_name = name();
     auto pf = make_prefetcher(cfg);
     // Seed the pattern buffer so the pattern-aware prefetcher's hit path is
     // exercised too, with a stride-2 pattern on every chunk.
@@ -47,18 +57,10 @@ class EveryPrefetcher : public ::testing::TestWithParam<PrefetchKind> {
 };
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, EveryPrefetcher,
-                         ::testing::Values(PrefetchKind::kNone,
-                                           PrefetchKind::kLocality,
-                                           PrefetchKind::kTreeNeighborhood,
-                                           PrefetchKind::kPatternAware),
+                         ::testing::Values(BuiltinIndex{0}, BuiltinIndex{1},
+                                           BuiltinIndex{2}, BuiltinIndex{3}),
                          [](const auto& pinfo) {
-                           switch (pinfo.param) {
-                             case PrefetchKind::kNone: return "none";
-                             case PrefetchKind::kLocality: return "locality";
-                             case PrefetchKind::kTreeNeighborhood: return "tree";
-                             case PrefetchKind::kPatternAware: return "pattern";
-                           }
-                           return "other";
+                           return std::string(kBuiltins[pinfo.param.i]);
                          });
 
 TEST_P(EveryPrefetcher, PlansAreWellFormedAcrossResidencyStates) {
@@ -92,7 +94,7 @@ TEST_P(EveryPrefetcher, FaultedPageIsPlannedWhenNonResident) {
     // The pattern-aware prefetcher may legitimately omit a mismatching
     // faulted page only when its pattern says so — but our seeded patterns
     // cover even indices, and the driver re-adds the faulted page anyway.
-    if (GetParam() != PrefetchKind::kPatternAware ||
+    if (name() != "pattern" ||
         page_index_in_chunk(faulted) % 2 == 0) {
       EXPECT_NE(std::find(plan.begin(), plan.end(), faulted), plan.end());
     }

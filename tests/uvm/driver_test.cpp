@@ -21,8 +21,8 @@ struct DriverFixture : ::testing::Test {
 
   std::unique_ptr<UvmDriver> make_driver(u64 footprint_pages, u64 capacity_pages,
                                          bool prefetch = true) {
-    pol.eviction = EvictionKind::kLru;
-    pol.prefetch = prefetch ? PrefetchKind::kLocality : PrefetchKind::kNone;
+    pol.eviction_name = "lru";
+    pol.prefetch_name = prefetch ? "locality" : "none";
     pol.pre_evict_watermark_chunks = 0;  // exact demand-eviction accounting
     auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint_pages, capacity_pages);
     d->set_policy(std::make_unique<LruPolicy>(d->chain()));
@@ -235,8 +235,8 @@ TEST_F(DriverFixture, ResidencyViewIncludesInflight) {
 
 TEST_F(DriverFixture, PreEvictionKeepsWatermarkFree) {
   PolicyConfig p2;
-  p2.eviction = EvictionKind::kLru;
-  p2.prefetch = PrefetchKind::kLocality;
+  p2.eviction_name = "lru";
+  p2.prefetch_name = "locality";
   p2.pre_evict_watermark_chunks = 2;
   auto d2 = std::make_unique<UvmDriver>(eq, sys, p2, 32 * 16, 4 * 16);
   d2->set_policy(std::make_unique<LruPolicy>(d2->chain()));

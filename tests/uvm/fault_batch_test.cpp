@@ -22,8 +22,8 @@ struct FaultBatchFixture : ::testing::Test {
 
   std::unique_ptr<UvmDriver> make_driver(u64 footprint_pages, u64 capacity_pages,
                                          bool prefetch = false) {
-    pol.eviction = EvictionKind::kLru;
-    pol.prefetch = prefetch ? PrefetchKind::kLocality : PrefetchKind::kNone;
+    pol.eviction_name = "lru";
+    pol.prefetch_name = prefetch ? "locality" : "none";
     pol.pre_evict_watermark_chunks = 0;  // exact demand-eviction accounting
     auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint_pages, capacity_pages);
     d->set_policy(std::make_unique<LruPolicy>(d->chain()));

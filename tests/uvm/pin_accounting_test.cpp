@@ -65,7 +65,7 @@ struct PinFixture : ::testing::Test {
 // Eviction pressure arriving while those pins are live must fall on the
 // unpinned LRU chunk, and every pin must be gone once the queue drains.
 TEST_F(PinFixture, PinnedChunkSurvivesEvictionPressure) {
-  pol.prefetch = PrefetchKind::kLocality;
+  pol.prefetch_name = "locality";
   pol.prefetch_when_full = false;
   pol.pre_evict_watermark_chunks = 0;
   pol.driver_concurrency = 16;
@@ -105,7 +105,7 @@ TEST_F(PinFixture, PinnedChunkSurvivesEvictionPressure) {
 // other migrations are in flight. Whatever interleaving results, pins must
 // balance to zero and frame accounting must conserve capacity.
 TEST_F(PinFixture, OverlappingTreePlansBalancePins) {
-  pol.prefetch = PrefetchKind::kTreeNeighborhood;
+  pol.prefetch_name = "tree";
   pol.driver_concurrency = 8;
   auto d = make_driver(512 * 16, 32 * 16);
   d->set_prefetcher(std::make_unique<TreeNeighborhoodPrefetcher>());

@@ -325,7 +325,7 @@ void print_csv(const RunResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli(
       "uvmsim — GPU unified-memory oversubscription simulator (CPPE, IPDPS'20)");
   cli.add_option("workload",
@@ -444,23 +444,23 @@ int main(int argc, char** argv) {
               << " (registered: " << join_names(reg.prefetch_names()) << ")\n";
     return 2;
   }
-  pol.deletion = cli.get("deletion") == "scheme1" ? DeletionScheme::kScheme1
-                                                  : DeletionScheme::kScheme2;
-  pol.reserved_fraction = cli.get_double("reserved");
-  pol.t1_untouch = static_cast<u32>(cli.get_int("t1"));
-  pol.t2_untouch_first4 = static_cast<u32>(cli.get_int("t2"));
-  pol.t3_forward_limit = static_cast<u32>(cli.get_int("t3"));
-  pol.interval_faults = static_cast<u32>(cli.get_int("interval"));
-  pol.pattern_buffer_entries = static_cast<u32>(cli.get_int("pattern-capacity"));
-  pol.seed = static_cast<u64>(cli.get_int("seed"));
-  pol.prefetch_when_full = !cli.get_flag("no-prefetch-when-full");
-  pol.large_pages = cli.get_flag("large-pages");
-  const long long fault_batch = cli.get_int("fault-batch");
-  if (fault_batch < 1) {
-    std::cerr << "--fault-batch must be >= 1\n";
+  const auto deletion = parse_deletion_scheme(cli.get("deletion"));
+  if (!deletion) {
+    std::cerr << "unknown --deletion: " << cli.get("deletion")
+              << " (scheme1 | scheme2)\n";
     return 2;
   }
-  pol.fault_batch = static_cast<u32>(fault_batch);
+  pol.deletion = *deletion;
+  pol.reserved_fraction = cli.get_double("reserved", 0.0, 1.0);
+  pol.t1_untouch = cli.get_u32("t1");
+  pol.t2_untouch_first4 = cli.get_u32("t2");
+  pol.t3_forward_limit = cli.get_u32("t3");
+  pol.interval_faults = cli.get_u32("interval", 1);
+  pol.pattern_buffer_entries = cli.get_u32("pattern-capacity");
+  pol.seed = static_cast<u64>(cli.get_int("seed", 0));
+  pol.prefetch_when_full = !cli.get_flag("no-prefetch-when-full");
+  pol.large_pages = cli.get_flag("large-pages");
+  pol.fault_batch = cli.get_u32("fault-batch", 1);
 
   const auto event_mask = parse_event_mask(cli.get("trace-events"));
   if (!event_mask) {
@@ -470,8 +470,8 @@ int main(int argc, char** argv) {
   }
 
   SystemConfig sys;
-  sys.num_sms = static_cast<u32>(cli.get_int("sms"));
-  sys.warps_per_sm = static_cast<u32>(cli.get_int("warps"));
+  sys.num_sms = cli.get_u32("sms", 1);
+  sys.warps_per_sm = cli.get_u32("warps", 1);
   const auto backend = parse_fault_backend_kind(cli.get("fault-backend"));
   if (!backend) {
     std::cerr << "unknown --fault-backend: " << cli.get("fault-backend")
@@ -491,15 +491,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   sys.evict_service_us = evict_service_us;
-  const long long queue_depth = cli.get_int("gpu-fault-queue-depth");
-  if (queue_depth < 1) {
-    std::cerr << "--gpu-fault-queue-depth must be >= 1\n";
-    return 2;
-  }
-  sys.gpu_fault_queue_depth = static_cast<u32>(queue_depth);
+  sys.gpu_fault_queue_depth = cli.get_u32("gpu-fault-queue-depth", 1);
 
   const bool fleet = cli.get_flag("fleet");
-  const bool multi_gpu = cli.get_int("gpus") >= 2;
+  const u32 gpus = cli.get_u32("gpus", 1);
+  const bool multi_gpu = gpus >= 2;
   EngineConfig eng;
   const auto engine_kind = parse_engine_kind(cli.get("engine"));
   if (!engine_kind) {
@@ -508,12 +504,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   eng.kind = *engine_kind;
-  const long long engine_threads = cli.get_int("engine-threads");
-  if (engine_threads < 0) {
-    std::cerr << "--engine-threads must be >= 0\n";
-    return 2;
-  }
-  eng.threads = static_cast<u32>(engine_threads);
+  eng.threads = cli.get_u32("engine-threads");
   if (eng.kind == EngineKind::kSharded) {
     // Sharding needs per-device state: one shared driver (tenants) cannot
     // shard, and spill moves chunks between devices mid-run, which the
@@ -546,168 +537,170 @@ int main(int argc, char** argv) {
     }
   }
 
-  try {
-    // Fleet, multi-tenant and fabric runs go through run_experiment; the
-    // CLI's runs are uncapped.
-    ExperimentSpec spec;
-    spec.workload = cli.get("workload");
-    spec.policy = pol;
-    spec.oversub = cli.get_double("oversub");
-    spec.system = sys;
-    spec.engine = eng;
-    spec.max_cycles = std::numeric_limits<Cycle>::max();
-    spec.trace_event_mask = *event_mask;
-    if (cli.was_set("trace-out")) spec.trace_out = cli.get("trace-out");
+  // Fleet, multi-tenant and fabric runs go through run_experiment; the
+  // CLI's runs are uncapped.
+  ExperimentSpec spec;
+  spec.workload = cli.get("workload");
+  spec.policy = pol;
+  spec.oversub = cli.get_double("oversub", 0.0);
+  spec.system = sys;
+  spec.engine = eng;
+  spec.max_cycles = std::numeric_limits<Cycle>::max();
+  spec.trace_event_mask = *event_mask;
+  if (cli.was_set("trace-out")) spec.trace_out = cli.get("trace-out");
 
-    RunResult r;
-    if (fleet) {
-      FleetConfig& fl = spec.fleet;
-      fl.enabled = true;
-      if (cli.was_set("gpus"))
-        fl.devices = static_cast<u32>(std::max(1ll, cli.get_int("gpus")));
-      fl.jobs = static_cast<u64>(std::max(1ll, cli.get_int("jobs")));
-      fl.arrival_rate = cli.get_double("arrival-rate");
-      if (cli.was_set("oversub")) fl.oversub = cli.get_double("oversub");
-      const auto adm = parse_admission_kind(cli.get("admission"));
-      if (!adm) {
-        std::cerr << "unknown --admission: " << cli.get("admission") << "\n";
+  RunResult r;
+  if (fleet) {
+    FleetConfig& fl = spec.fleet;
+    fl.enabled = true;
+    if (cli.was_set("gpus")) fl.devices = gpus;
+    fl.jobs = static_cast<u64>(cli.get_int("jobs", 1));
+    fl.arrival_rate = cli.get_double("arrival-rate");
+    if (fl.arrival_rate <= 0) {
+      std::cerr << "--arrival-rate must be > 0\n";
+      return 2;
+    }
+    if (cli.was_set("oversub")) fl.oversub = spec.oversub;
+    const auto adm = parse_admission_kind(cli.get("admission"));
+    if (!adm) {
+      std::cerr << "unknown --admission: " << cli.get("admission") << "\n";
+      return 2;
+    }
+    fl.admission = *adm;
+    const auto sched = parse_fleet_sched_kind(cli.get("fleet-sched"));
+    if (!sched) {
+      std::cerr << "unknown --fleet-sched: " << cli.get("fleet-sched") << "\n";
+      return 2;
+    }
+    fl.scheduler = *sched;
+    if (cli.was_set("arrival-trace")) {
+      fl.arrival_trace = cli.get("arrival-trace");
+      if (ArrivalStream::load_trace(fl.arrival_trace).empty()) {
+        std::cerr << "error: cannot read arrival trace (or no gaps): "
+                  << fl.arrival_trace << "\n";
         return 2;
-      }
-      fl.admission = *adm;
-      const auto sched = parse_fleet_sched_kind(cli.get("fleet-sched"));
-      if (!sched) {
-        std::cerr << "unknown --fleet-sched: " << cli.get("fleet-sched") << "\n";
-        return 2;
-      }
-      fl.scheduler = *sched;
-      if (cli.was_set("arrival-trace")) {
-        fl.arrival_trace = cli.get("arrival-trace");
-        if (ArrivalStream::load_trace(fl.arrival_trace).empty()) {
-          std::cerr << "error: cannot read arrival trace (or no gaps): "
-                    << fl.arrival_trace << "\n";
-          return 2;
-        }
-      }
-      r = run_experiment(spec).result;
-    } else if (cli.was_set("tenants")) {
-      spec.tenants = split_list(cli.get("tenants"));
-      if (spec.tenants.size() < 2) {
-        std::cerr << "--tenants needs at least two workloads, e.g. NW,BFS\n";
-        return 2;
-      }
-      const auto mode = parse_tenant_mode(cli.get("tenant-mode"));
-      if (!mode) {
-        std::cerr << "unknown --tenant-mode: " << cli.get("tenant-mode") << "\n";
-        return 2;
-      }
-      spec.tenant_mode = *mode;
-      const auto scope = parse_eviction_scope(cli.get("tenant-evict"));
-      if (!scope) {
-        std::cerr << "unknown --tenant-evict: " << cli.get("tenant-evict") << "\n";
-        return 2;
-      }
-      spec.tenant_scope = *scope;
-      // Solo baseline: same workload alone on the tenant's SM slice at the
-      // same oversubscription, so slowdown isolates memory-system
-      // interference from the static SM split.
-      spec.tenant_solo_baselines = !cli.get_flag("no-solo");
-      r = run_experiment(spec).result;
-    } else if (multi_gpu) {
-      FabricConfig& fab = spec.fabric;
-      fab.gpus = static_cast<u32>(cli.get_int("gpus"));
-      const auto kind = parse_fabric_kind(cli.get("fabric"));
-      if (!kind) {
-        std::cerr << "unknown --fabric: " << cli.get("fabric") << "\n";
-        return 2;
-      }
-      fab.topology = *kind;
-      const auto placement = parse_placement_kind(cli.get("placement"));
-      if (!placement) {
-        std::cerr << "unknown --placement: " << cli.get("placement") << "\n";
-        return 2;
-      }
-      fab.placement = *placement;
-      fab.remote_threshold = static_cast<u32>(cli.get_int("remote-threshold"));
-      fab.spill = cli.get_flag("spill");
-      r = run_experiment(spec).result;
-    } else {
-      // Single GPU: the CLI builds the system itself for a trace replay,
-      // trace recording and interval metrics.
-      std::unique_ptr<Workload> workload;
-      if (cli.was_set("trace")) {
-        workload = std::make_unique<TraceWorkload>(load_trace(cli.get("trace")));
-      } else {
-        workload = make_benchmark(cli.get("workload"));
-      }
-
-      if (cli.was_set("record-trace")) {
-        const Trace t =
-            record_trace(*workload, sys.num_sms * sys.warps_per_sm, pol.seed);
-        save_trace(cli.get("record-trace"), t);
-        u64 total = 0;
-        for (const auto& s : t.streams) total += s.accesses.size();
-        std::cout << "recorded " << t.streams.size() << " warp streams, " << total
-                  << " accesses -> " << cli.get("record-trace") << "\n";
-        return 0;
-      }
-
-      UvmSystem system(sys, pol, *workload, cli.get_double("oversub"));
-
-      // Flight-recorder sinks must outlive run(); the recorder borrows them.
-      std::ofstream trace_file;
-      std::unique_ptr<JsonlSink> trace_sink;
-      IntervalMetricsSink interval_sink;
-      system.recorder().set_event_mask(*event_mask);
-      if (cli.was_set("trace-out")) {
-        trace_file.open(cli.get("trace-out"));
-        if (!trace_file) {
-          std::cerr << "error: cannot open " << cli.get("trace-out") << "\n";
-          return 2;
-        }
-        trace_sink = std::make_unique<JsonlSink>(trace_file);
-        system.recorder().add_sink(trace_sink.get());
-      }
-      if (cli.was_set("interval-metrics"))
-        system.recorder().add_sink(&interval_sink);
-
-      r = system.run();
-
-      if (cli.was_set("interval-metrics")) {
-        const std::string path = cli.get("interval-metrics");
-        interval_sink.finalize(system.queue().now());
-        std::ofstream mf(path);
-        if (!mf) {
-          std::cerr << "error: cannot open " << path << "\n";
-          return 2;
-        }
-        if (path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0)
-          interval_sink.write_jsonl(mf);
-        else
-          interval_sink.write_csv(mf);
       }
     }
-
-    if (cli.get_flag("csv")) {
-      if (r.fleet.enabled) {
-        print_fleet_csv(r);
-      } else {
-        print_csv(r);
-        if (!r.tenants.empty()) print_tenant_csv(r);
-        if (!r.devices.empty()) print_fabric_csv(r);
-      }
-    } else {
-      if (r.fleet.enabled) {
-        print_fleet(r);
-      } else {
-        print_text(r);
-        if (!r.tenants.empty()) print_tenants(r, !cli.get_flag("no-solo"));
-        if (!r.devices.empty()) print_fabric(r);
-      }
-      if (cli.get_flag("sim-stats")) print_sim_stats(r);
+    r = run_experiment(spec).result;
+  } else if (cli.was_set("tenants")) {
+    spec.tenants = split_list(cli.get("tenants"));
+    if (spec.tenants.size() < 2) {
+      std::cerr << "--tenants needs at least two workloads, e.g. NW,BFS\n";
+      return 2;
     }
-    return r.completed ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
+    const auto mode = parse_tenant_mode(cli.get("tenant-mode"));
+    if (!mode) {
+      std::cerr << "unknown --tenant-mode: " << cli.get("tenant-mode") << "\n";
+      return 2;
+    }
+    spec.tenant_mode = *mode;
+    const auto scope = parse_eviction_scope(cli.get("tenant-evict"));
+    if (!scope) {
+      std::cerr << "unknown --tenant-evict: " << cli.get("tenant-evict") << "\n";
+      return 2;
+    }
+    spec.tenant_scope = *scope;
+    // Solo baseline: same workload alone on the tenant's SM slice at the
+    // same oversubscription, so slowdown isolates memory-system
+    // interference from the static SM split.
+    spec.tenant_solo_baselines = !cli.get_flag("no-solo");
+    r = run_experiment(spec).result;
+  } else if (multi_gpu) {
+    FabricConfig& fab = spec.fabric;
+    fab.gpus = gpus;
+    const auto kind = parse_fabric_kind(cli.get("fabric"));
+    if (!kind) {
+      std::cerr << "unknown --fabric: " << cli.get("fabric") << "\n";
+      return 2;
+    }
+    fab.topology = *kind;
+    const auto placement = parse_placement_kind(cli.get("placement"));
+    if (!placement) {
+      std::cerr << "unknown --placement: " << cli.get("placement") << "\n";
+      return 2;
+    }
+    fab.placement = *placement;
+    fab.remote_threshold = cli.get_u32("remote-threshold");
+    fab.spill = cli.get_flag("spill");
+    r = run_experiment(spec).result;
+  } else {
+    // Single GPU: the CLI builds the system itself for a trace replay,
+    // trace recording and interval metrics.
+    std::unique_ptr<Workload> workload;
+    if (cli.was_set("trace")) {
+      workload = std::make_unique<TraceWorkload>(load_trace(cli.get("trace")));
+    } else {
+      workload = make_benchmark(cli.get("workload"));
+    }
+
+    if (cli.was_set("record-trace")) {
+      const Trace t =
+          record_trace(*workload, sys.num_sms * sys.warps_per_sm, pol.seed);
+      save_trace(cli.get("record-trace"), t);
+      u64 total = 0;
+      for (const auto& s : t.streams) total += s.accesses.size();
+      std::cout << "recorded " << t.streams.size() << " warp streams, " << total
+                << " accesses -> " << cli.get("record-trace") << "\n";
+      return 0;
+    }
+
+    UvmSystem system(sys, pol, *workload, spec.oversub);
+
+    // Flight-recorder sinks must outlive run(); the recorder borrows them.
+    std::ofstream trace_file;
+    std::unique_ptr<JsonlSink> trace_sink;
+    IntervalMetricsSink interval_sink;
+    system.recorder().set_event_mask(*event_mask);
+    if (cli.was_set("trace-out")) {
+      trace_file.open(cli.get("trace-out"));
+      if (!trace_file) {
+        std::cerr << "error: cannot open " << cli.get("trace-out") << "\n";
+        return 2;
+      }
+      trace_sink = std::make_unique<JsonlSink>(trace_file);
+      system.recorder().add_sink(trace_sink.get());
+    }
+    if (cli.was_set("interval-metrics"))
+      system.recorder().add_sink(&interval_sink);
+
+    r = system.run();
+
+    if (cli.was_set("interval-metrics")) {
+      const std::string path = cli.get("interval-metrics");
+      interval_sink.finalize(system.queue().now());
+      std::ofstream mf(path);
+      if (!mf) {
+        std::cerr << "error: cannot open " << path << "\n";
+        return 2;
+      }
+      if (path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0)
+        interval_sink.write_jsonl(mf);
+      else
+        interval_sink.write_csv(mf);
+    }
   }
+
+  if (cli.get_flag("csv")) {
+    if (r.fleet.enabled) {
+      print_fleet_csv(r);
+    } else {
+      print_csv(r);
+      if (!r.tenants.empty()) print_tenant_csv(r);
+      if (!r.devices.empty()) print_fabric_csv(r);
+    }
+  } else {
+    if (r.fleet.enabled) {
+      print_fleet(r);
+    } else {
+      print_text(r);
+      if (!r.tenants.empty()) print_tenants(r, !cli.get_flag("no-solo"));
+      if (!r.devices.empty()) print_fabric(r);
+    }
+    if (cli.get_flag("sim-stats")) print_sim_stats(r);
+  }
+  return r.completed ? 0 : 1;
+} catch (const std::exception& e) {
+  // Malformed option values and failed runs alike exit 2.
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

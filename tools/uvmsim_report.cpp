@@ -5,6 +5,7 @@
 //   uvmsim_report --out report.md
 //   uvmsim_report --oversubs 0.5 --out -        (stdout)
 //   uvmsim_report --tenants "NW+BFS;MVT+SRD" --out -   (adds fairness section)
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -20,15 +21,18 @@ using namespace uvmsim;
 
 namespace {
 
-std::vector<double> parse_rates(const std::string& s) {
+/// The comma-separated numbers of option `name`, each at least `min`.
+std::vector<double> parse_list(const CliParser& cli, const std::string& name,
+                               double min) {
   std::vector<double> out;
-  for (const std::string& item : split_list(s)) out.push_back(std::stod(item));
+  for (const std::string& item : split_list(cli.get(name)))
+    out.push_back(parse_double("--" + name, item, min));
   return out;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("uvmsim_report — one-shot reproduction report (Markdown)");
   cli.add_option("out", "output path ('-' = stdout)", "-");
   cli.add_option("oversubs", "comma-separated oversubscription rates", "0.75,0.5");
@@ -46,7 +50,9 @@ int main(int argc, char** argv) {
   cli.add_option("threads", "worker threads (0 = hardware)", "0");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
-  const auto rates = parse_rates(cli.get("oversubs"));
+  const auto rates = parse_list(cli, "oversubs", 0.0);
+  const auto fabric_gpus = parse_list(cli, "fabric", 2.0);
+  const u32 threads = cli.get_u32("threads");
   const std::vector<std::pair<std::string, PolicyConfig>> policies = {
       {"baseline", presets::baseline()}, {"Random", presets::random_evict()},
       {"LRU-10%", presets::reserved_lru(0.10)},
@@ -65,8 +71,7 @@ int main(int argc, char** argv) {
         specs.push_back(std::move(s));
       }
   std::cerr << "running " << specs.size() << " experiments...\n";
-  const auto results =
-      run_sweep(specs, static_cast<unsigned>(cli.get_int("threads")));
+  const auto results = run_sweep(specs, threads);
 
   // Index by (workload, label, rate).
   std::map<std::tuple<std::string, std::string, double>, const RunResult*> idx;
@@ -136,8 +141,7 @@ int main(int argc, char** argv) {
       }
     }
     std::cerr << "running " << tspecs.size() << " multi-tenant experiments...\n";
-    const auto tresults =
-        run_sweep(tspecs, static_cast<unsigned>(cli.get_int("threads")));
+    const auto tresults = run_sweep(tspecs, threads);
 
     md << "## Multi-tenant fairness (CPPE, " << fmt(ov * 100, 0)
        << "% fits)\n\n"
@@ -167,12 +171,8 @@ int main(int argc, char** argv) {
   if (cli.was_set("fabric") && !rates.empty()) {
     const double ov = rates.front();
     std::vector<ExperimentSpec> fspecs;
-    for (const double gpus_d : parse_rates(cli.get("fabric"))) {
+    for (const double gpus_d : fabric_gpus) {
       const u32 gpus = static_cast<u32>(gpus_d);
-      if (gpus < 2) {
-        std::cerr << "--fabric GPU counts must be >= 2\n";
-        return 2;
-      }
       for (bool spill : {false, true}) {
         ExperimentSpec s;
         s.workload = "NW";
@@ -185,8 +185,7 @@ int main(int argc, char** argv) {
       }
     }
     std::cerr << "running " << fspecs.size() << " fabric experiments...\n";
-    const auto fresults =
-        run_sweep(fspecs, static_cast<unsigned>(cli.get_int("threads")));
+    const auto fresults = run_sweep(fspecs, threads);
 
     md << "## Multi-GPU fabric (NW, ring, " << fmt(ov * 100, 0)
        << "% fits)\n\n"
@@ -223,8 +222,7 @@ int main(int argc, char** argv) {
       }
     }
     std::cerr << "running " << lspecs.size() << " large-pages experiments...\n";
-    const auto lresults =
-        run_sweep(lspecs, static_cast<unsigned>(cli.get_int("threads")));
+    const auto lresults = run_sweep(lspecs, threads);
 
     md << "## 2 MB large frames (CPPE, " << fmt(ov * 100, 0) << "% fits)\n\n"
        << "Transparent 2 MB frames (docs/memory.md): fully-touched aligned "
@@ -273,4 +271,8 @@ int main(int argc, char** argv) {
     std::cerr << "wrote " << cli.get("out") << "\n";
   }
   return incomplete == 0 ? 0 : 1;
+} catch (const std::exception& e) {
+  // Malformed option values and failed runs alike exit 2.
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

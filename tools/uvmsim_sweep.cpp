@@ -9,6 +9,7 @@
 //
 //   uvmsim_sweep --tenants "NW+BFS;MVT+SRD" --tenant-modes shared,quota
 //                --out results.csv --tenant-out tenants.csv
+#include <exception>
 #include <iostream>
 
 #include "core/policy_factory.hpp"
@@ -21,7 +22,7 @@
 
 using namespace uvmsim;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("uvmsim_sweep — run a policy/workload/oversubscription grid");
   cli.add_option("workloads", "comma-separated Table II abbreviations", "all");
   cli.add_option("policies",
@@ -84,6 +85,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<double> oversubs;
+  for (const auto& item : split_list(cli.get("oversubs")))
+    oversubs.push_back(parse_double("--oversubs", item, 0.0));
+
   std::vector<ExperimentSpec> specs;
   if (cli.was_set("tenants")) {
     const auto scope = parse_eviction_scope(cli.get("tenant-evict"));
@@ -98,7 +103,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       for (const auto& mode_str : split_list(cli.get("tenant-modes")))
-        for (const auto& ov_str : split_list(cli.get("oversubs")))
+        for (const double ov : oversubs)
           for (const auto& [label, pol] : policies) {
             const auto mode = parse_tenant_mode(mode_str);
             if (!mode) {
@@ -109,7 +114,7 @@ int main(int argc, char** argv) {
             s.workload = group;
             s.label = label + "/" + mode_str;
             s.policy = pol;
-            s.oversub = std::stod(ov_str);
+            s.oversub = ov;
             s.tenants = members;
             s.tenant_mode = *mode;
             s.tenant_scope = *scope;
@@ -118,20 +123,19 @@ int main(int argc, char** argv) {
     }
   } else {
     for (const auto& w : workloads)
-      for (const auto& ov_str : split_list(cli.get("oversubs")))
+      for (const double ov : oversubs)
         for (const auto& [label, pol] : policies) {
           ExperimentSpec s;
           s.workload = w;
           s.label = label;
           s.policy = pol;
-          s.oversub = std::stod(ov_str);
+          s.oversub = ov;
           specs.push_back(std::move(s));
         }
   }
 
   std::cerr << "running " << specs.size() << " experiments...\n";
-  const auto results =
-      run_sweep(specs, static_cast<unsigned>(cli.get_int("threads")));
+  const auto results = run_sweep(specs, cli.get_u32("threads"));
 
   if (cli.was_set("out")) {
     save_csv(cli.get("out"), results);
@@ -157,4 +161,8 @@ int main(int argc, char** argv) {
     std::cout << t.str();
   }
   return 0;
+} catch (const std::exception& e) {
+  // Malformed option values and failed runs alike exit 2.
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
