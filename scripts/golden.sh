@@ -83,14 +83,32 @@ rejects() {
   echo "$name $rc $(digest "$TMP/stdout") -" >> "$OUT"
 }
 
+# intervals <scenario> <csv|jsonl> <uvmsim args...>: hash the exit code,
+# stdout and --interval-metrics file of an untraced run.
+intervals() {
+  local name="$1" file="$TMP/intervals.$2" rc=0
+  shift 2
+  LAST="$name"
+  rm -f "$file"
+  "$UVMSIM" "$@" --interval-metrics "$file" > "$TMP/stdout" 2>/dev/null || rc=$?
+  echo "$name $rc $(digest "$TMP/stdout") $(digest "$file")" >> "$OUT"
+}
+
 # same <a> <b>: two scenarios already run must have equal exit code, stdout
-# and trace digests.
+# and trace digests. same_stdout compares exit code and stdout alone.
 same() {
   local a b
   a="$(awk -v n="$1" '$1 == n { $1 = ""; print }' "$OUT")"
   b="$(awk -v n="$2" '$1 == n { $1 = ""; print }' "$OUT")"
   ASSERTIONS=$((ASSERTIONS + 1))
   [ -n "$a" ] && [ "$a" = "$b" ] || fail "$1 and $2 differ"
+}
+same_stdout() {
+  local a b
+  a="$(awk -v n="$1" '$1 == n { print $2, $3 }' "$OUT")"
+  b="$(awk -v n="$2" '$1 == n { print $2, $3 }' "$OUT")"
+  ASSERTIONS=$((ASSERTIONS + 1))
+  [ -n "$a" ] && [ "$a" = "$b" ] || fail "$1 and $2 differ on stdout"
 }
 
 # has / lacks <stdout|trace> <regex>: the scenario just run by cli() does or
@@ -233,6 +251,40 @@ rejects reject/sweep/workloads-XYZ uvmsim_sweep --workloads XYZ
 rejects reject/sweep/threads-abc uvmsim_sweep --threads abc
 rejects reject/report/oversubs-abc uvmsim_report --oversubs abc
 rejects reject/report/threads-abc uvmsim_report --threads abc
+
+# --interval-metrics rows, CSV and JSONL. Under --large-pages the queue clock
+# runs past the last warp, and the last row closes at the queue clock.
+for fmt in csv jsonl; do
+  intervals "single/NW-0.5-intervals-$fmt" "$fmt" --workload NW --oversub 0.5
+  lacks stdout 'trace events recorded'
+  intervals "single/SRD-0.9-large-pages-intervals-$fmt" "$fmt" --workload SRD \
+    --oversub 0.9 --large-pages
+  intervals "single/BFR-0.5-gpu-driven-intervals-$fmt" "$fmt" --workload BFR \
+    --oversub 0.5 --fault-backend gpu-driven
+done
+
+# --trace-events filters the trace file alone: the run, its adaptive phase
+# classifiers and its interval rows see every event, and only a run with
+# --trace-out reports a trace-event count.
+cli single/MLT-0.5-adaptive-csv 0 --workload MLT --oversub 0.5 --eviction adaptive \
+  --prefetch adaptive --csv
+cli single/MLT-0.5-adaptive-csv-trace-events 1 --workload MLT --oversub 0.5 \
+  --eviction adaptive --prefetch adaptive --csv --trace-events fault_raised
+same_stdout single/MLT-0.5-adaptive-csv single/MLT-0.5-adaptive-csv-trace-events
+intervals single/NW-0.5-intervals-csv-trace-events csv --workload NW --oversub 0.5 \
+  --trace-events fault_raised
+same single/NW-0.5-intervals-csv single/NW-0.5-intervals-csv-trace-events
+cli single/NW-0.5-adaptive-untraced 0 --workload NW --oversub 0.5 --eviction adaptive \
+  --prefetch adaptive
+lacks stdout 'trace events recorded'
+
+# The fleet refuses arrival settings it used to replace, and the sharded
+# engine refuses spill on one GPU too.
+rejects reject/uvmsim/arrival-rate-zero uvmsim --workload NW --fleet --arrival-rate 0
+rejects reject/uvmsim/arrival-trace-unreadable uvmsim --workload NW --fleet \
+  --arrival-trace "$TMP/none.txt"
+rejects reject/uvmsim/engine-sharded-spill-gpus1 uvmsim --workload NW --engine sharded \
+  --spill
 
 if [ "${#FAILED[@]}" -gt 0 ]; then
   printf 'golden: assertion failed: %s\n' "${FAILED[@]}" >&2

@@ -81,7 +81,7 @@ RunResult SystemBase::run_and_collect(
     r.engine_stats.lookahead_cycles = engine_.lookahead();
     static_cast<EngineStats&>(r.engine_stats) = engine_.stats();
   }
-  trace_.finish();
+  trace_.finish(last_now);
   return r;
 }
 

@@ -33,10 +33,10 @@ class SystemBase {
   SystemBase(const SystemBase&) = delete;
   SystemBase& operator=(const SystemBase&) = delete;
 
-  /// Attach a trace sink / event filter to every recorder of the system.
-  /// Sharded runs deliver the merged, deterministic stream after run().
+  /// Attach a trace sink to every recorder of the system; every sink sees
+  /// every event. Sharded runs deliver the merged, deterministic stream
+  /// after run(), which finishes each sink at the run's last cycle.
   void add_sink(TraceSink* sink) { trace_.add_sink(sink); }
-  void set_event_mask(u32 mask) { trace_.set_event_mask(mask); }
 
   [[nodiscard]] ShardedEngine& engine() noexcept { return engine_; }
   /// Shard 0's queue: THE queue of a single-shard system.
@@ -65,7 +65,8 @@ class SystemBase {
   ///    backend statistics, PCIe traffic and chain lengths over the stacks;
   ///  - the trace-event count, the simulator counters over every shard, and
   ///    the engine counters when sharded.
-  /// The recorders are flushed and staged traces delivered before it returns.
+  /// Staged traces are delivered and the sinks finished at the furthest
+  /// shard clock before it returns.
   [[nodiscard]] RunResult run_and_collect(
       const std::vector<std::unique_ptr<Gpu>>& gpus, Cycle max_cycles);
 

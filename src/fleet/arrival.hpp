@@ -32,11 +32,12 @@ class ArrivalStream {
     u32 tpl = 0;    ///< job-mix template index
   };
 
-  /// `trace` is the pre-parsed interarrival trace (empty = Poisson). The two
-  /// RNG streams are split off `seed` with distinct SplitMix64 offsets.
+  /// `trace` is the pre-parsed interarrival trace (empty = Poisson at
+  /// cfg.arrival_rate, which must be > 0). The two RNG streams are split off
+  /// `seed` with distinct SplitMix64 offsets.
   ArrivalStream(const FleetConfig& cfg, u64 seed, u32 num_templates,
                 std::vector<Cycle> trace = {})
-      : mean_gap_(1e6 / (cfg.arrival_rate > 0.0 ? cfg.arrival_rate : 1.0)),
+      : mean_gap_(1e6 / cfg.arrival_rate),
         trace_(std::move(trace)),
         gap_rng_(SplitMix64(seed ^ 0xA88A1EDFACE0Full).next()),
         tpl_rng_(SplitMix64(seed ^ 0x70B5CA7A10Full).next()),
@@ -63,7 +64,7 @@ class ArrivalStream {
 
   /// Parse an interarrival trace file: one decimal gap (cycles) per line,
   /// blank lines and '#' comments ignored. Returns empty on an unreadable
-  /// or gap-free file (the caller falls back to Poisson or reports).
+  /// or gap-free file (FleetSystem refuses it).
   [[nodiscard]] static std::vector<Cycle> load_trace(const std::string& path);
 
  private:

@@ -47,6 +47,15 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
   if (fleet_.arena_pages == 0 || fleet_.arena_pages % kAlign != 0)
     throw std::invalid_argument("fleet arena_pages must be a positive multiple of " +
                                 std::to_string(kAlign));
+  if (!(fleet_.arrival_rate > 0.0))
+    throw std::invalid_argument("fleet arrival_rate must be > 0");
+  std::vector<Cycle> trace;
+  if (!fleet_.arrival_trace.empty()) {
+    trace = ArrivalStream::load_trace(fleet_.arrival_trace);
+    if (trace.empty())
+      throw std::invalid_argument("cannot read arrival trace (or it holds no gap): " +
+                                  fleet_.arrival_trace);
+  }
   job_cfg_.num_sms = std::max<u32>(1, fleet_.job_sms);
   job_slots_ = std::max<u64>(1, sys_cfg_.num_sms / job_cfg_.num_sms);
 
@@ -69,9 +78,6 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
     solo_cycles_.push_back(std::max<Cycle>(1, solo.run().cycles));
   }
 
-  std::vector<Cycle> trace;
-  if (!fleet_.arrival_trace.empty())
-    trace = ArrivalStream::load_trace(fleet_.arrival_trace);
   arrivals_ = std::make_unique<ArrivalStream>(
       fleet_, pol_cfg_.seed, static_cast<u32>(mix_.size()), std::move(trace));
 

@@ -57,8 +57,10 @@ namespace uvmsim {
 
 class FleetSystem : public SystemBase {
  public:
-  /// Throws std::invalid_argument when `fleet` has no devices or jobs, or an
-  /// arena that is not a positive multiple of the namespace alignment.
+  /// Throws std::invalid_argument when `fleet` has no devices or jobs, an
+  /// arena that is not a positive multiple of the namespace alignment, an
+  /// arrival rate <= 0, or an arrival trace that cannot be read or holds no
+  /// gap.
   FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
               const FleetConfig& fleet, const EngineConfig& engine = {});
   ~FleetSystem();
@@ -69,7 +71,7 @@ class FleetSystem : public SystemBase {
   [[nodiscard]] RunResult run(
       Cycle max_cycles = std::numeric_limits<Cycle>::max());
 
-  /// add_sink/set_event_mask reach the fleet-level recorder and every
+  /// add_sink reaches the fleet-level recorder and every
   /// device recorder: one JSONL stream carries job lifecycle and fault
   /// traffic interleaved. queue() is the control shard's.
   [[nodiscard]] FlightRecorder& job_recorder() noexcept {

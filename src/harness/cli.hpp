@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,15 @@ class CliParser {
       long long max = std::numeric_limits<long long>::max()) const;
   /// get_int over [min, UINT32_MAX].
   [[nodiscard]] u32 get_u32(const std::string& name, u32 min = 0) const;
+  /// The value run through `parser`, a name -> std::optional<T> function
+  /// such as parse_engine_kind. Throws std::invalid_argument naming the
+  /// option when `parser` returns nullopt.
+  template <class Parser>
+  [[nodiscard]] auto get_parsed(const std::string& name, Parser parser) const {
+    const std::string value = get(name);
+    if (const auto parsed = parser(value)) return *parsed;
+    throw std::invalid_argument("unknown --" + name + " value: " + value);
+  }
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] bool was_set(const std::string& name) const;
 

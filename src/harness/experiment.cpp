@@ -1,6 +1,5 @@
 #include "harness/experiment.hpp"
 
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -8,44 +7,43 @@
 #include "core/uvm_system.hpp"
 #include "fabric/fabric_system.hpp"
 #include "fleet/fleet_system.hpp"
-#include "obs/trace_sink.hpp"
 #include "tenancy/multi_tenant_system.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace uvmsim {
 
-LabelledResult run_experiment(const ExperimentSpec& spec) {
+LabelledResult run_experiment(const ExperimentSpec& spec,
+                              const std::vector<TraceSink*>& sinks,
+                              const Workload* workload) {
   const bool tenants = !spec.tenants.empty();
+  const bool fabric = spec.fabric.gpus >= 2;
+  const bool sharded = spec.engine.kind == EngineKind::kSharded;
   if (spec.tenants.size() == 1)
     throw std::invalid_argument("a tenant run needs at least two workloads");
-  if (tenants + (spec.fabric.gpus >= 2) + spec.fleet.enabled > 1)
+  if (tenants + fabric + spec.fleet.enabled > 1)
     throw std::invalid_argument(
         "experiment sets more than one of tenants, fabric and fleet");
-  if (tenants && spec.engine.kind == EngineKind::kSharded)
+  if (sharded && tenants)
     throw std::invalid_argument(
         "the sharded engine does not support tenant runs (one shared driver "
         "cannot shard)");
+  if (sharded && spec.fabric.spill && !spec.fleet.enabled)
+    throw std::invalid_argument(
+        "the sharded engine does not support spill (chunks may not change "
+        "device)");
+  if (workload != nullptr && (tenants || fabric || spec.fleet.enabled))
+    throw std::invalid_argument("a caller-built workload runs on one GPU only");
 
-  // Observability: stream the run's events to disk when requested. The sink
-  // must outlive run(); the recorders only borrow it. Every system fans it
-  // out to all of its recorders (device-stamped events interleave in
-  // simulation order).
-  std::ofstream trace_file;
-  std::unique_ptr<JsonlSink> trace_sink;
-  if (!spec.trace_out.empty()) {
-    trace_file.open(spec.trace_out);
-    if (!trace_file) throw std::runtime_error("cannot open trace file: " + spec.trace_out);
-    trace_sink = std::make_unique<JsonlSink>(trace_file);
-  }
-  const auto attach_trace = [&](SystemBase& system) {
-    system.set_event_mask(spec.trace_event_mask);
-    if (trace_sink) system.add_sink(trace_sink.get());
+  // Every system fans the sinks out to all of its recorders
+  // (device-stamped events interleave in simulation order).
+  const auto run_traced = [&](auto& system) {
+    for (TraceSink* sink : sinks) system.add_sink(sink);
+    return LabelledResult{spec, system.run(spec.max_cycles)};
   };
 
   if (spec.fleet.enabled) {
     FleetSystem system(spec.system, spec.policy, spec.fleet, spec.engine);
-    attach_trace(system);
-    return {spec, system.run(spec.max_cycles)};
+    return run_traced(system);
   }
 
   if (tenants) {
@@ -57,22 +55,21 @@ LabelledResult run_experiment(const ExperimentSpec& spec) {
     }
     MultiTenantSystem system(spec.system, spec.policy, ptrs, spec.oversub,
                              spec.tenant_mode, spec.tenant_scope);
-    attach_trace(system);
-    LabelledResult out{spec, system.run(spec.max_cycles)};
+    LabelledResult out = run_traced(system);
     if (spec.tenant_solo_baselines) system.run_solo_baselines(out.result, spec.max_cycles);
     return out;
   }
 
-  const auto workload = make_benchmark(spec.workload);
-  if (spec.fabric.gpus >= 2) {
-    FabricSystem system(spec.system, spec.policy, *workload, spec.oversub,
-                        spec.fabric, spec.engine);
-    attach_trace(system);
-    return {spec, system.run(spec.max_cycles)};
+  const std::unique_ptr<Workload> built =
+      workload != nullptr ? nullptr : make_benchmark(spec.workload);
+  const Workload& w = workload != nullptr ? *workload : *built;
+  if (fabric) {
+    FabricSystem system(spec.system, spec.policy, w, spec.oversub, spec.fabric,
+                        spec.engine);
+    return run_traced(system);
   }
-  UvmSystem system(spec.system, spec.policy, *workload, spec.oversub);
-  attach_trace(system);
-  return {spec, system.run(spec.max_cycles)};
+  UvmSystem system(spec.system, spec.policy, w, spec.oversub);
+  return run_traced(system);
 }
 
 }  // namespace uvmsim

@@ -9,7 +9,9 @@
 #include "common/config.hpp"
 #include "core/uvm_system.hpp"
 #include "fleet/fleet_config.hpp"
+#include "obs/trace_sink.hpp"
 #include "tenancy/tenant.hpp"
+#include "workloads/workload.hpp"
 
 namespace uvmsim {
 
@@ -51,13 +53,6 @@ struct ExperimentSpec {
   /// and `oversub` above are ignored). Mutually exclusive with `tenants`
   /// and `fabric`.
   FleetConfig fleet;
-
-  // --- Observability hooks (src/obs) ---------------------------------------
-  /// When non-empty, the run's full event stream is written here as JSONL
-  /// (filtered by trace_event_mask) — any bench can dump a timeline by
-  /// setting a path.
-  std::string trace_out;
-  u32 trace_event_mask = kAllEventsMask;
 };
 
 /// Result annotated with its spec label.
@@ -66,11 +61,20 @@ struct LabelledResult {
   RunResult result;
 };
 
-/// Build and run one experiment to completion. Throws
-/// std::invalid_argument instead of running something other than the spec
-/// asks for: when it sets more than one of `tenants`, `fabric` (two or more
-/// GPUs) and `fleet`, lists exactly one tenant, asks for the sharded engine
-/// on a tenant run, or for spill on a sharded fabric.
-[[nodiscard]] LabelledResult run_experiment(const ExperimentSpec& spec);
+/// Build and run one experiment to completion: the one place a run is
+/// built, refused and traced. Every sink in `sinks` sees every event of the
+/// run (not of the tenant solo baselines) and is finished at its last
+/// cycle; the sinks must outlive the call. `workload`, when given, replaces
+/// make_benchmark(spec.workload), e.g. a trace replay.
+///
+/// Throws std::invalid_argument instead of running something other than
+/// the spec asks for: when it sets more than one of `tenants`, `fabric`
+/// (two or more GPUs) and `fleet`, lists exactly one tenant, asks for the
+/// sharded engine on a tenant run, for spill under the sharded engine
+/// outside a fleet, or passes a `workload` to anything but a single-GPU
+/// run.
+[[nodiscard]] LabelledResult run_experiment(const ExperimentSpec& spec,
+                                            const std::vector<TraceSink*>& sinks = {},
+                                            const Workload* workload = nullptr);
 
 }  // namespace uvmsim

@@ -1,35 +1,19 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
 
 namespace uvmsim {
 
-unsigned engine_threads_of(const ExperimentSpec& spec) noexcept {
-  if (spec.engine.kind != EngineKind::kSharded) return 1;
-  u32 shards = 1;
-  if (spec.fleet.enabled)
-    shards = spec.fleet.devices + 1;  // control shard + devices
-  else if (spec.tenants.size() < 2 && spec.fabric.gpus >= 2)
-    shards = spec.fabric.gpus;
-  if (shards <= 1) return 1;  // engine falls back to sequential
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned req = spec.engine.threads == 0 ? hw : spec.engine.threads;
-  return std::max(1u, std::min<unsigned>(req, shards));
-}
-
 std::vector<LabelledResult> run_sweep(const std::vector<ExperimentSpec>& specs,
                                       unsigned threads) {
-  unsigned engine_demand = 1;
-  for (const ExperimentSpec& s : specs)
-    engine_demand = std::max(engine_demand, engine_threads_of(s));
-  threads = sweep_worker_cap(
-      threads, std::thread::hardware_concurrency(), engine_demand);
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   threads = std::min<unsigned>(threads, specs.empty() ? 1 : static_cast<unsigned>(specs.size()));
 
   std::vector<LabelledResult> results(specs.size());
-  // run_experiment can throw (unopenable trace_out, bad workload): an
+  // run_experiment can throw (a refused spec, an unknown workload): an
   // exception escaping a worker thread would std::terminate the process, so
   // each experiment's exception is captured and the first (in spec order) is
   // rethrown on the calling thread after all workers have joined.

@@ -1,7 +1,8 @@
 // FlightRecorder: the one emit point every subsystem shares.
 //
-// The recorder stamps events with the owning EventQueue's simulation time,
-// applies the event-type filter, and fans out to the attached sinks. It is
+// The recorder stamps events with the owning EventQueue's simulation time
+// and fans out to the attached sinks; every sink sees every event (a sink
+// filters for itself, as JsonlSink does for --trace-events). It is
 // zero-overhead-when-off in two tiers:
 //   * components hold a `FlightRecorder*` that is nullptr until observability
 //     is requested — the hot path then pays one pointer test (see emit());
@@ -33,13 +34,7 @@ class FlightRecorder {
   /// destructor so the recorder never holds a dangling observer.
   void remove_sink(TraceSink* sink) { std::erase(sinks_, sink); }
   void clear_sinks() { sinks_.clear(); }
-  void set_event_mask(u32 mask) { mask_ = mask & kAllEventsMask; }
-  [[nodiscard]] u32 event_mask() const noexcept { return mask_; }
   [[nodiscard]] bool active() const noexcept { return !sinks_.empty(); }
-
-  [[nodiscard]] bool wants(EventType t) const noexcept {
-    return !sinks_.empty() && (mask_ & event_bit(t)) != 0;
-  }
 
   /// Attach the tenant table for multi-tenant runs: events whose payload
   /// carries a page or chunk are stamped with the owning tenant
@@ -55,7 +50,7 @@ class FlightRecorder {
 
   void record(EventType t, u64 a = 0, u64 b = 0, u64 c = 0,
               TenantId tenant = kNoTenant) {
-    if (!wants(t)) return;
+    if (!active()) return;
     TraceEvent e{eq_->now(), t, a, b, c, tenant, device_};
     if (tenants_ != nullptr && e.tenant == kNoTenant) {
       switch (tenant_key_kind(t)) {
@@ -70,16 +65,11 @@ class FlightRecorder {
 
   [[nodiscard]] u64 events_recorded() const noexcept { return recorded_; }
 
-  void flush() {
-    for (TraceSink* s : sinks_) s->flush();
-  }
-
  private:
   const EventQueue* eq_;
   std::vector<TraceSink*> sinks_;
   const TenantTable* tenants_ = nullptr;
   u32 device_ = kNoTraceDevice;
-  u32 mask_ = kAllEventsMask;
   u64 recorded_ = 0;
 };
 

@@ -92,8 +92,8 @@ void IntervalMetricsSink::close_row(u64 next_interval, Cycle at) {
   cur_dirty_ = false;
 }
 
-void IntervalMetricsSink::finalize(Cycle now) {
-  if (cur_dirty_) close_row(rows_.empty() ? 1 : rows_.back().interval + 2, now);
+void IntervalMetricsSink::finish(Cycle end) {
+  if (cur_dirty_) close_row(rows_.empty() ? 1 : rows_.back().interval + 2, end);
 }
 
 std::string IntervalMetricsSink::csv_header() {

@@ -59,8 +59,9 @@ class IntervalMetricsSink final : public TraceSink {
  public:
   void emit(const TraceEvent& e) override;
 
-  /// Close the in-progress row (idempotent); call once the run has ended.
-  void finalize(Cycle now);
+  /// Close the in-progress row at the run's last cycle (idempotent). A
+  /// system calls it after the run on the sinks added through add_sink.
+  void finish(Cycle end) override;
 
   [[nodiscard]] const std::vector<IntervalRow>& rows() const noexcept { return rows_; }
 

@@ -98,7 +98,6 @@ class PhaseClassifier final : public TraceSink {
         break;  // everything else carries no phase signal
     }
   }
-  void flush() override {}
 
   // --- Consumers -------------------------------------------------------------
   [[nodiscard]] PatternType phase() const noexcept { return phase_; }

@@ -51,20 +51,16 @@ class TraceFanout {
   void add_recorder(FlightRecorder& rec) { recorders_.push_back(&rec); }
 
   void add_sink(TraceSink* sink) {
+    sinks_.push_back(sink);
     if (!staged_) {
       for (FlightRecorder* rec : recorders_) rec->add_sink(sink);
       return;
     }
-    sinks_.push_back(sink);
     if (!buffers_.empty()) return;
     for (FlightRecorder* rec : recorders_) {
       buffers_.push_back(std::make_unique<BufferSink>());
       rec->add_sink(buffers_.back().get());
     }
-  }
-
-  void set_event_mask(u32 mask) {
-    for (FlightRecorder* rec : recorders_) rec->set_event_mask(mask);
   }
 
   [[nodiscard]] u64 events_recorded() const noexcept {
@@ -73,12 +69,18 @@ class TraceFanout {
     return n;
   }
 
-  /// After the run: flush every recorder, then merge the staged buffers
-  /// into the sinks by (t, shard, index). Each buffer is time-sorted and its
-  /// contents are thread-count-invariant (the engine guarantees per-shard
-  /// execution order), so the merged stream is too.
-  void finish() {
-    for (FlightRecorder* rec : recorders_) rec->flush();
+  /// After a run that ended at cycle `end`: merge the staged buffers into
+  /// the sinks by (t, shard, index), then finish each sink once. Each
+  /// buffer is time-sorted and its contents are thread-count-invariant (the
+  /// engine guarantees per-shard execution order), so the merged stream is
+  /// too.
+  void finish(Cycle end) {
+    merge();
+    for (TraceSink* sink : sinks_) sink->finish(end);
+  }
+
+ private:
+  void merge() {
     if (buffers_.empty()) return;
     std::vector<std::size_t> at(buffers_.size(), 0);
     while (true) {
@@ -96,11 +98,9 @@ class TraceFanout {
       ++at[best];
       for (TraceSink* sink : sinks_) sink->emit(*next);
     }
-    for (TraceSink* sink : sinks_) sink->flush();
     for (auto& b : buffers_) b->clear();
   }
 
- private:
   bool staged_;
   std::vector<FlightRecorder*> recorders_;
   std::vector<std::unique_ptr<BufferSink>> buffers_;

@@ -42,16 +42,17 @@ std::string jsonl_header() {
   return "{\"schema\":\"uvmsim-trace\",\"v\":" + std::to_string(kTraceSchemaVersion) + "}";
 }
 
-JsonlSink::JsonlSink(std::ostream& os, bool header) : os_(os) {
-  if (header) os_ << jsonl_header() << '\n';
+JsonlSink::JsonlSink(std::ostream& os, u32 event_mask) : os_(os), mask_(event_mask) {
+  os_ << jsonl_header() << '\n';
 }
 
 void JsonlSink::emit(const TraceEvent& e) {
+  if ((mask_ & event_bit(e.type)) == 0) return;
   os_ << to_jsonl(e) << '\n';
   ++lines_;
 }
 
-void JsonlSink::flush() { os_.flush(); }
+void JsonlSink::finish(Cycle) { os_.flush(); }
 
 std::optional<u32> parse_event_mask(std::string_view spec) {
   if (spec.empty() || spec == "all") return kAllEventsMask;

@@ -8,7 +8,8 @@
 //               counts what it dropped, so a post-mortem can read the tail
 //               of history without the run paying for unbounded storage.
 //   JsonlSink — streams one JSON object per line (schema in
-//               docs/observability.md); deterministic byte output.
+//               docs/observability.md); deterministic byte output. Its
+//               event-type mask (--trace-events) filters the file alone.
 //
 // Sinks are non-owning observers wired into a FlightRecorder; they must not
 // mutate simulation state.
@@ -28,7 +29,11 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void emit(const TraceEvent& e) = 0;
-  virtual void flush() {}
+  /// The run has ended at cycle `end`, the furthest shard clock (a queue
+  /// that drained under a finite max_cycles stands at the cap): close what
+  /// is open, flush streams. Systems call it once on each sink added
+  /// through add_sink.
+  virtual void finish(Cycle /*end*/) {}
 };
 
 class NullSink final : public TraceSink {
@@ -77,16 +82,18 @@ class RingSink final : public TraceSink {
 
 class JsonlSink final : public TraceSink {
  public:
-  /// `header` writes the schema preamble line before the first event.
-  explicit JsonlSink(std::ostream& os, bool header = true);
+  /// Writes the schema preamble line, then one line per event whose type
+  /// is in `event_mask` (parse_event_mask).
+  explicit JsonlSink(std::ostream& os, u32 event_mask = kAllEventsMask);
 
   void emit(const TraceEvent& e) override;
-  void flush() override;
+  void finish(Cycle end) override;
 
   [[nodiscard]] u64 lines_written() const noexcept { return lines_; }
 
  private:
   std::ostream& os_;
+  u32 mask_;
   u64 lines_ = 0;
 };
 

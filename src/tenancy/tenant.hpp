@@ -111,39 +111,29 @@ class TenantTable {
   static_assert(kNamespaceAlignPages % (kChunkPages * kLargeChunks) == 0,
                 "namespace alignment must cover whole large-frame regions");
 
-  /// Register a tenant; namespaces are assigned in registration order.
-  /// Fixed-N construction only — arena tables use attach()/detach().
+  // Every tenant lives in a page-address arena: namespaces are carved from a
+  // free-region list (first-fit, 2 MB-aligned) and recycled when the tenant
+  // detaches, and tenant ids are the lowest free slot so a long-running
+  // fleet (docs/fleet.md) keeps both the address space and the id space
+  // bounded. A fixed-N table starts empty and grows the arena by one
+  // namespace per add().
+
+  /// Register a tenant in a namespace appended to the arena, so namespaces
+  /// follow registration order.
   TenantId add(std::string name, u64 footprint_pages) {
-    assert(footprint_pages > 0);
-    assert(!arena_ && "arena tables attach tenants dynamically");
-    TenantInfo t;
-    t.name = std::move(name);
-    t.base = next_base_;
-    t.footprint_pages = footprint_pages;
-    next_base_ += align_up(footprint_pages);
-    tenants_.push_back(std::move(t));
-    active_.push_back(true);
-    return static_cast<TenantId>(tenants_.size() - 1);
+    const PageId base = arena_pages_;
+    arena_pages_ += align_up(footprint_pages);
+    release_region(base, arena_pages_ - base);
+    return attach_at(std::move(name), footprint_pages, base);
   }
 
-  // --- Arena mode (fleet serving, docs/fleet.md) ---------------------------
-  //
-  // A fixed page-address arena with dynamic tenant attach/detach: namespaces
-  // are carved from a free-region list (first-fit, 2 MB-aligned) and recycled
-  // when the tenant detaches, and tenant ids are the lowest free slot so a
-  // long-running fleet keeps both the address space and the id space bounded.
-  // Arena mode is opt-in per table; tables that never call enable_arena()
-  // behave exactly as before (fixed-N goldens stay byte-identical).
-
-  /// Switch an empty table to arena mode over `arena_pages` of address space.
+  /// Give an empty table a fixed arena of `arena_pages` of address space.
   void enable_arena(u64 arena_pages) {
     assert(tenants_.empty() && "enable_arena before any tenant registers");
     assert(arena_pages > 0 && arena_pages % kNamespaceAlignPages == 0);
-    arena_ = true;
     arena_pages_ = arena_pages;
     free_regions_.assign(1, {0, arena_pages});
   }
-  [[nodiscard]] bool arena_enabled() const noexcept { return arena_; }
 
   /// Could a tenant of this footprint be attached right now?
   [[nodiscard]] bool can_fit(u64 footprint_pages) const noexcept {
@@ -157,7 +147,6 @@ class TenantTable {
   /// Returns kNoTenant when no contiguous region fits (the caller queues or
   /// rejects the job). The slot's stats and usage counters start fresh.
   TenantId attach(std::string name, u64 footprint_pages) {
-    assert(arena_ && footprint_pages > 0);
     const u64 need = align_up(footprint_pages);
     for (const auto& [base, pages] : free_regions_)
       if (pages >= need) return attach_at(std::move(name), footprint_pages, base);
@@ -172,7 +161,7 @@ class TenantTable {
   /// invariant, docs/performance.md). Returns kNoTenant if it is not — the
   /// caller treats that as a protocol bug.
   TenantId attach_at(std::string name, u64 footprint_pages, PageId base) {
-    assert(arena_ && footprint_pages > 0);
+    assert(footprint_pages > 0);
     assert(base % kNamespaceAlignPages == 0);
     const u64 need = align_up(footprint_pages);
     std::size_t r = 0;
@@ -211,7 +200,7 @@ class TenantTable {
   /// region returns to the free list (coalescing with adjacent free space)
   /// and its slot id becomes reusable.
   void detach(TenantId t) {
-    assert(arena_ && t < tenants_.size() && active_[t]);
+    assert(t < tenants_.size() && active_[t]);
     assert(tenants_[t].used_frames == 0 && "detach after surrendering frames");
     release_region(tenants_[t].base, align_up(tenants_[t].footprint_pages));
     active_[t] = false;
@@ -222,9 +211,7 @@ class TenantTable {
   [[nodiscard]] bool active(TenantId t) const noexcept {
     return t < active_.size() && active_[t];
   }
-  [[nodiscard]] u64 attached_count() const noexcept {
-    return arena_ ? attached_ : tenants_.size();
-  }
+  [[nodiscard]] u64 attached_count() const noexcept { return attached_; }
 
   /// Aligned namespace span of tenant `t` (footprint rounded to 2 MB).
   [[nodiscard]] u64 namespace_pages(TenantId t) const noexcept {
@@ -236,29 +223,20 @@ class TenantTable {
   [[nodiscard]] const TenantInfo& info(TenantId t) const { return tenants_[t]; }
   [[nodiscard]] TenantStats& stats(TenantId t) { return tenants_[t].stats; }
 
-  /// Total span of all namespaces — the driver-visible footprint. In arena
-  /// mode this is the fixed arena size, independent of who is attached.
-  [[nodiscard]] PageId span_pages() const noexcept {
-    return arena_ ? arena_pages_ : next_base_;
-  }
+  /// The arena size: the driver-visible footprint, independent of who is
+  /// attached.
+  [[nodiscard]] PageId span_pages() const noexcept { return arena_pages_; }
 
-  /// Owner of `p`; kNoTenant for pages past every namespace (alignment gaps
-  /// belong to the preceding tenant but are never faulted on). In arena mode
-  /// only attached tenants own pages — a recycled region resolves to its new
-  /// occupant, a free region to kNoTenant.
+  /// Owner of `p`: the attached tenant whose aligned namespace holds it
+  /// (alignment gaps belong to the tenant before them but are never faulted
+  /// on). A recycled region resolves to its new occupant; a free region or a
+  /// page past the arena to kNoTenant.
   [[nodiscard]] TenantId tenant_of_page(PageId p) const noexcept {
-    if (arena_) {
-      for (std::size_t i = 0; i < tenants_.size(); ++i) {
-        if (!active_[i]) continue;
-        const TenantInfo& t = tenants_[i];
-        if (p >= t.base && p < t.base + align_up(t.footprint_pages))
-          return static_cast<TenantId>(i);
-      }
-      return kNoTenant;
-    }
-    for (std::size_t i = tenants_.size(); i-- > 0;) {
-      if (p >= tenants_[i].base)
-        return p < next_base_ ? static_cast<TenantId>(i) : kNoTenant;
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      if (!active_[i]) continue;
+      const TenantInfo& t = tenants_[i];
+      if (p >= t.base && p < t.base + align_up(t.footprint_pages))
+        return static_cast<TenantId>(i);
     }
     return kNoTenant;
   }
@@ -363,8 +341,6 @@ class TenantTable {
 
   std::vector<TenantInfo> tenants_;
   std::vector<bool> active_;  ///< parallel to tenants_; always true fixed-N
-  PageId next_base_ = 0;
-  bool arena_ = false;
   u64 arena_pages_ = 0;
   u64 attached_ = 0;
   std::vector<std::pair<PageId, u64>> free_regions_;  ///< sorted by base

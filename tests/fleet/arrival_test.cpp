@@ -105,11 +105,5 @@ TEST(ArrivalStream, LoadTraceUnreadableReturnsEmpty) {
   EXPECT_TRUE(ArrivalStream::load_trace("/nonexistent/arrivals.txt").empty());
 }
 
-TEST(ArrivalStream, ZeroRateDoesNotDivideByZero) {
-  ArrivalStream s(config_with_rate(0.0), 3, 12);
-  const auto a = s.next();  // mean gap falls back to 1e6 cycles
-  EXPECT_LT(a.gap, 100'000'000u);
-}
-
 }  // namespace
 }  // namespace uvmsim

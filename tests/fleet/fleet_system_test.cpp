@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/config.hpp"
 
@@ -218,6 +221,32 @@ TEST(FleetSystem, RejectsMisalignedArena) {
   EXPECT_THROW(FleetSystem(small_system(), PolicyConfig{}, fl), std::invalid_argument);
   fl.arena_pages = 0;
   EXPECT_THROW(FleetSystem(small_system(), PolicyConfig{}, fl), std::invalid_argument);
+}
+
+// Poisson arrivals need a positive rate; a trace-driven fleet needs a trace
+// it can read and that holds at least one gap. Neither falls back silently.
+TEST(FleetSystem, RejectsNonPositiveArrivalRate) {
+  FleetConfig fl = small_fleet();
+  for (const double rate : {0.0, -1.0}) {
+    fl.arrival_rate = rate;
+    EXPECT_THROW(FleetSystem(small_system(), PolicyConfig{}, fl), std::invalid_argument);
+  }
+}
+
+TEST(FleetSystem, RejectsUnusableArrivalTrace) {
+  const std::string no_gaps = ::testing::TempDir() + "uvmsim_no_gaps.txt";
+  {
+    std::ofstream out(no_gaps);
+    out << "# comments only\n\n";
+  }
+  FleetConfig fl = small_fleet();
+  for (const std::string& path : {std::string("/nonexistent-dir-uvmsim/arrivals.txt"),
+                                  no_gaps}) {
+    fl.arrival_trace = path;
+    EXPECT_THROW(FleetSystem(small_system(), PolicyConfig{}, fl), std::invalid_argument)
+        << path;
+  }
+  std::remove(no_gaps.c_str());
 }
 
 }  // namespace

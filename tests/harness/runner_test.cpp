@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "core/policy_factory.hpp"
+#include "obs/interval_metrics.hpp"
+#include "obs/trace_sink.hpp"
+#include "trace/trace_io.hpp"
+#include "trace/trace_workload.hpp"
+#include "workloads/benchmarks.hpp"
 
 namespace uvmsim {
 namespace {
@@ -53,51 +61,13 @@ TEST(Runner, SingleThreadMatchesMultiThread) {
 // first (in spec order) on the calling thread after the workers join.
 TEST(Runner, WorkerExceptionPropagatesInsteadOfTerminating) {
   auto specs = small_sweep();
-  specs[1].trace_out = "/nonexistent-dir-uvmsim/trace.jsonl";  // unopenable
-  EXPECT_THROW(run_sweep(specs, 4), std::runtime_error);
-  EXPECT_THROW(run_sweep(specs, 1), std::runtime_error);
+  specs[1].workload = "XYZ";  // unknown workload
+  EXPECT_THROW(run_sweep(specs, 4), std::invalid_argument);
+  EXPECT_THROW(run_sweep(specs, 1), std::invalid_argument);
 }
 
 TEST(Runner, EmptySweepIsFine) {
   EXPECT_TRUE(run_sweep({}).empty());
-}
-
-// Sweeps of sharded-engine experiments must not fork threads-squared: the
-// sweep pool divides down by the engines' worker demand.
-TEST(Runner, SweepWorkerCapPreventsThreadOversubscription) {
-  // Sequential engines: no division, 0 resolves to hardware.
-  EXPECT_EQ(sweep_worker_cap(0, 8, 1), 8u);
-  EXPECT_EQ(sweep_worker_cap(6, 8, 1), 6u);
-  // Sharded engines: sweep x engine stays ~hardware.
-  EXPECT_EQ(sweep_worker_cap(0, 16, 4), 4u);
-  EXPECT_EQ(sweep_worker_cap(8, 16, 4), 4u);
-  EXPECT_EQ(sweep_worker_cap(2, 16, 4), 2u);  // explicit request below cap
-  // Engine demand >= hardware: still one sweep worker, never zero.
-  EXPECT_EQ(sweep_worker_cap(0, 4, 8), 1u);
-  EXPECT_EQ(sweep_worker_cap(0, 0, 1), 1u);
-}
-
-TEST(Runner, EngineThreadsOfResolvesShardsAndFallbacks) {
-  ExperimentSpec seq;
-  seq.workload = "STN";
-  EXPECT_EQ(engine_threads_of(seq), 1u);
-
-  ExperimentSpec fab = seq;
-  fab.engine.kind = EngineKind::kSharded;
-  fab.engine.threads = 8;
-  fab.fabric.gpus = 4;
-  EXPECT_EQ(engine_threads_of(fab), 4u);  // capped at shard count
-
-  ExperimentSpec fallback = fab;
-  fallback.fabric.gpus = 1;  // single GPU: engine falls back to sequential
-  EXPECT_EQ(engine_threads_of(fallback), 1u);
-
-  ExperimentSpec fleet = seq;
-  fleet.engine.kind = EngineKind::kSharded;
-  fleet.engine.threads = 16;
-  fleet.fleet.enabled = true;
-  fleet.fleet.devices = 4;
-  EXPECT_EQ(engine_threads_of(fleet), 5u);  // control shard + 4 devices
 }
 
 // Tenants, fabric and fleet are mutually exclusive experiment shapes; a
@@ -137,6 +107,91 @@ TEST(Runner, RunExperimentRejectsShardedTenants) {
   s.tenants = {"STN", "HOT"};
   s.engine.kind = EngineKind::kSharded;
   EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+}
+
+// Spill moves chunks between devices, which the sharded engine forbids: a
+// spec asking for both is refused at any GPU count, not only where a
+// sharded fabric would be built.
+TEST(Runner, RunExperimentRejectsShardedSpill) {
+  ExperimentSpec s;
+  s.workload = "STN";
+  s.engine.kind = EngineKind::kSharded;
+  s.fabric.spill = true;
+  for (const u32 gpus : {1u, 2u}) {
+    s.fabric.gpus = gpus;
+    EXPECT_THROW((void)run_experiment(s), std::invalid_argument) << gpus;
+  }
+}
+
+// A caller-built workload runs on one GPU only.
+TEST(Runner, RunExperimentRejectsWorkloadOffOneGpu) {
+  const auto hot = make_benchmark("HOT");
+  ExperimentSpec fabric;
+  fabric.workload = "HOT";
+  fabric.fabric.gpus = 2;
+  ExperimentSpec tenants = fabric;
+  tenants.fabric.gpus = 1;
+  tenants.tenants = {"HOT", "STN"};
+  ExperimentSpec fleet = tenants;
+  fleet.tenants.clear();
+  fleet.fleet.enabled = true;
+  for (const ExperimentSpec& s : {fabric, tenants, fleet})
+    EXPECT_THROW((void)run_experiment(s, {}, hot.get()), std::invalid_argument);
+}
+
+/// Records the cycles it is finished at.
+class FinishProbe final : public TraceSink {
+ public:
+  void emit(const TraceEvent&) override {}
+  void finish(Cycle end) override { ends.push_back(end); }
+  std::vector<Cycle> ends;
+};
+
+// The caller's sinks see the whole event stream and are finished once, at
+// the run's last cycle, and a caller-built workload (here a trace replay of
+// NW) replaces make_benchmark(spec.workload). The JSONL filter thins the
+// file alone: the ring and interval rows beside it see every event.
+TEST(Runner, RunExperimentTracesCallerSinksAndReplaysWorkload) {
+  ExperimentSpec spec;
+  spec.workload = "STN";  // replaced by the replay
+  spec.policy = presets::cppe();
+  spec.oversub = 0.5;
+  spec.system.num_sms = 4;
+  // Uncapped, as the CLI runs: under a finite cap a drained queue's clock
+  // fast-forwards to the cap, and the sinks finish there.
+  spec.max_cycles = std::numeric_limits<Cycle>::max();
+  const auto nw = make_benchmark("NW");
+  const TraceWorkload replay(record_trace(
+      *nw, spec.system.num_sms * spec.system.warps_per_sm, spec.policy.seed));
+
+  std::ostringstream os;
+  JsonlSink jsonl(os, event_bit(EventType::kFaultRaised));
+  RingSink ring(1u << 20);
+  IntervalMetricsSink intervals;
+  FinishProbe probe;
+  const RunResult r =
+      run_experiment(spec, {&jsonl, &ring, &intervals, &probe}, &replay).result;
+
+  UvmSystem ref(spec.system, spec.policy, replay, spec.oversub);
+  RingSink ref_ring(1u << 20);
+  IntervalMetricsSink ref_intervals;
+  ref.recorder().add_sink(&ref_ring);
+  ref.recorder().add_sink(&ref_intervals);
+  const RunResult rr = ref.run();
+  ref_intervals.finish(ref.queue().now());
+
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.workload, rr.workload);
+  EXPECT_EQ(r.cycles, rr.cycles);
+  EXPECT_EQ(first_divergence(ring.events(), ref_ring.events()), std::nullopt);
+  EXPECT_EQ(r.trace_events_recorded, ring.size());
+  EXPECT_EQ(jsonl.lines_written(), r.driver.page_faults);
+  EXPECT_EQ(probe.ends, std::vector<Cycle>{ref.queue().now()});
+  std::ostringstream rows, ref_rows;
+  intervals.write_csv(rows);
+  ref_intervals.write_csv(ref_rows);
+  EXPECT_GT(intervals.rows().size(), 1u);
+  EXPECT_EQ(rows.str(), ref_rows.str());
 }
 
 TEST(Runner, MoreThreadsThanWork) {

@@ -220,7 +220,7 @@ TEST(TraceDeterminism, IntervalMetricsAgreeWithRunCounters) {
   IntervalMetricsSink metrics;
   sys.recorder().add_sink(&metrics);
   const RunResult r = sys.run();
-  metrics.finalize(sys.queue().now());
+  metrics.finish(sys.queue().now());
   ASSERT_FALSE(metrics.rows().empty());
   u64 faults = 0, pages_in = 0, evicted = 0, wrong = 0;
   for (const IntervalRow& row : metrics.rows()) {

@@ -32,7 +32,7 @@ TEST(IntervalMetrics, AccumulatesAndClosesRows) {
   sink.emit({200, EventType::kIntervalBoundary, /*interval=*/1, 64});
 
   sink.emit({210, EventType::kFaultRaised, 9, 0});
-  sink.finalize(400);
+  sink.finish(400);
 
   const auto& rows = sink.rows();
   ASSERT_EQ(rows.size(), 2u);
@@ -63,8 +63,8 @@ TEST(IntervalMetrics, FinalizeIsIdempotentAndSkipsEmptyTail) {
   IntervalMetricsSink sink;
   sink.emit({10, EventType::kFaultRaised, 1, 0});
   sink.emit({50, EventType::kIntervalBoundary, 1, 64});
-  sink.finalize(100);  // no events after the boundary: nothing to close
-  sink.finalize(100);
+  sink.finish(100);  // no events after the boundary: nothing to close
+  sink.finish(100);
   EXPECT_EQ(sink.rows().size(), 1u);
 }
 

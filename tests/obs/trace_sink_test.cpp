@@ -102,17 +102,24 @@ TEST(FlightRecorder, StampsSimTimeAndFansOut) {
   EXPECT_EQ(rec.events_recorded(), 1u);
 }
 
-TEST(FlightRecorder, MaskFiltersEventTypes) {
+// --trace-events filters the JSONL file alone: the recorder still hands
+// every event to every other sink.
+TEST(JsonlSink, MaskFiltersEventTypes) {
   EventQueue eq;
   FlightRecorder rec(eq);
+  std::ostringstream os;
+  JsonlSink jsonl(os, event_bit(EventType::kEvictionChosen));
   RingSink ring(16);
+  rec.add_sink(&jsonl);
   rec.add_sink(&ring);
-  rec.set_event_mask(event_bit(EventType::kEvictionChosen));
   rec.record(EventType::kFaultRaised, 1);
   rec.record(EventType::kEvictionChosen, 2);
   rec.record(EventType::kShootdownIssued, 3);
-  ASSERT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.events()[0].type, EventType::kEvictionChosen);
+  EXPECT_EQ(jsonl.lines_written(), 1u);
+  EXPECT_EQ(os.str(), jsonl_header() + "\n" +
+                          to_jsonl({0, EventType::kEvictionChosen, 2}) + "\n");
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(rec.events_recorded(), 3u);
 }
 
 TEST(FlightRecorder, NoSinksShortCircuits) {

@@ -129,10 +129,11 @@ TEST(TenantArena, ChurnKeepsIdAndAddressSpaceBounded) {
 }
 
 TEST(TenantArena, FixedTableStaysFixedN) {
-  TenantTable t;  // no enable_arena: classic registration-order behaviour
+  TenantTable t;  // no enable_arena: add() grows the arena in registration order
   const TenantId a = t.add("a", 100);
   const TenantId b = t.add("b", 600);
-  EXPECT_FALSE(t.arena_enabled());
+  EXPECT_EQ(t.info(a).base, 0u);
+  EXPECT_EQ(t.info(b).base, kAlign);
   EXPECT_TRUE(t.active(a));
   EXPECT_TRUE(t.active(b));
   EXPECT_EQ(t.span_pages(), 3 * kAlign);  // 1 + 2 aligned regions

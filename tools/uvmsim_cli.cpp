@@ -23,13 +23,12 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/policy_factory.hpp"
 #include "core/policy_registry.hpp"
-#include "core/uvm_system.hpp"
-#include "fleet/arrival.hpp"
 #include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
@@ -52,7 +51,8 @@ std::string join_names(const std::vector<std::string>& names) {
   return out;
 }
 
-void print_text(const RunResult& r) {
+// `trace_lines`: the events written to --trace-out.
+void print_text(const RunResult& r, u64 trace_lines) {
   TextTable t({"metric", "value"});
   t.add_row({"workload", r.workload});
   t.add_row({"eviction / prefetcher", r.eviction_name + " / " + r.prefetcher_name});
@@ -117,8 +117,8 @@ void print_text(const RunResult& r) {
     t.add_row({"max fault-queue depth",
                std::to_string(r.faultsvc.max_queue_depth)});
   }
-  if (r.trace_events_recorded > 0)
-    t.add_row({"trace events recorded", std::to_string(r.trace_events_recorded)});
+  if (trace_lines > 0)
+    t.add_row({"trace events recorded", std::to_string(trace_lines)});
   if (r.clamped_past > 0)
     t.add_row({"events clamped to now (BUG?)", std::to_string(r.clamped_past)});
   std::cout << t.str();
@@ -444,13 +444,7 @@ int main(int argc, char** argv) try {
               << " (registered: " << join_names(reg.prefetch_names()) << ")\n";
     return 2;
   }
-  const auto deletion = parse_deletion_scheme(cli.get("deletion"));
-  if (!deletion) {
-    std::cerr << "unknown --deletion: " << cli.get("deletion")
-              << " (scheme1 | scheme2)\n";
-    return 2;
-  }
-  pol.deletion = *deletion;
+  pol.deletion = cli.get_parsed("deletion", parse_deletion_scheme);
   pol.reserved_fraction = cli.get_double("reserved", 0.0, 1.0);
   pol.t1_untouch = cli.get_u32("t1");
   pol.t2_untouch_first4 = cli.get_u32("t2");
@@ -462,23 +456,12 @@ int main(int argc, char** argv) try {
   pol.large_pages = cli.get_flag("large-pages");
   pol.fault_batch = cli.get_u32("fault-batch", 1);
 
-  const auto event_mask = parse_event_mask(cli.get("trace-events"));
-  if (!event_mask) {
-    std::cerr << "unknown event name in --trace-events: " << cli.get("trace-events")
-              << "\n";
-    return 2;
-  }
+  const u32 event_mask = cli.get_parsed("trace-events", parse_event_mask);
 
   SystemConfig sys;
   sys.num_sms = cli.get_u32("sms", 1);
   sys.warps_per_sm = cli.get_u32("warps", 1);
-  const auto backend = parse_fault_backend_kind(cli.get("fault-backend"));
-  if (!backend) {
-    std::cerr << "unknown --fault-backend: " << cli.get("fault-backend")
-              << " (host | gpu-driven)\n";
-    return 2;
-  }
-  sys.fault_backend = *backend;
+  sys.fault_backend = cli.get_parsed("fault-backend", parse_fault_backend_kind);
   const double fault_latency_us = cli.get_double("fault-latency-us");
   if (fault_latency_us <= 0) {
     std::cerr << "--fault-latency-us must be > 0\n";
@@ -493,191 +476,100 @@ int main(int argc, char** argv) try {
   sys.evict_service_us = evict_service_us;
   sys.gpu_fault_queue_depth = cli.get_u32("gpu-fault-queue-depth", 1);
 
-  const bool fleet = cli.get_flag("fleet");
-  const u32 gpus = cli.get_u32("gpus", 1);
-  const bool multi_gpu = gpus >= 2;
-  EngineConfig eng;
-  const auto engine_kind = parse_engine_kind(cli.get("engine"));
-  if (!engine_kind) {
-    std::cerr << "unknown --engine: " << cli.get("engine")
-              << " (seq | sharded)\n";
-    return 2;
-  }
-  eng.kind = *engine_kind;
-  eng.threads = cli.get_u32("engine-threads");
-  if (eng.kind == EngineKind::kSharded) {
-    // Sharding needs per-device state: one shared driver (tenants) cannot
-    // shard, and spill moves chunks between devices mid-run, which the
-    // forward-only sharded fabric protocol forbids.
-    if (cli.was_set("tenants")) {
-      std::cerr << "--engine sharded does not support --tenants "
-                   "(one shared driver cannot shard)\n";
-      return 2;
-    }
-    if (cli.get_flag("spill") && !fleet) {
-      std::cerr << "--engine sharded does not support --spill "
-                   "(chunks may not change device)\n";
-      return 2;
-    }
-  }
-
-  // Tenants share one driver on one GPU, and trace replay, trace recording
-  // and interval metrics exist only for one workload on one GPU: refuse what
-  // a run cannot honour instead of dropping it.
-  if (cli.was_set("tenants") && (fleet || multi_gpu)) {
-    std::cerr << "--tenants runs on one GPU: not with --fleet or --gpus >= 2\n";
-    return 2;
-  }
-  const bool one_workload_one_gpu = !fleet && !multi_gpu && !cli.was_set("tenants");
-  for (const char* flag : {"trace", "record-trace", "interval-metrics"}) {
-    if (cli.was_set(flag) && !one_workload_one_gpu) {
-      std::cerr << "--" << flag << " applies to one workload on one GPU: not "
-                << "with --fleet, --tenants or --gpus >= 2\n";
-      return 2;
-    }
-  }
-
-  // Fleet, multi-tenant and fabric runs go through run_experiment; the
-  // CLI's runs are uncapped.
+  // One spec for every run shape; run_experiment refuses the shapes it
+  // cannot honour. The CLI's runs are uncapped.
   ExperimentSpec spec;
   spec.workload = cli.get("workload");
   spec.policy = pol;
   spec.oversub = cli.get_double("oversub", 0.0);
   spec.system = sys;
-  spec.engine = eng;
+  spec.engine.kind = cli.get_parsed("engine", parse_engine_kind);
+  spec.engine.threads = cli.get_u32("engine-threads");
   spec.max_cycles = std::numeric_limits<Cycle>::max();
-  spec.trace_event_mask = *event_mask;
-  if (cli.was_set("trace-out")) spec.trace_out = cli.get("trace-out");
 
-  RunResult r;
-  if (fleet) {
-    FleetConfig& fl = spec.fleet;
-    fl.enabled = true;
-    if (cli.was_set("gpus")) fl.devices = gpus;
-    fl.jobs = static_cast<u64>(cli.get_int("jobs", 1));
-    fl.arrival_rate = cli.get_double("arrival-rate");
-    if (fl.arrival_rate <= 0) {
-      std::cerr << "--arrival-rate must be > 0\n";
-      return 2;
-    }
-    if (cli.was_set("oversub")) fl.oversub = spec.oversub;
-    const auto adm = parse_admission_kind(cli.get("admission"));
-    if (!adm) {
-      std::cerr << "unknown --admission: " << cli.get("admission") << "\n";
-      return 2;
-    }
-    fl.admission = *adm;
-    const auto sched = parse_fleet_sched_kind(cli.get("fleet-sched"));
-    if (!sched) {
-      std::cerr << "unknown --fleet-sched: " << cli.get("fleet-sched") << "\n";
-      return 2;
-    }
-    fl.scheduler = *sched;
-    if (cli.was_set("arrival-trace")) {
-      fl.arrival_trace = cli.get("arrival-trace");
-      if (ArrivalStream::load_trace(fl.arrival_trace).empty()) {
-        std::cerr << "error: cannot read arrival trace (or no gaps): "
-                  << fl.arrival_trace << "\n";
-        return 2;
-      }
-    }
-    r = run_experiment(spec).result;
-  } else if (cli.was_set("tenants")) {
+  if (cli.was_set("tenants")) {
     spec.tenants = split_list(cli.get("tenants"));
-    if (spec.tenants.size() < 2) {
-      std::cerr << "--tenants needs at least two workloads, e.g. NW,BFS\n";
-      return 2;
-    }
-    const auto mode = parse_tenant_mode(cli.get("tenant-mode"));
-    if (!mode) {
-      std::cerr << "unknown --tenant-mode: " << cli.get("tenant-mode") << "\n";
-      return 2;
-    }
-    spec.tenant_mode = *mode;
-    const auto scope = parse_eviction_scope(cli.get("tenant-evict"));
-    if (!scope) {
-      std::cerr << "unknown --tenant-evict: " << cli.get("tenant-evict") << "\n";
-      return 2;
-    }
-    spec.tenant_scope = *scope;
-    // Solo baseline: same workload alone on the tenant's SM slice at the
-    // same oversubscription, so slowdown isolates memory-system
-    // interference from the static SM split.
-    spec.tenant_solo_baselines = !cli.get_flag("no-solo");
-    r = run_experiment(spec).result;
-  } else if (multi_gpu) {
-    FabricConfig& fab = spec.fabric;
-    fab.gpus = gpus;
-    const auto kind = parse_fabric_kind(cli.get("fabric"));
-    if (!kind) {
-      std::cerr << "unknown --fabric: " << cli.get("fabric") << "\n";
-      return 2;
-    }
-    fab.topology = *kind;
-    const auto placement = parse_placement_kind(cli.get("placement"));
-    if (!placement) {
-      std::cerr << "unknown --placement: " << cli.get("placement") << "\n";
-      return 2;
-    }
-    fab.placement = *placement;
-    fab.remote_threshold = cli.get_u32("remote-threshold");
-    fab.spill = cli.get_flag("spill");
-    r = run_experiment(spec).result;
+    if (spec.tenants.empty()) throw std::invalid_argument("--tenants lists no workload");
+  }
+  spec.tenant_mode = cli.get_parsed("tenant-mode", parse_tenant_mode);
+  spec.tenant_scope = cli.get_parsed("tenant-evict", parse_eviction_scope);
+  // Solo baseline: same workload alone on the tenant's SM slice at the
+  // same oversubscription, so slowdown isolates memory-system
+  // interference from the static SM split.
+  spec.tenant_solo_baselines = !cli.get_flag("no-solo");
+
+  // --gpus counts the fleet's devices, or else the fabric's GPUs.
+  const u32 gpus = cli.get_u32("gpus", 1);
+  FleetConfig& fl = spec.fleet;
+  fl.enabled = cli.get_flag("fleet");
+  if (fl.enabled) {
+    if (cli.was_set("gpus")) fl.devices = gpus;
+    if (cli.was_set("oversub")) fl.oversub = spec.oversub;
   } else {
-    // Single GPU: the CLI builds the system itself for a trace replay,
-    // trace recording and interval metrics.
-    std::unique_ptr<Workload> workload;
-    if (cli.was_set("trace")) {
-      workload = std::make_unique<TraceWorkload>(load_trace(cli.get("trace")));
-    } else {
-      workload = make_benchmark(cli.get("workload"));
-    }
+    spec.fabric.gpus = gpus;
+  }
+  fl.jobs = static_cast<u64>(cli.get_int("jobs", 1));
+  fl.arrival_rate = cli.get_double("arrival-rate");
+  fl.admission = cli.get_parsed("admission", parse_admission_kind);
+  fl.scheduler = cli.get_parsed("fleet-sched", parse_fleet_sched_kind);
+  fl.arrival_trace = cli.get("arrival-trace");
 
-    if (cli.was_set("record-trace")) {
-      const Trace t =
-          record_trace(*workload, sys.num_sms * sys.warps_per_sm, pol.seed);
-      save_trace(cli.get("record-trace"), t);
-      u64 total = 0;
-      for (const auto& s : t.streams) total += s.accesses.size();
-      std::cout << "recorded " << t.streams.size() << " warp streams, " << total
-                << " accesses -> " << cli.get("record-trace") << "\n";
-      return 0;
-    }
+  FabricConfig& fab = spec.fabric;
+  fab.topology = cli.get_parsed("fabric", parse_fabric_kind);
+  fab.placement = cli.get_parsed("placement", parse_placement_kind);
+  fab.remote_threshold = cli.get_u32("remote-threshold");
+  fab.spill = cli.get_flag("spill");
 
-    UvmSystem system(sys, pol, *workload, spec.oversub);
+  // Trace recording and interval metrics exist for one workload on one GPU;
+  // run_experiment refuses a trace replay anywhere else.
+  for (const char* flag : {"record-trace", "interval-metrics"}) {
+    if (cli.was_set(flag) && (fl.enabled || fab.gpus >= 2 || !spec.tenants.empty()))
+      throw std::invalid_argument(std::string("--") + flag +
+                                  " applies to one workload on one GPU: not with "
+                                  "--fleet, --tenants or --gpus >= 2");
+  }
 
-    // Flight-recorder sinks must outlive run(); the recorder borrows them.
-    std::ofstream trace_file;
-    std::unique_ptr<JsonlSink> trace_sink;
-    IntervalMetricsSink interval_sink;
-    system.recorder().set_event_mask(*event_mask);
-    if (cli.was_set("trace-out")) {
-      trace_file.open(cli.get("trace-out"));
-      if (!trace_file) {
-        std::cerr << "error: cannot open " << cli.get("trace-out") << "\n";
-        return 2;
-      }
-      trace_sink = std::make_unique<JsonlSink>(trace_file);
-      system.recorder().add_sink(trace_sink.get());
-    }
-    if (cli.was_set("interval-metrics"))
-      system.recorder().add_sink(&interval_sink);
+  std::unique_ptr<Workload> replay;
+  if (cli.was_set("trace"))
+    replay = std::make_unique<TraceWorkload>(load_trace(cli.get("trace")));
 
-    r = system.run();
+  if (cli.was_set("record-trace")) {
+    const std::unique_ptr<Workload> workload =
+        replay ? std::move(replay) : make_benchmark(spec.workload);
+    const Trace t = record_trace(*workload, sys.num_sms * sys.warps_per_sm, pol.seed);
+    save_trace(cli.get("record-trace"), t);
+    u64 total = 0;
+    for (const auto& s : t.streams) total += s.accesses.size();
+    std::cout << "recorded " << t.streams.size() << " warp streams, " << total
+              << " accesses -> " << cli.get("record-trace") << "\n";
+    return 0;
+  }
 
-    if (cli.was_set("interval-metrics")) {
-      const std::string path = cli.get("interval-metrics");
-      interval_sink.finalize(system.queue().now());
-      std::ofstream mf(path);
-      if (!mf) {
-        std::cerr << "error: cannot open " << path << "\n";
-        return 2;
-      }
-      if (path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0)
-        interval_sink.write_jsonl(mf);
-      else
-        interval_sink.write_csv(mf);
-    }
+  // Output files open before the run; --trace-events filters the trace file
+  // alone, so the run and its interval metrics see every event.
+  const auto open_output = [&cli](std::ofstream& file, const char* flag) {
+    if (!cli.was_set(flag)) return false;
+    file.open(cli.get(flag));
+    if (!file) throw std::runtime_error("cannot open " + cli.get(flag));
+    return true;
+  };
+  std::ofstream trace_file;
+  std::ofstream interval_file;
+  std::optional<JsonlSink> trace_sink;
+  IntervalMetricsSink interval_sink;
+  std::vector<TraceSink*> sinks;
+  if (open_output(trace_file, "trace-out"))
+    sinks.push_back(&trace_sink.emplace(trace_file, event_mask));
+  const bool intervals = open_output(interval_file, "interval-metrics");
+  if (intervals) sinks.push_back(&interval_sink);
+
+  const RunResult r = run_experiment(spec, sinks, replay.get()).result;
+
+  if (intervals) {
+    if (cli.get("interval-metrics").ends_with(".jsonl"))
+      interval_sink.write_jsonl(interval_file);
+    else
+      interval_sink.write_csv(interval_file);
   }
 
   if (cli.get_flag("csv")) {
@@ -692,7 +584,7 @@ int main(int argc, char** argv) try {
     if (r.fleet.enabled) {
       print_fleet(r);
     } else {
-      print_text(r);
+      print_text(r, trace_sink ? trace_sink->lines_written() : 0);
       if (!r.tenants.empty()) print_tenants(r, !cli.get_flag("no-solo"));
       if (!r.devices.empty()) print_fabric(r);
     }
