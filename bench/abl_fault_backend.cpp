@@ -45,12 +45,6 @@ constexpr double kMildOversub = 0.9;
                    static_cast<double>(r.driver.page_faults);
 }
 
-[[nodiscard]] SystemConfig backend_config(bool gpu_driven) {
-  SystemConfig sys;
-  if (gpu_driven) sys.fault_backend = FaultBackendKind::kGpuDriven;
-  return sys;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,13 +69,13 @@ int main(int argc, char** argv) {
   std::vector<ExperimentSpec> specs;
   for (const auto& w : workloads)
     for (double ov : oversubs)
-      for (const bool gpu : {false, true}) {
+      for (const auto& backend : kFaultBackendNames.rows) {
         ExperimentSpec s;
         s.workload = w;
-        s.label = gpu ? "gpu-driven" : "host";
+        s.label = backend.name;
         s.policy = presets::baseline();
         s.oversub = ov;
-        s.system = backend_config(gpu);
+        s.system.fault_backend = backend.value;
         specs.push_back(std::move(s));
       }
   const auto results = run_sweep(specs);
@@ -92,7 +86,8 @@ int main(int argc, char** argv) {
   bool all_completed = true;
   for (const auto& w : workloads)
     for (double ov : oversubs)
-      for (const std::string label : {"host", "gpu-driven"}) {
+      for (const auto& backend : kFaultBackendNames.rows) {
+        const std::string label(backend.name);
         const RunResult& r = idx.at(w, label, ov);
         all_completed = all_completed && r.completed;
         const double busy =
@@ -118,8 +113,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const std::string w : {"BFS", "BFR"}) {
-      const double host = mean_stall(idx.at(w, "host", kHighOversub));
-      const double gpu = mean_stall(idx.at(w, "gpu-driven", kHighOversub));
+      const auto stall = [&](FaultBackendKind k) {
+        return mean_stall(idx.at(w, std::string(kFaultBackendNames.name(k)), kHighOversub));
+      };
+      const double host = stall(FaultBackendKind::kHostDriver);
+      const double gpu = stall(FaultBackendKind::kGpuDriven);
       if (gpu >= host) {
         std::cout << "SMOKE FAIL: gpu-driven mean fault stall did not beat "
                      "the host driver on "

@@ -39,7 +39,7 @@ FabricCell run_cell(const std::string& workload, double oversub, u32 gpus,
                     FabricKind topo, bool spill) {
   ExperimentSpec s;
   s.workload = workload;
-  s.label = std::string(to_string(topo)) + (spill ? "+spill" : "");
+  s.label = std::string(kFabricNames.name(topo)) + (spill ? "+spill" : "");
   s.policy = presets::cppe();
   s.oversub = oversub;
   s.fabric.gpus = gpus;

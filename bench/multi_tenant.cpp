@@ -46,7 +46,7 @@ void run_matrix(const std::string& stack, const PolicyConfig& pol,
     for (const auto& [mode, scope] : modes) {
       ExperimentSpec s;
       s.workload = std::string(c.a) + "+" + c.b;
-      s.label = std::string(to_string(mode));
+      s.label = kTenantModeNames.name(mode);
       s.policy = pol;
       s.oversub = oversub;
       s.tenants = {c.a, c.b};

@@ -286,6 +286,20 @@ rejects reject/uvmsim/arrival-trace-unreadable uvmsim --workload NW --fleet \
 rejects reject/uvmsim/engine-sharded-spill-gpus1 uvmsim --workload NW --engine sharded \
   --spill
 
+# Choice flags accept only the names in their tables (common/names.hpp), so
+# near-miss spellings exit 2. A fabric larger than its page directory can
+# name is refused before any device is built.
+rejects reject/uvmsim/engine-parallel uvmsim --workload NW --engine parallel
+rejects reject/uvmsim/fabric-nvswitch uvmsim --workload NW --fabric nvswitch
+rejects reject/uvmsim/fault-backend-gpuvm uvmsim --workload NW --fault-backend gpuvm
+rejects reject/uvmsim/fleet-sched-affinity uvmsim --workload NW --fleet \
+  --fleet-sched affinity
+rejects reject/uvmsim/gpus-256 uvmsim --workload NW --gpus 256
+rejects reject/uvmsim/engine-sharded-gpus-33 uvmsim --workload NW --engine sharded \
+  --gpus 33
+rejects reject/report/fabric-fraction uvmsim_report --fabric 2.5
+rejects reject/sweep/tenant-group-one uvmsim_sweep --tenants NW
+
 if [ "${#FAILED[@]}" -gt 0 ]; then
   printf 'golden: assertion failed: %s\n' "${FAILED[@]}" >&2
   exit 1

@@ -2,10 +2,9 @@
 // plus the policy constants fixed in §IV-B / §VI-A.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
+#include "common/names.hpp"
 #include "common/types.hpp"
 
 namespace uvmsim {
@@ -16,6 +15,11 @@ enum class FabricKind : u8 {
   kRing,    ///< NVLink ring, adjacent devices linked bidirectionally
   kSwitch,  ///< fully connected NVSwitch: every ordered pair linked
 };
+inline constexpr auto kFabricNames = name_table<FabricKind>({
+    {"pcie", FabricKind::kPcie},
+    {"ring", FabricKind::kRing},
+    {"switch", FabricKind::kSwitch},
+});
 
 /// Where a faulted page is homed when it is first brought onto the fabric.
 enum class PlacementKind : u8 {
@@ -23,6 +27,11 @@ enum class PlacementKind : u8 {
   kRoundRobin,  ///< home = chunk id modulo device count
   kAffinity,    ///< contiguous chunk ranges, one slice per device
 };
+inline constexpr auto kPlacementNames = name_table<PlacementKind>({
+    {"first-touch", PlacementKind::kFirstTouch},
+    {"round-robin", PlacementKind::kRoundRobin},
+    {"affinity", PlacementKind::kAffinity},
+});
 
 /// Which fault-service backend models the far-fault service path
 /// (src/faultsvc, docs/faultsvc.md).
@@ -30,6 +39,10 @@ enum class FaultBackendKind : u8 {
   kHostDriver,  ///< classic host round trip: fault_latency_us + FIFO backlog
   kGpuDriven,   ///< GPUVM-style per-SM queues + GPU-resident handler
 };
+inline constexpr auto kFaultBackendNames = name_table<FaultBackendKind>({
+    {"host", FaultBackendKind::kHostDriver},
+    {"gpu-driven", FaultBackendKind::kGpuDriven},
+});
 
 /// Which simulation engine advances the event queues of a multi-device run
 /// (src/sim/sharded_engine.hpp, docs/performance.md).
@@ -37,6 +50,10 @@ enum class EngineKind : u8 {
   kSequential,  ///< one EventQueue drives every device (the classic engine)
   kSharded,     ///< per-device shards under conservative barrier windows
 };
+inline constexpr auto kEngineNames = name_table<EngineKind>({
+    {"seq", EngineKind::kSequential},
+    {"sharded", EngineKind::kSharded},
+});
 
 /// Simulation-engine selection (--engine / --engine-threads). Orthogonal to
 /// the simulated system: the sequential default leaves every artefact
@@ -181,6 +198,10 @@ enum class DeletionScheme : u8 {
   kScheme1,  ///< delete on any pattern mismatch
   kScheme2,  ///< delete only if the *first* lookup of the entry mismatches
 };
+inline constexpr auto kDeletionNames = name_table<DeletionScheme>({
+    {"scheme1", DeletionScheme::kScheme1},
+    {"scheme2", DeletionScheme::kScheme2},
+});
 
 /// Policy-layer parameters (paper §IV-B and §VI-A defaults).
 struct PolicyConfig {
@@ -236,77 +257,5 @@ struct PolicyConfig {
   // HPE-specific knobs (counter-based classification; see policy/hpe.hpp).
   u32 hpe_regular_counter = 12;    ///< counter >= this marks a chunk "well used"
 };
-
-[[nodiscard]] constexpr const char* to_string(FabricKind k) noexcept {
-  switch (k) {
-    case FabricKind::kPcie: return "pcie";
-    case FabricKind::kRing: return "ring";
-    case FabricKind::kSwitch: return "switch";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr const char* to_string(FaultBackendKind k) noexcept {
-  switch (k) {
-    case FaultBackendKind::kHostDriver: return "host";
-    case FaultBackendKind::kGpuDriven: return "gpu-driven";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr const char* to_string(PlacementKind k) noexcept {
-  switch (k) {
-    case PlacementKind::kFirstTouch: return "first-touch";
-    case PlacementKind::kRoundRobin: return "round-robin";
-    case PlacementKind::kAffinity: return "affinity";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr const char* to_string(EngineKind k) noexcept {
-  switch (k) {
-    case EngineKind::kSequential: return "seq";
-    case EngineKind::kSharded: return "sharded";
-  }
-  return "?";
-}
-
-[[nodiscard]] inline std::optional<EngineKind> parse_engine_kind(
-    std::string_view s) noexcept {
-  if (s == "seq" || s == "sequential") return EngineKind::kSequential;
-  if (s == "sharded" || s == "parallel") return EngineKind::kSharded;
-  return std::nullopt;
-}
-
-[[nodiscard]] inline std::optional<FabricKind> parse_fabric_kind(
-    std::string_view s) noexcept {
-  if (s == "pcie") return FabricKind::kPcie;
-  if (s == "ring") return FabricKind::kRing;
-  if (s == "switch" || s == "nvswitch") return FabricKind::kSwitch;
-  return std::nullopt;
-}
-
-[[nodiscard]] inline std::optional<FaultBackendKind> parse_fault_backend_kind(
-    std::string_view s) noexcept {
-  if (s == "host" || s == "host-driver") return FaultBackendKind::kHostDriver;
-  if (s == "gpu-driven" || s == "gpu" || s == "gpuvm")
-    return FaultBackendKind::kGpuDriven;
-  return std::nullopt;
-}
-
-[[nodiscard]] inline std::optional<DeletionScheme> parse_deletion_scheme(
-    std::string_view s) noexcept {
-  if (s == "scheme1") return DeletionScheme::kScheme1;
-  if (s == "scheme2") return DeletionScheme::kScheme2;
-  return std::nullopt;
-}
-
-[[nodiscard]] inline std::optional<PlacementKind> parse_placement_kind(
-    std::string_view s) noexcept {
-  if (s == "first-touch") return PlacementKind::kFirstTouch;
-  if (s == "round-robin") return PlacementKind::kRoundRobin;
-  if (s == "affinity") return PlacementKind::kAffinity;
-  return std::nullopt;
-}
 
 }  // namespace uvmsim

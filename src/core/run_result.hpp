@@ -54,8 +54,8 @@ struct LinkRunResult {
 /// whole block then, so fixed-N artefacts stay byte-identical.
 struct FleetRunResult {
   bool enabled = false;
-  std::string admission;       ///< admission policy name
-  std::string scheduler;       ///< placement policy name
+  std::string admission;       ///< kAdmissionNames name
+  std::string scheduler;       ///< kFleetSchedNames name
   u32 devices = 0;
   double arrival_rate = 0.0;   ///< offered load, jobs per Mcycle
   u64 jobs_submitted = 0;
@@ -157,7 +157,7 @@ struct RunResult {
   /// docs/faultsvc.md). The stats are all zero — and the JSON/report
   /// writers omit the whole block — under the default host backend, so
   /// pre-seam artefacts stay byte-identical.
-  std::string fault_backend = "host";
+  std::string fault_backend{kFaultBackendNames.name(FaultBackendKind::kHostDriver)};
   bool gpu_fault_backend = false;
   FaultBackendStats faultsvc;
 
@@ -168,12 +168,12 @@ struct RunResult {
 
   // Multi-tenant runs only (empty vector otherwise): per-tenant slices and
   // the run-level fairness summary (tenancy/fairness.hpp).
-  std::string tenant_mode;            ///< "", or shared|partitioned|quota
+  std::string tenant_mode;            ///< "", or a kTenantModeNames name
   std::vector<TenantRunResult> tenants;
   double jain_fairness = 0.0;         ///< Jain's index over 1/slowdown; 0 = n/a
 
   // Multi-GPU fabric runs only (empty vectors, gpus == 1 otherwise).
-  std::string fabric;                 ///< "", or pcie|ring|switch
+  std::string fabric;                 ///< "", or a kFabricNames name
   u32 gpus = 1;
   std::vector<DeviceRunResult> devices;
   std::vector<LinkRunResult> links;

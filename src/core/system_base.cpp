@@ -54,7 +54,7 @@ RunResult SystemBase::run_and_collect(
   r.eviction_name = first.policy().name();
   r.prefetcher_name = first.prefetcher().name();
   r.large_pages = first.large_pages_enabled();
-  r.fault_backend = first.fault_backend().name();
+  r.fault_backend = kFaultBackendNames.name(first.fault_backend().kind());
   r.gpu_fault_backend = first.fault_backend().kind() == FaultBackendKind::kGpuDriven;
   for (const auto& s : stacks_) {
     const UvmDriver& drv = s->driver();

@@ -29,6 +29,10 @@ namespace uvmsim {
 
 class FabricCoordinator final : public FabricPort {
  public:
+  /// Devices the page directory can name: owners and homes are stored as
+  /// u8 ids below kNone8, the host's id.
+  static constexpr u32 kMaxDevices = 0xFF;
+
   FabricCoordinator(EventQueue& eq, const SystemConfig& sys,
                     const FabricConfig& cfg, u64 footprint_pages);
 
@@ -64,7 +68,7 @@ class FabricCoordinator final : public FabricPort {
   [[nodiscard]] u32 home_of(ChunkId c) const noexcept { return widen(home_[c]); }
 
  private:
-  static constexpr u8 kNone8 = 0xFF;
+  static constexpr u8 kNone8 = kMaxDevices;
   [[nodiscard]] static u32 widen(u8 v) noexcept {
     return v == kNone8 ? kHostDevice : v;
   }

@@ -2,17 +2,28 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace uvmsim {
 
 namespace {
 
 /// Sharded needs >= 2 devices (one shard per device); otherwise a single
-/// shard makes the engine a verbatim sequential EventQueue.
+/// shard makes the engine a verbatim sequential EventQueue. Refuses more
+/// devices than the engine's fabric protocol can name, before anything is
+/// built.
 EngineShape engine_shape(const SystemConfig& sys, const FabricConfig& fabric,
                          const EngineConfig& engine) {
   const u32 n = std::max(1u, fabric.gpus);
-  if (engine.kind != EngineKind::kSharded || n == 1) return {};
+  const bool sharded = engine.kind == EngineKind::kSharded;
+  const u32 max_gpus =
+      sharded ? ShardedFabric::kMaxDevices : FabricCoordinator::kMaxDevices;
+  if (n > max_gpus)
+    throw std::invalid_argument(
+        std::to_string(n) + " GPUs: the fabric under the " +
+        std::string(kEngineNames.name(engine.kind)) + " engine holds at most " +
+        std::to_string(max_gpus));
+  if (!sharded || n == 1) return {};
   const Cycle hop_latency = std::max<Cycle>(
       1, static_cast<Cycle>(fabric.nvlink_latency_us * sys.core_ghz * 1000.0));
   return {n, hop_latency, engine.threads};
@@ -81,7 +92,7 @@ RunResult FabricSystem::run(Cycle max_cycles) {
   // Fabric-shaped result fields stay at their defaults for 1-GPU systems so
   // the result (and its JSON) is indistinguishable from a UvmSystem run.
   if (num_gpus() == 1) return r;
-  r.fabric = to_string(fab_cfg_.topology);
+  r.fabric = kFabricNames.name(fab_cfg_.topology);
   r.gpus = num_gpus();
   for (u32 d = 0; d < num_gpus(); ++d) {
     const Gpu& g = *gpus_[d];

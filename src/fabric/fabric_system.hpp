@@ -42,7 +42,9 @@ class FabricSystem : public SystemBase {
   /// device memory; each device gets a 1/N share (with UvmSystem's
   /// per-driver capacity floor), so oversubscription pressure per device
   /// matches the single-GPU run at N = 1. Throws std::invalid_argument for
-  /// `fabric.spill` under a sharded engine with two or more GPUs.
+  /// `fabric.spill` under a sharded engine with two or more GPUs, and for
+  /// more GPUs than the fabric can name (FabricCoordinator::kMaxDevices, or
+  /// ShardedFabric::kMaxDevices under the sharded engine).
   FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
                const Workload& workload, double oversub,
                const FabricConfig& fabric, const EngineConfig& engine = {});

@@ -95,7 +95,7 @@ ShardedFabric::ShardedFabric(ShardedEngine& engine, const SystemConfig& sys,
       drivers_(cfg.gpus, nullptr),
       invalidators_(cfg.gpus),
       remote_readers_(footprint_pages, 0) {
-  assert(cfg.gpus >= 2 && cfg.gpus <= 32);
+  assert(cfg.gpus >= 2 && cfg.gpus <= kMaxDevices);
   for (u32 d = 0; d < cfg.gpus; ++d) {
     topos_.push_back(std::make_unique<FabricTopology>(sys, cfg));
     ports_.push_back(std::make_unique<Port>(*this, d));

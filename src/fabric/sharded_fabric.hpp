@@ -31,6 +31,7 @@
 
 #include <cassert>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -45,6 +46,9 @@ namespace uvmsim {
 
 class ShardedFabric {
  public:
+  /// Devices remote_readers_ can name: one bit each in a u32.
+  static constexpr u32 kMaxDevices = std::numeric_limits<u32>::digits;
+
   ShardedFabric(ShardedEngine& engine, const SystemConfig& sys,
                 const FabricConfig& cfg, u64 footprint_pages);
   ~ShardedFabric();

@@ -60,7 +60,6 @@ class FaultServiceBackend {
   virtual ~FaultServiceBackend() = default;
 
   [[nodiscard]] virtual FaultBackendKind kind() const noexcept = 0;
-  [[nodiscard]] const char* name() const noexcept { return to_string(kind()); }
 
   // --- Queue discipline -----------------------------------------------------
   /// Queue a fault just raised in the table, from SM `sm` (0 when the

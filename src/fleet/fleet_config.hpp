@@ -9,10 +9,9 @@
 // byte-identical.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
+#include "common/names.hpp"
 #include "common/types.hpp"
 
 namespace uvmsim {
@@ -24,6 +23,11 @@ enum class AdmissionKind : u8 {
   kHeadroom,    ///< also require promised memory below a capacity fraction
   kQuota,       ///< per-job memory cap + promised never above capacity
 };
+inline constexpr auto kAdmissionNames = name_table<AdmissionKind>({
+    {"always", AdmissionKind::kAlways},
+    {"headroom", AdmissionKind::kHeadroom},
+    {"quota", AdmissionKind::kQuota},
+});
 
 /// Placement policy choosing among the admissible devices.
 enum class FleetSchedKind : u8 {
@@ -31,6 +35,11 @@ enum class FleetSchedKind : u8 {
   kLeastLoaded,      ///< minimum promised frames (tie: lowest id)
   kPatternAffinity,  ///< most co-located same-pattern jobs (tie: least loaded)
 };
+inline constexpr auto kFleetSchedNames = name_table<FleetSchedKind>({
+    {"first-fit", FleetSchedKind::kFirstFit},
+    {"least-loaded", FleetSchedKind::kLeastLoaded},
+    {"pattern-affinity", FleetSchedKind::kPatternAffinity},
+});
 
 struct FleetConfig {
   /// Master switch: false keeps every fixed-N code path untouched.
@@ -59,40 +68,5 @@ struct FleetConfig {
   /// seeded Poisson arrivals.
   std::string arrival_trace;
 };
-
-[[nodiscard]] constexpr std::string_view to_string(AdmissionKind k) noexcept {
-  switch (k) {
-    case AdmissionKind::kAlways: return "always";
-    case AdmissionKind::kHeadroom: return "headroom";
-    case AdmissionKind::kQuota: return "quota";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::string_view to_string(FleetSchedKind k) noexcept {
-  switch (k) {
-    case FleetSchedKind::kFirstFit: return "first-fit";
-    case FleetSchedKind::kLeastLoaded: return "least-loaded";
-    case FleetSchedKind::kPatternAffinity: return "pattern-affinity";
-  }
-  return "?";
-}
-
-[[nodiscard]] inline std::optional<AdmissionKind> parse_admission_kind(
-    std::string_view s) noexcept {
-  if (s == "always") return AdmissionKind::kAlways;
-  if (s == "headroom") return AdmissionKind::kHeadroom;
-  if (s == "quota") return AdmissionKind::kQuota;
-  return std::nullopt;
-}
-
-[[nodiscard]] inline std::optional<FleetSchedKind> parse_fleet_sched_kind(
-    std::string_view s) noexcept {
-  if (s == "first-fit") return FleetSchedKind::kFirstFit;
-  if (s == "least-loaded") return FleetSchedKind::kLeastLoaded;
-  if (s == "pattern-affinity" || s == "affinity")
-    return FleetSchedKind::kPatternAffinity;
-  return std::nullopt;
-}
 
 }  // namespace uvmsim

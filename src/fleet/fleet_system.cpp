@@ -309,8 +309,8 @@ RunResult FleetSystem::run(Cycle max_cycles) {
 
   FleetRunResult& f = r.fleet;
   f.enabled = true;
-  f.admission = std::string(to_string(fleet_.admission));
-  f.scheduler = std::string(to_string(fleet_.scheduler));
+  f.admission = kAdmissionNames.name(fleet_.admission);
+  f.scheduler = kFleetSchedNames.name(fleet_.scheduler);
   f.devices = devices();
   f.arrival_rate = fleet_.arrival_rate;
   f.jobs_submitted = submitted_;

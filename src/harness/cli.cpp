@@ -4,6 +4,7 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "harness/version.hpp"
 
@@ -124,6 +125,17 @@ u32 CliParser::get_u32(const std::string& name, u32 min) const {
   return static_cast<u32>(get_int(name, min, std::numeric_limits<u32>::max()));
 }
 
+template <class T>
+std::vector<T> CliParser::get_list(const std::string& name, T min) const {
+  std::vector<T> out;
+  for (const std::string& item : split_list(get(name)))
+    out.push_back(parse_number("--" + name, item, min, std::numeric_limits<T>::max(),
+                               std::is_integral_v<T> ? "an integer" : "a number"));
+  return out;
+}
+template std::vector<double> CliParser::get_list(const std::string&, double) const;
+template std::vector<u32> CliParser::get_list(const std::string&, u32) const;
+
 bool CliParser::get_flag(const std::string& name) const {
   auto it = opts_.find(name);
   if (it == opts_.end()) throw std::logic_error("unregistered flag: " + name);
@@ -162,6 +174,23 @@ std::vector<std::string> split_list(const std::string& s, char sep) {
   }
   std::erase(out, std::string{});
   return out;
+}
+
+std::vector<ExperimentSpec> tenant_specs(const CliParser& cli) {
+  std::vector<TenantMode> modes;
+  for (const std::string& name : split_list(cli.get("tenant-modes")))
+    modes.push_back(parse_choice("--tenant-modes", name, kTenantModeNames));
+  std::vector<ExperimentSpec> specs;
+  for (const std::string& group : split_list(cli.get("tenants"), ';'))
+    for (const TenantMode mode : modes) {
+      ExperimentSpec s;
+      s.workload = group;
+      s.label = kTenantModeNames.name(mode);
+      s.tenants = split_list(group, '+');
+      s.tenant_mode = mode;
+      specs.push_back(std::move(s));
+    }
+  return specs;
 }
 
 }  // namespace uvmsim

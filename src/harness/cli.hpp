@@ -1,18 +1,31 @@
-// Minimal dependency-free command-line option parser for the uvmsim tools.
+// Minimal command-line option parser for the uvmsim tools.
 // Supports `--name value`, `--name=value`, and boolean `--flag` options,
-// with generated --help text.
+// with generated --help text, plus the tenant grid uvmsim_sweep and
+// uvmsim_report share.
 #pragma once
 
+#include <cstddef>
 #include <limits>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/types.hpp"
+#include "harness/experiment.hpp"
 
 namespace uvmsim {
+
+/// The value `text` names in `table`. Throws std::invalid_argument naming
+/// `what` and listing the valid names otherwise.
+template <class E, std::size_t N>
+[[nodiscard]] E parse_choice(const std::string& what, const std::string& text,
+                             const NameTable<E, N>& table) {
+  if (const auto value = table.value(text)) return *value;
+  throw std::invalid_argument(what + ": expected " + table.choices() + ", got '" +
+                              text + "'");
+}
 
 class CliParser {
  public:
@@ -22,6 +35,13 @@ class CliParser {
   /// shown in help and returned when absent.
   void add_option(const std::string& name, const std::string& help,
                   const std::string& def = "");
+  /// Register a value option taking one of `table`'s names: its help reads
+  /// "<help>: a | b | c" and its default is the name of `def`.
+  template <class E, std::size_t N>
+  void add_choice(const std::string& name, const std::string& help,
+                  const NameTable<E, N>& table, E def) {
+    add_option(name, help + ": " + table.choices(), std::string(table.name(def)));
+  }
   /// Register a boolean flag (present = true).
   void add_flag(const std::string& name, const std::string& help);
 
@@ -40,14 +60,15 @@ class CliParser {
       long long max = std::numeric_limits<long long>::max()) const;
   /// get_int over [min, UINT32_MAX].
   [[nodiscard]] u32 get_u32(const std::string& name, u32 min = 0) const;
-  /// The value run through `parser`, a name -> std::optional<T> function
-  /// such as parse_engine_kind. Throws std::invalid_argument naming the
-  /// option when `parser` returns nullopt.
-  template <class Parser>
-  [[nodiscard]] auto get_parsed(const std::string& name, Parser parser) const {
-    const std::string value = get(name);
-    if (const auto parsed = parser(value)) return *parsed;
-    throw std::invalid_argument("unknown --" + name + " value: " + value);
+  /// A comma-separated list (split_list) of numbers >= `min`, double or
+  /// u32, each checked like the whole value of get_double or get_u32.
+  template <class T>
+  [[nodiscard]] std::vector<T> get_list(const std::string& name, T min) const;
+  /// The value looked up in `table`; parse_choice's errors.
+  template <class E, std::size_t N>
+  [[nodiscard]] E get_parsed(const std::string& name,
+                             const NameTable<E, N>& table) const {
+    return parse_choice("--" + name, get(name), table);
   }
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] bool was_set(const std::string& name) const;
@@ -80,5 +101,12 @@ class CliParser {
 /// dropping spaces and empty items.
 [[nodiscard]] std::vector<std::string> split_list(const std::string& s,
                                                   char sep = ',');
+
+/// The tenant grid of uvmsim_sweep and uvmsim_report: every ';'-separated
+/// group of '+'-joined workloads in --tenants ("NW+BFS;MVT+SRD") crossed
+/// with every --tenant-modes name, group-major. Each spec sets `workload`
+/// to the group as written, `tenants`, `tenant_mode`, and `label` to the
+/// mode's name. A one-workload group is left for run_experiment to refuse.
+[[nodiscard]] std::vector<ExperimentSpec> tenant_specs(const CliParser& cli);
 
 }  // namespace uvmsim

@@ -304,7 +304,7 @@ void write_json(std::ostream& os, const std::vector<LabelledResult>& results) {
     // --engine sharded, so sequential-run JSON stays byte-identical.
     if (x.engine_stats.sharded) {
       os << ",\"engine\":{"
-         << "\"kind\":\"sharded\","
+         << "\"kind\":\"" << kEngineNames.name(EngineKind::kSharded) << "\","
          << "\"shards\":" << x.engine_stats.shards << ','
          << "\"threads\":" << x.engine_stats.threads << ','
          << "\"lookahead_cycles\":" << x.engine_stats.lookahead_cycles << ','

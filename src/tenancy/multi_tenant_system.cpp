@@ -64,7 +64,7 @@ MultiTenantSystem::~MultiTenantSystem() = default;
 RunResult MultiTenantSystem::run(Cycle max_cycles) {
   RunResult r = run_and_collect(gpus_, max_cycles);
   r.oversub = oversub_;
-  r.tenant_mode = std::string(to_string(mode_));
+  r.tenant_mode = kTenantModeNames.name(mode_);
   const TenantTable& table = tenants();
   for (u64 t = 0; t < table.size(); ++t) {
     const TenantId id = static_cast<TenantId>(t);

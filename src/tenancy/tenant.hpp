@@ -22,12 +22,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/types.hpp"
 
 namespace uvmsim {
@@ -37,44 +36,21 @@ enum class TenantMode : u8 {
   kPartitioned,     ///< hard per-tenant frame quotas + per-tenant chains
   kQuota,           ///< soft quotas with borrowing + over-quota-first eviction
 };
+inline constexpr auto kTenantModeNames = name_table<TenantMode>({
+    {"shared", TenantMode::kShared},
+    {"partitioned", TenantMode::kPartitioned},
+    {"quota", TenantMode::kQuota},
+});
 
 /// Victim scoping for the *shared* mode (partitioned/quota always use the
 /// faulting tenant's own chain, so the scope applies only to one global
 /// chain): kGlobal is the paper's policy untouched; kSelf prefers victims
 /// owned by the faulting tenant and falls back to global when it has none.
 enum class EvictionScope : u8 { kGlobal = 0, kSelf };
-
-[[nodiscard]] constexpr std::string_view to_string(TenantMode m) noexcept {
-  switch (m) {
-    case TenantMode::kShared: return "shared";
-    case TenantMode::kPartitioned: return "partitioned";
-    case TenantMode::kQuota: return "quota";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::string_view to_string(EvictionScope s) noexcept {
-  switch (s) {
-    case EvictionScope::kGlobal: return "global";
-    case EvictionScope::kSelf: return "self";
-  }
-  return "?";
-}
-
-[[nodiscard]] inline std::optional<TenantMode> parse_tenant_mode(
-    std::string_view s) noexcept {
-  if (s == "shared") return TenantMode::kShared;
-  if (s == "partitioned") return TenantMode::kPartitioned;
-  if (s == "quota") return TenantMode::kQuota;
-  return std::nullopt;
-}
-
-[[nodiscard]] inline std::optional<EvictionScope> parse_eviction_scope(
-    std::string_view s) noexcept {
-  if (s == "global") return EvictionScope::kGlobal;
-  if (s == "self") return EvictionScope::kSelf;
-  return std::nullopt;
-}
+inline constexpr auto kEvictionScopeNames = name_table<EvictionScope>({
+    {"global", EvictionScope::kGlobal},
+    {"self", EvictionScope::kSelf},
+});
 
 /// Per-tenant slice of the driver counters, plus the cross-tenant
 /// interference counters only a tenant-aware eviction engine can attribute.

@@ -56,15 +56,5 @@ TEST(Config, PolicyDefaultsMatchPaper) {
   EXPECT_EQ(p.prefetch_name, "pattern");
 }
 
-TEST(Config, EnumNames) {
-  EXPECT_STREQ(to_string(FabricKind::kSwitch), "switch");
-  EXPECT_STREQ(to_string(PlacementKind::kRoundRobin), "round-robin");
-  EXPECT_STREQ(to_string(FaultBackendKind::kGpuDriven), "gpu-driven");
-  EXPECT_STREQ(to_string(EngineKind::kSharded), "sharded");
-  EXPECT_EQ(parse_deletion_scheme("scheme1"), DeletionScheme::kScheme1);
-  EXPECT_EQ(parse_deletion_scheme("scheme2"), DeletionScheme::kScheme2);
-  EXPECT_EQ(parse_deletion_scheme("bogus"), std::nullopt);
-}
-
 }  // namespace
 }  // namespace uvmsim

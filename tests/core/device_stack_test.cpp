@@ -92,9 +92,9 @@ TEST(DeviceStack, OnePolicyPerChainDomain) {
                   std::move(tenancy));
     ChainSet& chains = s.driver().chains();
     EXPECT_EQ(chains.domains(), mode == TenantMode::kShared ? 1u : 2u)
-        << to_string(mode);
+        << kTenantModeNames.name(mode);
     for (u64 d = 0; d < chains.domains(); ++d)
-      EXPECT_NE(chains.policy(d), nullptr) << to_string(mode) << " domain " << d;
+      EXPECT_NE(chains.policy(d), nullptr) << kTenantModeNames.name(mode) << " domain " << d;
     EXPECT_NE(s.tenants(), nullptr);
     EXPECT_EQ(s.driver().capacity_pages(), 1024u);
   }

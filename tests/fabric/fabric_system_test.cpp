@@ -176,6 +176,39 @@ TEST(FabricSystem, ZeroRemoteThresholdAlwaysMigrates) {
 }
 
 // The sharded fabric pins chunks to their home device, so it refuses spill.
+// Device ids must fit the page directory: the coordinator's u8 owners and
+// homes, whose 0xFF is the host, and the sharded fabric's u32 reader masks.
+// The refusal comes before any device is built; the largest fabric builds.
+TEST(FabricSystem, RefusesMoreGpusThanThePageDirectoryNames) {
+  const auto wl = make_benchmark("NW");
+  SystemConfig sys;
+  sys.num_sms = 1;
+  sys.warps_per_sm = 1;
+  const u32 max = FabricCoordinator::kMaxDevices;
+  EXPECT_EQ(max, 255u);
+  EXPECT_THROW(FabricSystem(sys, presets::cppe(), *wl, 0.5, fabric_of(max + 1)),
+               std::invalid_argument);
+  EXPECT_EQ(FabricSystem(sys, presets::cppe(), *wl, 0.5, fabric_of(max)).num_gpus(), max);
+}
+
+TEST(FabricSystem, ShardedEngineRefusesMoreGpusThanItsReaderMaskHolds) {
+  const auto wl = make_benchmark("NW");
+  SystemConfig sys;
+  sys.num_sms = 1;
+  sys.warps_per_sm = 1;
+  EngineConfig sharded;
+  sharded.kind = EngineKind::kSharded;
+  sharded.threads = 1;
+  const u32 max = ShardedFabric::kMaxDevices;
+  EXPECT_EQ(max, 32u);
+  EXPECT_THROW(
+      FabricSystem(sys, presets::cppe(), *wl, 0.5, fabric_of(max + 1), sharded),
+      std::invalid_argument);
+  EXPECT_EQ(
+      FabricSystem(sys, presets::cppe(), *wl, 0.5, fabric_of(max), sharded).num_gpus(),
+      max);
+}
+
 TEST(FabricSystem, ShardedEngineRejectsSpill) {
   const auto wl = make_benchmark("NW");
   EngineConfig sharded;

@@ -96,22 +96,5 @@ TEST(Scheduler, PatternAffinityPrefersCoLocation) {
             0u);
 }
 
-TEST(FleetConfigNames, RoundTrip) {
-  EXPECT_EQ(to_string(AdmissionKind::kAlways), "always");
-  EXPECT_EQ(to_string(AdmissionKind::kHeadroom), "headroom");
-  EXPECT_EQ(to_string(AdmissionKind::kQuota), "quota");
-  EXPECT_EQ(parse_admission_kind("headroom"), AdmissionKind::kHeadroom);
-  EXPECT_FALSE(parse_admission_kind("bogus").has_value());
-
-  EXPECT_EQ(to_string(FleetSchedKind::kFirstFit), "first-fit");
-  EXPECT_EQ(to_string(FleetSchedKind::kLeastLoaded), "least-loaded");
-  EXPECT_EQ(to_string(FleetSchedKind::kPatternAffinity), "pattern-affinity");
-  EXPECT_EQ(parse_fleet_sched_kind("least-loaded"),
-            FleetSchedKind::kLeastLoaded);
-  EXPECT_EQ(parse_fleet_sched_kind("affinity"),
-            FleetSchedKind::kPatternAffinity);
-  EXPECT_FALSE(parse_fleet_sched_kind("bogus").has_value());
-}
-
 }  // namespace
 }  // namespace uvmsim

@@ -139,6 +139,69 @@ TEST(Cli, ParseDoubleNamesTheOffender) {
   }
 }
 
+TEST(Cli, ChoiceFlagsComeFromTheirTable) {
+  CliParser p("test program");
+  p.add_choice("fabric", "link topology", kFabricNames, FabricKind::kRing);
+  EXPECT_NE(p.help().find("link topology: pcie | ring | switch"), std::string::npos);
+  EXPECT_NE(p.help().find("default: ring"), std::string::npos);
+  ASSERT_TRUE(parse(p, {}));
+  EXPECT_EQ(p.get_parsed("fabric", kFabricNames), FabricKind::kRing);
+
+  CliParser q("test program");
+  q.add_choice("fabric", "link topology", kFabricNames, FabricKind::kRing);
+  ASSERT_TRUE(parse(q, {"--fabric", "nvswitch"}));
+  try {
+    (void)q.get_parsed("fabric", kFabricNames);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--fabric"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("pcie | ring | switch"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'nvswitch'"), std::string::npos) << msg;
+  }
+}
+
+TEST(Cli, ListItemsAreCheckedLikeWholeValues) {
+  CliParser p = make();
+  ASSERT_TRUE(parse(p, {"--workload", "2, 4", "--oversub", "0.75,0.5"}));
+  EXPECT_EQ(p.get_list<u32>("workload", 2), (std::vector<u32>{2, 4}));
+  EXPECT_EQ(p.get_list("oversub", 0.0), (std::vector<double>{0.75, 0.5}));
+  for (const char* bad : {"2.5", "1", "-2", "4294967296", "x"}) {
+    CliParser q = make();
+    ASSERT_TRUE(parse(q, {"--workload", bad}));
+    EXPECT_THROW((void)q.get_list<u32>("workload", 2), std::invalid_argument) << bad;
+  }
+  CliParser r = make();
+  ASSERT_TRUE(parse(r, {"--oversub", "0.5,abc"}));
+  EXPECT_THROW((void)r.get_list("oversub", 0.0), std::invalid_argument);
+}
+
+// Groups cross modes group-major; a one-workload group passes through for
+// run_experiment to refuse, and an unknown mode is refused here.
+TEST(Cli, TenantSpecsCrossGroupsWithModes) {
+  CliParser p("test program");
+  p.add_option("tenants", "groups");
+  p.add_option("tenant-modes", "modes", "shared");
+  ASSERT_TRUE(parse(p, {"--tenants", "NW+BFS;MVT", "--tenant-modes", "quota,shared"}));
+  const auto specs = tenant_specs(p);
+  ASSERT_EQ(specs.size(), 4u);
+  using V = std::vector<std::string>;
+  EXPECT_EQ(specs[0].workload, "NW+BFS");
+  EXPECT_EQ(specs[0].tenants, (V{"NW", "BFS"}));
+  EXPECT_EQ(specs[0].tenant_mode, TenantMode::kQuota);
+  EXPECT_EQ(specs[0].label, "quota");
+  EXPECT_EQ(specs[1].tenant_mode, TenantMode::kShared);
+  EXPECT_EQ(specs[1].label, "shared");
+  EXPECT_EQ(specs[2].tenants, (V{"MVT"}));
+  EXPECT_EQ(specs[3].label, "shared");
+
+  CliParser q("test program");
+  q.add_option("tenants", "groups");
+  q.add_option("tenant-modes", "modes", "shared");
+  ASSERT_TRUE(parse(q, {"--tenants", "NW+BFS", "--tenant-modes", "shared,bogus"}));
+  EXPECT_THROW((void)tenant_specs(q), std::invalid_argument);
+}
+
 TEST(Cli, SplitListDropsSpacesAndEmptyItems) {
   using V = std::vector<std::string>;
   EXPECT_EQ(split_list("NW,BFS"), (V{"NW", "BFS"}));

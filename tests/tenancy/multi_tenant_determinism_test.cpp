@@ -89,7 +89,7 @@ TEST(MultiTenantDeterminism, ThreadedSweepIsReproducible) {
   for (const TenantMode mode : {TenantMode::kShared, TenantMode::kQuota}) {
     ExperimentSpec s;
     s.workload = "NW+HOT";
-    s.label = std::string(to_string(mode));
+    s.label = kTenantModeNames.name(mode);
     s.policy = presets::cppe();
     s.oversub = 0.5;
     s.tenants = {"NW", "HOT"};

@@ -39,11 +39,11 @@ TEST(MultiTenantSystem, AllModesRunToCompletion) {
   for (const TenantMode mode : {TenantMode::kShared, TenantMode::kPartitioned,
                                 TenantMode::kQuota}) {
     const RunResult r = run_pair(p, mode);
-    EXPECT_TRUE(r.completed) << to_string(mode);
-    ASSERT_EQ(r.tenants.size(), 2u) << to_string(mode);
-    EXPECT_EQ(r.tenant_mode, to_string(mode));
+    EXPECT_TRUE(r.completed) << kTenantModeNames.name(mode);
+    ASSERT_EQ(r.tenants.size(), 2u) << kTenantModeNames.name(mode);
+    EXPECT_EQ(r.tenant_mode, kTenantModeNames.name(mode));
     for (const TenantRunResult& t : r.tenants) {
-      EXPECT_TRUE(t.completed) << to_string(mode) << " tenant " << t.id;
+      EXPECT_TRUE(t.completed) << kTenantModeNames.name(mode) << " tenant " << t.id;
       EXPECT_GT(t.finish_cycle, 0u);
       EXPECT_GT(t.stats.page_faults, 0u);
       EXPECT_GT(t.stats.pages_migrated_in, 0u);

@@ -87,16 +87,6 @@ TEST(TenantTable, UsageAccountingAndHeadroom) {
   EXPECT_EQ(t.used_frames(a), 0u);
 }
 
-TEST(TenantMode, ParseAndToStringRoundTrip) {
-  for (const TenantMode m : {TenantMode::kShared, TenantMode::kPartitioned,
-                             TenantMode::kQuota})
-    EXPECT_EQ(parse_tenant_mode(to_string(m)), m);
-  EXPECT_EQ(parse_tenant_mode("bogus"), std::nullopt);
-  for (const EvictionScope s : {EvictionScope::kGlobal, EvictionScope::kSelf})
-    EXPECT_EQ(parse_eviction_scope(to_string(s)), s);
-  EXPECT_EQ(parse_eviction_scope("bogus"), std::nullopt);
-}
-
 TEST(Fairness, JainIndexBounds) {
   EXPECT_DOUBLE_EQ(jain_index({1.0, 1.0, 1.0}), 1.0);
   EXPECT_DOUBLE_EQ(jain_index({}), 0.0);

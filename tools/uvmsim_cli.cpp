@@ -328,6 +328,9 @@ void print_csv(const RunResult& r) {
 int main(int argc, char** argv) try {
   CliParser cli(
       "uvmsim — GPU unified-memory oversubscription simulator (CPPE, IPDPS'20)");
+  const ExperimentSpec def;
+  const std::string host(kFaultBackendNames.name(FaultBackendKind::kHostDriver));
+  const std::string gpu_driven(kFaultBackendNames.name(FaultBackendKind::kGpuDriven));
   cli.add_option("workload",
                  "Table II abbreviation (see --list), or an extension: "
                  "BFR (BFS frontier), MLT (ML-training phases)", "NW");
@@ -338,7 +341,8 @@ int main(int argc, char** argv) try {
                  "eviction policy by registered name (--list-policies)", "mhpe");
   cli.add_option("prefetch",
                  "prefetcher by registered name (--list-policies)", "pattern");
-  cli.add_option("deletion", "pattern-buffer deletion: scheme1 | scheme2", "scheme2");
+  cli.add_choice("deletion", "pattern-buffer deletion", kDeletionNames,
+                 def.policy.deletion);
   cli.add_option("reserved", "reserved-LRU protected fraction", "0.2");
   cli.add_option("t1", "MHPE per-interval untouch switch threshold", "32");
   cli.add_option("t2", "MHPE first-four-intervals switch threshold", "40");
@@ -346,21 +350,22 @@ int main(int argc, char** argv) try {
   cli.add_option("interval", "interval length in migrated pages", "64");
   cli.add_option("fault-batch",
                  "pending faults drained per driver wakeup (1 = classic)", "1");
-  cli.add_option("fault-backend",
-                 "fault-service backend: host | gpu-driven (docs/faultsvc.md)",
-                 "host");
+  cli.add_choice("fault-backend", "fault-service backend (docs/faultsvc.md)",
+                 kFaultBackendNames, def.system.fault_backend);
   cli.add_option("fault-latency-us",
-                 "host-driver far-fault handling latency in microseconds", "20");
+                 host + " backend: far-fault handling latency in microseconds", "20");
   cli.add_option("evict-service-us",
                  "driver service time per demand eviction in microseconds",
                  "2.5");
   cli.add_option("gpu-fault-queue-depth",
-                 "gpu-driven backend: per-SM fault queue depth", "32");
+                 gpu_driven + " backend: per-SM fault queue depth", "32");
   cli.add_option("tenants",
                  "comma-separated workloads co-scheduled on one GPU, e.g. NW,BFS");
-  cli.add_option("tenant-mode", "shared | partitioned | quota", "shared");
-  cli.add_option("tenant-evict",
-                 "victim scope in shared mode: global | self", "global");
+  cli.add_choice("tenant-mode", "frame-pool split", kTenantModeNames, def.tenant_mode);
+  cli.add_choice("tenant-evict",
+                 "victim scope in " +
+                     std::string(kTenantModeNames.name(TenantMode::kShared)) + " mode",
+                 kEvictionScopeNames, def.tenant_scope);
   cli.add_flag("no-solo", "skip the solo baselines (no slowdown/Jain output)");
   cli.add_flag("fleet",
                "fleet serving: open-loop job arrivals with admission control "
@@ -368,28 +373,27 @@ int main(int argc, char** argv) try {
   cli.add_option("jobs", "fleet: total jobs the arrival stream submits", "1000");
   cli.add_option("arrival-rate",
                  "fleet: offered load in jobs per million cycles", "20");
-  cli.add_option("admission", "fleet: always | headroom | quota", "always");
-  cli.add_option("fleet-sched",
-                 "fleet: first-fit | least-loaded | pattern-affinity",
-                 "first-fit");
+  cli.add_choice("admission", "fleet", kAdmissionNames, def.fleet.admission);
+  cli.add_choice("fleet-sched", "fleet", kFleetSchedNames, def.fleet.scheduler);
   cli.add_option("arrival-trace",
                  "fleet: interarrival trace file (one gap per line) instead "
                  "of Poisson arrivals");
   cli.add_option("gpus", "number of GPUs on the NVLink fabric (>=2 enables it)", "1");
-  cli.add_option("fabric", "link topology: pcie | ring | switch", "ring");
-  cli.add_option("placement",
-                 "page homing: first-touch | round-robin | affinity",
-                 "first-touch");
+  cli.add_choice("fabric", "link topology", kFabricNames, def.fabric.topology);
+  cli.add_choice("placement", "page homing", kPlacementNames, def.fabric.placement);
   cli.add_option("remote-threshold",
                  "remote accesses before a page migrates to the accessor "
                  "(0 = always migrate)", "4");
   cli.add_flag("spill", "evict to the least-loaded peer instead of the host");
-  cli.add_option("engine",
-                 "simulation engine for multi-GPU fabric / fleet runs: "
-                 "seq | sharded (docs/performance.md)", "seq");
+  cli.add_choice("engine",
+                 "simulation engine for multi-GPU fabric / fleet runs "
+                 "(docs/performance.md)",
+                 kEngineNames, def.engine.kind);
   cli.add_option("engine-threads",
-                 "sharded engine worker threads (0 = hardware, capped at the "
-                 "shard count)", "0");
+                 std::string(kEngineNames.name(EngineKind::kSharded)) +
+                     " engine worker threads (0 = hardware, capped at the shard "
+                     "count)",
+                 "0");
   cli.add_option("sms", "number of SMs", "28");
   cli.add_option("warps", "warps per SM", "8");
   cli.add_option("seed", "experiment seed", "24301");
@@ -444,7 +448,7 @@ int main(int argc, char** argv) try {
               << " (registered: " << join_names(reg.prefetch_names()) << ")\n";
     return 2;
   }
-  pol.deletion = cli.get_parsed("deletion", parse_deletion_scheme);
+  pol.deletion = cli.get_parsed("deletion", kDeletionNames);
   pol.reserved_fraction = cli.get_double("reserved", 0.0, 1.0);
   pol.t1_untouch = cli.get_u32("t1");
   pol.t2_untouch_first4 = cli.get_u32("t2");
@@ -456,12 +460,14 @@ int main(int argc, char** argv) try {
   pol.large_pages = cli.get_flag("large-pages");
   pol.fault_batch = cli.get_u32("fault-batch", 1);
 
-  const u32 event_mask = cli.get_parsed("trace-events", parse_event_mask);
+  const auto event_mask = parse_event_mask(cli.get("trace-events"));
+  if (!event_mask)
+    throw std::invalid_argument("unknown --trace-events value: " + cli.get("trace-events"));
 
   SystemConfig sys;
   sys.num_sms = cli.get_u32("sms", 1);
   sys.warps_per_sm = cli.get_u32("warps", 1);
-  sys.fault_backend = cli.get_parsed("fault-backend", parse_fault_backend_kind);
+  sys.fault_backend = cli.get_parsed("fault-backend", kFaultBackendNames);
   const double fault_latency_us = cli.get_double("fault-latency-us");
   if (fault_latency_us <= 0) {
     std::cerr << "--fault-latency-us must be > 0\n";
@@ -483,7 +489,7 @@ int main(int argc, char** argv) try {
   spec.policy = pol;
   spec.oversub = cli.get_double("oversub", 0.0);
   spec.system = sys;
-  spec.engine.kind = cli.get_parsed("engine", parse_engine_kind);
+  spec.engine.kind = cli.get_parsed("engine", kEngineNames);
   spec.engine.threads = cli.get_u32("engine-threads");
   spec.max_cycles = std::numeric_limits<Cycle>::max();
 
@@ -491,8 +497,8 @@ int main(int argc, char** argv) try {
     spec.tenants = split_list(cli.get("tenants"));
     if (spec.tenants.empty()) throw std::invalid_argument("--tenants lists no workload");
   }
-  spec.tenant_mode = cli.get_parsed("tenant-mode", parse_tenant_mode);
-  spec.tenant_scope = cli.get_parsed("tenant-evict", parse_eviction_scope);
+  spec.tenant_mode = cli.get_parsed("tenant-mode", kTenantModeNames);
+  spec.tenant_scope = cli.get_parsed("tenant-evict", kEvictionScopeNames);
   // Solo baseline: same workload alone on the tenant's SM slice at the
   // same oversubscription, so slowdown isolates memory-system
   // interference from the static SM split.
@@ -510,13 +516,13 @@ int main(int argc, char** argv) try {
   }
   fl.jobs = static_cast<u64>(cli.get_int("jobs", 1));
   fl.arrival_rate = cli.get_double("arrival-rate");
-  fl.admission = cli.get_parsed("admission", parse_admission_kind);
-  fl.scheduler = cli.get_parsed("fleet-sched", parse_fleet_sched_kind);
+  fl.admission = cli.get_parsed("admission", kAdmissionNames);
+  fl.scheduler = cli.get_parsed("fleet-sched", kFleetSchedNames);
   fl.arrival_trace = cli.get("arrival-trace");
 
   FabricConfig& fab = spec.fabric;
-  fab.topology = cli.get_parsed("fabric", parse_fabric_kind);
-  fab.placement = cli.get_parsed("placement", parse_placement_kind);
+  fab.topology = cli.get_parsed("fabric", kFabricNames);
+  fab.placement = cli.get_parsed("placement", kPlacementNames);
   fab.remote_threshold = cli.get_u32("remote-threshold");
   fab.spill = cli.get_flag("spill");
 
@@ -559,7 +565,7 @@ int main(int argc, char** argv) try {
   IntervalMetricsSink interval_sink;
   std::vector<TraceSink*> sinks;
   if (open_output(trace_file, "trace-out"))
-    sinks.push_back(&trace_sink.emplace(trace_file, event_mask));
+    sinks.push_back(&trace_sink.emplace(trace_file, *event_mask));
   const bool intervals = open_output(interval_file, "interval-metrics");
   if (intervals) sinks.push_back(&interval_sink);
 

@@ -19,19 +19,6 @@
 
 using namespace uvmsim;
 
-namespace {
-
-/// The comma-separated numbers of option `name`, each at least `min`.
-std::vector<double> parse_list(const CliParser& cli, const std::string& name,
-                               double min) {
-  std::vector<double> out;
-  for (const std::string& item : split_list(cli.get(name)))
-    out.push_back(parse_double("--" + name, item, min));
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   CliParser cli("uvmsim_report — one-shot reproduction report (Markdown)");
   cli.add_option("out", "output path ('-' = stdout)", "-");
@@ -39,19 +26,20 @@ int main(int argc, char** argv) try {
   cli.add_option("tenants",
                  "';'-separated '+'-joined tenant groups (e.g. \"NW+BFS\") — "
                  "adds a multi-tenant fairness section");
-  cli.add_option("tenant-modes", "comma-separated: shared,partitioned,quota",
-                 "shared,partitioned,quota");
-  cli.add_option("fabric",
-                 "comma-separated GPU counts (e.g. 2,4) — adds a multi-GPU "
-                 "fabric section (ring topology, spill on/off)");
+  const std::string modes = kTenantModeNames.choices(",");
+  cli.add_option("tenant-modes", "comma-separated: " + modes, modes);
+  const std::string topology(kFabricNames.name(FabricConfig{}.topology));
+  cli.add_option("fabric", "comma-separated GPU counts (e.g. 2,4) — adds a multi-GPU "
+                           "fabric section (" + topology + " topology, spill on/off)");
   cli.add_option("large-pages",
                  "comma-separated workloads (e.g. SRD,HOT) — adds a 2 MB "
                  "large-frames off-vs-on section (docs/memory.md)");
   cli.add_option("threads", "worker threads (0 = hardware)", "0");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
-  const auto rates = parse_list(cli, "oversubs", 0.0);
-  const auto fabric_gpus = parse_list(cli, "fabric", 2.0);
+  const auto rates = cli.get_list("oversubs", 0.0);
+  const auto fabric_gpus = cli.get_list<u32>("fabric", 2);
+  std::vector<ExperimentSpec> tspecs = tenant_specs(cli);
   const u32 threads = cli.get_u32("threads");
   const std::vector<std::pair<std::string, PolicyConfig>> policies = {
       {"baseline", presets::baseline()}, {"Random", presets::random_evict()},
@@ -117,28 +105,9 @@ int main(int argc, char** argv) try {
   // report stays byte-identical.
   if (cli.was_set("tenants") && !rates.empty()) {
     const double ov = rates.front();
-    std::vector<ExperimentSpec> tspecs;
-    for (const auto& group : split_list(cli.get("tenants"), ';')) {
-      const auto members = split_list(group, '+');
-      if (members.size() < 2) {
-        std::cerr << "tenant group needs >= 2 workloads: " << group << "\n";
-        return 2;
-      }
-      for (const auto& mode_str : split_list(cli.get("tenant-modes"))) {
-        const auto mode = parse_tenant_mode(mode_str);
-        if (!mode) {
-          std::cerr << "unknown tenant mode: " << mode_str << "\n";
-          return 2;
-        }
-        ExperimentSpec s;
-        s.workload = group;
-        s.label = mode_str;
-        s.policy = presets::cppe();
-        s.oversub = ov;
-        s.tenants = members;
-        s.tenant_mode = *mode;
-        tspecs.push_back(std::move(s));
-      }
+    for (ExperimentSpec& s : tspecs) {
+      s.policy = presets::cppe();
+      s.oversub = ov;
     }
     std::cerr << "running " << tspecs.size() << " multi-tenant experiments...\n";
     const auto tresults = run_sweep(tspecs, threads);
@@ -171,8 +140,7 @@ int main(int argc, char** argv) try {
   if (cli.was_set("fabric") && !rates.empty()) {
     const double ov = rates.front();
     std::vector<ExperimentSpec> fspecs;
-    for (const double gpus_d : fabric_gpus) {
-      const u32 gpus = static_cast<u32>(gpus_d);
+    for (const u32 gpus : fabric_gpus) {
       for (bool spill : {false, true}) {
         ExperimentSpec s;
         s.workload = "NW";
@@ -187,7 +155,7 @@ int main(int argc, char** argv) try {
     std::cerr << "running " << fspecs.size() << " fabric experiments...\n";
     const auto fresults = run_sweep(fspecs, threads);
 
-    md << "## Multi-GPU fabric (NW, ring, " << fmt(ov * 100, 0)
+    md << "## Multi-GPU fabric (NW, " << topology << ", " << fmt(ov * 100, 0)
        << "% fits)\n\n"
        << "One workload sharded over N GPUs (docs/fabric.md); d2h counts "
           "host write-backs, which eviction spill-to-peer retargets over "

@@ -11,6 +11,7 @@
 //                --out results.csv --tenant-out tenants.csv
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/policy_factory.hpp"
 #include "core/policy_registry.hpp"
@@ -22,23 +23,43 @@
 
 using namespace uvmsim;
 
+namespace {
+
+/// The --policies presets: the paper's named configurations
+/// (core/policy_factory.hpp).
+using Preset = PolicyConfig (*)();
+constexpr auto kPresets = name_table<Preset>({
+    {"baseline", presets::baseline},
+    {"cppe", presets::cppe},
+    {"cppe-s1", presets::cppe_scheme1},
+    {"random", presets::random_evict},
+    {"reserved10", [] { return presets::reserved_lru(0.10); }},
+    {"reserved20", [] { return presets::reserved_lru(0.20); }},
+    {"hpe", presets::hpe},
+    {"demand", presets::demand_only},
+    {"noprefetch-full", presets::disable_prefetch_when_full},
+});
+
+}  // namespace
+
 int main(int argc, char** argv) try {
   CliParser cli("uvmsim_sweep — run a policy/workload/oversubscription grid");
   cli.add_option("workloads", "comma-separated Table II abbreviations", "all");
   cli.add_option("policies",
-                 "comma-separated presets (baseline,cppe,cppe-s1,random,"
-                 "reserved10,reserved20,hpe,demand,noprefetch-full) and/or "
-                 "registry pairs <eviction>/<prefetch>, e.g. adaptive/adaptive "
-                 "(names: uvmsim --list-policies)",
+                 "comma-separated presets (" + kPresets.choices(",") +
+                     ") and/or registry pairs <eviction>/<prefetch>, e.g. "
+                     "adaptive/adaptive (names: uvmsim --list-policies)",
                  "baseline,cppe");
   cli.add_option("oversubs", "comma-separated oversubscription rates", "0.75,0.5");
   cli.add_option("tenants",
                  "';'-separated tenant groups of '+'-joined workloads, e.g. "
                  "\"NW+BFS;MVT+SRD\" (replaces --workloads)");
-  cli.add_option("tenant-modes", "comma-separated: shared,partitioned,quota",
-                 "shared,partitioned,quota");
-  cli.add_option("tenant-evict", "shared-mode victim scope: global | self",
-                 "global");
+  const std::string modes = kTenantModeNames.choices(",");
+  cli.add_option("tenant-modes", "comma-separated: " + modes, modes);
+  cli.add_choice("tenant-evict",
+                 std::string(kTenantModeNames.name(TenantMode::kShared)) +
+                     "-mode victim scope",
+                 kEvictionScopeNames, ExperimentSpec{}.tenant_scope);
   cli.add_option("tenant-out", "per-tenant CSV output path");
   cli.add_option("out", "CSV output path (empty = stdout table)");
   cli.add_option("json", "JSON output path");
@@ -50,89 +71,45 @@ int main(int argc, char** argv) try {
                              : split_list(cli.get("workloads"));
   std::vector<std::pair<std::string, PolicyConfig>> policies;
   for (const auto& p : split_list(cli.get("policies"))) {
-    if (p == "baseline") policies.emplace_back(p, presets::baseline());
-    else if (p == "cppe") policies.emplace_back(p, presets::cppe());
-    else if (p == "cppe-s1") policies.emplace_back(p, presets::cppe_scheme1());
-    else if (p == "random") policies.emplace_back(p, presets::random_evict());
-    else if (p == "reserved10") policies.emplace_back(p, presets::reserved_lru(0.10));
-    else if (p == "reserved20") policies.emplace_back(p, presets::reserved_lru(0.20));
-    else if (p == "hpe") policies.emplace_back(p, presets::hpe());
-    else if (p == "demand") policies.emplace_back(p, presets::demand_only());
-    else if (p == "noprefetch-full")
-      policies.emplace_back(p, presets::disable_prefetch_when_full());
-    else if (const auto slash = p.find('/'); slash != std::string::npos) {
-      // "<eviction>/<prefetch>" — both halves resolved by registered name,
-      // so out-of-tree registrations sweep like any preset.
-      PolicyConfig pol;
-      pol.eviction_name = p.substr(0, slash);
-      pol.prefetch_name = p.substr(slash + 1);
-      const auto& reg = PolicyRegistry::instance();
-      if (!reg.has_eviction(pol.eviction_name)) {
-        std::cerr << "unknown eviction policy in pair '" << p << "': "
-                  << pol.eviction_name << "\n";
-        return 2;
-      }
-      if (!reg.has_prefetch(pol.prefetch_name)) {
-        std::cerr << "unknown prefetcher in pair '" << p << "': "
-                  << pol.prefetch_name << "\n";
-        return 2;
-      }
-      policies.emplace_back(p, pol);
-    } else {
-      std::cerr << "unknown policy preset: " << p
-                << " (presets, or a <eviction>/<prefetch> registry pair)\n";
-      return 2;
+    if (const auto preset = kPresets.value(p)) {
+      policies.emplace_back(p, (*preset)());
+      continue;
     }
+    // "<eviction>/<prefetch>" — both halves resolved by registered name,
+    // so out-of-tree registrations sweep like any preset.
+    const auto slash = p.find('/');
+    PolicyConfig pol;
+    pol.eviction_name = p.substr(0, slash);
+    pol.prefetch_name = slash == std::string::npos ? "" : p.substr(slash + 1);
+    const auto& reg = PolicyRegistry::instance();
+    if (!reg.has_eviction(pol.eviction_name) || !reg.has_prefetch(pol.prefetch_name))
+      throw std::invalid_argument("--policies: expected a preset (" + kPresets.choices() +
+                                  ") or a registered <eviction>/<prefetch> pair, got '" +
+                                  p + "'");
+    policies.emplace_back(p, pol);
   }
+  const auto oversubs = cli.get_list("oversubs", 0.0);
 
-  std::vector<double> oversubs;
-  for (const auto& item : split_list(cli.get("oversubs")))
-    oversubs.push_back(parse_double("--oversubs", item, 0.0));
-
-  std::vector<ExperimentSpec> specs;
+  // The grid's rows, each crossed with every rate and policy: tenant groups
+  // x modes, or one workload each.
+  std::vector<ExperimentSpec> rows;
   if (cli.was_set("tenants")) {
-    const auto scope = parse_eviction_scope(cli.get("tenant-evict"));
-    if (!scope) {
-      std::cerr << "unknown --tenant-evict: " << cli.get("tenant-evict") << "\n";
-      return 2;
-    }
-    for (const auto& group : split_list(cli.get("tenants"), ';')) {
-      const auto members = split_list(group, '+');
-      if (members.size() < 2) {
-        std::cerr << "tenant group needs >= 2 workloads: " << group << "\n";
-        return 2;
-      }
-      for (const auto& mode_str : split_list(cli.get("tenant-modes")))
-        for (const double ov : oversubs)
-          for (const auto& [label, pol] : policies) {
-            const auto mode = parse_tenant_mode(mode_str);
-            if (!mode) {
-              std::cerr << "unknown tenant mode: " << mode_str << "\n";
-              return 2;
-            }
-            ExperimentSpec s;
-            s.workload = group;
-            s.label = label + "/" + mode_str;
-            s.policy = pol;
-            s.oversub = ov;
-            s.tenants = members;
-            s.tenant_mode = *mode;
-            s.tenant_scope = *scope;
-            specs.push_back(std::move(s));
-          }
-    }
+    const EvictionScope scope = cli.get_parsed("tenant-evict", kEvictionScopeNames);
+    rows = tenant_specs(cli);
+    for (ExperimentSpec& row : rows) row.tenant_scope = scope;
   } else {
-    for (const auto& w : workloads)
-      for (const double ov : oversubs)
-        for (const auto& [label, pol] : policies) {
-          ExperimentSpec s;
-          s.workload = w;
-          s.label = label;
-          s.policy = pol;
-          s.oversub = ov;
-          specs.push_back(std::move(s));
-        }
+    for (const auto& w : workloads) rows.emplace_back().workload = w;
   }
+  std::vector<ExperimentSpec> specs;
+  for (const ExperimentSpec& row : rows)
+    for (const double ov : oversubs)
+      for (const auto& [label, pol] : policies) {
+        ExperimentSpec s = row;
+        s.label = row.label.empty() ? label : label + "/" + row.label;
+        s.policy = pol;
+        s.oversub = ov;
+        specs.push_back(std::move(s));
+      }
 
   std::cerr << "running " << specs.size() << " experiments...\n";
   const auto results = run_sweep(specs, cli.get_u32("threads"));
