@@ -56,5 +56,15 @@ TEST(Config, PolicyDefaultsMatchPaper) {
   EXPECT_EQ(p.prefetch_name, "pattern");
 }
 
+TEST(Config, EnumNames) {
+  EXPECT_EQ(kFabricNames.name(FabricKind::kSwitch), "switch");
+  EXPECT_EQ(kPlacementNames.name(PlacementKind::kRoundRobin), "round-robin");
+  EXPECT_EQ(kFaultBackendNames.name(FaultBackendKind::kGpuDriven), "gpu-driven");
+  EXPECT_EQ(kEngineNames.name(EngineKind::kSharded), "sharded");
+  EXPECT_EQ(kDeletionNames.value("scheme1"), DeletionScheme::kScheme1);
+  EXPECT_EQ(kDeletionNames.value("scheme2"), DeletionScheme::kScheme2);
+  EXPECT_EQ(kDeletionNames.value("bogus"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace uvmsim

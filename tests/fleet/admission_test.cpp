@@ -96,5 +96,24 @@ TEST(Scheduler, PatternAffinityPrefersCoLocation) {
             0u);
 }
 
+TEST(FleetConfigNames, RoundTrip) {
+  EXPECT_EQ(kAdmissionNames.name(AdmissionKind::kAlways), "always");
+  EXPECT_EQ(kAdmissionNames.name(AdmissionKind::kHeadroom), "headroom");
+  EXPECT_EQ(kAdmissionNames.name(AdmissionKind::kQuota), "quota");
+  EXPECT_EQ(kAdmissionNames.value("headroom"), AdmissionKind::kHeadroom);
+  EXPECT_FALSE(kAdmissionNames.value("bogus").has_value());
+
+  EXPECT_EQ(kFleetSchedNames.name(FleetSchedKind::kFirstFit), "first-fit");
+  EXPECT_EQ(kFleetSchedNames.name(FleetSchedKind::kLeastLoaded), "least-loaded");
+  EXPECT_EQ(kFleetSchedNames.name(FleetSchedKind::kPatternAffinity),
+            "pattern-affinity");
+  EXPECT_EQ(kFleetSchedNames.value("least-loaded"), FleetSchedKind::kLeastLoaded);
+  EXPECT_EQ(kFleetSchedNames.value("pattern-affinity"),
+            FleetSchedKind::kPatternAffinity);
+  // Only the full name selects pattern-affinity.
+  EXPECT_FALSE(kFleetSchedNames.value("affinity").has_value());
+  EXPECT_FALSE(kFleetSchedNames.value("bogus").has_value());
+}
+
 }  // namespace
 }  // namespace uvmsim

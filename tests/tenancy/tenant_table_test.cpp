@@ -87,6 +87,16 @@ TEST(TenantTable, UsageAccountingAndHeadroom) {
   EXPECT_EQ(t.used_frames(a), 0u);
 }
 
+TEST(TenantMode, ParseAndToStringRoundTrip) {
+  for (const TenantMode m : {TenantMode::kShared, TenantMode::kPartitioned,
+                             TenantMode::kQuota})
+    EXPECT_EQ(kTenantModeNames.value(kTenantModeNames.name(m)), m);
+  EXPECT_EQ(kTenantModeNames.value("bogus"), std::nullopt);
+  for (const EvictionScope s : {EvictionScope::kGlobal, EvictionScope::kSelf})
+    EXPECT_EQ(kEvictionScopeNames.value(kEvictionScopeNames.name(s)), s);
+  EXPECT_EQ(kEvictionScopeNames.value("bogus"), std::nullopt);
+}
+
 TEST(Fairness, JainIndexBounds) {
   EXPECT_DOUBLE_EQ(jain_index({1.0, 1.0, 1.0}), 1.0);
   EXPECT_DOUBLE_EQ(jain_index({}), 0.0);
