@@ -70,3 +70,11 @@ build-asan/tools/uvmsim --fleet --jobs 80 --gpus 2 --arrival-rate 40 \
   --oversub 0.4 --trace-out "$TRACE_DIR/fl.jsonl" >/dev/null
 grep -q '"ev":"job_completed"' "$TRACE_DIR/fl.jsonl"
 echo "sanitized fleet run OK: $(wc -l < "$TRACE_DIR/fl.jsonl") events"
+
+# The same fleet with 2 MB frames: each job Gpu's one shootdown
+# registration, 2 MB handler included, is removed while the driver lives on,
+# and teardown splinters the job's coalesced regions.
+build-asan/tools/uvmsim --fleet --jobs 80 --gpus 2 --arrival-rate 40 \
+  --oversub 0.4 --large-pages --trace-out "$TRACE_DIR/fllp.jsonl" >/dev/null
+grep -q '"ev":"splinter"' "$TRACE_DIR/fllp.jsonl"
+echo "sanitized large-pages fleet run OK: $(wc -l < "$TRACE_DIR/fllp.jsonl") events"

@@ -300,6 +300,16 @@ rejects reject/uvmsim/engine-sharded-gpus-33 uvmsim --workload NW --engine shard
 rejects reject/report/fabric-fraction uvmsim_report --fabric 2.5
 rejects reject/sweep/tenant-group-one uvmsim_sweep --tenants NW
 
+# 2 MB frames with several Gpus on one driver: two tenants' Gpus share its
+# shootdown list through coalesces, a splinter and whole-frame evictions,
+# and fleet job Gpus come and go while their regions splinter at teardown.
+cli tenants/SRD,HOT-quota-large-pages 1 --tenants SRD,HOT --oversub 0.9 \
+  --tenant-mode quota --large-pages
+has trace '"ev":"large_frame_evicted"'
+# shellcheck disable=SC2086
+cli fleet/2gpu-large-pages 1 $FLEET --large-pages
+has trace '"ev":"splinter"'
+
 if [ "${#FAILED[@]}" -gt 0 ]; then
   printf 'golden: assertion failed: %s\n' "${FAILED[@]}" >&2
   exit 1

@@ -14,7 +14,6 @@ FabricCoordinator::FabricCoordinator(EventQueue& eq, const SystemConfig& sys,
                                              sys.core_ghz * 1000.0)),
       lines_per_page_(static_cast<u32>(kPageBytes) / sys.cache_line_bytes),
       drivers_(cfg.gpus, nullptr),
-      invalidators_(cfg.gpus),
       owner_(footprint_pages, kNone8),
       remote_count_(footprint_pages, 0),
       spilled_(footprint_pages, 0) {
@@ -41,12 +40,6 @@ FabricCoordinator::FabricCoordinator(EventQueue& eq, const SystemConfig& sys,
 void FabricCoordinator::attach_device(u32 dev, UvmDriver* driver) {
   assert(dev < drivers_.size() && driver != nullptr);
   drivers_[dev] = driver;
-}
-
-void FabricCoordinator::set_invalidator(u32 dev,
-                                        std::function<void(PageId)> inv) {
-  assert(dev < invalidators_.size());
-  invalidators_[dev] = std::move(inv);
 }
 
 FabricDecision FabricCoordinator::route_fault(u32 dev, PageId p) {
@@ -123,10 +116,10 @@ void FabricCoordinator::note_page_unmapped(u32 dev, PageId p) {
   owner_[p] = kNone8;
   remote_count_[p] = 0;
   spilled_[p] = 0;
-  // Remote accessors may hold TLB entries and page-tagged cache lines for
-  // the departing page: broadcast the shootdown.
-  for (u32 d = 0; d < invalidators_.size(); ++d)
-    if (d != dev && invalidators_[d]) invalidators_[d](p);
+  // Remote accessors may hold TLB entries and remote cache lines for the
+  // departing page: broadcast the shootdown through each peer's driver.
+  for (u32 d = 0; d < drivers_.size(); ++d)
+    if (d != dev) drivers_[d]->remote_shootdown(p);
 }
 
 void FabricCoordinator::surrender_at(u32 src, PageId p) {

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cassert>
-#include <functional>
 #include <vector>
 
 #include "common/config.hpp"
@@ -41,10 +40,6 @@ class FabricCoordinator final : public FabricPort {
 
   /// Register device `dev`'s driver. Call for every device before launch.
   void attach_device(u32 dev, UvmDriver* driver);
-  /// Register the remote-TLB/cache invalidation hook for `dev` (normally
-  /// Gpu::remote_shootdown), fired when another device unmaps a page `dev`
-  /// may have accessed remotely.
-  void set_invalidator(u32 dev, std::function<void(PageId)> inv);
 
   // --- FabricPort ------------------------------------------------------------
   FabricDecision route_fault(u32 dev, PageId p) override;
@@ -79,7 +74,6 @@ class FabricCoordinator final : public FabricPort {
   Cycle hop_latency_cycles_;
   u32 lines_per_page_;
   std::vector<UvmDriver*> drivers_;
-  std::vector<std::function<void(PageId)>> invalidators_;
 
   std::vector<u8> owner_;         ///< per page: holding device, kNone8 = host
   std::vector<u16> remote_count_; ///< per page: remote accesses since landing

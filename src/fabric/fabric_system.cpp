@@ -67,17 +67,10 @@ FabricSystem::FabricSystem(const SystemConfig& sys, const PolicyConfig& pol,
         workload_, d * warps_per_device, n * warps_per_device));
     // Per-device warp seeds derive from pol.seed + device id, so device 0
     // of a 1-GPU fabric matches UvmSystem's seeding exactly.
-    auto gpu = std::make_unique<Gpu>(s.queue(), sys, s.driver(), *shards_.back(),
-                                     pol.seed + d);
-    auto invalidate = [g = gpu.get()](PageId p) { g->remote_shootdown(p); };
-    if (sharded_) {
-      sharded_->attach_device(d, &s.driver());
-      sharded_->set_invalidator(d, invalidate);
-    } else if (coord_) {
-      coord_->attach_device(d, &s.driver());
-      coord_->set_invalidator(d, invalidate);
-    }
-    gpus_.push_back(std::move(gpu));
+    gpus_.push_back(std::make_unique<Gpu>(s.queue(), sys, s.driver(),
+                                          *shards_.back(), pol.seed + d));
+    if (sharded_) sharded_->attach_device(d, &s.driver());
+    if (coord_) coord_->attach_device(d, &s.driver());
   }
 }
 

@@ -93,7 +93,6 @@ ShardedFabric::ShardedFabric(ShardedEngine& engine, const SystemConfig& sys,
                                              sys.core_ghz * 1000.0)),
       lines_per_page_(static_cast<u32>(kPageBytes) / sys.cache_line_bytes),
       drivers_(cfg.gpus, nullptr),
-      invalidators_(cfg.gpus),
       remote_readers_(footprint_pages, 0) {
   assert(cfg.gpus >= 2 && cfg.gpus <= kMaxDevices);
   for (u32 d = 0; d < cfg.gpus; ++d) {
@@ -127,11 +126,6 @@ void ShardedFabric::attach_device(u32 dev, UvmDriver* driver) {
   drivers_[dev] = driver;
 }
 
-void ShardedFabric::set_invalidator(u32 dev, std::function<void(PageId)> inv) {
-  assert(dev < invalidators_.size());
-  invalidators_[dev] = std::move(inv);
-}
-
 FabricPort* ShardedFabric::port(u32 dev) noexcept { return ports_[dev].get(); }
 
 void ShardedFabric::forward_fault(u32 from, u32 home, PageId p,
@@ -159,18 +153,17 @@ void ShardedFabric::forward_fault(u32 from, u32 home, PageId p,
 
 void ShardedFabric::page_unmapped(u32 dev, PageId p) {
   // Only devices that actually consumed the page remotely can hold TLB
-  // entries or page-tagged cache lines for it; message them the shootdown
-  // at physical hop latency.
+  // entries or remote cache lines for it; message them the shootdown at
+  // physical hop latency. It runs on the reader's shard, which owns that
+  // reader's driver.
   const u32 readers = remote_readers_[p];
   if (readers == 0) return;
   remote_readers_[p] = 0;
   const Cycle now = engine_.queue(dev).now();
-  for (u32 d = 0; d < static_cast<u32>(invalidators_.size()); ++d) {
+  for (u32 d = 0; d < static_cast<u32>(drivers_.size()); ++d) {
     if (d == dev || (readers & (u32{1} << d)) == 0) continue;
     const Cycle arrive = now + topos_[dev]->hops(dev, d) * hop_latency_cycles_;
-    engine_.post(dev, d, arrive, [this, d, p] {
-      if (invalidators_[d]) invalidators_[d](p);
-    });
+    engine_.post(dev, d, arrive, [this, d, p] { drivers_[d]->remote_shootdown(p); });
   }
 }
 

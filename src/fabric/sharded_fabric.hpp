@@ -16,7 +16,8 @@
 //     page directory degenerates to the static home map — shards share only
 //     immutable state plus messages;
 //   * evicting a remotely-accessed page broadcasts shootdown messages to
-//     the devices that actually touched it (physical hop latency).
+//     the devices that actually touched it (physical hop latency); each
+//     runs on the reader's shard as its driver's remote_shootdown.
 //
 // First-touch placement needs a lazily-written shared home directory, which
 // is exactly the cross-shard mutation this protocol removes — the sharded
@@ -30,7 +31,6 @@
 #pragma once
 
 #include <cassert>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -58,9 +58,6 @@ class ShardedFabric {
 
   /// Register device `dev`'s driver. Call for every device before launch.
   void attach_device(u32 dev, UvmDriver* driver);
-  /// Register the remote-TLB invalidation hook for `dev` (normally
-  /// Gpu::remote_shootdown), fired by shootdown messages.
-  void set_invalidator(u32 dev, std::function<void(PageId)> inv);
 
   /// The FabricPort device `dev`'s driver attaches to.
   [[nodiscard]] FabricPort* port(u32 dev) noexcept;
@@ -82,7 +79,6 @@ class ShardedFabric {
   Cycle hop_latency_cycles_;
   u32 lines_per_page_;
   std::vector<UvmDriver*> drivers_;
-  std::vector<std::function<void(PageId)>> invalidators_;
   std::vector<std::unique_ptr<FabricTopology>> topos_;
   std::vector<std::unique_ptr<Port>> ports_;
   /// Per chunk: the (static) home device.

@@ -37,42 +37,28 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
       ++live_warps_;
     }
   }
-  // Evictions invalidate translations everywhere (TLB shootdown) and the
-  // physically-indexed cache lines of the departing frame. The driver's
-  // EvictionEngine (uvm/eviction_engine.hpp) invokes this synchronously,
-  // once per evicted page, before the page's frame is recycled — so the
-  // frame number still uniquely identifies the departing lines. Registered
-  // additively: multi-tenant runs share one driver across several Gpu
-  // instances, and every one must observe every shootdown.
-  shootdown_handle_ = driver_.add_shootdown_handler([this](PageId p, FrameId f) {
-    l2_tlb_.invalidate(p);
-    for (auto& sm : sms_) sm.l1_tlb->invalidate(p);
-    for (u32 line = 0; line < lines_per_page_; ++line) {
-      const u64 tag = f * lines_per_page_ + line;
-      l2_cache_.invalidate(tag);
-      for (auto& sm : sms_) sm.l1d->invalidate(tag);
-    }
-  });
-  // Large-pages mode: gated 2 MB sub-arrays beside the small TLBs, plus the
-  // large-entry shootdown (splinter / whole-frame eviction). Only the 2 MB
-  // translation dies there — per-page entries and cache lines are handled
-  // by the per-page shootdown above when frames are actually unmapped.
+  // Large-pages mode: gated 2 MB sub-arrays beside the small TLBs.
   if (driver_.large_pages_enabled()) {
     l2_tlb_.configure_large(cfg.l2_tlb_large_entries);
     for (auto& sm : sms_) sm.l1_tlb->configure_large(cfg.l1_tlb_large_entries);
-    large_handle_ = driver_.add_large_shootdown_handler([this](LargeId l) {
-      l2_tlb_.invalidate_large(l);
-      for (auto& sm : sms_) sm.l1_tlb->invalidate_large(l);
-    });
   }
+  // One registration on the driver's ShootdownList, which every Gpu sharing
+  // the driver sees in full. The page handler runs before the frame is
+  // recycled, so the frame still names the departing lines. The 2 MB
+  // handler drops only the large translation (splinter, whole-frame
+  // eviction); per-page entries and lines go through the page handler.
+  shootdown_handle_ = driver_.add_shootdown_handler(
+      [this](PageId p, FrameId f) { invalidate(p, f); },
+      [this](LargeId l) {
+        l2_tlb_.invalidate_large(l);
+        for (auto& sm : sms_) sm.l1_tlb->invalidate_large(l);
+      });
 }
 
 Gpu::~Gpu() {
   // Fleet runs destroy a job's Gpu while the shared driver lives on: the
   // handlers above capture `this`, so they must not outlive it.
   driver_.remove_shootdown_handler(shootdown_handle_);
-  if (driver_.large_pages_enabled())
-    driver_.remove_large_shootdown_handler(large_handle_);
 }
 
 void Gpu::launch() {
@@ -153,11 +139,10 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
   // within the page advances deterministically every second access: a warp
   // issues back-to-back accesses to the same coalesced 128 B transaction
   // (short-range reuse the L1D catches), then moves to another line.
-  const FrameId f0 = driver_.page_table().frame_of(page);
-  const FrameId f = f0 == kInvalidFrame ? page : f0;
+  const FrameId f = driver_.page_table().frame_of(page);
   Warp& wp = sms_[sm].warps[warp];
   const u64 line =
-      f * lines_per_page_ + (wp.access_count++ / 2 * 7) % lines_per_page_;
+      line_base(page, f) + (wp.access_count++ / 2 * 7) % lines_per_page_;
 
   Cycle done;
   if (sms_[sm].l1d->lookup(line)) {
@@ -172,7 +157,7 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
     } else {
       ++l2c_misses_;
       l2_cache_.insert(line);
-      done = dram_.access(ready + cfg_.l2_cache_latency, f);
+      done = dram_.access(ready + cfg_.l2_cache_latency, f == kInvalidFrame ? page : f);
     }
   }
   auto ev = [this, sm, warp] { warp_step(sm, warp); };
@@ -180,14 +165,25 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
   eq_.schedule_at(done, std::move(ev));
 }
 
-void Gpu::remote_shootdown(PageId p) {
+void Gpu::invalidate(PageId p, FrameId f) {
   l2_tlb_.invalidate(p);
   for (auto& sm : sms_) sm.l1_tlb->invalidate(p);
-  for (u32 line = 0; line < lines_per_page_; ++line) {
-    const u64 tag = p * lines_per_page_ + line;  // page-as-frame fallback tag
+  const u64 base = line_base(p, f);
+  for (u64 tag = base; tag < base + lines_per_page_; ++tag) {
     l2_cache_.invalidate(tag);
     for (auto& sm : sms_) sm.l1d->invalidate(tag);
   }
+}
+
+bool Gpu::holds(PageId p, FrameId f) const {
+  bool held = l2_tlb_.holds(p);
+  for (const auto& sm : sms_) held = held || sm.l1_tlb->holds(p);
+  const u64 base = line_base(p, f);
+  for (u64 tag = base; tag < base + lines_per_page_; ++tag) {
+    held = held || l2_cache_.contains(tag);
+    for (const auto& sm : sms_) held = held || sm.l1d->contains(tag);
+  }
+  return held;
 }
 
 void Gpu::warp_finished() {

@@ -11,8 +11,10 @@
 //
 // After translation the access goes through the data-cache hierarchy of
 // Table I: a per-SM 48 KB/6-way L1, the shared 3 MB/16-way L2, then DRAM.
-// Caches are physically indexed (by frame), so evictions invalidate the
-// lines of the departing page alongside the TLB shootdown.
+// Caches are physically indexed (line_base: by frame, or by page number
+// for a page reached remotely over the fabric). Every page that leaves the
+// device, or that a fabric peer unmaps, reaches one routine, invalidate,
+// through the driver's ShootdownList.
 //
 // Demand touches are reported to the driver on L1 TLB misses (see
 // UvmDriver::note_touch for the fidelity argument).
@@ -102,12 +104,10 @@ class Gpu {
   [[nodiscard]] const PageWalker& walker() const noexcept { return walker_; }
   [[nodiscard]] const Dram& dram() const noexcept { return dram_; }
 
-  /// Invalidate every translation and cached line this GPU holds for a page
-  /// it accessed *remotely* (multi-GPU fabric): the page was never in this
-  /// GPU's page table, so remote lines are tagged with the page-as-frame
-  /// fallback (see finish_access). Called by the FabricCoordinator when the
-  /// page's owner unmaps it (eviction, spill, or surrender to a peer).
-  void remote_shootdown(PageId p);
+  /// Does any TLB hold a per-page entry for `p`, or any data cache a line
+  /// of it at frame `f` (kInvalidFrame: its remote lines)? Read-only: no
+  /// statistic or LRU stamp changes.
+  [[nodiscard]] bool holds(PageId p, FrameId f) const;
 
  private:
   struct Warp {
@@ -126,6 +126,15 @@ class Gpu {
   /// Translation resolved (page resident): charge DRAM and move on.
   void finish_access(u32 sm, u32 warp, PageId page, Cycle ready);
   void warp_finished();
+  /// The shootdown: drop every translation of `p` and every line of it at
+  /// frame `f` (kInvalidFrame: the remote lines of a page a peer unmapped).
+  void invalidate(PageId p, FrameId f);
+  /// First line tag of page `p` at frame `f`: the tag rule finish_access,
+  /// invalidate and holds share. A remote page's number stands in for the
+  /// local frame it lacks.
+  [[nodiscard]] u64 line_base(PageId p, FrameId f) const noexcept {
+    return (f == kInvalidFrame ? p : f) * lines_per_page_;
+  }
 
   EventQueue& eq_;
   SystemConfig cfg_;
@@ -139,7 +148,6 @@ class Gpu {
   u32 live_warps_ = 0;
   Cycle finish_cycle_ = 0;
   u64 shootdown_handle_ = 0;
-  u64 large_handle_ = 0;
   std::function<void()> on_finished_;
   u64 accesses_ = 0;
   u64 far_faults_ = 0;

@@ -60,6 +60,8 @@ class Tlb {
 
   /// Shootdown on page eviction. Returns true if the entry existed.
   bool invalidate(PageId page) { return cache_.invalidate(page); }
+  /// Is a per-page entry for `page` present? No statistic or LRU change.
+  [[nodiscard]] bool holds(PageId page) const { return cache_.contains(page); }
   /// Shootdown of a whole 2 MB entry (splinter / large-frame eviction).
   bool invalidate_large(LargeId region) {
     return large_ != nullptr && large_->invalidate(region);

@@ -14,7 +14,7 @@ UvmDriver::UvmDriver(EventQueue& eq, const SystemConfig& sys,
       chains_(pol.interval_faults),
       frames_(capacity_pages, u64{pol.pre_evict_watermark_chunks} * kChunkPages),
       backend_(make_fault_backend(sys, pol, faults_)),
-      evictor_(eq, chains_, pt_, frames_, sys.pcie_page_cycles(), stats_),
+      evictor_(eq, chains_, pt_, frames_, shootdowns_, sys.pcie_page_cycles(), stats_),
       scheduler_(eq, sys, pol, frames_, pt_, chains_, faults_, *backend_,
                  stats_) {
   scheduler_.set_completion_hook(
@@ -25,7 +25,8 @@ UvmDriver::UvmDriver(EventQueue& eq, const SystemConfig& sys,
   chains_.reserve_chunks(capacity_pages / kChunkPages + 1);
   if (pol.large_pages) {
     frames_.enable_large_frames();
-    lfm_ = std::make_unique<LargeFrameManager>(eq_, sys_, pt_, chains_, stats_);
+    lfm_ = std::make_unique<LargeFrameManager>(eq_, sys_, pt_, chains_,
+                                               shootdowns_, stats_);
     evictor_.set_large_manager(lfm_.get(), sys_.bulk_dma_percent);
     scheduler_.set_large_manager(lfm_.get());
   }
@@ -91,10 +92,8 @@ u64 UvmDriver::detach_tenant(TenantId t) {
       if (!e->resident.test(i)) continue;
       e->resident.clear(i);
       e->touched.clear(i);
-      const FrameId frame = pt_.unmap(chunk_base + i);
-      frames_.release(frame, t);
+      evictor_.release(chunk_base + i, pt_.unmap(chunk_base + i), t);
       ++reclaimed;
-      evictor_.shootdown(chunk_base + i, frame);
     }
     // Teardown is not an eviction: no policy notification (a recycled
     // namespace must not seed the next job's wrong-eviction buffer) and no
@@ -380,10 +379,8 @@ void UvmDriver::surrender_page(PageId p) {
   if (e.resident.test(idx)) {
     e.resident.clear(idx);
     e.touched.clear(idx);
-    const FrameId frame = pt_.unmap(p);
-    frames_.release(frame, tenant_of(p));
     ++stats_.pages_surrendered;
-    evictor_.shootdown(p, frame);
+    evictor_.release(p, pt_.unmap(p), tenant_of(p));
   }
   // A migration-away is not an eviction: no policy notification, no pattern
   // recording, no D2H write-back. Drop the entry once nothing is left.

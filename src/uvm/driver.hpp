@@ -22,7 +22,9 @@
 //   occupancy -> map pages, fill chain, wake stalled warps.
 //
 // Evictions write back over the D2H direction of the link (PCIe is full
-// duplex) and invalidate TLBs through registered shootdown handlers.
+// duplex). Every page that leaves the device goes through
+// EvictionEngine::release, which fires the driver's one ShootdownList; a
+// fabric peer's unmap reaches the same list through remote_shootdown.
 //
 // Demand-touch visibility: the GPU calls `note_touch` on every L1-TLB-miss
 // access to a resident page. This models the driver harvesting PTE access
@@ -79,30 +81,22 @@ class UvmDriver final : public ResidencyView {
   /// the shared tenant mode.
   void set_policy(std::unique_ptr<EvictionPolicy> policy);
   void set_prefetcher(std::unique_ptr<Prefetcher> prefetcher);
-  /// Register a shootdown observer (one per GPU sharing the driver); the
-  /// returned handle removes it again when that GPU is destroyed before the
-  /// driver (fleet job teardown, gpu/gpu.cpp).
-  u64 add_shootdown_handler(ShootdownHandler h) {
-    return evictor_.add_shootdown_handler(std::move(h));
+  /// Register a shootdown observer (one per GPU sharing the driver); `page`
+  /// runs just after each page's shootdown_issued event. The returned
+  /// handle removes it again when that GPU is destroyed before the driver.
+  u64 add_shootdown_handler(ShootdownHandler page, LargeShootdownHandler large = {}) {
+    return shootdowns_.add(std::move(page), std::move(large));
   }
-  void remove_shootdown_handler(u64 handle) {
-    evictor_.remove_shootdown_handler(handle);
-  }
+  void remove_shootdown_handler(u64 handle) { shootdowns_.remove(handle); }
+  /// A fabric peer unmapped `p`, which this device may have reached
+  /// remotely: run every page handler with kInvalidFrame (no event).
+  void remote_shootdown(PageId p) { shootdowns_.page(p, kInvalidFrame); }
 
   // --- Large-pages mode (docs/memory.md) -------------------------------------
   /// Is transparent 2 MB frame management on (--large-pages)? Decided once
   /// at construction from PolicyConfig::large_pages.
   [[nodiscard]] bool large_pages_enabled() const noexcept {
     return lfm_ != nullptr;
-  }
-  /// Register a 2 MB-entry TLB shootdown observer (one per GPU); fired on
-  /// splinter and whole-frame eviction. No-op (handle 0) when large pages
-  /// are off; remove is equally a no-op then.
-  u64 add_large_shootdown_handler(LargeShootdownHandler h) {
-    return lfm_ != nullptr ? lfm_->add_shootdown_handler(std::move(h)) : 0;
-  }
-  void remove_large_shootdown_handler(u64 handle) {
-    if (lfm_ != nullptr) lfm_->remove_shootdown_handler(handle);
   }
   /// The coalescing/splintering subsystem; nullptr when large pages are off.
   [[nodiscard]] LargeFrameManager* large_frames() noexcept { return lfm_.get(); }
@@ -242,6 +236,7 @@ class UvmDriver final : public ResidencyView {
   u32 device_ = kHostDevice;
 
   FramePool frames_;
+  ShootdownList shootdowns_;
   FaultTable faults_;
   /// The pluggable fault-service seam (src/faultsvc): queue discipline and
   /// service timing. Chosen once at construction from

@@ -25,15 +25,47 @@ using WakeCallback = InlineFunction<void(), kCallbackInlineBytes>;
 /// single-GPU default everywhere a device id appears in the driver stack).
 inline constexpr u32 kHostDevice = ~u32{0};
 
-/// TLB/cache shootdown hook, invoked for every page unmapped by an eviction
-/// with the physical frame it occupied (caches are physically indexed).
+/// Shootdown hooks. The page handler runs for every page that leaves a
+/// device, with the frame it occupied (caches are physically indexed), or
+/// with kInvalidFrame for a page a peer unmapped that this device reached
+/// over the fabric. The 2 MB handler (large-pages mode) runs when a region's
+/// large mapping disappears — splinter or whole-frame eviction; a pure
+/// splinter leaves per-page translations valid (the frames stay put).
 using ShootdownHandler = std::function<void(PageId, FrameId)>;
-
-/// 2 MB-entry TLB shootdown hook (large-pages mode): invoked when a region's
-/// large mapping disappears — splinter or whole-frame eviction — so the
-/// large TLB sub-arrays drop the now-stale entry. Per-page translations are
-/// unaffected by a pure splinter (the frames stay put).
 using LargeShootdownHandler = std::function<void(LargeId)>;
+
+/// Every TLB and cache that may hold a driver's pages, as registrations
+/// that fire in order: one per Gpu on the driver (several under tenancy).
+/// The driver owns the list; the eviction engine and the large-frame
+/// manager borrow it. A handle removes its registration when the Gpu dies
+/// before the driver (fleet job teardown).
+class ShootdownList {
+ public:
+  u64 add(ShootdownHandler page, LargeShootdownHandler large = {}) {
+    entries_.push_back({next_handle_, std::move(page), std::move(large)});
+    return next_handle_++;
+  }
+  /// Unknown handles are a no-op.
+  void remove(u64 handle) {
+    std::erase_if(entries_, [handle](const Entry& e) { return e.handle == handle; });
+  }
+  void page(PageId p, FrameId f) const {
+    for (const Entry& e : entries_) e.page(p, f);
+  }
+  void large(LargeId l) const {
+    for (const Entry& e : entries_)
+      if (e.large) e.large(l);
+  }
+
+ private:
+  struct Entry {
+    u64 handle;
+    ShootdownHandler page;
+    LargeShootdownHandler large;
+  };
+  std::vector<Entry> entries_;
+  u64 next_handle_ = 0;
+};
 
 /// An outstanding far fault, raise to wake: the warps waiting on the page,
 /// plus when the first fault for it was raised (post-coalescing), which

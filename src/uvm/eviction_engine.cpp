@@ -159,12 +159,8 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
   const PageId base = first_page_of_chunk(victim);
   for (u32 i = 0; i < kChunkPages; ++i) {
     if (!e.resident.test(i)) continue;
-    const PageId page = base + i;
-    const FrameId frame = pt_.unmap(page);
-    frames_.release(frame, owner);
+    release(base + i, pt_.unmap(base + i), owner);
     ++pages_out;
-    shootdown(page, frame);
-    if (fabric_ != nullptr) fabric_->note_page_unmapped(device_, page);
   }
   if (spill_dst != kHostDevice) {
     fabric_->spill_chunk(device_, spill_dst, victim, e.resident);
@@ -177,19 +173,29 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
     d2h_.reserve(eq_.now(), pages_out);  // write-back occupancy (full duplex)
   }
   chain.erase(victim);
-  ++stats_.chunks_evicted;
-  stats_.pages_evicted += pages_out;
+  account_eviction(owner, initiator, 1, pages_out);
+}
 
-  if (tenants_ != nullptr && owner != kNoTenant) {
-    TenantStats& os = tenants_->stats(owner);
-    ++os.chunks_evicted;
-    os.pages_evicted += pages_out;
-    if (initiator == owner) {
-      ++os.evicted_by_self;
-    } else if (initiator != kNoTenant) {
-      ++os.evicted_by_others;
-      ++tenants_->stats(initiator).evictions_of_others;
-    }
+void EvictionEngine::release(PageId p, FrameId f, TenantId owner) {
+  frames_.release(f, owner);
+  record_event(rec_, EventType::kShootdownIssued, p, f);
+  shootdowns_.page(p, f);
+  if (fabric_ != nullptr) fabric_->note_page_unmapped(device_, p);
+}
+
+void EvictionEngine::account_eviction(TenantId owner, TenantId initiator,
+                                      u64 chunks, u64 pages) {
+  stats_.chunks_evicted += chunks;
+  stats_.pages_evicted += pages;
+  if (tenants_ == nullptr || owner == kNoTenant) return;
+  TenantStats& os = tenants_->stats(owner);
+  os.chunks_evicted += chunks;
+  os.pages_evicted += pages;
+  if (initiator == owner) {
+    os.evicted_by_self += chunks;
+  } else if (initiator != kNoTenant) {
+    os.evicted_by_others += chunks;
+    tenants_->stats(initiator).evictions_of_others += chunks;
   }
 }
 
@@ -231,13 +237,8 @@ void EvictionEngine::evict_large_frame(LargeId l, TenantId initiator) {
 
   const FrameId base = pt_.unmap_large(l);
   const PageId p0 = first_page_of_large(l);
-  for (u32 i = 0; i < kLargePages; ++i) {
-    const PageId page = p0 + i;
-    frames_.release(base + i, owner);
-    shootdown(page, base + i);
-    if (fabric_ != nullptr) fabric_->note_page_unmapped(device_, page);
-  }
-  lfm_->shootdown_large(l);
+  for (u32 i = 0; i < kLargePages; ++i) release(p0 + i, base + i, owner);
+  shootdowns_.large(l);
 
   // ONE eviction operation: one service op on the critical path and one
   // bulk DMA whose per-page occupancy is discounted (setup amortised over
@@ -246,20 +247,7 @@ void EvictionEngine::evict_large_frame(LargeId l, TenantId initiator) {
   d2h_.reserve_bulk(eq_.now(), kLargePages, bulk_dma_percent_);
   for (u32 k = 0; k < kLargeChunks; ++k) chain.erase(c0 + k);
   ++stats_.large_frames_evicted;
-  stats_.chunks_evicted += kLargeChunks;
-  stats_.pages_evicted += kLargePages;
-
-  if (tenants_ != nullptr && owner != kNoTenant) {
-    TenantStats& os = tenants_->stats(owner);
-    os.chunks_evicted += kLargeChunks;
-    os.pages_evicted += kLargePages;
-    if (initiator == owner) {
-      os.evicted_by_self += kLargeChunks;
-    } else if (initiator != kNoTenant) {
-      os.evicted_by_others += kLargeChunks;
-      tenants_->stats(initiator).evictions_of_others += kLargeChunks;
-    }
-  }
+  account_eviction(owner, initiator, kLargeChunks, kLargePages);
 }
 
 }  // namespace uvmsim

@@ -1,9 +1,10 @@
 // EvictionEngine: room-making. Drives the eviction policy's victim
-// selection (batched through EvictionPolicy::select_victims), unmaps and
-// recycles the victims' frames, issues TLB/cache shootdowns, reserves D2H
-// write-back occupancy and keeps the eviction statistics. Serves both
-// demand eviction (make room for an admitted plan, on the fault's critical
-// path) and pre-eviction (restore the free-frame watermark ahead of need).
+// selection (batched through EvictionPolicy::select_victims), releases the
+// victims' pages (release: the one way any page leaves the device),
+// reserves D2H write-back occupancy and keeps the eviction statistics.
+// Serves both demand eviction (make room for an admitted plan, on the
+// fault's critical path) and pre-eviction (restore the free-frame
+// watermark ahead of need).
 //
 // Multi-tenant victim sourcing (docs/multitenancy.md): room is made on
 // behalf of an *initiator* tenant, and the sharing mode decides whose
@@ -20,7 +21,6 @@
 // Cross-tenant evictions are attributed to both sides in TenantStats.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mem/bandwidth_link.hpp"
@@ -41,35 +41,16 @@ class LargeFrameManager;
 
 class EvictionEngine {
  public:
-  EvictionEngine(EventQueue& eq, ChainSet& chains, PageTable& pt,
-                 FramePool& frames, Cycle pcie_page_cycles, DriverStats& stats)
+  EvictionEngine(EventQueue& eq, ChainSet& chains, PageTable& pt, FramePool& frames,
+                 const ShootdownList& shootdowns, Cycle pcie_page_cycles,
+                 DriverStats& stats)
       : eq_(eq), chains_(chains), pt_(pt), frames_(frames),
-        d2h_(pcie_page_cycles), stats_(stats) {}
+        shootdowns_(shootdowns), d2h_(pcie_page_cycles), stats_(stats) {}
 
   EvictionEngine(const EvictionEngine&) = delete;
   EvictionEngine& operator=(const EvictionEngine&) = delete;
 
   void set_prefetcher(Prefetcher* p) noexcept { prefetcher_ = p; }
-  /// Register a shootdown observer. Every GPU sharing the driver registers
-  /// its own (multi-tenant runs have one Gpu per tenant); all fire per
-  /// unmapped page, in registration order. The returned handle removes
-  /// exactly this handler later — fleet runs destroy each job's Gpu while
-  /// the driver lives on, so a departing GPU must unhook itself.
-  u64 add_shootdown_handler(ShootdownHandler h) {
-    const u64 handle = next_handle_++;
-    shootdowns_.emplace_back(handle, std::move(h));
-    return handle;
-  }
-  /// Remove a handler by its registration handle; unknown handles are a
-  /// no-op (the handler may already be gone with its engine rebuild).
-  void remove_shootdown_handler(u64 handle) {
-    for (std::size_t i = 0; i < shootdowns_.size(); ++i) {
-      if (shootdowns_[i].first == handle) {
-        shootdowns_.erase(shootdowns_.begin() + static_cast<long>(i));
-        return;
-      }
-    }
-  }
   void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
   /// Multi-tenant wiring (tenancy off when table is null).
   void set_tenancy(TenantTable* table, TenantMode mode, EvictionScope scope) {
@@ -95,12 +76,11 @@ class EvictionEngine {
     bulk_dma_percent_ = bulk_dma_percent;
   }
 
-  /// Record and fan out one page's TLB/cache shootdown (also used by the
-  /// driver when a page is surrendered to a fetching peer).
-  void shootdown(PageId p, FrameId f) {
-    record_event(rec_, EventType::kShootdownIssued, p, f);
-    for (const auto& [handle, h] : shootdowns_) h(p, f);
-  }
+  /// Page `p`, just unmapped from frame `f`, leaves this device: free the
+  /// frame to `owner`, record shootdown_issued, run the shootdown handlers
+  /// and note the fabric directory. Every unmap site calls it: eviction,
+  /// whole-frame eviction, tenant teardown and surrender to a peer.
+  void release(PageId p, FrameId f, TenantId owner);
 
   [[nodiscard]] const BandwidthLink& d2h() const noexcept { return d2h_; }
 
@@ -130,6 +110,9 @@ class EvictionEngine {
   /// operation: one bulk D2H DMA, one large-entry shootdown, per-chunk
   /// policy/pattern notifications.
   void evict_large_frame(LargeId l, TenantId initiator);
+  /// Count `chunks` evicted chunks holding `pages` pages: the driver
+  /// totals and, under tenancy, the owner's totals and self/other split.
+  void account_eviction(TenantId owner, TenantId initiator, u64 chunks, u64 pages);
   /// One selection round for the current mode; empty when starved.
   [[nodiscard]] std::vector<ChunkId> select_round(u64 max_victims,
                                                   TenantId initiator);
@@ -140,11 +123,10 @@ class EvictionEngine {
   ChainSet& chains_;
   PageTable& pt_;
   FramePool& frames_;
+  const ShootdownList& shootdowns_;
   BandwidthLink d2h_;  ///< device -> host eviction write-backs
   DriverStats& stats_;
   Prefetcher* prefetcher_ = nullptr;
-  std::vector<std::pair<u64, ShootdownHandler>> shootdowns_;
-  u64 next_handle_ = 0;
   FlightRecorder* rec_ = nullptr;
   TenantTable* tenants_ = nullptr;
   TenantMode mode_ = TenantMode::kShared;

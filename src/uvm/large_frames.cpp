@@ -56,7 +56,7 @@ void LargeFrameManager::splinter(LargeId l, SplinterReason reason) {
   }
   ++stats_.splinters;
   record_event(rec_, EventType::kSplinter, c0, l, static_cast<u64>(reason));
-  shootdown_large(l);
+  shootdowns_.large(l);
 }
 
 }  // namespace uvmsim

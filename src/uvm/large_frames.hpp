@@ -11,15 +11,13 @@
 // PTEs when only part of the region must go — eviction pressure on a
 // subset of its chunks, a page surrendered to a fetching peer, or a chunk
 // spilling across the fabric. Splintering invalidates the large TLB
-// entries (the 2 MB translation disappears) through registered
-// LargeShootdownHandlers, but the frames stay put, so the per-page
+// entries (the 2 MB translation disappears) through the 2 MB handlers of
+// the driver's ShootdownList, but the frames stay put, so the per-page
 // translations the small TLBs may still hold remain valid.
 //
 // Never instantiated when --large-pages is off: default runs carry no
 // scan events, no trace records and no behavioural change.
 #pragma once
-
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/flat_map.hpp"
@@ -35,35 +33,19 @@ namespace uvmsim {
 class LargeFrameManager {
  public:
   LargeFrameManager(EventQueue& eq, const SystemConfig& sys, PageTable& pt,
-                    ChainSet& chains, DriverStats& stats)
+                    ChainSet& chains, const ShootdownList& shootdowns,
+                    DriverStats& stats)
       : eq_(eq),
         scan_delay_(sys.coalesce_delay_cycles()),
         pt_(pt),
         chains_(chains),
+        shootdowns_(shootdowns),
         stats_(stats) {}
 
   LargeFrameManager(const LargeFrameManager&) = delete;
   LargeFrameManager& operator=(const LargeFrameManager&) = delete;
 
   void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
-  /// Register a large-entry TLB shootdown observer (one per GPU). Fired on
-  /// splinter and on whole-frame eviction — whenever the 2 MB mapping of a
-  /// region disappears. The handle removes this handler when the observing
-  /// GPU is destroyed before the manager (fleet job teardown).
-  u64 add_shootdown_handler(LargeShootdownHandler h) {
-    const u64 handle = next_handle_++;
-    shootdowns_.emplace_back(handle, std::move(h));
-    return handle;
-  }
-  /// Remove a handler by handle; unknown handles are a no-op.
-  void remove_shootdown_handler(u64 handle) {
-    for (std::size_t i = 0; i < shootdowns_.size(); ++i) {
-      if (shootdowns_[i].first == handle) {
-        shootdowns_.erase(shootdowns_.begin() + static_cast<long>(i));
-        return;
-      }
-    }
-  }
 
   /// Is `l` currently backed by one large mapping? The page table is the
   /// single source of truth.
@@ -81,12 +63,6 @@ class LargeFrameManager {
   /// entries. Frames stay put; small-page translations remain valid.
   void splinter(LargeId l, SplinterReason reason);
 
-  /// Fan out the large-entry shootdown without demoting — the whole-frame
-  /// eviction path (EvictionEngine) unmaps the large entry itself.
-  void shootdown_large(LargeId l) {
-    for (const auto& [handle, h] : shootdowns_) h(l);
-  }
-
   [[nodiscard]] u64 pending_scans() const noexcept { return pending_.size(); }
 
  private:
@@ -99,10 +75,9 @@ class LargeFrameManager {
   Cycle scan_delay_;
   PageTable& pt_;
   ChainSet& chains_;
+  const ShootdownList& shootdowns_;
   DriverStats& stats_;
   FlightRecorder* rec_ = nullptr;
-  std::vector<std::pair<u64, LargeShootdownHandler>> shootdowns_;
-  u64 next_handle_ = 0;
   FlatSet<LargeId> pending_;  ///< regions with a scan already queued
 };
 

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/trace_sink.hpp"
 #include "policy/lru.hpp"
 #include "prefetch/prefetcher.hpp"
@@ -188,6 +190,41 @@ TEST_F(DriverFixture, ShootdownFiresPerEvictedPage) {
     eq.run();
   }
   EXPECT_EQ(shootdowns, 16u);  // one chunk evicted
+}
+
+// The contract bench/ledger's shootdown bracket relies on: each page's
+// shootdown_issued event is recorded just before its handlers run, the
+// handlers run in registration order, and a removed handler stops firing.
+TEST_F(DriverFixture, ShootdownHandlersRunInOrderJustAfterTheEvent) {
+  struct LastEvent final : TraceSink {
+    TraceEvent last;
+    void emit(const TraceEvent& e) override { last = e; }
+  } sink;
+  FlightRecorder rec(eq);
+  rec.add_sink(&sink);
+  auto d = make_driver(16 * 16, 4 * 16);
+  d->set_recorder(&rec);
+  std::string order;
+  d->add_shootdown_handler([&](PageId p, FrameId f) {
+    EXPECT_EQ(sink.last.type, EventType::kShootdownIssued);
+    EXPECT_EQ(sink.last.a, p);
+    EXPECT_EQ(sink.last.b, f);
+    order += 'a';
+  });
+  const u64 second = d->add_shootdown_handler([&](PageId, FrameId) { order += 'b'; });
+  for (ChunkId c = 0; c < 5; ++c) {
+    d->fault(first_page_of_chunk(c), [] {});
+    eq.run();
+  }
+  std::string pairs;
+  for (u32 i = 0; i < kChunkPages; ++i) pairs += "ab";
+  EXPECT_EQ(order, pairs);  // one chunk evicted
+
+  d->remove_shootdown_handler(second);
+  order.clear();
+  d->fault(first_page_of_chunk(5), [] {});
+  eq.run();
+  EXPECT_EQ(order, std::string(kChunkPages, 'a'));
 }
 
 TEST_F(DriverFixture, NoteTouchUpdatesChainMetadata) {

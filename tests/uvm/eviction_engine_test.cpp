@@ -29,11 +29,13 @@ struct EngineFixture {
   FramePool frames;
   DriverStats stats;
   NoPrefetcher prefetcher;
+  ShootdownList shootdowns;
   EvictionEngine engine;
 
   explicit EngineFixture(u64 capacity_pages)
       : frames(capacity_pages, /*watermark_pages=*/0),
-        engine(eq, chains, pt, frames, /*pcie_page_cycles=*/100, stats) {
+        engine(eq, chains, pt, frames, shootdowns, /*pcie_page_cycles=*/100,
+               stats) {
     chains.set_policy(0, std::make_unique<LruPolicy>(chains.chain(0)));
     engine.set_prefetcher(&prefetcher);
   }

@@ -41,7 +41,8 @@ class LargeFramesTest : public ::testing::Test {
   PageTable pt_;
   ChainSet chains_{64};
   DriverStats stats_;
-  LargeFrameManager lfm_{eq_, sys_, pt_, chains_, stats_};
+  ShootdownList shootdowns_;
+  LargeFrameManager lfm_{eq_, sys_, pt_, chains_, shootdowns_, stats_};
 };
 
 TEST_F(LargeFramesTest, CoalescesQualifyingRegion) {
@@ -122,7 +123,8 @@ TEST_F(LargeFramesTest, RejectsRegionWithNonResidentChunk) {
 TEST_F(LargeFramesTest, SplinterRestoresPerPageStateAndFiresShootdown) {
   populate(0, 0);
   std::vector<LargeId> shot;
-  lfm_.add_shootdown_handler([&shot](LargeId l) { shot.push_back(l); });
+  shootdowns_.add([](PageId, FrameId) {},
+                  [&shot](LargeId l) { shot.push_back(l); });
   ASSERT_TRUE(lfm_.try_coalesce(0));
   EXPECT_TRUE(shot.empty());  // promotion never invalidates anything
 
@@ -146,11 +148,13 @@ TEST_F(LargeFramesTest, SplinterRestoresPerPageStateAndFiresShootdown) {
 TEST_F(LargeFramesTest, ShootdownLargeFansOutWithoutDemoting) {
   populate(0, 0);
   int fired = 0;
-  lfm_.add_shootdown_handler([&fired](LargeId) { ++fired; });
-  lfm_.add_shootdown_handler([&fired](LargeId) { ++fired; });
+  const auto page = [](PageId, FrameId) {};
+  shootdowns_.add(page, [&fired](LargeId) { ++fired; });
+  shootdowns_.add(page);  // no 2 MB handler: skipped by the large fan-out
+  shootdowns_.add(page, [&fired](LargeId) { ++fired; });
   ASSERT_TRUE(lfm_.try_coalesce(0));
 
-  lfm_.shootdown_large(0);  // whole-frame eviction path: no demote here
+  shootdowns_.large(0);  // whole-frame eviction path: no demote here
 
   EXPECT_EQ(fired, 2);
   EXPECT_TRUE(pt_.large_mapped(0));  // the eviction engine unmaps, not us
