@@ -11,10 +11,10 @@
 //
 // After translation the access goes through the data-cache hierarchy of
 // Table I: a per-SM 48 KB/6-way L1, the shared 3 MB/16-way L2, then DRAM.
-// Caches are physically indexed (line_base: by frame, or by page number
-// for a page reached remotely over the fabric). Every page that leaves the
-// device, or that a fabric peer unmaps, reaches one routine, invalidate,
-// through the driver's ShootdownList.
+// Caches are physically indexed (line_base: by frame, or by a pseudo-frame
+// above all local ones for a page reached remotely over the fabric). Every
+// page that leaves the device, or that a fabric peer unmaps, reaches one
+// routine, invalidate, through the driver's ShootdownList.
 //
 // Demand touches are reported to the driver on L1 TLB misses (see
 // UvmDriver::note_touch for the fidelity argument).
@@ -130,10 +130,10 @@ class Gpu {
   /// frame `f` (kInvalidFrame: the remote lines of a page a peer unmapped).
   void invalidate(PageId p, FrameId f);
   /// First line tag of page `p` at frame `f`: the tag rule finish_access,
-  /// invalidate and holds share. A remote page's number stands in for the
-  /// local frame it lacks.
+  /// invalidate and holds share. A remote page has no local frame; its
+  /// lines sit at pseudo-frame capacity + page, above every local frame.
   [[nodiscard]] u64 line_base(PageId p, FrameId f) const noexcept {
-    return (f == kInvalidFrame ? p : f) * lines_per_page_;
+    return (f == kInvalidFrame ? driver_.capacity_pages() + p : f) * lines_per_page_;
   }
 
   EventQueue& eq_;

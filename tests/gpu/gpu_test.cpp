@@ -1,8 +1,11 @@
-// GPU model: translation path, far-fault replay, shootdown wiring, and
-// end-to-end completion on a tiny synthetic workload.
+// GPU model: translation path, far-fault replay, shootdown wiring, remote
+// line tags, and end-to-end completion on a tiny synthetic workload.
 #include "gpu/gpu.hpp"
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "policy/lru.hpp"
 #include "prefetch/prefetcher.hpp"
@@ -29,6 +32,61 @@ class MiniWorkload final : public Workload {
 
  private:
   u64 pages_;
+};
+
+/// One warp replaying a fixed list of pages.
+class PageListWorkload final : public Workload {
+ public:
+  PageListWorkload(u64 footprint, std::vector<PageId> pages)
+      : footprint_(footprint), pages_(std::move(pages)) {}
+  [[nodiscard]] std::string name() const override { return "page-list"; }
+  [[nodiscard]] std::string abbr() const override { return "LIST"; }
+  [[nodiscard]] u64 footprint_pages() const override { return footprint_; }
+  [[nodiscard]] PatternType pattern() const override { return PatternType::kStreaming; }
+  [[nodiscard]] std::unique_ptr<AccessStream> make_stream(
+      const WarpContext&) const override {
+    struct Stream final : AccessStream {
+      std::vector<PageId> pages;
+      std::size_t pos = 0;
+      bool next(Access& out) override {
+        if (pos == pages.size()) return false;
+        out = Access{pages[pos++], 1};
+        return true;
+      }
+    };
+    auto st = std::make_unique<Stream>();
+    st->pages = pages_;
+    return st;
+  }
+
+ private:
+  u64 footprint_;
+  std::vector<PageId> pages_;
+};
+
+/// A fabric seen from device 0: device 1 serves chunk 0 remotely, and every
+/// other page comes from the host.
+class RemoteChunkZero final : public FabricPort {
+ public:
+  explicit RemoteChunkZero(EventQueue& eq) : eq_(eq) {}
+  FabricDecision route_fault(u32, PageId p) override {
+    if (chunk_of_page(p) != 0) return {};
+    return {FabricRoute::kRemoteAccess, 1, false};
+  }
+  Cycle charge_remote(u32, u32, PageId) override { return eq_.now() + 100; }
+  void forward_fault(u32, u32, PageId, WakeCallback) override {}
+  Cycle reserve_transfer(u32, u32, u64, Cycle earliest) override { return earliest; }
+  void note_page_mapped(u32, PageId) override {}
+  void note_page_unmapped(u32, PageId) override {}
+  void surrender_at(u32, PageId) override {}
+  u32 spill_target(u32, u64) override { return kHostDevice; }
+  void spill_chunk(u32, u32, ChunkId, const TouchBits&) override {}
+  [[nodiscard]] bool host_fetchable(u32, PageId p) const override {
+    return chunk_of_page(p) != 0;
+  }
+
+ private:
+  EventQueue& eq_;
 };
 
 struct GpuFixture : ::testing::Test {
@@ -113,6 +171,41 @@ TEST_F(GpuFixture, ShootdownKeepsTlbsCoherent) {
   EXPECT_LE(d->page_table().mapped_pages(), 64u);
   EXPECT_EQ(d->stats().pages_migrated_in - d->stats().pages_evicted,
             d->page_table().mapped_pages());
+}
+
+// Page 0 is served remotely while local frame 0 holds a page of chunk 1.
+// The remote lines must not share tags with frame 0's: evicting chunk 1
+// shoots down frame 0 and must leave page 0's remote line cached. One-entry
+// TLBs make holds() see only the data caches once page 0's translation has
+// been replaced.
+TEST_F(GpuFixture, RemoteLinesDoNotAliasLocalFrames) {
+  sys.num_sms = 1;
+  sys.warps_per_sm = 1;
+  sys.l1_tlb_entries = 1;
+  sys.l2_tlb_entries = 1;
+  sys.l2_tlb_ways = 1;
+  pol.pre_evict_watermark_chunks = 0;
+  std::vector<PageId> pages{0, 0};  // both accesses touch the same line
+  for (PageId p = kChunkPages; p < 4 * kChunkPages; ++p) pages.push_back(p);
+  PageListWorkload wl(4 * kChunkPages, pages);
+  auto d = make_driver(4 * kChunkPages, 2 * kChunkPages);
+  RemoteChunkZero port(eq);
+  d->attach_fabric(&port, 0, false);
+  Gpu gpu(eq, sys, *d, wl, 1);
+  int frame0_shootdowns = 0;
+  d->add_shootdown_handler([&](PageId p, FrameId f) {
+    if (f != 0) return;
+    ++frame0_shootdowns;
+    EXPECT_GE(chunk_of_page(p), 1u);
+    EXPECT_FALSE(gpu.holds(p, f));
+    EXPECT_TRUE(gpu.holds(0, kInvalidFrame));
+  });
+  gpu.launch();
+  eq.run();
+  EXPECT_TRUE(gpu.finished());
+  EXPECT_EQ(d->stats().remote_accesses, 1u);
+  EXPECT_EQ(frame0_shootdowns, 1);
+  EXPECT_EQ(gpu.stats().l1d_hits, 1u);  // page 0's second access
 }
 
 TEST_F(GpuFixture, DeterministicAcrossRuns) {
