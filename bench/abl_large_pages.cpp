@@ -31,7 +31,6 @@
 
 #include "bench_common.hpp"
 #include "core/uvm_system.hpp"
-#include "tenancy/multi_tenant_system.hpp"
 
 using namespace uvmsim;
 using namespace uvmsim::bench;
@@ -96,8 +95,8 @@ RunResult run_churn(bool large_pages) {
   const auto a = make_benchmark("SRD");
   const auto b = make_benchmark("HOT");
   const std::vector<const Workload*> tenants = {a.get(), b.get()};
-  MultiTenantSystem sys(SystemConfig{}, pol, tenants, kOversub,
-                        TenantMode::kQuota, EvictionScope::kGlobal);
+  UvmSystem sys(SystemConfig{}, pol, tenants, kOversub, TenantMode::kQuota,
+                EvictionScope::kGlobal);
   return sys.run();
 }
 

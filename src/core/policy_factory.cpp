@@ -4,9 +4,8 @@
 
 namespace uvmsim {
 
-// Thin registry wrappers: every construction site (UvmSystem,
-// MultiTenantSystem, FabricSystem, tools, benches) funnels through these
-// two calls, so a name registered with PolicyRegistry participates
+// Thin registry wrappers: every construction site (UvmSystem, FleetSystem,
+// tools, benches) funnels through these two calls, so a name registered with PolicyRegistry participates
 // everywhere. Unknown names throw std::invalid_argument listing the
 // registered names.
 

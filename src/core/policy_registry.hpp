@@ -1,8 +1,7 @@
 // PolicyRegistry: named eviction-policy / prefetcher factories.
 //
-// Every construction site (CLI, sweep harness, UvmSystem, MultiTenantSystem,
-// FabricSystem) resolves a PolicyConfig's eviction_name / prefetch_name to
-// a factory, so a policy added out of tree participates everywhere — CLI
+// Every construction site (CLI, sweep harness, UvmSystem, FleetSystem)
+// resolves a PolicyConfig's eviction_name / prefetch_name to a factory, so a policy added out of tree participates everywhere — CLI
 // flags, sweeps, multi-tenant and multi-GPU runs — without touching core
 // (docs/policies.md has the recipe; examples/custom_policy.cpp a worked
 // one).

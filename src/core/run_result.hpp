@@ -16,7 +16,7 @@
 
 namespace uvmsim {
 
-/// Per-tenant slice of a multi-tenant run (tenancy/multi_tenant_system.hpp).
+/// Per-tenant slice of a multi-tenant run (core/uvm_system.hpp).
 struct TenantRunResult {
   TenantId id = kNoTenant;
   std::string workload;          ///< workload abbreviation
@@ -30,7 +30,7 @@ struct TenantRunResult {
   double slowdown_vs_solo = 0.0;
 };
 
-/// Per-device slice of a multi-GPU fabric run (fabric/fabric_system.hpp).
+/// Per-device slice of a multi-GPU fabric or fleet run.
 struct DeviceRunResult {
   u32 id = 0;
   u64 capacity_pages = 0;

@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "policy/adaptive.hpp"
-#include "policy/mhpe.hpp"
-#include "prefetch/adaptive.hpp"
-#include "prefetch/pattern_aware.hpp"
-
 namespace uvmsim {
 
 SystemBase::SystemBase(EngineShape shape)
@@ -83,45 +78,6 @@ RunResult SystemBase::run_and_collect(
   }
   trace_.finish(last_now);
   return r;
-}
-
-void collect_policy_introspection(RunResult& r, UvmDriver& driver) {
-  const auto mhpe_of = [&r](const MhpePolicy& mhpe) {
-    r.mhpe_used = true;
-    r.mhpe_switched_to_lru = mhpe.switched_to_lru();
-    r.mhpe_forward_distance = mhpe.forward_distance();
-    r.mhpe_wrong_evictions = mhpe.wrong_evictions_total();
-    r.untouch_history = mhpe.interval_untouch_history();
-    r.wrong_buffer_capacity = mhpe.wrong_buffer_capacity();
-  };
-  if (const auto* mhpe = dynamic_cast<const MhpePolicy*>(&driver.policy()))
-    mhpe_of(*mhpe);
-  const auto* pa = dynamic_cast<const PatternAwarePrefetcher*>(&driver.prefetcher());
-  const auto* apf = dynamic_cast<const AdaptivePrefetcher*>(&driver.prefetcher());
-  if (apf != nullptr) pa = &apf->inner_pattern();  // the always-learning inner buffer
-  if (pa != nullptr) {
-    r.pattern_buffer_peak = pa->peak_size();
-    r.pattern_buffer_capacity = pa->capacity();
-    r.pattern_matches = pa->matches();
-    r.pattern_mismatches = pa->mismatches();
-    r.pattern_capacity_evictions = pa->capacity_evictions();
-  }
-  if (const auto* ap = dynamic_cast<const AdaptiveEvictionPolicy*>(&driver.policy())) {
-    r.adaptive_used = true;
-    r.adaptive_eviction_switches = ap->strategy_switches();
-    for (const auto& h : ap->classifier().history())
-      r.adaptive_phase_history.emplace_back(h.at, h.phase);
-    // MHPE introspection from the live inner instance, when the run ended in
-    // an MHPE phase (earlier phases' instances are gone by design).
-    if (const auto* mhpe = ap->inner_mhpe()) mhpe_of(*mhpe);
-  }
-  if (apf != nullptr) {
-    r.adaptive_used = true;
-    r.adaptive_prefetch_switches = apf->strategy_switches();
-    if (r.adaptive_phase_history.empty())
-      for (const auto& h : apf->classifier().history())
-        r.adaptive_phase_history.emplace_back(h.at, h.phase);
-  }
 }
 
 }  // namespace uvmsim

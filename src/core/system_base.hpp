@@ -1,9 +1,10 @@
-// SystemBase: the body every system is built from. UvmSystem,
-// MultiTenantSystem, FabricSystem and FleetSystem are configurations of it,
-// differing only in their device stacks, the shard each sits on, and the
-// Gpus that run on them. One ShardedEngine (a single shard runs its queue
-// verbatim), one TraceFanout over the stacks' recorders, and one place that
-// collects the RunResult fields every system shares (docs/architecture.md).
+// SystemBase: the body every system is built from. UvmSystem (one workload
+// on one GPU or a fabric, or tenants of one GPU) and FleetSystem are
+// configurations of it, differing only in their device stacks, the shard
+// each sits on, and the Gpus that run on them. One ShardedEngine (a single
+// shard runs its queue verbatim), one TraceFanout over the stacks'
+// recorders, and one place that collects the RunResult fields every system
+// shares (docs/architecture.md).
 #pragma once
 
 #include <memory>
@@ -38,7 +39,6 @@ class SystemBase {
   /// after run(), which finishes each sink at the run's last cycle.
   void add_sink(TraceSink* sink) { trace_.add_sink(sink); }
 
-  [[nodiscard]] ShardedEngine& engine() noexcept { return engine_; }
   /// Shard 0's queue: THE queue of a single-shard system.
   [[nodiscard]] EventQueue& queue() noexcept { return engine_.queue(0); }
   [[nodiscard]] bool sharded() const noexcept { return engine_.num_shards() > 1; }
@@ -74,10 +74,5 @@ class SystemBase {
   TraceFanout trace_;
   std::vector<std::unique_ptr<DeviceStack>> stacks_;
 };
-
-/// The single-device introspection of MHPE, the pattern buffer and the
-/// adaptive policies (UvmSystem only): fills the mhpe_*, pattern_* and
-/// adaptive_* fields from `driver`'s live policy and prefetcher.
-void collect_policy_introspection(RunResult& r, UvmDriver& driver);
 
 }  // namespace uvmsim

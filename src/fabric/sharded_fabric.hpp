@@ -66,10 +66,6 @@ class ShardedFabric {
   [[nodiscard]] const FabricTopology& topology(u32 dev) const noexcept {
     return *topos_[dev];
   }
-  [[nodiscard]] u32 home_of(ChunkId c) const noexcept { return home_[c]; }
-  [[nodiscard]] Cycle hop_latency_cycles() const noexcept {
-    return hop_latency_cycles_;
-  }
 
  private:
   class Port;

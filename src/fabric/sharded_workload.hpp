@@ -4,9 +4,8 @@
 // across the devices: device d runs warps [base, base + per-device warps)
 // of the grand total. The wrapper only remaps the WarpContext — every
 // device sees the full footprint (that is the point: pages are shared, and
-// the fabric decides where they live). With base 0 and the grand total
-// equal to one device's warp count this is the identity, so a 1-GPU
-// FabricSystem reproduces UvmSystem exactly.
+// the fabric decides where they live). UvmSystem builds one per device of
+// a multi-GPU run; a one-GPU run needs none.
 #pragma once
 
 #include <memory>

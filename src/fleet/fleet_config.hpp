@@ -1,7 +1,7 @@
 // Fleet-serving configuration: open-loop job arrivals with admission
 // control, placement scheduling and SLA accounting (docs/fleet.md).
 //
-// A fleet run replaces the fixed-N tenant set of MultiTenantSystem with
+// A fleet run replaces the fixed-N tenant set of a UvmSystem tenant run with
 // thousands of short-lived jobs arriving open-loop (arrival times are
 // independent of completions), each attached into a per-device arena
 // TenantTable for its lifetime and detached when its warps finish. All

@@ -67,16 +67,12 @@ class FleetSystem : public SystemBase {
 
   /// Drive the whole job stream to completion (or `max_cycles`) and return
   /// the aggregate result: fleet SLA slice in `result.fleet`, per-device
-  /// driver slices in `result.devices`.
+  /// driver slices in `result.devices`. add_sink reaches the fleet-level
+  /// recorder and every device recorder: one JSONL stream carries job
+  /// lifecycle and fault traffic interleaved. queue() is the control shard's.
   [[nodiscard]] RunResult run(
       Cycle max_cycles = std::numeric_limits<Cycle>::max());
 
-  /// add_sink reaches the fleet-level recorder and every
-  /// device recorder: one JSONL stream carries job lifecycle and fault
-  /// traffic interleaved. queue() is the control shard's.
-  [[nodiscard]] FlightRecorder& job_recorder() noexcept {
-    return *job_recorder_;
-  }
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
   [[nodiscard]] u32 devices() const noexcept {
     return static_cast<u32>(devices_.size());

@@ -5,9 +5,7 @@
 #include <vector>
 
 #include "core/uvm_system.hpp"
-#include "fabric/fabric_system.hpp"
 #include "fleet/fleet_system.hpp"
-#include "tenancy/multi_tenant_system.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace uvmsim {
@@ -53,8 +51,8 @@ LabelledResult run_experiment(const ExperimentSpec& spec,
       workloads.push_back(make_benchmark(abbr));
       ptrs.push_back(workloads.back().get());
     }
-    MultiTenantSystem system(spec.system, spec.policy, ptrs, spec.oversub,
-                             spec.tenant_mode, spec.tenant_scope);
+    UvmSystem system(spec.system, spec.policy, ptrs, spec.oversub,
+                     spec.tenant_mode, spec.tenant_scope);
     LabelledResult out = run_traced(system);
     if (spec.tenant_solo_baselines) system.run_solo_baselines(out.result, spec.max_cycles);
     return out;
@@ -62,13 +60,9 @@ LabelledResult run_experiment(const ExperimentSpec& spec,
 
   const std::unique_ptr<Workload> built =
       workload != nullptr ? nullptr : make_benchmark(spec.workload);
-  const Workload& w = workload != nullptr ? *workload : *built;
-  if (fabric) {
-    FabricSystem system(spec.system, spec.policy, w, spec.oversub, spec.fabric,
-                        spec.engine);
-    return run_traced(system);
-  }
-  UvmSystem system(spec.system, spec.policy, w, spec.oversub);
+  UvmSystem system(spec.system, spec.policy,
+                   workload != nullptr ? *workload : *built, spec.oversub,
+                   spec.fabric, spec.engine);
   return run_traced(system);
 }
 

@@ -25,7 +25,7 @@ struct ExperimentSpec {
 
   // --- Multi-tenancy (src/tenancy) -----------------------------------------
   /// Two or more workload abbreviations switch the experiment to a
-  /// MultiTenantSystem run (`workload` above is then ignored for
+  /// UvmSystem tenant run (`workload` above is then ignored for
   /// construction and only used as a display fallback); exactly one is
   /// refused.
   std::vector<std::string> tenants;
@@ -36,7 +36,7 @@ struct ExperimentSpec {
   bool tenant_solo_baselines = true;
 
   // --- Multi-GPU fabric (src/fabric) ---------------------------------------
-  /// fabric.gpus >= 2 switches the experiment to a FabricSystem run (one
+  /// fabric.gpus >= 2 switches the experiment to a UvmSystem fabric run (one
   /// workload sharded over N devices). Mutually exclusive with `tenants`
   /// and `fleet`.
   FabricConfig fabric;

@@ -33,7 +33,6 @@ class FlightRecorder {
   /// (the adaptive policy's phase classifier) call this from their
   /// destructor so the recorder never holds a dangling observer.
   void remove_sink(TraceSink* sink) { std::erase(sinks_, sink); }
-  void clear_sinks() { sinks_.clear(); }
   [[nodiscard]] bool active() const noexcept { return !sinks_.empty(); }
 
   /// Attach the tenant table for multi-tenant runs: events whose payload

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <vector>
 
-#include "core/uvm_system.hpp"
+#include "core/run_result.hpp"
 
 namespace uvmsim {
 

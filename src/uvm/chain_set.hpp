@@ -62,7 +62,6 @@ class ChainSet {
 
   [[nodiscard]] u64 domains() const noexcept { return chains_.size(); }
   [[nodiscard]] bool per_tenant() const noexcept { return chains_.size() > 1; }
-  [[nodiscard]] const TenantTable* tenant_table() const noexcept { return table_; }
 
   [[nodiscard]] u64 domain_of(TenantId t) const noexcept {
     return per_tenant() && t != kNoTenant ? t : 0;

@@ -115,7 +115,6 @@ class UvmDriver final : public ResidencyView {
                          EvictionScope scope);
   void set_domain_policy(u64 domain, std::unique_ptr<EvictionPolicy> policy);
   [[nodiscard]] ChainSet& chains() noexcept { return chains_; }
-  [[nodiscard]] const TenantTable* tenant_table() const noexcept { return table_; }
   /// Tear down a departing arena tenant's residency (fleet serving): unmap
   /// and release every frame in its namespace, drop the chain entries, and
   /// purge its chunk range from the prefetcher's learned state so a later

@@ -65,7 +65,6 @@ class FramePool {
     tenants_ = table;
     mode_ = mode;
   }
-  [[nodiscard]] const TenantTable* tenant_table() const noexcept { return tenants_; }
   [[nodiscard]] TenantMode tenant_mode() const noexcept { return mode_; }
 
   /// How many frames tenant `t` may take right now. Shared/quota modes (and

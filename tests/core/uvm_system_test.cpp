@@ -1,8 +1,11 @@
 // UvmSystem facade behaviour that the integration suite doesn't cover:
-// cycle caps, result field population, and data-cache accounting.
+// cycle caps, result field population, data-cache accounting, and which
+// slices one run() fills for each shape of system.
 #include "core/uvm_system.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/policy_factory.hpp"
 #include "workloads/benchmarks.hpp"
@@ -60,6 +63,55 @@ TEST(UvmSystemTest, SpeedupVsIsSymmetricInverse) {
   UvmSystem b(SystemConfig{}, presets::cppe(), *wl, 0.5);
   const RunResult ra = a.run(), rb = b.run();
   EXPECT_NEAR(ra.speedup_vs(rb) * rb.speedup_vs(ra), 1.0, 1e-9);
+}
+
+// One driver and one Gpu: the policy introspection, and no tenant, device
+// or link slice.
+TEST(UvmSystemTest, SingleGpuRunCarriesIntrospectionOnly) {
+  const auto wl = make_benchmark("NW");
+  UvmSystem sys(SystemConfig{}, presets::cppe(), *wl, 0.5);
+  const RunResult r = sys.run();
+  EXPECT_TRUE(r.mhpe_used);
+  EXPECT_TRUE(r.tenants.empty());
+  EXPECT_TRUE(r.tenant_mode.empty());
+  EXPECT_TRUE(r.devices.empty());
+  EXPECT_TRUE(r.links.empty());
+  EXPECT_TRUE(r.fabric.empty());
+}
+
+// Tenants of one device: a slice per tenant, and no device slice or
+// introspection, although both tenants run MHPE.
+TEST(UvmSystemTest, TenantRunCarriesTenantSlicesOnly) {
+  const auto nw = make_benchmark("NW");
+  const auto bfs = make_benchmark("BFS");
+  const std::vector<const Workload*> ws{nw.get(), bfs.get()};
+  UvmSystem sys(SystemConfig{}, presets::cppe(), ws, 0.5, TenantMode::kQuota);
+  const RunResult r = sys.run();
+  ASSERT_EQ(r.tenants.size(), 2u);
+  EXPECT_EQ(r.tenant_mode, "quota");
+  EXPECT_EQ(r.workload, "NW+BFS");
+  EXPECT_TRUE(r.devices.empty());
+  EXPECT_TRUE(r.links.empty());
+  EXPECT_FALSE(r.mhpe_used);
+}
+
+// A 2-GPU ring: a slice per device and per link, and no tenant slice or
+// introspection.
+TEST(UvmSystemTest, FabricRunCarriesDeviceAndLinkSlicesOnly) {
+  const auto wl = make_benchmark("NW");
+  FabricConfig ring;
+  ring.gpus = 2;
+  ring.topology = FabricKind::kRing;
+  UvmSystem sys(SystemConfig{}, presets::cppe(), *wl, 0.5, ring);
+  const RunResult r = sys.run();
+  ASSERT_EQ(r.devices.size(), 2u);
+  ASSERT_NE(sys.fabric(), nullptr);
+  EXPECT_EQ(r.links.size(), sys.fabric()->topology().links().size());
+  EXPECT_FALSE(r.links.empty());
+  EXPECT_EQ(r.fabric, "ring");
+  EXPECT_EQ(r.gpus, 2u);
+  EXPECT_TRUE(r.tenants.empty());
+  EXPECT_FALSE(r.mhpe_used);
 }
 
 TEST(UvmSystemTest, SeedChangesChangeRandomisedRuns) {

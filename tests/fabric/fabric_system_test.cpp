@@ -33,9 +33,9 @@ struct FabricRun {
 };
 
 FabricRun fabric_run(const std::string& abbr, double oversub,
-                     const FabricConfig& fab) {
+                     const FabricConfig& fab, const EngineConfig& engine = {}) {
   const auto wl = make_benchmark(abbr);
-  FabricSystem sys(SystemConfig{}, presets::cppe(), *wl, oversub, fab);
+  FabricSystem sys(SystemConfig{}, presets::cppe(), *wl, oversub, fab, engine);
   std::ostringstream os;
   JsonlSink jsonl(os);
   sys.add_sink(&jsonl);
@@ -46,7 +46,8 @@ FabricRun fabric_run(const std::string& abbr, double oversub,
 }
 
 // Acceptance criterion: a 1-GPU FabricSystem builds no coordinator and is
-// cycle-for-cycle AND trace-byte-for-byte identical to UvmSystem.
+// cycle-for-cycle AND trace-byte-for-byte identical to UvmSystem, under
+// either engine (one shard runs the sequential kernel).
 TEST(FabricSystem, OneGpuMatchesUvmSystemExactly) {
   const auto wl = make_benchmark("NW");
   UvmSystem solo(SystemConfig{}, presets::cppe(), *wl, 0.5);
@@ -72,6 +73,15 @@ TEST(FabricSystem, OneGpuMatchesUvmSystemExactly) {
   EXPECT_EQ(b.result.driver.peer_fetches, 0u);
   // And no device stamps in the trace (additive-schema discipline).
   EXPECT_EQ(b.jsonl.find("\"dev\":"), std::string::npos);
+
+  EngineConfig sharded;
+  sharded.kind = EngineKind::kSharded;
+  const FabricRun c = fabric_run("NW", 0.5, fabric_of(1), sharded);
+  EXPECT_EQ(b.result.cycles, c.result.cycles);
+  EXPECT_EQ(b.result.driver.page_faults, c.result.driver.page_faults);
+  EXPECT_EQ(b.result.driver.pages_evicted, c.result.driver.pages_evicted);
+  EXPECT_FALSE(c.result.engine_stats.sharded);
+  EXPECT_EQ(b.jsonl, c.jsonl);
 }
 
 // Acceptance criterion: determinism at 2 AND 4 GPUs — identical reruns give

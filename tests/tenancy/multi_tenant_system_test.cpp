@@ -143,7 +143,7 @@ TEST(MultiTenantSystem, ThreeTenantsShareOneDriver) {
   const std::vector<const Workload*> ws{a.get(), b.get(), c.get()};
   MultiTenantSystem sys(SystemConfig{}, presets::cppe(), ws, 0.5,
                         TenantMode::kQuota);
-  EXPECT_EQ(sys.num_tenants(), 3u);
+  EXPECT_EQ(sys.tenants().size(), 3u);
   const RunResult r = sys.run();
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.tenants.size(), 3u);
