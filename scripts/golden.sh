@@ -29,7 +29,8 @@ MANIFEST="$ROOT/tests/golden/digests.txt"
 UVMSIM="$BUILD/tools/uvmsim"
 SWEEP="$BUILD/tools/uvmsim_sweep"
 REPORT="$BUILD/tools/uvmsim_report"
-for bin in "$UVMSIM" "$SWEEP" "$REPORT"; do
+TRACE="$BUILD/tools/uvmsim_trace"
+for bin in "$UVMSIM" "$SWEEP" "$REPORT" "$TRACE"; do
   [ -x "$bin" ] || { echo "golden: missing $bin (build first)" >&2; exit 2; }
 done
 
@@ -309,6 +310,19 @@ has trace '"ev":"large_frame_evicted"'
 # shellcheck disable=SC2086
 cli fleet/2gpu-large-pages 1 $FLEET --large-pages
 has trace '"ev":"splinter"'
+
+# A replayed trace takes its workload name from the trace file, and every
+# CSV cell is quoted when it needs to be: a comma in the name stays in one
+# cell.
+{
+  echo "# name: hot,spot"
+  for w in 0 1 2 3; do
+    for p in $(seq 0 63); do echo "$w $((p + 16 * w))"; done
+  done
+} > "$TMP/hotspot.txt"
+"$TRACE" --from-text "$TMP/hotspot.txt" --out "$TMP/hotspot.trc" 2>/dev/null
+cli single/trace-hot,spot-0.5-csv 0 --trace "$TMP/hotspot.trc" --oversub 0.5 --csv
+has stdout '^"hot,spot",'
 
 if [ "${#FAILED[@]}" -gt 0 ]; then
   printf 'golden: assertion failed: %s\n' "${FAILED[@]}" >&2

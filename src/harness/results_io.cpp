@@ -30,6 +30,8 @@ std::string escape_json(const std::string& s) {
   return out;
 }
 
+}  // namespace
+
 std::string escape_csv(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
   std::string out = "\"";
@@ -40,8 +42,6 @@ std::string escape_csv(const std::string& s) {
   out += '"';
   return out;
 }
-
-}  // namespace
 
 std::string results_csv_header() {
   return "workload,label,eviction,prefetcher,oversub,cycles,completed,"

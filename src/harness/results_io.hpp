@@ -10,6 +10,10 @@
 
 namespace uvmsim {
 
+/// `s` as one CSV cell: quoted, with its quotes doubled, when it holds a
+/// comma, a quote or a newline; unchanged otherwise.
+[[nodiscard]] std::string escape_csv(const std::string& s);
+
 /// The CSV header row, matching write_csv's column order.
 [[nodiscard]] std::string results_csv_header();
 

@@ -32,6 +32,7 @@
 #include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
+#include "harness/results_io.hpp"
 #include "obs/interval_metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "trace/trace_io.hpp"
@@ -191,8 +192,8 @@ void print_fabric_csv(const RunResult& r) {
                "faults_forwarded,chunks_spilled,pages_spilled,h2d_pages,"
                "d2h_pages\n";
   for (const DeviceRunResult& d : r.devices)
-    std::cout << d.id << ',' << r.fabric << ',' << d.capacity_pages << ','
-              << d.finish_cycle << ',' << d.completed << ','
+    std::cout << d.id << ',' << escape_csv(r.fabric) << ','
+              << d.capacity_pages << ',' << d.finish_cycle << ',' << d.completed << ','
               << d.driver.page_faults << ',' << d.driver.remote_accesses << ','
               << d.driver.peer_fetches << ',' << d.driver.spill_hopbacks << ','
               << d.driver.faults_forwarded << ',' << d.driver.chunks_spilled
@@ -200,7 +201,8 @@ void print_fabric_csv(const RunResult& r) {
               << d.d2h_pages << "\n";
   std::cout << "link,units_moved,utilisation\n";
   for (const LinkRunResult& l : r.links)
-    std::cout << l.name << ',' << l.units_moved << ',' << l.utilisation << "\n";
+    std::cout << escape_csv(l.name) << ',' << l.units_moved << ','
+              << l.utilisation << "\n";
 }
 
 void print_fleet(const RunResult& r) {
@@ -252,9 +254,10 @@ void print_fleet_csv(const RunResult& r) {
                "rejection_rate,goodput,mean_queue_wait,p95_queue_wait,"
                "mean_slowdown,slowdown_p50,slowdown_p95,slowdown_p99,"
                "fairness_min,fairness_mean\n"
-            << fl.admission << ',' << fl.scheduler << ',' << fl.devices << ','
-            << fl.arrival_rate << ',' << fl.jobs_submitted << ','
-            << fl.jobs_completed << ',' << fl.jobs_rejected << ','
+            << escape_csv(fl.admission) << ',' << escape_csv(fl.scheduler)
+            << ',' << fl.devices << ',' << fl.arrival_rate << ','
+            << fl.jobs_submitted << ',' << fl.jobs_completed << ','
+            << fl.jobs_rejected << ','
             << fl.rejected_queue_full << ',' << fl.rejected_never_fits << ','
             << fl.rejected_policy << ',' << fl.peak_queue_depth << ','
             << fl.rejection_rate << ',' << fl.goodput << ','
@@ -288,13 +291,13 @@ void print_tenant_csv(const RunResult& r) {
                "pages_evicted,evicted_by_self,evicted_by_others,"
                "evictions_of_others\n";
   for (const TenantRunResult& tr : r.tenants)
-    std::cout << tr.id << ',' << tr.workload << ',' << r.tenant_mode << ','
-              << tr.quota_frames << ',' << tr.finish_cycle << ','
-              << tr.completed << ',' << tr.slowdown_vs_solo << ','
-              << r.jain_fairness << ',' << tr.stats.page_faults << ','
-              << tr.stats.pages_evicted << ',' << tr.stats.evicted_by_self
-              << ',' << tr.stats.evicted_by_others << ','
-              << tr.stats.evictions_of_others << "\n";
+    std::cout << tr.id << ',' << escape_csv(tr.workload) << ','
+              << escape_csv(r.tenant_mode) << ',' << tr.quota_frames << ','
+              << tr.finish_cycle << ',' << tr.completed << ','
+              << tr.slowdown_vs_solo << ',' << r.jain_fairness << ','
+              << tr.stats.page_faults << ',' << tr.stats.pages_evicted << ','
+              << tr.stats.evicted_by_self << ',' << tr.stats.evicted_by_others
+              << ',' << tr.stats.evictions_of_others << "\n";
 }
 
 void print_csv(const RunResult& r) {
@@ -307,16 +310,18 @@ void print_csv(const RunResult& r) {
     std::cout << ",fault_backend,faults_enqueued,queue_full_stalls,"
                  "handler_pickups,handler_busy_cycles,max_queue_depth";
   std::cout << "\n"
-            << r.workload << ',' << r.eviction_name << ',' << r.prefetcher_name
-            << ',' << r.oversub << ',' << r.cycles << ',' << r.completed << ','
-            << r.driver.page_faults << ',' << r.driver.migration_ops << ','
+            << escape_csv(r.workload) << ',' << escape_csv(r.eviction_name)
+            << ',' << escape_csv(r.prefetcher_name) << ',' << r.oversub << ','
+            << r.cycles << ',' << r.completed << ',' << r.driver.page_faults
+            << ',' << r.driver.migration_ops << ','
             << r.driver.pages_migrated_in << ',' << r.driver.pages_demanded << ','
             << r.driver.pages_prefetched << ',' << r.driver.pages_evicted << ','
             << r.mhpe_switched_to_lru << ',' << r.pattern_matches << ','
             << r.pattern_mismatches;
   if (r.gpu_fault_backend)
-    std::cout << ',' << r.fault_backend << ',' << r.faultsvc.faults_enqueued
-              << ',' << r.faultsvc.queue_full_stalls << ','
+    std::cout << ',' << escape_csv(r.fault_backend) << ','
+              << r.faultsvc.faults_enqueued << ',' << r.faultsvc.queue_full_stalls
+              << ','
               << r.faultsvc.handler_pickups << ','
               << r.faultsvc.handler_busy_cycles << ','
               << r.faultsvc.max_queue_depth;
