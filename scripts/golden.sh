@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Golden digests: run a fixed matrix of uvmsim and uvmsim_sweep scenarios and
-# hash each one's exit code, stdout and JSONL trace (or sweep JSON). The
+# hash each one's exit code, stdout and JSONL trace (or sweep JSON or CSV). The
 # result must match tests/golden/digests.txt line for line, so any change in
 # simulated behaviour or in an output format shows up as a named scenario.
 #
@@ -183,9 +183,12 @@ FLEET="--fleet --jobs 100 --gpus 2 --arrival-rate 40 --oversub 0.4"
 }
 
 # Sweep JSON (harness/results_io) over the Fig 8 matrix and one tenant group.
-sweep sweep/fig8 --workloads "${FIG8// /,}" --policies baseline,cppe --oversubs 0.75,0.5
+# The same runs write the sweep CSVs, hashed at the end of the manifest.
+sweep sweep/fig8 --workloads "${FIG8// /,}" --policies baseline,cppe --oversubs 0.75,0.5 \
+  --out "$TMP/fig8-out.csv"
 sweep sweep/tenants-NW+BFS --tenants NW+BFS --tenant-modes shared,quota --oversubs 0.5 \
-  --policies cppe
+  --policies cppe --out "$TMP/tenants-NW+BFS-out.csv" \
+  --tenant-out "$TMP/tenants-NW+BFS-tenant-out.csv"
 
 # Explicit default flags and extra outputs change nothing: an explicit
 # --fault-backend host and --interval-metrics leave stdout and trace as the
@@ -323,6 +326,12 @@ has trace '"ev":"splinter"'
 "$TRACE" --from-text "$TMP/hotspot.txt" --out "$TMP/hotspot.trc" 2>/dev/null
 cli single/trace-hot,spot-0.5-csv 0 --trace "$TMP/hotspot.trc" --oversub 0.5 --csv
 has stdout '^"hot,spot",'
+
+# The CSV files the two sweep runs above wrote (--out, --tenant-out); the
+# file digest sits in the fourth column.
+for csv in fig8/out tenants-NW+BFS/out tenants-NW+BFS/tenant-out; do
+  echo "sweep/$csv-csv - - $(digest "$TMP/${csv/\//-}.csv")" >> "$OUT"
+done
 
 if [ "${#FAILED[@]}" -gt 0 ]; then
   printf 'golden: assertion failed: %s\n' "${FAILED[@]}" >&2

@@ -128,6 +128,259 @@ TEST(ResultsIo, FleetCsvOneRowPerFleetResult) {
   EXPECT_EQ(count(header), count(row));
 }
 
+// Every optional block of write_json turned on, with string cells that need
+// quoting in both formats and numbers that show the stream's defaults.
+LabelledResult every_block(const std::string& label = "a,\"b\"") {
+  LabelledResult r = sample(label);
+  RunResult& x = r.result;
+  x.workload = "NW+BFS";
+  x.oversub = 0.123456789;
+  x.cycles = 12345678901;
+  x.driver.faults_coalesced = 11;
+  x.driver.migration_ops = 12;
+  x.driver.pages_evicted = 13;
+  x.driver.chunks_evicted = 14;
+  x.driver.coalesces = 15;
+  x.driver.splinters = 16;
+  x.driver.large_frames_evicted = 17;
+  x.gpu.l1_tlb_large_hits = 18;
+  x.gpu.l2_tlb_large_hits = 19;
+  x.h2d_pages = 20;
+  x.d2h_pages = 21;
+  x.mhpe_forward_distance = 22;
+  x.mhpe_wrong_evictions = 23;
+  x.pattern_buffer_peak = 24;
+  x.pattern_mismatches = 25;
+  x.final_chain_length = 26;
+
+  x.tenant_mode = "quota";
+  x.jain_fairness = 0.875;
+  for (u32 t = 0; t < 2; ++t) {
+    TenantRunResult tr;
+    tr.id = t;
+    tr.workload = t == 0 ? "NW" : "hot,spot\t\"x\"";
+    tr.footprint_pages = 1000 + t;
+    tr.quota_frames = 500 + t;
+    tr.finish_cycle = 9000 + t;
+    tr.completed = t == 0;
+    tr.slowdown_vs_solo = 1.5 + t / 3.0;
+    tr.stats = {31 + t, 32 + t, 33 + t, 34 + t, 35 + t, 36 + t,
+                37 + t, 38 + t, 39 + t, 40 + t, 41 + t};
+    x.tenants.push_back(tr);
+  }
+
+  x.fabric = "ring";
+  x.gpus = 2;
+  for (u32 d = 0; d < 2; ++d) {
+    DeviceRunResult dr;
+    dr.id = d;
+    dr.capacity_pages = 4096;
+    dr.finish_cycle = 8000 + d;
+    dr.completed = d == 1;
+    dr.driver.page_faults = 51 + d;
+    dr.driver.pages_migrated_in = 52 + d;
+    dr.driver.pages_evicted = 53 + d;
+    dr.driver.remote_accesses = 54 + d;
+    dr.driver.peer_fetches = 55 + d;
+    dr.driver.spill_hopbacks = 56 + d;
+    dr.driver.faults_forwarded = 57 + d;
+    dr.driver.chunks_spilled = 58 + d;
+    dr.driver.pages_spilled = 59 + d;
+    dr.h2d_pages = 60 + d;
+    dr.d2h_pages = 61 + d;
+    x.devices.push_back(dr);
+  }
+  x.links = {{"d0->d1", 70, 0.25}, {"d1->\"host\"", 71, 2.0 / 3.0}};
+
+  x.large_pages = true;
+  x.fault_backend = "gpu-driven";
+  x.gpu_fault_backend = true;
+  x.faultsvc = {81, 82, 83, 84, 85};
+  x.sim = {91, 92, 93, 94, 95, 96, 0.4375};
+  x.engine_stats.sharded = true;
+  x.engine_stats.shards = 3;
+  x.engine_stats.threads = 2;
+  x.engine_stats.lookahead_cycles = 700;
+  x.engine_stats.windows = 101;
+  x.engine_stats.messages = 102;
+  x.engine_stats.stall_windows = 103;
+  x.engine_stats.barrier_waits = 104;
+  x.engine_stats.max_skew = 105;
+  x.clamped_past = 2;
+  return r;
+}
+
+// The same run as a fleet run: the fleet blocks replace the fabric block.
+LabelledResult every_block_fleet() {
+  LabelledResult r = every_block("fleet,\"y\"");
+  FleetRunResult& fl = r.result.fleet;
+  fl.enabled = true;
+  fl.admission = "headroom";
+  fl.scheduler = "least,loaded";
+  fl.devices = 2;
+  fl.arrival_rate = 40.5;
+  fl.jobs_submitted = 1000;
+  fl.jobs_completed = 950;
+  fl.jobs_rejected = 50;
+  fl.rejected_queue_full = 10;
+  fl.rejected_never_fits = 15;
+  fl.rejected_policy = 25;
+  fl.peak_queue_depth = 7;
+  fl.rejection_rate = 0.05;
+  fl.goodput = 31.123456789;
+  fl.mean_queue_wait = 1234.5;
+  fl.p95_queue_wait = 2345678.0;
+  fl.mean_slowdown = 1.75;
+  fl.slowdown_p50 = 1.5;
+  fl.slowdown_p95 = 3.25;
+  fl.slowdown_p99 = 4.0;
+  fl.fairness_min = 0.9;
+  fl.fairness_mean = 0.96;
+  return r;
+}
+
+// The four documents for {every_block(), every_block_fleet()}, whole: a
+// change to any column, key, block, separator or cell rule shows up here.
+const char* const kCsv =
+    "workload,label,eviction,prefetcher,oversub,cycles,completed,"
+    "page_faults,faults_coalesced,migration_ops,pages_in,"
+    "pages_demanded,pages_prefetched,pages_evicted,"
+    "chunks_evicted,h2d_pages,d2h_pages,mhpe_used,"
+    "mhpe_switched_to_lru,mhpe_forward_distance,"
+    "mhpe_wrong_evictions,pattern_buffer_peak,pattern_matches,"
+    "pattern_mismatches,final_chain_length\n"
+    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123457,12345678901,"
+    "1,100,11,12,400,100,300,13,14,20,21,1,1,22,23,24,7,25,26\n"
+    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123457,"
+    "12345678901,1,100,11,12,400,100,300,13,14,20,21,1,1,22,23,"
+    "24,7,25,26\n";
+
+const char* const kTenantCsv =
+    "workload,label,eviction,prefetcher,oversub,tenant_mode,"
+    "tenant,tenant_workload,footprint_pages,quota_frames,"
+    "finish_cycle,completed,slowdown_vs_solo,jain_fairness,"
+    "page_faults,faults_coalesced,pages_in,pages_demanded,"
+    "pages_prefetched,pages_evicted,chunks_evicted,"
+    "evicted_by_self,evicted_by_others,evictions_of_others,"
+    "fault_wait_cycles\n"
+    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123457,quota,0,NW,"
+    "1000,500,9000,1,1.5,0.875,31,32,33,34,35,36,37,38,39,40,41\n"
+    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123457,quota,1,"
+    "\"hot,spot\t\"\"x\"\"\",1001,501,9001,0,1.83333,0.875,32,33,34,35,"
+    "36,37,38,39,40,41,42\n"
+    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123457,quota,0,"
+    "NW,1000,500,9000,1,1.5,0.875,31,32,33,34,35,36,37,38,39,40,"
+    "41\n"
+    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123457,quota,1,"
+    "\"hot,spot\t\"\"x\"\"\",1001,501,9001,0,1.83333,0.875,32,33,34,35,"
+    "36,37,38,39,40,41,42\n";
+
+const char* const kFleetCsv =
+    "label,eviction,prefetcher,admission,scheduler,devices,"
+    "arrival_rate,jobs_submitted,jobs_completed,jobs_rejected,"
+    "rejected_queue_full,rejected_never_fits,rejected_policy,"
+    "peak_queue_depth,rejection_rate,goodput,mean_queue_wait,"
+    "p95_queue_wait,mean_slowdown,slowdown_p50,slowdown_p95,"
+    "slowdown_p99,fairness_min,fairness_mean,cycles\n"
+    "\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,headroom,\"least,loaded\","
+    "2,40.5,1000,950,50,10,15,25,7,0.05,31.1235,1234.5,"
+    "2.34568e+06,1.75,1.5,3.25,4,0.9,0.96,12345678901\n";
+
+const char* const kJson =
+    R"([)" "\n"
+    R"(  {"workload":"NW+BFS","label":"a,\"b\"","eviction":"MHPE",)"
+    R"("prefetcher":"pattern-aware/s2","oversub":0.123457,)"
+    R"("cycles":12345678901,"completed":true,"page_faults":100,)"
+    R"("migration_ops":12,"pages_in":400,"pages_evicted":13,)"
+    R"("mhpe_switched_to_lru":true,"pattern_matches":7,)"
+    R"("tenant_mode":"quota","jain_fairness":0.875,"tenants":[{"id":0,)"
+    R"("workload":"NW","footprint_pages":1000,"quota_frames":500,)"
+    R"("finish_cycle":9000,"completed":true,"slowdown_vs_solo":1.5,)"
+    R"("page_faults":31,"pages_in":33,"pages_evicted":36,)"
+    R"("evicted_by_self":38,"evicted_by_others":39,)"
+    R"("evictions_of_others":40},{"id":1,"workload":"hot,spot\t\"x\"",)"
+    R"("footprint_pages":1001,"quota_frames":501,"finish_cycle":9001,)"
+    R"("completed":false,"slowdown_vs_solo":1.83333,"page_faults":32,)"
+    R"("pages_in":34,"pages_evicted":37,"evicted_by_self":39,)"
+    R"("evicted_by_others":40,"evictions_of_others":41}],"fabric":"ring",)"
+    R"("gpus":2,"devices":[{"id":0,"capacity_pages":4096,)"
+    R"("finish_cycle":8000,"completed":false,"page_faults":51,)"
+    R"("pages_in":52,"pages_evicted":53,"remote_accesses":54,)"
+    R"("peer_fetches":55,"spill_hopbacks":56,"faults_forwarded":57,)"
+    R"("chunks_spilled":58,"pages_spilled":59,"h2d_pages":60,)"
+    R"("d2h_pages":61},{"id":1,"capacity_pages":4096,"finish_cycle":8001,)"
+    R"("completed":true,"page_faults":52,"pages_in":53,)"
+    R"("pages_evicted":54,"remote_accesses":55,"peer_fetches":56,)"
+    R"("spill_hopbacks":57,"faults_forwarded":58,"chunks_spilled":59,)"
+    R"("pages_spilled":60,"h2d_pages":61,"d2h_pages":62}],)"
+    R"("links":[{"name":"d0->d1","units_moved":70,"utilisation":0.25},)"
+    R"({"name":"d1->\"host\"","units_moved":71,"utilisation":0.666667}],)"
+    R"("large_pages":true,"coalesces":15,"splinters":16,)"
+    R"("large_frames_evicted":17,"l1_tlb_large_hits":18,)"
+    R"("l2_tlb_large_hits":19,"fault_backend":"gpu-driven",)"
+    R"("faults_enqueued":81,"queue_full_stalls":82,"handler_pickups":83,)"
+    R"("handler_busy_cycles":84,"max_queue_depth":85,)"
+    R"("sim_events_executed":91,"sim_event_heap_peak":92,)"
+    R"("sim_event_heap_capacity":93,"sim_oversize_events":94,)"
+    R"("sim_chain_slab_capacity":95,"sim_page_table_capacity":96,)"
+    R"("sim_page_table_load":0.4375,"engine":{"kind":"sharded",)"
+    R"("shards":3,"threads":2,"lookahead_cycles":700,"windows":101,)"
+    R"("messages":102,"stall_windows":103,"barrier_waits":104,)"
+    R"("max_skew":105},"clamped_past":2},)" "\n"
+    R"(  {"workload":"NW+BFS","label":"fleet,\"y\"","eviction":"MHPE",)"
+    R"("prefetcher":"pattern-aware/s2","oversub":0.123457,)"
+    R"("cycles":12345678901,"completed":true,"page_faults":100,)"
+    R"("migration_ops":12,"pages_in":400,"pages_evicted":13,)"
+    R"("mhpe_switched_to_lru":true,"pattern_matches":7,)"
+    R"("tenant_mode":"quota","jain_fairness":0.875,"tenants":[{"id":0,)"
+    R"("workload":"NW","footprint_pages":1000,"quota_frames":500,)"
+    R"("finish_cycle":9000,"completed":true,"slowdown_vs_solo":1.5,)"
+    R"("page_faults":31,"pages_in":33,"pages_evicted":36,)"
+    R"("evicted_by_self":38,"evicted_by_others":39,)"
+    R"("evictions_of_others":40},{"id":1,"workload":"hot,spot\t\"x\"",)"
+    R"("footprint_pages":1001,"quota_frames":501,"finish_cycle":9001,)"
+    R"("completed":false,"slowdown_vs_solo":1.83333,"page_faults":32,)"
+    R"("pages_in":34,"pages_evicted":37,"evicted_by_self":39,)"
+    R"("evicted_by_others":40,"evictions_of_others":41}],)"
+    R"("fleet":{"admission":"headroom","scheduler":"least,loaded",)"
+    R"("devices":2,"arrival_rate":40.5,"jobs_submitted":1000,)"
+    R"("jobs_completed":950,"jobs_rejected":50,"rejected_queue_full":10,)"
+    R"("rejected_never_fits":15,"rejected_policy":25,)"
+    R"("peak_queue_depth":7,"rejection_rate":0.05,"goodput":31.1235,)"
+    R"("mean_queue_wait":1234.5,"p95_queue_wait":2.34568e+06,)"
+    R"("mean_slowdown":1.75,"slowdown_p50":1.5,"slowdown_p95":3.25,)"
+    R"("slowdown_p99":4,"fairness_min":0.9,"fairness_mean":0.96},)"
+    R"("fleet_devices":[{"id":0,"capacity_pages":4096,"page_faults":51,)"
+    R"("pages_in":52,"pages_evicted":53,"h2d_pages":60,"d2h_pages":61},)"
+    R"({"id":1,"capacity_pages":4096,"page_faults":52,"pages_in":53,)"
+    R"("pages_evicted":54,"h2d_pages":61,"d2h_pages":62}],)"
+    R"("large_pages":true,"coalesces":15,"splinters":16,)"
+    R"("large_frames_evicted":17,"l1_tlb_large_hits":18,)"
+    R"("l2_tlb_large_hits":19,"fault_backend":"gpu-driven",)"
+    R"("faults_enqueued":81,"queue_full_stalls":82,"handler_pickups":83,)"
+    R"("handler_busy_cycles":84,"max_queue_depth":85,)"
+    R"("sim_events_executed":91,"sim_event_heap_peak":92,)"
+    R"("sim_event_heap_capacity":93,"sim_oversize_events":94,)"
+    R"("sim_chain_slab_capacity":95,"sim_page_table_capacity":96,)"
+    R"("sim_page_table_load":0.4375,"engine":{"kind":"sharded",)"
+    R"("shards":3,"threads":2,"lookahead_cycles":700,"windows":101,)"
+    R"("messages":102,"stall_windows":103,"barrier_waits":104,)"
+    R"("max_skew":105},"clamped_past":2})" "\n"
+    R"(])" "\n";
+
+TEST(ResultsIo, EveryBlockDocumentsMatchTheirPinnedText) {
+  const std::vector<LabelledResult> results = {every_block(), every_block_fleet()};
+  std::ostringstream json, csv, tenant_csv, fleet_csv;
+  write_json(json, results);
+  write_csv(csv, results);
+  write_tenant_csv(tenant_csv, results);
+  write_fleet_csv(fleet_csv, results);
+  EXPECT_EQ(json.str(), kJson);
+  EXPECT_EQ(csv.str(), kCsv);
+  EXPECT_EQ(tenant_csv.str(), kTenantCsv);
+  EXPECT_EQ(fleet_csv.str(), kFleetCsv);
+}
+
 TEST(ResultsIo, SaveToFilesRoundTrips) {
   const std::string dir = ::testing::TempDir();
   save_csv(dir + "/r.csv", {sample()});
