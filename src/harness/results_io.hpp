@@ -1,5 +1,5 @@
-// Sweep-result export: flat CSV (one row per experiment, stable column
-// order) and JSON (one object per experiment) for downstream plotting.
+// Result export for plotting: CSVs, JSON (one object per experiment) and
+// `uvmsim --csv`. Each column is defined once, in its slice's field list.
 #pragma once
 
 #include <iosfwd>
@@ -10,10 +10,6 @@
 
 namespace uvmsim {
 
-/// `s` as one CSV cell: quoted, with its quotes doubled, when it holds a
-/// comma, a quote or a newline; unchanged otherwise.
-[[nodiscard]] std::string escape_csv(const std::string& s);
-
 /// The CSV header row, matching write_csv's column order.
 [[nodiscard]] std::string results_csv_header();
 
@@ -23,12 +19,10 @@ namespace uvmsim {
 /// Full CSV document (header + rows).
 void write_csv(std::ostream& os, const std::vector<LabelledResult>& results);
 
-/// JSON array of result objects. Only simulator-generated strings are
-/// emitted (workload abbreviations, policy names), but they are escaped
-/// anyway so arbitrary labels are safe. Multi-tenant results additionally
-/// carry "tenant_mode", "jain_fairness" and a "tenants" array; those keys
-/// are omitted entirely for single-tenant results, keeping their output
-/// byte-identical to earlier versions.
+/// JSON array of result objects; strings are escaped, so arbitrary labels
+/// are safe. Each optional block (tenants, fabric, fleet, large pages,
+/// GPU-driven backend, sim counters, sharded engine, clamped events) appears
+/// only when its feature was on, so results without it keep their bytes.
 void write_json(std::ostream& os, const std::vector<LabelledResult>& results);
 
 /// Per-tenant CSV: one row per (experiment, tenant). Single-tenant results
@@ -37,13 +31,16 @@ void write_json(std::ostream& os, const std::vector<LabelledResult>& results);
 void write_tenant_csv(std::ostream& os,
                       const std::vector<LabelledResult>& results);
 
-/// Fleet CSV: one row per fleet experiment carrying the SLA aggregates
-/// (goodput, rejection, queue wait, slowdown percentiles, fairness).
-/// Non-fleet results contribute no rows. Column order matches
-/// fleet_csv_header().
+/// Fleet CSV: one row of SLA aggregates per fleet experiment; other results
+/// contribute no rows. Column order matches fleet_csv_header().
 [[nodiscard]] std::string fleet_csv_header();
 void write_fleet_csv(std::ostream& os,
                      const std::vector<LabelledResult>& results);
+
+/// `uvmsim --csv`: a fleet run's SLA aggregates, or else the run's totals
+/// (plus the GPU-driven backend's counters), then a table of its tenants,
+/// then tables of its devices and links; each table has its own header.
+void write_run_csv(std::ostream& os, const RunResult& r);
 
 /// File-path conveniences; throw std::runtime_error on I/O failure.
 void save_csv(const std::string& path, const std::vector<LabelledResult>& results);

@@ -381,6 +381,58 @@ TEST(ResultsIo, EveryBlockDocumentsMatchTheirPinnedText) {
   EXPECT_EQ(fleet_csv.str(), kFleetCsv);
 }
 
+// `uvmsim --csv` for one run of each shape: every block (totals with the
+// GPU-driven backend's columns, tenants, devices and links), a fleet run,
+// and a plain single-GPU run.
+const char* const kRunCsvEveryBlock =
+    "workload,eviction,prefetcher,oversub,cycles,completed,faults,"
+    "migration_ops,pages_in,pages_demanded,pages_prefetched,"
+    "pages_evicted,mhpe_switched,pattern_matches,pattern_mismatches,"
+    "fault_backend,faults_enqueued,queue_full_stalls,handler_pickups,"
+    "handler_busy_cycles,max_queue_depth\n"
+    "NW+BFS,MHPE,pattern-aware/s2,0.123457,12345678901,1,100,12,400,"
+    "100,300,13,1,7,25,gpu-driven,81,82,83,84,85\n"
+    "tenant,workload,tenant_mode,quota_frames,finish_cycle,completed,"
+    "slowdown_vs_solo,jain_fairness,page_faults,pages_evicted,"
+    "evicted_by_self,evicted_by_others,evictions_of_others\n"
+    "0,NW,quota,500,9000,1,1.5,0.875,31,36,38,39,40\n"
+    "1,\"hot,spot\t\"\"x\"\"\",quota,501,9001,0,1.83333,0.875,32,37,39,40,41\n"
+    "device,fabric,capacity_pages,finish_cycle,completed,page_faults,"
+    "remote_accesses,peer_fetches,spill_hopbacks,faults_forwarded,"
+    "chunks_spilled,pages_spilled,h2d_pages,d2h_pages\n"
+    "0,ring,4096,8000,0,51,54,55,56,57,58,59,60,61\n"
+    "1,ring,4096,8001,1,52,55,56,57,58,59,60,61,62\n"
+    "link,units_moved,utilisation\n"
+    "d0->d1,70,0.25\n"
+    "\"d1->\"\"host\"\"\",71,0.666667\n";
+
+const char* const kRunCsvFleet =
+    "admission,scheduler,devices,arrival_rate,jobs_submitted,"
+    "jobs_completed,jobs_rejected,rejected_queue_full,"
+    "rejected_never_fits,rejected_policy,peak_queue_depth,"
+    "rejection_rate,goodput,mean_queue_wait,p95_queue_wait,"
+    "mean_slowdown,slowdown_p50,slowdown_p95,slowdown_p99,"
+    "fairness_min,fairness_mean\n"
+    "headroom,\"least,loaded\",2,40.5,1000,950,50,10,15,25,7,0.05,"
+    "31.1235,1234.5,2.34568e+06,1.75,1.5,3.25,4,0.9,0.96\n";
+
+const char* const kRunCsvSingle =
+    "workload,eviction,prefetcher,oversub,cycles,completed,faults,"
+    "migration_ops,pages_in,pages_demanded,pages_prefetched,"
+    "pages_evicted,mhpe_switched,pattern_matches,pattern_mismatches\n"
+    "NW,MHPE,pattern-aware/s2,0.5,12345,1,100,0,400,100,300,0,1,7,0\n";
+
+TEST(ResultsIo, RunCsvWritesEveryCliShape) {
+  const auto run_csv = [](const LabelledResult& r) {
+    std::ostringstream os;
+    write_run_csv(os, r.result);
+    return os.str();
+  };
+  EXPECT_EQ(run_csv(every_block()), kRunCsvEveryBlock);
+  EXPECT_EQ(run_csv(every_block_fleet()), kRunCsvFleet);
+  EXPECT_EQ(run_csv(sample()), kRunCsvSingle);
+}
+
 TEST(ResultsIo, SaveToFilesRoundTrips) {
   const std::string dir = ::testing::TempDir();
   save_csv(dir + "/r.csv", {sample()});

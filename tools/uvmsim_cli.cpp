@@ -186,25 +186,6 @@ void print_fabric(const RunResult& r) {
   }
 }
 
-void print_fabric_csv(const RunResult& r) {
-  std::cout << "device,fabric,capacity_pages,finish_cycle,completed,"
-               "page_faults,remote_accesses,peer_fetches,spill_hopbacks,"
-               "faults_forwarded,chunks_spilled,pages_spilled,h2d_pages,"
-               "d2h_pages\n";
-  for (const DeviceRunResult& d : r.devices)
-    std::cout << d.id << ',' << escape_csv(r.fabric) << ','
-              << d.capacity_pages << ',' << d.finish_cycle << ',' << d.completed << ','
-              << d.driver.page_faults << ',' << d.driver.remote_accesses << ','
-              << d.driver.peer_fetches << ',' << d.driver.spill_hopbacks << ','
-              << d.driver.faults_forwarded << ',' << d.driver.chunks_spilled
-              << ',' << d.driver.pages_spilled << ',' << d.h2d_pages << ','
-              << d.d2h_pages << "\n";
-  std::cout << "link,units_moved,utilisation\n";
-  for (const LinkRunResult& l : r.links)
-    std::cout << escape_csv(l.name) << ',' << l.units_moved << ','
-              << l.utilisation << "\n";
-}
-
 void print_fleet(const RunResult& r) {
   const FleetRunResult& fl = r.fleet;
   TextTable t({"fleet metric", "value"});
@@ -246,27 +227,6 @@ void print_fleet(const RunResult& r) {
   std::cout << "\nper-device:\n" << d.str();
 }
 
-void print_fleet_csv(const RunResult& r) {
-  const FleetRunResult& fl = r.fleet;
-  std::cout << "admission,scheduler,devices,arrival_rate,jobs_submitted,"
-               "jobs_completed,jobs_rejected,rejected_queue_full,"
-               "rejected_never_fits,rejected_policy,peak_queue_depth,"
-               "rejection_rate,goodput,mean_queue_wait,p95_queue_wait,"
-               "mean_slowdown,slowdown_p50,slowdown_p95,slowdown_p99,"
-               "fairness_min,fairness_mean\n"
-            << escape_csv(fl.admission) << ',' << escape_csv(fl.scheduler)
-            << ',' << fl.devices << ',' << fl.arrival_rate << ','
-            << fl.jobs_submitted << ',' << fl.jobs_completed << ','
-            << fl.jobs_rejected << ','
-            << fl.rejected_queue_full << ',' << fl.rejected_never_fits << ','
-            << fl.rejected_policy << ',' << fl.peak_queue_depth << ','
-            << fl.rejection_rate << ',' << fl.goodput << ','
-            << fl.mean_queue_wait << ',' << fl.p95_queue_wait << ','
-            << fl.mean_slowdown << ',' << fl.slowdown_p50 << ','
-            << fl.slowdown_p95 << ',' << fl.slowdown_p99 << ','
-            << fl.fairness_min << ',' << fl.fairness_mean << "\n";
-}
-
 void print_tenants(const RunResult& r, bool have_solos) {
   TextTable t({"tenant", "workload", "quota", "finish", "done", "slowdown",
                "faults", "evicted", "by self", "by others", "of others"});
@@ -283,49 +243,6 @@ void print_tenants(const RunResult& r, bool have_solos) {
   std::cout << "\nper-tenant (" << r.tenant_mode << " mode):\n" << t.str();
   if (have_solos)
     std::cout << "Jain fairness index: " << fmt(r.jain_fairness, 4) << "\n";
-}
-
-void print_tenant_csv(const RunResult& r) {
-  std::cout << "tenant,workload,tenant_mode,quota_frames,finish_cycle,"
-               "completed,slowdown_vs_solo,jain_fairness,page_faults,"
-               "pages_evicted,evicted_by_self,evicted_by_others,"
-               "evictions_of_others\n";
-  for (const TenantRunResult& tr : r.tenants)
-    std::cout << tr.id << ',' << escape_csv(tr.workload) << ','
-              << escape_csv(r.tenant_mode) << ',' << tr.quota_frames << ','
-              << tr.finish_cycle << ',' << tr.completed << ','
-              << tr.slowdown_vs_solo << ',' << r.jain_fairness << ','
-              << tr.stats.page_faults << ',' << tr.stats.pages_evicted << ','
-              << tr.stats.evicted_by_self << ',' << tr.stats.evicted_by_others
-              << ',' << tr.stats.evictions_of_others << "\n";
-}
-
-void print_csv(const RunResult& r) {
-  // The extra fault-backend columns appear only under --fault-backend
-  // gpu-driven, so default CSV artefacts stay byte-identical.
-  std::cout << "workload,eviction,prefetcher,oversub,cycles,completed,faults,"
-               "migration_ops,pages_in,pages_demanded,pages_prefetched,"
-               "pages_evicted,mhpe_switched,pattern_matches,pattern_mismatches";
-  if (r.gpu_fault_backend)
-    std::cout << ",fault_backend,faults_enqueued,queue_full_stalls,"
-                 "handler_pickups,handler_busy_cycles,max_queue_depth";
-  std::cout << "\n"
-            << escape_csv(r.workload) << ',' << escape_csv(r.eviction_name)
-            << ',' << escape_csv(r.prefetcher_name) << ',' << r.oversub << ','
-            << r.cycles << ',' << r.completed << ',' << r.driver.page_faults
-            << ',' << r.driver.migration_ops << ','
-            << r.driver.pages_migrated_in << ',' << r.driver.pages_demanded << ','
-            << r.driver.pages_prefetched << ',' << r.driver.pages_evicted << ','
-            << r.mhpe_switched_to_lru << ',' << r.pattern_matches << ','
-            << r.pattern_mismatches;
-  if (r.gpu_fault_backend)
-    std::cout << ',' << escape_csv(r.fault_backend) << ','
-              << r.faultsvc.faults_enqueued << ',' << r.faultsvc.queue_full_stalls
-              << ','
-              << r.faultsvc.handler_pickups << ','
-              << r.faultsvc.handler_busy_cycles << ','
-              << r.faultsvc.max_queue_depth;
-  std::cout << "\n";
 }
 
 }  // namespace
@@ -584,23 +501,15 @@ int main(int argc, char** argv) try {
   }
 
   if (cli.get_flag("csv")) {
-    if (r.fleet.enabled) {
-      print_fleet_csv(r);
-    } else {
-      print_csv(r);
-      if (!r.tenants.empty()) print_tenant_csv(r);
-      if (!r.devices.empty()) print_fabric_csv(r);
-    }
+    write_run_csv(std::cout, r);
+  } else if (r.fleet.enabled) {
+    print_fleet(r);
   } else {
-    if (r.fleet.enabled) {
-      print_fleet(r);
-    } else {
-      print_text(r, trace_sink ? trace_sink->lines_written() : 0);
-      if (!r.tenants.empty()) print_tenants(r, !cli.get_flag("no-solo"));
-      if (!r.devices.empty()) print_fabric(r);
-    }
-    if (cli.get_flag("sim-stats")) print_sim_stats(r);
+    print_text(r, trace_sink ? trace_sink->lines_written() : 0);
+    if (!r.tenants.empty()) print_tenants(r, !cli.get_flag("no-solo"));
+    if (!r.devices.empty()) print_fabric(r);
   }
+  if (!cli.get_flag("csv") && cli.get_flag("sim-stats")) print_sim_stats(r);
   return r.completed ? 0 : 1;
 } catch (const std::exception& e) {
   // Malformed option values and failed runs alike exit 2.
