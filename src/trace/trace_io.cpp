@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <map>
@@ -69,14 +70,18 @@ Trace read_trace(std::istream& is) {
   is.read(t.name.data(), name_len);
   if (!is) throw std::runtime_error("trace: truncated name");
 
-  t.streams.resize(num_streams);
-  for (auto& s : t.streams) {
+  // The counts come from the file: reserve at most a bounded amount and
+  // append records as they are read, so a count larger than the file is
+  // reported by get() as truncation instead of allocated up front.
+  constexpr u64 kMaxReserve = 1 << 16;
+  t.streams.reserve(std::min<u64>(num_streams, kMaxReserve));
+  for (u32 i = 0; i < num_streams; ++i) {
+    Trace::Stream& s = t.streams.emplace_back();
     s.global_warp_index = get<u32>(is);
     const u64 n = get<u64>(is);
-    s.accesses.resize(n);
-    for (auto& a : s.accesses) {
-      a.page = get<u64>(is);
-      a.think = get<u32>(is);
+    s.accesses.reserve(std::min(n, kMaxReserve));
+    for (u64 k = 0; k < n; ++k) {
+      const Access& a = s.accesses.emplace_back(Access{get<u64>(is), get<u32>(is)});
       if (a.page >= t.footprint_pages)
         throw std::runtime_error("trace: access outside footprint");
     }

@@ -55,6 +55,19 @@ TEST(TraceIo, RejectsTruncation) {
   bytes.resize(bytes.size() / 2);
   std::stringstream half(bytes);
   EXPECT_THROW((void)read_trace(half), std::runtime_error);
+
+  // A 38-byte file whose one stream claims 2^60 accesses: the count is
+  // truncation to report, not a size to allocate.
+  Trace one;
+  one.footprint_pages = 1;
+  one.streams.resize(1);
+  std::stringstream header;
+  write_trace(header, one);
+  std::string claim = header.str();
+  ASSERT_EQ(claim.size(), 38u);
+  claim.back() = '\x10';  // the little-endian count's top byte: 2^60
+  std::stringstream huge(claim);
+  EXPECT_THROW((void)read_trace(huge), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsOutOfFootprintAccess) {
