@@ -189,8 +189,6 @@ struct SystemConfig {
     const double ns = static_cast<double>(kPageBytes) / pcie_bw_gbps;
     return static_cast<Cycle>(ns * core_ghz);
   }
-  /// Cycles for a page read to be served by DRAM once resident.
-  [[nodiscard]] Cycle dram_access_cycles() const { return dram_latency; }
 };
 
 /// Pattern-buffer entry deletion scheme (§IV-C, Fig 6).

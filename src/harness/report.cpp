@@ -53,18 +53,4 @@ std::string TextTable::str() const {
   return os.str();
 }
 
-std::string TextTable::csv() const {
-  std::ostringstream os;
-  const auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 }  // namespace uvmsim

@@ -23,9 +23,6 @@ class TextTable {
   /// Right-pads every column to its widest cell; returns the rendered table.
   [[nodiscard]] std::string str() const;
 
-  /// Comma-separated rendering for downstream plotting.
-  [[nodiscard]] std::string csv() const;
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
  private:

@@ -71,7 +71,6 @@ class AdaptiveEvictionPolicy final : public EvictionPolicy {
   /// Strategy switches actually performed (a confirmed phase change between
   /// two LRU phases, say, changes nothing and is not counted here).
   [[nodiscard]] u64 strategy_switches() const noexcept { return switches_; }
-  [[nodiscard]] bool mhpe_active() const noexcept { return mhpe_active_; }
   /// The live inner MHPE (nullptr while LRU is active) for stats plumbing.
   [[nodiscard]] const MhpePolicy* inner_mhpe() const noexcept {
     return mhpe_active_ ? mhpe_.get() : nullptr;

@@ -87,11 +87,6 @@ class PageTable {
     return has_large() && large_map_.contains(l);
   }
 
-  [[nodiscard]] FrameId large_base(LargeId l) const {
-    const FrameId* base = large_map_.find(l);
-    return base == nullptr ? kInvalidFrame : *base;
-  }
-
   /// Coalesce: all kLargePages pages of `l` must be individually mapped to
   /// frames `base + index`; the per-page PTEs are folded into one large PTE.
   void promote(LargeId l, FrameId base) {
@@ -127,7 +122,6 @@ class PageTable {
   [[nodiscard]] std::size_t mapped_pages() const {
     return map_.size() + large_map_.size() * kLargePages;
   }
-  [[nodiscard]] std::size_t large_mappings() const { return large_map_.size(); }
 
   // --- Simulator-perf observability (RunResult.sim / --sim-stats) ----------
   [[nodiscard]] std::size_t table_capacity() const { return map_.capacity(); }

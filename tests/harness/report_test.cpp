@@ -45,12 +45,5 @@ TEST(Report, TextTablePadsShortRows) {
   EXPECT_NO_THROW((void)t.str());
 }
 
-TEST(Report, CsvOutput) {
-  TextTable t({"x", "y"});
-  t.add_row({"1", "2"});
-  t.add_row({"3", "4"});
-  EXPECT_EQ(t.csv(), "x,y\n1,2\n3,4\n");
-}
-
 }  // namespace
 }  // namespace uvmsim
