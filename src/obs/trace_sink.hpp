@@ -1,8 +1,5 @@
 // TraceSink: where flight-recorder events go.
 //
-//   NullSink  — discards everything; exists to measure the recorder's own
-//               overhead (bench/obs_overhead) and as an explicit "on but
-//               observing nothing" mode.
 //   RingSink  — fixed-capacity in-memory ring; the cheap always-on flight
 //               recorder proper. Overwrites the oldest event when full and
 //               counts what it dropped, so a post-mortem can read the tail
@@ -34,11 +31,6 @@ class TraceSink {
   /// is open, flush streams. Systems call it once on each sink added
   /// through add_sink.
   virtual void finish(Cycle /*end*/) {}
-};
-
-class NullSink final : public TraceSink {
- public:
-  void emit(const TraceEvent&) override {}
 };
 
 class RingSink final : public TraceSink {
