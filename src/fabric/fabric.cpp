@@ -43,10 +43,13 @@ void FabricCoordinator::attach_device(u32 dev, UvmDriver* driver) {
 }
 
 FabricDecision FabricCoordinator::route_fault(u32 dev, PageId p) {
-  // Another device is already fetching this page: wait for its migration to
-  // land, then re-route (the page will then be remote-accessible).
+  // Another device is already fetching this page, its fault queued or its
+  // migration in flight: wait for the page to land, then re-route (it will
+  // then be remote-accessible). Under first-touch a queued fault has not
+  // homed the chunk yet, so without this both devices would fetch the page
+  // from the host.
   for (u32 d = 0; d < drivers_.size(); ++d)
-    if (d != dev && drivers_[d]->migration_in_flight(p))
+    if (d != dev && drivers_[d]->fault_outstanding(p))
       return {FabricRoute::kRetry, d, false};
 
   const u32 owner = owner_of(p);
@@ -169,7 +172,7 @@ bool FabricCoordinator::host_fetchable(u32 dev, PageId p) const {
   const u32 owner = owner_of(p);
   if (owner != kHostDevice && owner != dev) return false;
   for (u32 d = 0; d < drivers_.size(); ++d)
-    if (d != dev && drivers_[d]->migration_in_flight(p)) return false;
+    if (d != dev && drivers_[d]->fault_outstanding(p)) return false;
   const u32 home = home_of(chunk_of_page(p));
   return home == kHostDevice || home == dev;
 }

@@ -136,6 +136,12 @@ class UvmDriver final : public ResidencyView {
   [[nodiscard]] bool migration_in_flight(PageId p) const {
     return faults_.in_flight(p);
   }
+  /// Is `p` on its way to this device: a raised fault still queued in the
+  /// backend, or a migration in flight? The fabric's oracle for "a peer is
+  /// already fetching this page".
+  [[nodiscard]] bool fault_outstanding(PageId p) const {
+    return faults_.outstanding(p);
+  }
   /// Bring `p` in from peer `src` (fabric-routed fault). `hopback` marks a
   /// spill second chance. Peer fetches are single-page and bypass both the
   /// backend's queues and the driver-concurrency slots.

@@ -95,6 +95,8 @@ class FaultTable {
     const PendingFault* f = faults_.find(p);
     return f != nullptr && f->in_flight;
   }
+  /// Pending or in flight: the page has an entry.
+  [[nodiscard]] bool outstanding(PageId p) const { return faults_.find(p) != nullptr; }
   /// Create the entry of a new fault on a page that has none.
   PendingFault& raise(PageId p, WakeCallback&& wake, Cycle now) {
     [[maybe_unused]] const auto [f, fresh] = faults_.try_emplace(p);

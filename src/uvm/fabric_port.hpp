@@ -69,8 +69,9 @@ class FabricPort {
 
   // --- Prefetch oracle ------------------------------------------------------
   /// May `dev` bring `p` in from the host right now? False when a peer holds
-  /// the page, another device is fetching it, or placement homes it
-  /// elsewhere — prefetch plans must skip such pages.
+  /// the page, another device is fetching it (its fault queued or its
+  /// migration in flight), or placement homes it elsewhere — prefetch plans
+  /// must skip such pages.
   [[nodiscard]] virtual bool host_fetchable(u32 dev, PageId p) const = 0;
 };
 

@@ -4,9 +4,12 @@
 // for it and no data cache a line of it. Checked on one oversubscribed Gpu
 // (with 2 MB whole-frame eviction too), on every tenant's Gpu of a shared
 // driver, and on every device of a 4-GPU fabric under both engines, where a
-// peer's unmap arrives as a remote shootdown (kInvalidFrame).
+// peer's unmap arrives as a remote shootdown (kInvalidFrame). On the
+// sequential fabric no page is mapped on two devices at once, save for the
+// moment a peer fetch's source surrenders its copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -19,15 +22,24 @@
 namespace uvmsim {
 namespace {
 
-/// Shootdowns one driver issued, local and remote, and how many of them
-/// left something of the page in one of the watched Gpus.
+/// Shootdowns one driver issued, local and remote, how many of them left
+/// something of the page in one of the watched Gpus, and how many local
+/// ones unmapped a page that one of the `peers` still maps.
 struct Audit {
-  u64 local = 0, remote = 0, stale = 0;
+  u64 local = 0, remote = 0, stale = 0, mapped_elsewhere = 0;
 
-  void watch(UvmDriver& driver, std::vector<const Gpu*> gpus) {
-    driver.add_shootdown_handler([this, gpus](PageId p, FrameId f) {
+  void watch(UvmDriver& driver, std::vector<const Gpu*> gpus,
+             std::vector<const UvmDriver*> peers = {}) {
+    driver.add_shootdown_handler([this, gpus, peers](PageId p, FrameId f) {
       ++(f == kInvalidFrame ? remote : local);
       for (const Gpu* g : gpus) stale += g->holds(p, f) ? 1 : 0;
+      if (f == kInvalidFrame) return;
+      mapped_elsewhere += std::any_of(peers.begin(), peers.end(),
+                                      [p](const UvmDriver* d) {
+                                        return d->page_resident(p);
+                                      })
+                              ? 1
+                              : 0;
     });
   }
 };
@@ -76,11 +88,16 @@ TEST(ShootdownCoherence, EveryTenantGpuOnTheSharedDriverIsClean) {
   EXPECT_EQ(audit.stale, 0u);
 }
 
-void audit_fabric(EngineKind engine) {
+/// Run NW at 0.5 on a fabric, auditing every device, and return the totals
+/// with the run's driver counters. The sequential engine runs every driver
+/// on one thread, so each audit also reads its peers' page tables; a shard
+/// of the sharded engine owns its driver alone and reads no peer.
+Audit audit_fabric(FabricKind topology, u32 gpus, EngineKind engine,
+                   RunResult& r) {
   const auto wl = make_benchmark("NW");
   FabricConfig fab;
-  fab.gpus = 4;
-  fab.topology = FabricKind::kSwitch;
+  fab.gpus = gpus;
+  fab.topology = topology;
   EngineConfig eng;
   eng.kind = engine;
   eng.threads = 2;
@@ -88,25 +105,54 @@ void audit_fabric(EngineKind engine) {
   // One audit per device: under the sharded engine each runs on the shard
   // that owns its driver, so the counters are never shared between threads.
   std::vector<Audit> audits(fab.gpus);
-  for (u32 d = 0; d < fab.gpus; ++d) audits[d].watch(sys.driver(d), {&sys.gpu(d)});
-  EXPECT_TRUE(sys.run().completed);
+  for (u32 d = 0; d < fab.gpus; ++d) {
+    std::vector<const UvmDriver*> peers;
+    if (engine == EngineKind::kSequential)
+      for (u32 o = 0; o < fab.gpus; ++o)
+        if (o != d) peers.push_back(&sys.driver(o));
+    audits[d].watch(sys.driver(d), {&sys.gpu(d)}, peers);
+  }
+  r = sys.run();
+  EXPECT_TRUE(r.completed);
   Audit total;
   for (const Audit& a : audits) {
     total.local += a.local;
     total.remote += a.remote;
     total.stale += a.stale;
+    total.mapped_elsewhere += a.mapped_elsewhere;
   }
-  EXPECT_GT(total.local, 0u);
-  EXPECT_GT(total.remote, 0u);
-  EXPECT_EQ(total.stale, 0u);
+  return total;
 }
 
 TEST(ShootdownCoherence, FabricPeersDropRemoteLinesUnderTheSequentialEngine) {
-  audit_fabric(EngineKind::kSequential);
+  RunResult r;
+  const Audit a = audit_fabric(FabricKind::kSwitch, 4, EngineKind::kSequential, r);
+  EXPECT_GT(a.local, 0u);
+  EXPECT_GT(a.remote, 0u);
+  EXPECT_EQ(a.stale, 0u);
+  // A peer fetch maps the page at the fetcher before the source surrenders
+  // it; no other shootdown may leave the page mapped on another device.
+  EXPECT_GT(r.driver.pages_surrendered, 0u);
+  EXPECT_EQ(a.mapped_elsewhere, r.driver.pages_surrendered);
 }
 
 TEST(ShootdownCoherence, FabricPeersDropRemoteLinesUnderTheShardedEngine) {
-  audit_fabric(EngineKind::kSharded);
+  RunResult r;
+  const Audit a = audit_fabric(FabricKind::kSwitch, 4, EngineKind::kSharded, r);
+  EXPECT_GT(a.local, 0u);
+  EXPECT_GT(a.remote, 0u);
+  EXPECT_EQ(a.stale, 0u);
+}
+
+// Under first-touch placement a chunk has no home until its first mapping,
+// so a fault still queued on one device must keep the other from fetching
+// the same page from the host.
+TEST(ShootdownCoherence, TwoGpuRingNeverMapsAPageOnBothDevices) {
+  RunResult r;
+  const Audit a = audit_fabric(FabricKind::kRing, 2, EngineKind::kSequential, r);
+  EXPECT_GT(a.local, 0u);
+  EXPECT_EQ(a.stale, 0u);
+  EXPECT_EQ(a.mapped_elsewhere, r.driver.pages_surrendered);
 }
 
 }  // namespace
