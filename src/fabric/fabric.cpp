@@ -115,12 +115,16 @@ void FabricCoordinator::note_page_mapped(u32 dev, PageId p) {
 }
 
 void FabricCoordinator::note_page_unmapped(u32 dev, PageId p) {
-  if (owner_[p] != static_cast<u8>(dev)) return;  // already moved on
-  owner_[p] = kNone8;
-  remote_count_[p] = 0;
-  spilled_[p] = 0;
-  // Remote accessors may hold TLB entries and remote cache lines for the
-  // departing page: broadcast the shootdown through each peer's driver.
+  // A peer fetch's surrender arrives after the fetcher mapped the page, so
+  // the directory has already moved on; it keeps the fetcher's entry.
+  if (owner_[p] == static_cast<u8>(dev)) {
+    owner_[p] = kNone8;
+    remote_count_[p] = 0;
+    spilled_[p] = 0;
+  }
+  // Remote accessors, a fetcher included, may hold TLB entries and remote
+  // cache lines for the departing copy: broadcast the shootdown through
+  // each peer's driver.
   for (u32 d = 0; d < drivers_.size(); ++d)
     if (d != dev) drivers_[d]->remote_shootdown(p);
 }

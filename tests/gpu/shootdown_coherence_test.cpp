@@ -23,8 +23,9 @@ namespace uvmsim {
 namespace {
 
 /// Shootdowns one driver issued, local and remote, how many of them left
-/// something of the page in one of the watched Gpus, and how many local
-/// ones unmapped a page that one of the `peers` still maps.
+/// something of the page in one of the watched Gpus (at a local shootdown,
+/// remote lines of it too: a page mapped here is read locally), and how
+/// many local ones unmapped a page that one of the `peers` still maps.
 struct Audit {
   u64 local = 0, remote = 0, stale = 0, mapped_elsewhere = 0;
 
@@ -32,7 +33,8 @@ struct Audit {
              std::vector<const UvmDriver*> peers = {}) {
     driver.add_shootdown_handler([this, gpus, peers](PageId p, FrameId f) {
       ++(f == kInvalidFrame ? remote : local);
-      for (const Gpu* g : gpus) stale += g->holds(p, f) ? 1 : 0;
+      for (const Gpu* g : gpus)
+        stale += g->holds(p, f) || g->holds(p, kInvalidFrame) ? 1 : 0;
       if (f == kInvalidFrame) return;
       mapped_elsewhere += std::any_of(peers.begin(), peers.end(),
                                       [p](const UvmDriver* d) {
