@@ -1,6 +1,7 @@
 #include "harness/results_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -79,7 +80,8 @@ enum class Render { kHeader, kCsv, kJson };
 
 /// Comma-separated names (a CSV header), values (a CSV row) or "name":value
 /// JSON members. The one cell rule: strings through escape_csv or escape_json,
-/// booleans 1/0 in CSV and true/false in JSON, numbers as the stream prints.
+/// booleans 1/0 in CSV and true/false in JSON, integers in decimal, and
+/// doubles in the shortest form that reads back exactly (std::to_chars).
 std::ostream& put(std::ostream& os, const Fields& fields, Render how) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
     os << (i ? "," : "");
@@ -93,7 +95,10 @@ std::ostream& put(std::ostream& os, const Fields& fields, Render how) {
             os << (how == Render::kCsv ? escape_csv(v) : '"' + escape_json(v) + '"');
           else if constexpr (std::is_same_v<T, bool>)
             os << (how == Render::kCsv ? (v ? "1" : "0") : (v ? "true" : "false"));
-          else
+          else if constexpr (std::is_same_v<T, double>) {
+            char buf[32];
+            os << std::string_view(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+          } else
             os << v;
         },
         fields[i].value);

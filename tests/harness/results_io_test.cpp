@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <regex>
 #include <sstream>
+#include <string_view>
 
 namespace uvmsim {
 namespace {
@@ -129,7 +134,7 @@ TEST(ResultsIo, FleetCsvOneRowPerFleetResult) {
 }
 
 // Every optional block of write_json turned on, with string cells that need
-// quoting in both formats and numbers that show the stream's defaults.
+// quoting in both formats and doubles that need more than six digits.
 LabelledResult every_block(const std::string& label = "a,\"b\"") {
   LabelledResult r = sample(label);
   RunResult& x = r.result;
@@ -249,9 +254,9 @@ const char* const kCsv =
     "mhpe_switched_to_lru,mhpe_forward_distance,"
     "mhpe_wrong_evictions,pattern_buffer_peak,pattern_matches,"
     "pattern_mismatches,final_chain_length\n"
-    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123457,12345678901,"
+    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123456789,12345678901,"
     "1,100,11,12,400,100,300,13,14,20,21,1,1,22,23,24,7,25,26\n"
-    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123457,"
+    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123456789,"
     "12345678901,1,100,11,12,400,100,300,13,14,20,21,1,1,22,23,"
     "24,7,25,26\n";
 
@@ -263,16 +268,16 @@ const char* const kTenantCsv =
     "pages_prefetched,pages_evicted,chunks_evicted,"
     "evicted_by_self,evicted_by_others,evictions_of_others,"
     "fault_wait_cycles\n"
-    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123457,quota,0,NW,"
+    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123456789,quota,0,NW,"
     "1000,500,9000,1,1.5,0.875,31,32,33,34,35,36,37,38,39,40,41\n"
-    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123457,quota,1,"
-    "\"hot,spot\t\"\"x\"\"\",1001,501,9001,0,1.83333,0.875,32,33,34,35,"
+    "NW+BFS,\"a,\"\"b\"\"\",MHPE,pattern-aware/s2,0.123456789,quota,1,"
+    "\"hot,spot\t\"\"x\"\"\",1001,501,9001,0,1.8333333333333333,0.875,32,33,34,35,"
     "36,37,38,39,40,41,42\n"
-    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123457,quota,0,"
+    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123456789,quota,0,"
     "NW,1000,500,9000,1,1.5,0.875,31,32,33,34,35,36,37,38,39,40,"
     "41\n"
-    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123457,quota,1,"
-    "\"hot,spot\t\"\"x\"\"\",1001,501,9001,0,1.83333,0.875,32,33,34,35,"
+    "NW+BFS,\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,0.123456789,quota,1,"
+    "\"hot,spot\t\"\"x\"\"\",1001,501,9001,0,1.8333333333333333,0.875,32,33,34,35,"
     "36,37,38,39,40,41,42\n";
 
 const char* const kFleetCsv =
@@ -283,13 +288,13 @@ const char* const kFleetCsv =
     "p95_queue_wait,mean_slowdown,slowdown_p50,slowdown_p95,"
     "slowdown_p99,fairness_min,fairness_mean,cycles\n"
     "\"fleet,\"\"y\"\"\",MHPE,pattern-aware/s2,headroom,\"least,loaded\","
-    "2,40.5,1000,950,50,10,15,25,7,0.05,31.1235,1234.5,"
-    "2.34568e+06,1.75,1.5,3.25,4,0.9,0.96,12345678901\n";
+    "2,40.5,1000,950,50,10,15,25,7,0.05,31.123456789,1234.5,"
+    "2345678,1.75,1.5,3.25,4,0.9,0.96,12345678901\n";
 
 const char* const kJson =
     R"([)" "\n"
     R"(  {"workload":"NW+BFS","label":"a,\"b\"","eviction":"MHPE",)"
-    R"("prefetcher":"pattern-aware/s2","oversub":0.123457,)"
+    R"("prefetcher":"pattern-aware/s2","oversub":0.123456789,)"
     R"("cycles":12345678901,"completed":true,"page_faults":100,)"
     R"("migration_ops":12,"pages_in":400,"pages_evicted":13,)"
     R"("mhpe_switched_to_lru":true,"pattern_matches":7,)"
@@ -300,7 +305,7 @@ const char* const kJson =
     R"("evicted_by_self":38,"evicted_by_others":39,)"
     R"("evictions_of_others":40},{"id":1,"workload":"hot,spot\t\"x\"",)"
     R"("footprint_pages":1001,"quota_frames":501,"finish_cycle":9001,)"
-    R"("completed":false,"slowdown_vs_solo":1.83333,"page_faults":32,)"
+    R"("completed":false,"slowdown_vs_solo":1.8333333333333333,"page_faults":32,)"
     R"("pages_in":34,"pages_evicted":37,"evicted_by_self":39,)"
     R"("evicted_by_others":40,"evictions_of_others":41}],"fabric":"ring",)"
     R"("gpus":2,"devices":[{"id":0,"capacity_pages":4096,)"
@@ -314,7 +319,7 @@ const char* const kJson =
     R"("spill_hopbacks":57,"faults_forwarded":58,"chunks_spilled":59,)"
     R"("pages_spilled":60,"h2d_pages":61,"d2h_pages":62}],)"
     R"("links":[{"name":"d0->d1","units_moved":70,"utilisation":0.25},)"
-    R"({"name":"d1->\"host\"","units_moved":71,"utilisation":0.666667}],)"
+    R"({"name":"d1->\"host\"","units_moved":71,"utilisation":0.6666666666666666}],)"
     R"("large_pages":true,"coalesces":15,"splinters":16,)"
     R"("large_frames_evicted":17,"l1_tlb_large_hits":18,)"
     R"("l2_tlb_large_hits":19,"fault_backend":"gpu-driven",)"
@@ -328,7 +333,7 @@ const char* const kJson =
     R"("messages":102,"stall_windows":103,"barrier_waits":104,)"
     R"("max_skew":105},"clamped_past":2},)" "\n"
     R"(  {"workload":"NW+BFS","label":"fleet,\"y\"","eviction":"MHPE",)"
-    R"("prefetcher":"pattern-aware/s2","oversub":0.123457,)"
+    R"("prefetcher":"pattern-aware/s2","oversub":0.123456789,)"
     R"("cycles":12345678901,"completed":true,"page_faults":100,)"
     R"("migration_ops":12,"pages_in":400,"pages_evicted":13,)"
     R"("mhpe_switched_to_lru":true,"pattern_matches":7,)"
@@ -339,15 +344,15 @@ const char* const kJson =
     R"("evicted_by_self":38,"evicted_by_others":39,)"
     R"("evictions_of_others":40},{"id":1,"workload":"hot,spot\t\"x\"",)"
     R"("footprint_pages":1001,"quota_frames":501,"finish_cycle":9001,)"
-    R"("completed":false,"slowdown_vs_solo":1.83333,"page_faults":32,)"
+    R"("completed":false,"slowdown_vs_solo":1.8333333333333333,"page_faults":32,)"
     R"("pages_in":34,"pages_evicted":37,"evicted_by_self":39,)"
     R"("evicted_by_others":40,"evictions_of_others":41}],)"
     R"("fleet":{"admission":"headroom","scheduler":"least,loaded",)"
     R"("devices":2,"arrival_rate":40.5,"jobs_submitted":1000,)"
     R"("jobs_completed":950,"jobs_rejected":50,"rejected_queue_full":10,)"
     R"("rejected_never_fits":15,"rejected_policy":25,)"
-    R"("peak_queue_depth":7,"rejection_rate":0.05,"goodput":31.1235,)"
-    R"("mean_queue_wait":1234.5,"p95_queue_wait":2.34568e+06,)"
+    R"("peak_queue_depth":7,"rejection_rate":0.05,"goodput":31.123456789,)"
+    R"("mean_queue_wait":1234.5,"p95_queue_wait":2345678,)"
     R"("mean_slowdown":1.75,"slowdown_p50":1.5,"slowdown_p95":3.25,)"
     R"("slowdown_p99":4,"fairness_min":0.9,"fairness_mean":0.96},)"
     R"("fleet_devices":[{"id":0,"capacity_pages":4096,"page_faults":51,)"
@@ -390,13 +395,13 @@ const char* const kRunCsvEveryBlock =
     "pages_evicted,mhpe_switched,pattern_matches,pattern_mismatches,"
     "fault_backend,faults_enqueued,queue_full_stalls,handler_pickups,"
     "handler_busy_cycles,max_queue_depth\n"
-    "NW+BFS,MHPE,pattern-aware/s2,0.123457,12345678901,1,100,12,400,"
+    "NW+BFS,MHPE,pattern-aware/s2,0.123456789,12345678901,1,100,12,400,"
     "100,300,13,1,7,25,gpu-driven,81,82,83,84,85\n"
     "tenant,workload,tenant_mode,quota_frames,finish_cycle,completed,"
     "slowdown_vs_solo,jain_fairness,page_faults,pages_evicted,"
     "evicted_by_self,evicted_by_others,evictions_of_others\n"
     "0,NW,quota,500,9000,1,1.5,0.875,31,36,38,39,40\n"
-    "1,\"hot,spot\t\"\"x\"\"\",quota,501,9001,0,1.83333,0.875,32,37,39,40,41\n"
+    "1,\"hot,spot\t\"\"x\"\"\",quota,501,9001,0,1.8333333333333333,0.875,32,37,39,40,41\n"
     "device,fabric,capacity_pages,finish_cycle,completed,page_faults,"
     "remote_accesses,peer_fetches,spill_hopbacks,faults_forwarded,"
     "chunks_spilled,pages_spilled,h2d_pages,d2h_pages\n"
@@ -404,7 +409,7 @@ const char* const kRunCsvEveryBlock =
     "1,ring,4096,8001,1,52,55,56,57,58,59,60,61,62\n"
     "link,units_moved,utilisation\n"
     "d0->d1,70,0.25\n"
-    "\"d1->\"\"host\"\"\",71,0.666667\n";
+    "\"d1->\"\"host\"\"\",71,0.6666666666666666\n";
 
 const char* const kRunCsvFleet =
     "admission,scheduler,devices,arrival_rate,jobs_submitted,"
@@ -414,7 +419,7 @@ const char* const kRunCsvFleet =
     "mean_slowdown,slowdown_p50,slowdown_p95,slowdown_p99,"
     "fairness_min,fairness_mean\n"
     "headroom,\"least,loaded\",2,40.5,1000,950,50,10,15,25,7,0.05,"
-    "31.1235,1234.5,2.34568e+06,1.75,1.5,3.25,4,0.9,0.96\n";
+    "31.123456789,1234.5,2345678,1.75,1.5,3.25,4,0.9,0.96\n";
 
 const char* const kRunCsvSingle =
     "workload,eviction,prefetcher,oversub,cycles,completed,faults,"
@@ -431,6 +436,184 @@ TEST(ResultsIo, RunCsvWritesEveryCliShape) {
   EXPECT_EQ(run_csv(every_block()), kRunCsvEveryBlock);
   EXPECT_EQ(run_csv(every_block_fleet()), kRunCsvFleet);
   EXPECT_EQ(run_csv(sample()), kRunCsvSingle);
+}
+
+/// Every number of a RunResult that some artefact writes, under each name an
+/// artefact gives it (renamed columns too). Slices share names, so a name
+/// may hold several values.
+using Numbers = std::multimap<std::string, double>;
+
+Numbers numbers_of(const RunResult& x) {
+  const UvmDriver::Stats& d = x.driver;
+  const FaultBackendStats& b = x.faultsvc;
+  const EngineRunStats& e = x.engine_stats;
+  const FleetRunResult& f = x.fleet;
+  Numbers n = {
+      {"oversub", x.oversub}, {"cycles", x.cycles}, {"completed", x.completed},
+      {"page_faults", d.page_faults}, {"faults", d.page_faults},
+      {"faults_coalesced", d.faults_coalesced}, {"migration_ops", d.migration_ops},
+      {"pages_in", d.pages_migrated_in}, {"pages_demanded", d.pages_demanded},
+      {"pages_prefetched", d.pages_prefetched}, {"pages_evicted", d.pages_evicted},
+      {"chunks_evicted", d.chunks_evicted}, {"h2d_pages", x.h2d_pages},
+      {"d2h_pages", x.d2h_pages}, {"mhpe_used", x.mhpe_used},
+      {"mhpe_switched_to_lru", x.mhpe_switched_to_lru},
+      {"mhpe_switched", x.mhpe_switched_to_lru},
+      {"mhpe_forward_distance", x.mhpe_forward_distance},
+      {"mhpe_wrong_evictions", x.mhpe_wrong_evictions},
+      {"pattern_buffer_peak", x.pattern_buffer_peak},
+      {"pattern_matches", x.pattern_matches},
+      {"pattern_mismatches", x.pattern_mismatches},
+      {"final_chain_length", x.final_chain_length},
+      {"jain_fairness", x.jain_fairness}, {"gpus", x.gpus},
+      {"coalesces", d.coalesces}, {"splinters", d.splinters},
+      {"large_frames_evicted", d.large_frames_evicted},
+      {"l1_tlb_large_hits", x.gpu.l1_tlb_large_hits},
+      {"l2_tlb_large_hits", x.gpu.l2_tlb_large_hits},
+      {"faults_enqueued", b.faults_enqueued}, {"queue_full_stalls", b.queue_full_stalls},
+      {"handler_pickups", b.handler_pickups},
+      {"handler_busy_cycles", b.handler_busy_cycles},
+      {"max_queue_depth", b.max_queue_depth},
+      {"sim_events_executed", x.sim.events_executed},
+      {"sim_event_heap_peak", x.sim.event_heap_peak},
+      {"sim_event_heap_capacity", x.sim.event_heap_capacity},
+      {"sim_oversize_events", x.sim.oversize_events},
+      {"sim_chain_slab_capacity", x.sim.chain_slab_capacity},
+      {"sim_page_table_capacity", x.sim.page_table_capacity},
+      {"sim_page_table_load", x.sim.page_table_load},
+      {"shards", e.shards}, {"threads", e.threads},
+      {"lookahead_cycles", e.lookahead_cycles}, {"windows", e.windows},
+      {"messages", e.messages}, {"stall_windows", e.stall_windows},
+      {"barrier_waits", e.barrier_waits}, {"max_skew", e.max_skew},
+      {"clamped_past", x.clamped_past},
+      {"devices", f.devices}, {"arrival_rate", f.arrival_rate},
+      {"jobs_submitted", f.jobs_submitted}, {"jobs_completed", f.jobs_completed},
+      {"jobs_rejected", f.jobs_rejected}, {"rejected_queue_full", f.rejected_queue_full},
+      {"rejected_never_fits", f.rejected_never_fits},
+      {"rejected_policy", f.rejected_policy}, {"peak_queue_depth", f.peak_queue_depth},
+      {"rejection_rate", f.rejection_rate}, {"goodput", f.goodput},
+      {"mean_queue_wait", f.mean_queue_wait}, {"p95_queue_wait", f.p95_queue_wait},
+      {"mean_slowdown", f.mean_slowdown}, {"slowdown_p50", f.slowdown_p50},
+      {"slowdown_p95", f.slowdown_p95}, {"slowdown_p99", f.slowdown_p99},
+      {"fairness_min", f.fairness_min}, {"fairness_mean", f.fairness_mean}};
+  for (const TenantRunResult& t : x.tenants) {
+    const TenantStats& ts = t.stats;
+    n.insert({{"id", t.id}, {"tenant", t.id}, {"footprint_pages", t.footprint_pages},
+              {"quota_frames", t.quota_frames}, {"finish_cycle", t.finish_cycle},
+              {"completed", t.completed}, {"slowdown_vs_solo", t.slowdown_vs_solo},
+              {"page_faults", ts.page_faults}, {"faults_coalesced", ts.faults_coalesced},
+              {"pages_in", ts.pages_migrated_in}, {"pages_demanded", ts.pages_demanded},
+              {"pages_prefetched", ts.pages_prefetched},
+              {"pages_evicted", ts.pages_evicted}, {"chunks_evicted", ts.chunks_evicted},
+              {"evicted_by_self", ts.evicted_by_self},
+              {"evicted_by_others", ts.evicted_by_others},
+              {"evictions_of_others", ts.evictions_of_others},
+              {"fault_wait_cycles", ts.fault_wait_cycles}});
+  }
+  for (const DeviceRunResult& dv : x.devices) {
+    const UvmDriver::Stats& ds = dv.driver;
+    n.insert({{"id", dv.id}, {"device", dv.id}, {"capacity_pages", dv.capacity_pages},
+              {"finish_cycle", dv.finish_cycle}, {"completed", dv.completed},
+              {"page_faults", ds.page_faults}, {"pages_in", ds.pages_migrated_in},
+              {"pages_evicted", ds.pages_evicted}, {"remote_accesses", ds.remote_accesses},
+              {"peer_fetches", ds.peer_fetches}, {"spill_hopbacks", ds.spill_hopbacks},
+              {"faults_forwarded", ds.faults_forwarded},
+              {"chunks_spilled", ds.chunks_spilled}, {"pages_spilled", ds.pages_spilled},
+              {"h2d_pages", dv.h2d_pages}, {"d2h_pages", dv.d2h_pages}});
+  }
+  for (const LinkRunResult& l : x.links)
+    n.insert({{"units_moved", l.units_moved}, {"utilisation", l.utilisation}});
+  return n;
+}
+
+/// `cell` as a number when all of it parses as one.
+std::optional<double> number(std::string_view cell) {
+  double v = 0;
+  const auto [end, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), v);
+  if (cell.empty() || ec != std::errc{} || end != cell.data() + cell.size())
+    return std::nullopt;
+  return v;
+}
+
+/// The cells of one CSV line, unquoted.
+std::vector<std::string> csv_cells(const std::string& line) {
+  std::vector<std::string> cells(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"')
+      cells.back() += line[++i];
+    else if (c == '"')
+      quoted = !quoted;
+    else if (c == ',' && !quoted)
+      cells.emplace_back();
+    else
+      cells.back() += c;
+  }
+  return cells;
+}
+
+/// Expect the number in the cell named `name` to be exactly one of the
+/// values `want` holds under that name; returns 1 for the count.
+u64 expect_exact(const Numbers& want, const std::string& name, double got,
+                 std::string_view text) {
+  const auto [lo, hi] = want.equal_range(name);
+  EXPECT_NE(lo, hi) << "no field named " << name;
+  EXPECT_TRUE(std::any_of(lo, hi, [got](const auto& kv) { return kv.second == got; }))
+      << name << " written as " << text << " is no value of that field";
+  return 1;
+}
+
+/// Check every numeric cell of a CSV document, whose tables each start with
+/// a header: the one kind of line without a number in it.
+u64 check_csv(const Numbers& want, const std::string& doc) {
+  std::istringstream lines(doc);
+  std::vector<std::string> header;
+  u64 checked = 0;
+  for (std::string line; std::getline(lines, line);) {
+    const std::vector<std::string> cells = csv_cells(line);
+    if (std::none_of(cells.begin(), cells.end(),
+                     [](const std::string& c) { return number(c).has_value(); })) {
+      header = cells;
+      continue;
+    }
+    EXPECT_EQ(cells.size(), header.size()) << line;
+    for (std::size_t i = 0; i < cells.size() && i < header.size(); ++i)
+      if (const auto v = number(cells[i])) checked += expect_exact(want, header[i], *v, cells[i]);
+  }
+  return checked;
+}
+
+/// Check every numeric member of a JSON document.
+u64 check_json(const Numbers& want, const std::string& doc) {
+  static const std::regex member(R"re("(\w+)":(-?[0-9][^,}\]]*))re");
+  u64 checked = 0;
+  for (auto it = std::sregex_iterator(doc.begin(), doc.end(), member);
+       it != std::sregex_iterator(); ++it) {
+    const std::string text = (*it)[2];
+    const auto v = number(text);
+    EXPECT_TRUE(v.has_value()) << text;
+    if (v) checked += expect_exact(want, (*it)[1], *v, text);
+  }
+  return checked;
+}
+
+// Parse every numeric cell of every artefact back: it must equal its
+// RunResult field exactly, so no writer may round a double.
+TEST(ResultsIo, EveryNumberReadsBackAsItsFieldExactly) {
+  const std::vector<LabelledResult> results = {every_block(), every_block_fleet()};
+  // The fleet sample is the other one plus its fleet slice.
+  const Numbers want = numbers_of(results[1].result);
+  std::ostringstream json, csv, tenant_csv, fleet_csv, run_csv, run_fleet_csv;
+  write_json(json, results);
+  write_csv(csv, results);
+  write_tenant_csv(tenant_csv, results);
+  write_fleet_csv(fleet_csv, results);
+  write_run_csv(run_csv, results[0].result);
+  write_run_csv(run_fleet_csv, results[1].result);
+  u64 checked = check_json(want, json.str());
+  for (const std::ostringstream* doc : {&csv, &tenant_csv, &fleet_csv, &run_csv, &run_fleet_csv})
+    checked += check_csv(want, doc->str());
+  EXPECT_GE(checked, 400u);
 }
 
 TEST(ResultsIo, SaveToFilesRoundTrips) {
