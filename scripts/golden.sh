@@ -314,18 +314,27 @@ has trace '"ev":"large_frame_evicted"'
 cli fleet/2gpu-large-pages 1 $FLEET --large-pages
 has trace '"ev":"splinter"'
 
+# text_trace <name> <path>: write <path>.trc, four warps of 64 accesses
+# named <name>, through the text form.
+text_trace() {
+  {
+    echo "# name: $1"
+    for w in 0 1 2 3; do
+      for p in $(seq 0 63); do echo "$w $((p + 16 * w))"; done
+    done
+  } > "$2.txt"
+  "$TRACE" --from-text "$2.txt" --out "$2.trc" 2>/dev/null
+}
+
 # A replayed trace takes its workload name from the trace file, and every
 # CSV cell is quoted when it needs to be: a comma in the name stays in one
-# cell.
-{
-  echo "# name: hot,spot"
-  for w in 0 1 2 3; do
-    for p in $(seq 0 63); do echo "$w $((p + 16 * w))"; done
-  done
-} > "$TMP/hotspot.txt"
-"$TRACE" --from-text "$TMP/hotspot.txt" --out "$TMP/hotspot.trc" 2>/dev/null
+# cell. A space stays in the name too (the scenario name spells it "_").
+text_trace "hot,spot" "$TMP/hotspot"
 cli single/trace-hot,spot-0.5-csv 0 --trace "$TMP/hotspot.trc" --oversub 0.5 --csv
 has stdout '^"hot,spot",'
+text_trace "hot spot" "$TMP/hot-spot"
+cli single/trace-hot_spot-0.5-csv 0 --trace "$TMP/hot-spot.trc" --oversub 0.5 --csv
+has stdout '^hot spot,'
 
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.

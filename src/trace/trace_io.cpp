@@ -106,7 +106,7 @@ Trace read_text_trace(std::istream& is) {
       std::string key;
       hs >> key;
       if (key == "name:") {
-        hs >> t.name;
+        std::getline(hs >> std::ws, t.name);  // the rest of the line, spaces included
       } else if (key == "pattern:") {
         int v = 0;
         hs >> v;

@@ -155,20 +155,24 @@ TEST(TextTrace, RejectsAccessOutsideDeclaredFootprint) {
 }
 
 TEST(TextTrace, RoundTripsThroughTextForm) {
-  const Trace original = tiny_trace();
-  std::stringstream ss;
-  write_text_trace(ss, original);
-  const Trace back = read_text_trace(ss);
-  EXPECT_EQ(back.footprint_pages, original.footprint_pages);
-  EXPECT_EQ(back.pattern, original.pattern);
-  ASSERT_EQ(back.streams.size(), original.streams.size());
-  for (std::size_t i = 0; i < back.streams.size(); ++i) {
-    ASSERT_EQ(back.streams[i].accesses.size(), original.streams[i].accesses.size());
-    for (std::size_t j = 0; j < back.streams[i].accesses.size(); ++j) {
-      EXPECT_EQ(back.streams[i].accesses[j].page,
-                original.streams[i].accesses[j].page);
-      EXPECT_EQ(back.streams[i].accesses[j].think,
-                original.streams[i].accesses[j].think);
+  for (const char* name : {"tiny", "hot spot"}) {  // a name may hold a space
+    Trace original = tiny_trace();
+    original.name = name;
+    std::stringstream ss;
+    write_text_trace(ss, original);
+    const Trace back = read_text_trace(ss);
+    EXPECT_EQ(back.name, original.name);
+    EXPECT_EQ(back.footprint_pages, original.footprint_pages);
+    EXPECT_EQ(back.pattern, original.pattern);
+    ASSERT_EQ(back.streams.size(), original.streams.size());
+    for (std::size_t i = 0; i < back.streams.size(); ++i) {
+      ASSERT_EQ(back.streams[i].accesses.size(), original.streams[i].accesses.size());
+      for (std::size_t j = 0; j < back.streams[i].accesses.size(); ++j) {
+        EXPECT_EQ(back.streams[i].accesses[j].page,
+                  original.streams[i].accesses[j].page);
+        EXPECT_EQ(back.streams[i].accesses[j].think,
+                  original.streams[i].accesses[j].think);
+      }
     }
   }
 }
