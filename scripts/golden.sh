@@ -336,6 +336,11 @@ text_trace "hot spot" "$TMP/hot-spot"
 cli single/trace-hot_spot-0.5-csv 0 --trace "$TMP/hot-spot.trc" --oversub 0.5 --csv
 has stdout '^hot spot,'
 
+# --help says that --csv writes one table per result slice.
+LAST=help/uvmsim
+"$UVMSIM" --help > "$TMP/stdout"
+has stdout 'each with its own header'
+
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
 for csv in fig8/out tenants-NW+BFS/out tenants-NW+BFS/tenant-out; do

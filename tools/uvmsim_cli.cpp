@@ -332,7 +332,11 @@ int main(int argc, char** argv) try {
   cli.add_flag("sim-stats",
                "append simulator-overhead counters (event heap, slab, hash "
                "sizing) to the report");
-  cli.add_flag("csv", "emit one CSV row instead of the text report");
+  cli.add_flag("csv",
+               "emit CSV instead of the text report: a header and a row of "
+               "totals (a fleet run's SLA aggregates), then a tenant table for "
+               "tenant runs or device and link tables for fabric runs, each "
+               "with its own header");
   cli.add_flag("list", "list the Table II workloads and exit");
   cli.add_flag("list-policies",
                "list the registered eviction policies / prefetchers and exit");
