@@ -142,6 +142,8 @@ TEST_F(DriverFixture, PendingAndInFlightFaultsCoalesceWithTheirStage) {
 
 // migration_in_flight covers every planned page, prefetch-only ones
 // included, but not a fault still waiting in the backend queue.
+// fault_outstanding (the fabric's route_fault/host_fetchable oracle) covers
+// the queued fault too: a peer must not fetch a page this device is about to.
 TEST_F(DriverFixture, MigrationInFlightCoversPlannedPagesOnly) {
   pol.driver_concurrency = 1;
   auto d = make_driver(256, 128);
@@ -152,26 +154,14 @@ TEST_F(DriverFixture, MigrationInFlightCoversPlannedPagesOnly) {
   EXPECT_TRUE(d->is_resident(5));          // so no second plan pulls it
   EXPECT_FALSE(d->migration_in_flight(32));
   EXPECT_FALSE(d->is_resident(32));
+  EXPECT_TRUE(d->fault_outstanding(5));
+  EXPECT_TRUE(d->fault_outstanding(32));
+  EXPECT_FALSE(d->fault_outstanding(64));
   eq.run();
   EXPECT_FALSE(d->migration_in_flight(5));
   EXPECT_FALSE(d->migration_in_flight(32));
-  EXPECT_TRUE(d->page_resident(32));
-}
-
-// fault_outstanding (the fabric's route_fault/host_fetchable oracle) covers
-// the queued fault too: a peer must not fetch a page this device is about to.
-TEST_F(DriverFixture, FaultOutstandingCoversQueuedFaultsAndPlannedPages) {
-  pol.driver_concurrency = 1;
-  auto d = make_driver(256, 128);
-  d->fault(0, [] {});
-  d->fault(32, [] {});
-  EXPECT_TRUE(d->fault_outstanding(0));
-  EXPECT_TRUE(d->fault_outstanding(5));   // planned only as a prefetch
-  EXPECT_TRUE(d->fault_outstanding(32));  // queued behind the busy slot
-  EXPECT_FALSE(d->fault_outstanding(64));
-  eq.run();
-  EXPECT_FALSE(d->fault_outstanding(5));
   EXPECT_FALSE(d->fault_outstanding(32));
+  EXPECT_TRUE(d->page_resident(32));
 }
 
 TEST_F(DriverFixture, CapacityIsNeverExceededMidRun) {
