@@ -9,7 +9,6 @@
 // moment a peer fetch's source surrenders its copy.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -25,7 +24,7 @@ namespace {
 /// Shootdowns one driver issued, local and remote, how many of them left
 /// something of the page in one of the watched Gpus (at a local shootdown,
 /// remote lines of it too: a page mapped here is read locally), and how
-/// many local ones unmapped a page that one of the `peers` still maps.
+/// often a local one unmapped a page that one of the `peers` still maps.
 struct Audit {
   u64 local = 0, remote = 0, stale = 0, mapped_elsewhere = 0;
 
@@ -36,12 +35,7 @@ struct Audit {
       for (const Gpu* g : gpus)
         stale += g->holds(p, f) || g->holds(p, kInvalidFrame) ? 1 : 0;
       if (f == kInvalidFrame) return;
-      mapped_elsewhere += std::any_of(peers.begin(), peers.end(),
-                                      [p](const UvmDriver* d) {
-                                        return d->page_resident(p);
-                                      })
-                              ? 1
-                              : 0;
+      for (const UvmDriver* d : peers) mapped_elsewhere += d->page_resident(p) ? 1 : 0;
     });
   }
 };
