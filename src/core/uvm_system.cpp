@@ -5,13 +5,11 @@
 #include <string>
 #include <utility>
 
-#include "fabric/sharded_workload.hpp"
 #include "policy/adaptive.hpp"
 #include "policy/mhpe.hpp"
 #include "prefetch/adaptive.hpp"
 #include "prefetch/pattern_aware.hpp"
 #include "tenancy/fairness.hpp"
-#include "tenancy/offset_workload.hpp"
 
 namespace uvmsim {
 
@@ -116,24 +114,21 @@ UvmSystem::UvmSystem(const SystemConfig& sys, const PolicyConfig& pol,
     coord_ = std::make_unique<FabricCoordinator>(queue(), sys, fabric_cfg_, footprint);
   }
 
-  // Each device gets a 1/N share of the capacity.
+  // Each device gets a 1/N share of the capacity and runs warps
+  // d*W .. (d+1)*W of one n*W-warp grid.
   const u64 capacity = device_capacity(footprint, oversub, n);
   const u32 warps_per_device = sys.num_sms * sys.warps_per_sm;
   for (u32 d = 0; d < n; ++d) {
     DeviceStack& s = add_stack(sharded() ? d : 0, sys, pol, footprint, capacity,
                                n > 1 ? d : kNoTraceDevice);
-    const Workload* slice = &workload;
-    if (n > 1) {
+    if (n > 1)
       s.driver().attach_fabric(sharded_ ? sharded_->port(d) : coord_.get(), d,
                                fabric_cfg_.spill);
-      slices_.push_back(std::make_unique<ShardedWorkload>(
-          workload, d * warps_per_device, n * warps_per_device));
-      slice = slices_.back().get();
-    }
     // Per-device warp seeds derive from pol.seed + device id, so device 0
     // seeds exactly as a one-GPU run.
-    gpus_.push_back(std::make_unique<Gpu>(s.queue(), sys, s.driver(), *slice,
-                                          pol.seed + d));
+    gpus_.push_back(std::make_unique<Gpu>(
+        s.queue(), sys, s.driver(), workload, pol.seed + d,
+        GpuSlice{d * warps_per_device, n * warps_per_device}));
     if (sharded_) sharded_->attach_device(d, &s.driver());
     if (coord_) coord_->attach_device(d, &s.driver());
   }
@@ -157,14 +152,13 @@ UvmSystem::UvmSystem(const SystemConfig& sys, const PolicyConfig& pol,
                              device_capacity(total_footprint, oversub, 1, n),
                              kNoTraceDevice, std::move(tenancy));
 
-  // One Gpu per tenant on its SM slice. Warp seeds stay pol.seed-derived as
-  // in the solo run, so a tenant's access streams match its solo behaviour.
-  for (u64 t = 0; t < n; ++t) {
-    slices_.push_back(std::make_unique<OffsetWorkload>(
-        *workloads[t], s.tenants()->info(static_cast<TenantId>(t)).base));
-    gpus_.push_back(std::make_unique<Gpu>(s.queue(), gpu_cfg_, s.driver(),
-                                          *slices_.back(), pol.seed));
-  }
+  // One Gpu per tenant on its SM slice, reading at its namespace base. Warp
+  // seeds stay pol.seed-derived as in the solo run, so a tenant's access
+  // streams match its solo behaviour.
+  for (u64 t = 0; t < n; ++t)
+    gpus_.push_back(std::make_unique<Gpu>(
+        s.queue(), gpu_cfg_, s.driver(), *workloads[t], pol.seed,
+        GpuSlice{.page_base = s.tenants()->info(static_cast<TenantId>(t)).base}));
 }
 
 RunResult UvmSystem::run(Cycle max_cycles) {

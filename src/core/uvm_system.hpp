@@ -6,8 +6,8 @@
 //
 //  - one workload on one GPU, the paper's setting (the default);
 //  - one workload sharded over the `fabric.gpus` devices of an NVLink
-//    fabric (docs/fabric.md). Each device has its own stack and runs a 1/N
-//    slice of the warps (ShardedWorkload), seeded with pol.seed + device
+//    fabric (docs/fabric.md). Each device has its own stack and its Gpu
+//    runs a 1/N slice of the warps (GpuSlice), seeded with pol.seed + device
 //    and stamped with its device id in the trace. Under the sequential
 //    engine every device sits on one shard and the synchronous
 //    FabricCoordinator joins the drivers; under --engine sharded each device
@@ -15,10 +15,10 @@
 //    (docs/performance.md). A one-GPU run builds no fabric;
 //  - N workloads as tenants of one device (docs/multitenancy.md). One stack
 //    (driver, frame pool, PCIe link pair and prefetcher) serves every
-//    tenant over disjoint namespaces (OffsetWorkload + TenantTable), and each
-//    tenant's Gpu runs on a num_sms / N slice of the SMs with its own TLBs,
-//    caches and DRAM timing, so interference is modelled in the
-//    memory-management layer this repo studies.
+//    tenant over disjoint namespaces (TenantTable). Each tenant's Gpu reads
+//    at its namespace base (GpuSlice) and runs on a num_sms / N slice of the
+//    SMs with its own TLBs, caches and DRAM timing, so interference is
+//    modelled in the memory-management layer this repo studies.
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -107,7 +107,6 @@ class UvmSystem : public SystemBase {
   std::vector<const Workload*> workloads_;  ///< the one workload, or each tenant's
   std::unique_ptr<FabricCoordinator> coord_;
   std::unique_ptr<ShardedFabric> sharded_;
-  std::vector<std::unique_ptr<Workload>> slices_;  ///< device or tenant views
   std::vector<std::unique_ptr<Gpu>> gpus_;
 };
 

@@ -218,10 +218,9 @@ void FleetSystem::start_job(u64 id, u32 device, TenantId t) {
   Running& r = running_[id];
   r.device = device;
   r.tenant = t;
-  r.workload =
-      std::make_unique<OffsetWorkload>(*mix_[j.tpl], s.tenants()->info(t).base);
-  r.gpu = std::make_unique<Gpu>(s.queue(), job_cfg_, s.driver(), *r.workload,
-                                job_seed(id));
+  r.gpu = std::make_unique<Gpu>(s.queue(), job_cfg_, s.driver(), *mix_[j.tpl],
+                                job_seed(id),
+                                GpuSlice{.page_base = s.tenants()->info(t).base});
   // The hook fires inside the last warp's event — defer teardown one event
   // so the Gpu never destroys itself re-entrantly.
   r.gpu->set_on_finished([this, id, &s] {
@@ -247,7 +246,6 @@ void FleetSystem::retire_job(u64 id) {
   DeviceStack& s = stack(r.device);
   const Cycle finish = r.gpu->finish_cycle();
   s.retire_tenant(r.tenant, std::move(r.gpu));
-  r.workload.reset();
   if (!sharded()) {
     finish_job(id, finish);
     return;

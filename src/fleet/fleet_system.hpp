@@ -7,9 +7,10 @@
 // with capacity = oversub * arena (so resident jobs genuinely oversubscribe
 // device memory). Jobs arrive open-loop (ArrivalStream), pass
 // admission control (AdmissionController), are placed by the FleetScheduler,
-// run as a SM-sliced Gpu over an OffsetWorkload at their attached namespace
-// base, and on completion detach — returning their namespace region, tenant
-// slot and frames for reuse — before the admission queue is re-drained.
+// run as a SM-sliced Gpu reading at their attached namespace base
+// (GpuSlice), and on completion detach — returning their namespace region,
+// tenant slot and frames for reuse — before the admission queue is
+// re-drained.
 //
 // Under the default --engine seq the engine holds ONE shard and every
 // component shares its queue — byte-identical to the historical build.
@@ -49,7 +50,6 @@
 #include "fleet/scheduler.hpp"
 #include "gpu/gpu.hpp"
 #include "obs/flight_recorder.hpp"
-#include "tenancy/offset_workload.hpp"
 #include "tenancy/tenant.hpp"
 #include "uvm/driver.hpp"
 
@@ -95,7 +95,6 @@ class FleetSystem : public SystemBase {
   /// A running job's simulation objects, destroyed at teardown. Owned by
   /// the job's device shard when the engine is sharded.
   struct Running {
-    std::unique_ptr<OffsetWorkload> workload;
     std::unique_ptr<Gpu> gpu;
     TenantId tenant = kNoTenant;  ///< slot in the DEVICE table
     u32 device = ~u32{0};

@@ -5,7 +5,7 @@
 namespace uvmsim {
 
 Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
-         const Workload& workload, u64 seed)
+         const Workload& workload, u64 seed, GpuSlice slice)
     : eq_(eq),
       cfg_(cfg),
       driver_(driver),
@@ -16,7 +16,9 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
       // Bind the walker to the member copy, not the ctor argument: callers
       // may pass a temporary config (multi-tenant SM slices do).
       walker_(eq, driver.page_table(), cfg_),
+      page_base_(slice.page_base),
       lines_per_page_(static_cast<u32>(kPageBytes) / cfg.cache_line_bytes) {
+  if (slice.total_warps == 0) slice.total_warps = cfg.num_sms * cfg.warps_per_sm;
   SplitMix64 seeder(seed);
   sms_.resize(cfg.num_sms);
   for (u32 s = 0; s < cfg.num_sms; ++s) {
@@ -29,8 +31,8 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
     sm.warps.resize(cfg.warps_per_sm);
     for (u32 w = 0; w < cfg.warps_per_sm; ++w) {
       const WarpContext ctx{
-          .global_index = s * cfg.warps_per_sm + w,
-          .total_warps = cfg.num_sms * cfg.warps_per_sm,
+          .global_index = slice.warp_base + s * cfg.warps_per_sm + w,
+          .total_warps = slice.total_warps,
           .seed = seeder.next(),
       };
       sm.warps[w].stream = workload.make_stream(ctx);
@@ -76,7 +78,9 @@ void Gpu::warp_step(u32 sm, u32 warp) {
     return;
   }
   ++accesses_;
-  auto ev = [this, sm, warp, page = a.page] { do_access(sm, warp, page); };
+  auto ev = [this, sm, warp, page = a.page + page_base_] {
+    do_access(sm, warp, page);
+  };
   // One event per access: the capture must stay in the SBO buffer, or the
   // simulator is back to one heap allocation per simulated access.
   static_assert(EventQueue::Callback::fits_inline<decltype(ev)>);

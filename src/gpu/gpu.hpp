@@ -1,6 +1,6 @@
 // GPU model: `num_sms` SMs, each running `warps_per_sm` warps over the
-// workload's access streams. Each access goes through the full translation
-// path of Fig 1:
+// access streams of its slice of the workload (GpuSlice). Each access goes
+// through the full translation path of Fig 1:
 //
 //   L1 TLB (per SM, 1 cy) -> L2 TLB (shared, 10 cy, 2 ports)
 //     -> page table walker (64 threads, page walk cache)
@@ -35,10 +35,23 @@
 
 namespace uvmsim {
 
+/// The part of a workload one Gpu runs. Its warp (s, w) is warp
+/// warp_base + s * warps_per_sm + w of a total_warps-warp grid (0: the
+/// Gpu's own num_sms * warps_per_sm), and every page it reads is moved up
+/// by page_base. A fabric device runs its share of one grid; a tenant or
+/// fleet job runs the whole grid at its namespace base.
+struct GpuSlice {
+  u32 warp_base = 0;
+  u32 total_warps = 0;
+  PageId page_base = 0;
+};
+
 class Gpu {
  public:
+  /// Warp seeds are drawn from `seed` in local warp order, whatever the
+  /// slice.
   Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
-      const Workload& workload, u64 seed);
+      const Workload& workload, u64 seed, GpuSlice slice = {});
   /// Unregisters this GPU's shootdown handlers from the driver — a fleet
   /// job's Gpu dies while the shared driver keeps serving other jobs.
   ~Gpu();
@@ -144,6 +157,7 @@ class Gpu {
   SetAssocCache l2_cache_;
   PageWalker walker_;
   std::vector<Sm> sms_;
+  PageId page_base_;
   u32 lines_per_page_;
   u32 live_warps_ = 0;
   Cycle finish_cycle_ = 0;

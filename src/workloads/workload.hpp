@@ -35,8 +35,8 @@ class AccessStream {
 
 /// Identity of one warp within the simulated grid.
 struct WarpContext {
-  u32 global_index;  ///< sm * warps_per_sm + warp
-  u32 total_warps;   ///< num_sms * warps_per_sm
+  u32 global_index;  ///< sm * warps_per_sm + warp, plus the Gpu's warp_base
+  u32 total_warps;   ///< warps in the grid the Gpu's slice belongs to
   u64 seed;          ///< per-warp RNG seed (derived from the experiment seed)
 };
 

@@ -1,5 +1,6 @@
 // GPU model: translation path, far-fault replay, shootdown wiring, remote
-// line tags, and end-to-end completion on a tiny synthetic workload.
+// line tags, workload slices, and end-to-end completion on a tiny synthetic
+// workload.
 #include "gpu/gpu.hpp"
 
 #include <gtest/gtest.h>
@@ -206,6 +207,53 @@ TEST_F(GpuFixture, RemoteLinesDoNotAliasLocalFrames) {
   EXPECT_EQ(d->stats().remote_accesses, 1u);
   EXPECT_EQ(frame0_shootdowns, 1);
   EXPECT_EQ(gpu.stats().l1d_hits, 1u);  // page 0's second access
+}
+
+/// Records the WarpContext of every stream it makes; warp g reads page g.
+class ContextRecorder final : public Workload {
+ public:
+  [[nodiscard]] std::string name() const override { return "recorder"; }
+  [[nodiscard]] std::string abbr() const override { return "REC"; }
+  [[nodiscard]] u64 footprint_pages() const override { return 64; }
+  [[nodiscard]] PatternType pattern() const override { return PatternType::kStreaming; }
+  [[nodiscard]] std::unique_ptr<AccessStream> make_stream(
+      const WarpContext& ctx) const override {
+    seen.push_back(ctx);
+    return std::make_unique<SegmentStream>(
+        std::vector<Segment>{Segment::walk(ctx.global_index, 1, 0, 1, 1.0, 1, 10)},
+        ctx.seed);
+  }
+  mutable std::vector<WarpContext> seen;
+};
+
+// A slice places the Gpu's warps in a larger grid and moves every page up
+// by its base; the warp seeds are those of the whole-grid Gpu.
+TEST_F(GpuFixture, SlicePlacesWarpsInTheGridAndPagesAtItsBase) {
+  small_gpu();
+  ContextRecorder whole;
+  {
+    EventQueue q;
+    UvmDriver d0(q, sys, pol, 64, 64);
+    Gpu g0(q, sys, d0, whole, 1);
+  }
+  ContextRecorder sliced;
+  auto d = make_driver(64, 64);
+  d->set_prefetcher(std::make_unique<NoPrefetcher>());
+  Gpu gpu(eq, sys, *d, sliced, 1, GpuSlice{4, 12, 32});
+  gpu.launch();
+  eq.run();
+  ASSERT_TRUE(gpu.finished());
+  ASSERT_EQ(sliced.seen.size(), 4u);
+  for (u32 w = 0; w < 4; ++w) {
+    EXPECT_EQ(whole.seen[w].global_index, w);
+    EXPECT_EQ(whole.seen[w].total_warps, 4u);
+    EXPECT_EQ(sliced.seen[w].global_index, 4 + w);
+    EXPECT_EQ(sliced.seen[w].total_warps, 12u);
+    EXPECT_EQ(sliced.seen[w].seed, whole.seen[w].seed);
+    EXPECT_TRUE(d->page_resident(32 + 4 + w));
+    EXPECT_FALSE(d->page_resident(4 + w));
+  }
+  EXPECT_EQ(d->page_table().mapped_pages(), 4u);
 }
 
 TEST_F(GpuFixture, DeterministicAcrossRuns) {
