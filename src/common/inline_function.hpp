@@ -2,10 +2,9 @@
 // the event kernel. The common simulation lambdas (`[this, sm, warp, page]`
 // and friends) fit the inline buffer, so scheduling an event performs zero
 // heap allocations and invoking it is one indirect call. Captures larger
-// than the buffer (e.g. a MigrationBatch moved into a completion event) are
-// placed in storage drawn from a thread-local size-bucketed free list, so
-// even the oversized path stops hitting the global allocator once the
-// simulation reaches steady state.
+// than the buffer (e.g. a MigrationBatch moved into a completion event) go
+// to the heap through aligned operator new/delete; the event queue counts
+// them (oversize_events).
 //
 // Differences from std::function, chosen deliberately for the hot path:
 //   * move-only (no copy — events are scheduled once and consumed once);
@@ -15,13 +14,9 @@
 
 #include <cassert>
 #include <cstddef>
-#include <cstdlib>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace uvmsim {
 
@@ -30,82 +25,13 @@ namespace uvmsim {
 /// the static_asserts at the call sites in src/gpu/gpu.cpp.
 inline constexpr std::size_t kCallbackInlineBytes = 48;
 
-namespace detail {
-
-/// Thread-local recycled storage for oversized captures. Blocks are
-/// bucketed by 64-byte size class and never returned to the allocator
-/// until thread exit; sweeps are per-thread, so no locking is needed.
-class OversizePool {
- public:
-  static constexpr std::size_t kClassBytes = 64;
-  static constexpr std::size_t kClasses = 16;  // up to 1 KiB pooled
-
-  struct Stats {
-    u64 allocs = 0;    ///< total oversized placements
-    u64 reused = 0;    ///< served from the free list
-    u64 outstanding = 0;
-  };
-
-  [[nodiscard]] static void* allocate(std::size_t bytes) {
-    OversizePool& pool = instance();
-    ++pool.stats_.allocs;
-    ++pool.stats_.outstanding;
-    const std::size_t cls = class_of(bytes);
-    if (cls < kClasses && !pool.free_[cls].empty()) {
-      void* p = pool.free_[cls].back();
-      pool.free_[cls].pop_back();
-      ++pool.stats_.reused;
-      return p;
-    }
-    const std::size_t rounded =
-        cls < kClasses ? (cls + 1) * kClassBytes : bytes;
-    void* p = ::operator new(rounded, std::align_val_t{alignof(std::max_align_t)});
-    return p;
-  }
-
-  static void deallocate(void* p, std::size_t bytes) {
-    OversizePool& pool = instance();
-    --pool.stats_.outstanding;
-    const std::size_t cls = class_of(bytes);
-    if (cls < kClasses) {
-      pool.free_[cls].push_back(p);
-      return;
-    }
-    ::operator delete(p, std::align_val_t{alignof(std::max_align_t)});
-  }
-
-  [[nodiscard]] static const Stats& stats() { return instance().stats_; }
-
- private:
-  [[nodiscard]] static std::size_t class_of(std::size_t bytes) {
-    return (bytes - 1) / kClassBytes;
-  }
-
-  static OversizePool& instance() {
-    thread_local OversizePool pool;
-    return pool;
-  }
-
-  OversizePool() = default;
-  ~OversizePool() {
-    for (auto& cls : free_)
-      for (void* p : cls)
-        ::operator delete(p, std::align_val_t{alignof(std::max_align_t)});
-  }
-
-  std::vector<void*> free_[kClasses];
-  Stats stats_;
-};
-
-}  // namespace detail
-
 template <class Sig, std::size_t Capacity = kCallbackInlineBytes>
 class InlineFunction;  // primary template left undefined
 
 template <class R, class... Args, std::size_t Capacity>
 class InlineFunction<R(Args...), Capacity> {
  public:
-  /// True when a callable of type F stores inline (no pool allocation).
+  /// True when a callable of type F stores inline (no heap allocation).
   template <class F>
   static constexpr bool fits_inline =
       sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
@@ -123,10 +49,9 @@ class InlineFunction<R(Args...), Capacity> {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
     } else {
-      void* mem = detail::OversizePool::allocate(sizeof(Fn));
-      ::new (mem) Fn(std::forward<F>(f));
-      *reinterpret_cast<void**>(buf_) = mem;
-      ops_ = &pooled_ops<Fn>;
+      void* mem = ::operator new(sizeof(Fn), std::align_val_t{alignof(Fn)});
+      *reinterpret_cast<Fn**>(buf_) = ::new (mem) Fn(std::forward<F>(f));
+      ops_ = &heap_ops<Fn>;
     }
   }
 
@@ -148,9 +73,9 @@ class InlineFunction<R(Args...), Capacity> {
   [[nodiscard]] explicit operator bool() const noexcept {
     return ops_ != nullptr;
   }
-  /// False when the capture lives in pooled storage.
+  /// False when the capture lives on the heap.
   [[nodiscard]] bool is_inline() const noexcept {
-    return ops_ == nullptr || ops_->pooled_bytes == 0;
+    return ops_ == nullptr || !ops_->on_heap;
   }
 
   R operator()(Args... args) {
@@ -171,7 +96,7 @@ class InlineFunction<R(Args...), Capacity> {
     /// Move-construct into dst from src's storage, then destroy src's.
     void (*relocate)(unsigned char* dst, unsigned char* src);
     void (*destroy)(unsigned char*);
-    std::size_t pooled_bytes;  ///< 0 for inline storage
+    bool on_heap;
   };
 
   template <class Fn>
@@ -190,28 +115,26 @@ class InlineFunction<R(Args...), Capacity> {
       [](unsigned char* buf) {
         std::launder(reinterpret_cast<Fn*>(buf))->~Fn();
       },
-      /*pooled_bytes=*/0,
+      /*on_heap=*/false,
   };
 
   template <class Fn>
-  static constexpr Ops pooled_ops = {
+  static constexpr Ops heap_ops = {
       /*invoke=*/[](unsigned char* buf, Args&&... args) -> R {
-        void* mem = *reinterpret_cast<void**>(buf);
-        return (*std::launder(reinterpret_cast<Fn*>(mem)))(
-            std::forward<Args>(args)...);
+        return (**reinterpret_cast<Fn**>(buf))(std::forward<Args>(args)...);
       },
       /*relocate=*/
       [](unsigned char* dst, unsigned char* src) {
-        // Pooled storage is owned by pointer: relocation is a pointer copy.
-        *reinterpret_cast<void**>(dst) = *reinterpret_cast<void**>(src);
+        // A heap capture is owned by pointer: relocation is a pointer copy.
+        *reinterpret_cast<Fn**>(dst) = *reinterpret_cast<Fn**>(src);
       },
       /*destroy=*/
       [](unsigned char* buf) {
-        void* mem = *reinterpret_cast<void**>(buf);
-        std::launder(reinterpret_cast<Fn*>(mem))->~Fn();
-        detail::OversizePool::deallocate(mem, sizeof(Fn));
+        Fn* f = *reinterpret_cast<Fn**>(buf);
+        f->~Fn();
+        ::operator delete(f, std::align_val_t{alignof(Fn)});
       },
-      /*pooled_bytes=*/sizeof(Fn),
+      /*on_heap=*/true,
   };
 
   void move_from(InlineFunction& other) noexcept {
@@ -227,11 +150,6 @@ class InlineFunction<R(Args...), Capacity> {
 };
 
 static_assert(sizeof(void*) <= kCallbackInlineBytes,
-              "inline buffer must at least hold the pooled pointer");
-
-/// Stats for the oversized-capture pool of the calling thread.
-[[nodiscard]] inline const detail::OversizePool::Stats& oversize_pool_stats() {
-  return detail::OversizePool::stats();
-}
+              "inline buffer must at least hold the heap pointer");
 
 }  // namespace uvmsim

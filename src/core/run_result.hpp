@@ -99,8 +99,8 @@ struct SimPerfCounters {
   u64 events_executed = 0;     ///< events the kernel ran (summed across shards)
   u64 event_heap_peak = 0;     ///< high-water mark of pending events
   u64 event_heap_capacity = 0; ///< final heap allocation, in events
-  /// Events whose callback capture exceeded the inline buffer and took the
-  /// pooled path — should stay a tiny fraction of events_executed.
+  /// Events whose callback capture exceeded the inline buffer and was
+  /// heap-allocated — should stay a tiny fraction of events_executed.
   u64 oversize_events = 0;
   u64 chain_slab_capacity = 0; ///< chunk-chain slab slots across all domains/devices
   u64 page_table_capacity = 0; ///< page-table hash slots across all devices

@@ -7,8 +7,8 @@
 // including this hand-rolled one — replays the exact same event stream.
 //
 // The kernel is allocation-free on the hot path: callbacks are
-// InlineFunction (small-buffer optimised, pooled spill for oversized
-// captures) and the heap is a reserve-ahead std::vector binary heap. Popping
+// InlineFunction (small-buffer optimised; only oversized captures allocate)
+// and the heap is a reserve-ahead std::vector binary heap. Popping
 // moves the root out *before* sifting, so a running callback may freely
 // schedule new events — no const_cast aliasing of a live heap node.
 #pragma once
@@ -72,7 +72,7 @@ class EventQueue {
   [[nodiscard]] u64 peak_pending() const noexcept { return peak_pending_; }
   /// Current heap allocation in events.
   [[nodiscard]] std::size_t heap_capacity() const noexcept { return heap_.capacity(); }
-  /// Events whose capture spilled to the oversized pool (non-inline).
+  /// Events whose capture did not fit inline and was heap-allocated.
   [[nodiscard]] u64 oversize_events() const noexcept { return oversize_events_; }
 
   /// Pop and run the next event. Returns false if the queue was empty.

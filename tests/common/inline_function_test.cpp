@@ -6,6 +6,8 @@
 #include <memory>
 #include <utility>
 
+#include "common/types.hpp"
+
 namespace uvmsim {
 namespace {
 
@@ -78,32 +80,25 @@ TEST(InlineFunction, DestructorRunsCaptureDestructor) {
   EXPECT_EQ(counter.use_count(), 1);
 }
 
-TEST(InlineFunction, OversizedCaptureTakesPooledPathAndRecycles) {
-  const auto before = oversize_pool_stats();
+TEST(InlineFunction, OversizedCaptureGoesToTheHeap) {
   std::array<u64, 16> big{};  // 128 B — over the 48 B inline budget
   big[3] = 42;
+  auto owner = std::make_shared<int>(0);
   {
-    InlineFunction<u64()> f = [big] { return big[3]; };
+    InlineFunction<u64()> f = [big, owner] { return big[3]; };
     static_assert(!InlineFunction<u64()>::fits_inline<decltype([big] {
       return big[3];
     })>);
     EXPECT_FALSE(f.is_inline());
     EXPECT_EQ(f(), 42u);
-    EXPECT_EQ(oversize_pool_stats().allocs, before.allocs + 1);
-    EXPECT_EQ(oversize_pool_stats().outstanding, before.outstanding + 1);
 
-    // Moving a pooled function is a pointer copy, not a new allocation.
+    // Moving a heap capture hands over the pointer: no second copy.
     InlineFunction<u64()> g = std::move(f);
     EXPECT_FALSE(g.is_inline());
     EXPECT_EQ(g(), 42u);
-    EXPECT_EQ(oversize_pool_stats().allocs, before.allocs + 1);
+    EXPECT_EQ(owner.use_count(), 2);
   }
-  EXPECT_EQ(oversize_pool_stats().outstanding, before.outstanding);
-
-  // The freed block is recycled for the next same-class capture.
-  const u64 reused_before = oversize_pool_stats().reused;
-  InlineFunction<u64()> h = [big] { return big[0]; };
-  EXPECT_EQ(oversize_pool_stats().reused, reused_before + 1);
+  EXPECT_EQ(owner.use_count(), 1);  // the one heap capture was destroyed
 }
 
 TEST(InlineFunction, ResetDropsTheCallable) {
