@@ -134,7 +134,7 @@ void print_sim_stats(const RunResult& r) {
   t.add_row({"event heap peak/capacity",
              std::to_string(r.sim.event_heap_peak) + "/" +
                  std::to_string(r.sim.event_heap_capacity)});
-  t.add_row({"oversize (pooled) events", std::to_string(r.sim.oversize_events)});
+  t.add_row({"oversize (heap) events", std::to_string(r.sim.oversize_events)});
   t.add_row({"chunk-chain slab slots", std::to_string(r.sim.chain_slab_capacity)});
   t.add_row({"page-table slots (load)",
              std::to_string(r.sim.page_table_capacity) + " (" +
