@@ -131,11 +131,6 @@ class UvmDriver final : public ResidencyView {
   /// directory. Never called in single-GPU runs — the driver is then
   /// bit-for-bit the pre-fabric driver.
   void attach_fabric(FabricPort* fabric, u32 device, bool spill);
-  /// Is a migration covering `p` in flight on this device? True for pages
-  /// planned purely as prefetches, false for raised but unplanned faults.
-  [[nodiscard]] bool migration_in_flight(PageId p) const {
-    return faults_.in_flight(p);
-  }
   /// Is `p` on its way to this device: a raised fault still queued in the
   /// backend, or a migration in flight? The fabric's oracle for "a peer is
   /// already fetching this page".

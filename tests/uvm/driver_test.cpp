@@ -140,8 +140,9 @@ TEST_F(DriverFixture, PendingAndInFlightFaultsCoalesceWithTheirStage) {
   EXPECT_EQ(d->stats().pages_demanded, 3u);  // pages 0, 1 and 32
 }
 
-// migration_in_flight covers every planned page, prefetch-only ones
-// included, but not a fault still waiting in the backend queue.
+// A migration in flight covers every planned page, prefetch-only ones
+// included, so they read resident to the prefetchers (is_resident) before
+// they are mapped; a fault still waiting in the backend queue does not.
 // fault_outstanding (the fabric's route_fault/host_fetchable oracle) covers
 // the queued fault too: a peer must not fetch a page this device is about to.
 TEST_F(DriverFixture, MigrationInFlightCoversPlannedPagesOnly) {
@@ -149,17 +150,15 @@ TEST_F(DriverFixture, MigrationInFlightCoversPlannedPagesOnly) {
   auto d = make_driver(256, 128);
   d->fault(0, [] {});
   d->fault(32, [] {});
-  EXPECT_TRUE(d->migration_in_flight(0));
-  EXPECT_TRUE(d->migration_in_flight(5));  // planned only as a prefetch
-  EXPECT_TRUE(d->is_resident(5));          // so no second plan pulls it
-  EXPECT_FALSE(d->migration_in_flight(32));
+  EXPECT_TRUE(d->is_resident(0));
+  EXPECT_TRUE(d->is_resident(5));  // planned only as a prefetch
+  EXPECT_FALSE(d->page_resident(5));  // in flight, not yet mapped
   EXPECT_FALSE(d->is_resident(32));
   EXPECT_TRUE(d->fault_outstanding(5));
   EXPECT_TRUE(d->fault_outstanding(32));
   EXPECT_FALSE(d->fault_outstanding(64));
   eq.run();
-  EXPECT_FALSE(d->migration_in_flight(5));
-  EXPECT_FALSE(d->migration_in_flight(32));
+  EXPECT_FALSE(d->fault_outstanding(5));
   EXPECT_FALSE(d->fault_outstanding(32));
   EXPECT_TRUE(d->page_resident(32));
 }
