@@ -31,8 +31,7 @@ void HpePolicy::classify() {
 
 void HpePolicy::on_fault(PageId page) {
   const ChunkId c = chunk_of_page(page);
-  if (u32* n = recent_lookup_.find(c); n != nullptr) {
-    if (--*n == 0) recent_lookup_.erase(c);
+  if (recent_.take(c)) {
     ++w_;
     ++wrong_total_;
     record_event(recorder(), EventType::kWrongEvictionDetected, c, wrong_total_);
@@ -41,14 +40,7 @@ void HpePolicy::on_fault(PageId page) {
 
 void HpePolicy::on_chunk_evicted(const ChunkEntry& e) {
   ++evictions_interval_;
-  recent_evicted_.push_back(e.id);
-  ++recent_lookup_[e.id];
-  while (recent_evicted_.size() > recent_capacity_) {
-    if (u32* n = recent_lookup_.find(recent_evicted_.front()); n != nullptr) {
-      if (--*n == 0) recent_lookup_.erase(recent_evicted_.front());
-    }
-    recent_evicted_.pop_front();
-  }
+  recent_.push(e.id);
 }
 
 void HpePolicy::on_interval_boundary() {

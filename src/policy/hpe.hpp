@@ -21,11 +21,9 @@
 //    the strategy that historically lasted more intervals.
 #pragma once
 
-#include <deque>
-
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
 #include "policy/eviction_policy.hpp"
+#include "policy/recent_evictions.hpp"
 
 namespace uvmsim {
 
@@ -63,9 +61,7 @@ class HpePolicy final : public EvictionPolicy {
   u64 lru_intervals_ = 0;
   u64 wrong_total_ = 0;
 
-  std::deque<ChunkId> recent_evicted_;
-  FlatMap<ChunkId, u32> recent_lookup_;  ///< chunk -> live FIFO occurrences
-  std::size_t recent_capacity_ = 64;
+  RecentEvictions recent_{64};  ///< wrong-eviction detection window
 };
 
 }  // namespace uvmsim

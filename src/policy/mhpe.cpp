@@ -30,19 +30,18 @@ void MhpePolicy::lazy_init() {
   // minimum 8 (two intervals' worth of evicted chunks).
   const std::size_t scaled =
       (chain().size() / cfg_.wrong_evict_chain_divisor) * cfg_.wrong_evict_min_entries;
-  wrong_capacity_ = std::max<std::size_t>(cfg_.wrong_evict_min_entries, scaled);
+  wrong_evicted_.set_capacity(
+      std::max<std::size_t>(cfg_.wrong_evict_min_entries, scaled));
 }
 
 void MhpePolicy::on_fault(PageId page) {
   const ChunkId c = chunk_of_page(page);
-  if (u32* n = wrong_lookup_.find(c); n != nullptr) {
+  if (wrong_evicted_.take(c)) {
     // A recently evicted chunk faulted again: that eviction was wrong.
-    if (--*n == 0) wrong_lookup_.erase(c);  // one instance only
     ++w_;
     ++wrong_total_;
     reinsert_at_head_.insert(c);
     record_event(recorder(), EventType::kWrongEvictionDetected, c, wrong_total_);
-    // The stale id stays in the FIFO and is skipped when it ages out.
   }
 }
 
@@ -55,15 +54,7 @@ void MhpePolicy::on_chunk_evicted(const ChunkEntry& e) {
   u1_ += untouch;
   if (intervals_seen_ < 4) u2_ += untouch;
 
-  wrong_fifo_.push_back(e.id);
-  ++wrong_lookup_[e.id];
-  while (wrong_fifo_.size() > wrong_capacity_) {
-    if (u32* n = wrong_lookup_.find(wrong_fifo_.front()); n != nullptr) {
-      if (--*n == 0) wrong_lookup_.erase(wrong_fifo_.front());
-      // one instance: newer duplicates survive
-    }
-    wrong_fifo_.pop_front();
-  }
+  wrong_evicted_.push(e.id);
 }
 
 void MhpePolicy::on_interval_boundary() {

@@ -18,12 +18,12 @@
 //    not immediately re-victimised by the MRU search.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/flat_map.hpp"
 #include "policy/eviction_policy.hpp"
+#include "policy/recent_evictions.hpp"
 
 namespace uvmsim {
 
@@ -47,7 +47,9 @@ class MhpePolicy final : public EvictionPolicy {
   [[nodiscard]] bool switched_to_lru() const noexcept { return strategy_ == Strategy::kLru; }
   [[nodiscard]] u64 evictions() const noexcept { return evictions_; }
   [[nodiscard]] u64 wrong_evictions_total() const noexcept { return wrong_total_; }
-  [[nodiscard]] std::size_t wrong_buffer_capacity() const noexcept { return wrong_capacity_; }
+  [[nodiscard]] std::size_t wrong_buffer_capacity() const noexcept {
+    return wrong_evicted_.capacity();
+  }
   /// Per-interval total untouch level U1, in interval order since evictions
   /// began (drives Table III / Table IV).
   [[nodiscard]] const std::vector<u32>& interval_untouch_history() const noexcept {
@@ -74,13 +76,9 @@ class MhpePolicy final : public EvictionPolicy {
   u32 w_ = 0;            ///< wrong evictions in the current interval
   u64 intervals_seen_ = 0;
 
-  // Wrong-eviction detection: FIFO of recently evicted chunks + fast lookup.
-  // The lookup is a count map (multiset semantics) because a chunk can be
-  // evicted, refetched, and evicted again while its first FIFO entry is
-  // still ageing out.
-  std::deque<ChunkId> wrong_fifo_;
-  FlatMap<ChunkId, u32> wrong_lookup_;  ///< chunk -> live FIFO occurrences
-  std::size_t wrong_capacity_ = 0;
+  // Wrong-eviction detection: recently evicted chunks, sized at the first
+  // eviction (lazy_init).
+  RecentEvictions wrong_evicted_;
   FlatSet<ChunkId> reinsert_at_head_;
 
   // §IV-B's reinsert-at-head guarantee ("not immediately re-victimised by
