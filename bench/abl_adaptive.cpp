@@ -17,7 +17,7 @@
 // classifier's confirmation lag, so on composites it lands at or near the
 // best static and never far behind the worst.
 //
-// `--smoke` runs composites only and gates (scripts/check.sh, CI):
+// `--smoke` runs composites only and gates (a ctest test, label smoke):
 //   * adaptive cycles <= worst static * 1.05 on EVERY composite,
 //   * adaptive cycles <= best static * 1.01 on >= 1 composite.
 #include <cstring>

@@ -19,7 +19,7 @@
 // the policy that isolates the fault path is the honest backend comparison.
 //
 // `--smoke` runs the irregular workloads at the high-oversubscription point
-// only and gates (scripts/check.sh, CI):
+// only and gates (a ctest test, label smoke):
 //   * every run completes,
 //   * GPU-driven mean fault stall < host mean fault stall on BOTH irregular
 //     workloads (BFS, BFR) at 0.5 — the GPUVM claim this backend exists to

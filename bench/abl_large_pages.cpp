@@ -19,8 +19,8 @@
 // regions are never all-resident (NW) or whose residency never stabilises
 // (B+T) show zero coalesces and byte-identical-to-off behaviour.
 //
-// `--smoke` runs the dense/streaming subset + churn only and gates
-// (scripts/check.sh, CI):
+// `--smoke` runs the dense/streaming subset + churn only and gates (a ctest
+// test, label smoke):
 //   * every run completes, and with 2 MB frames on, frames actually coalesce,
 //   * L1 TLB hit rate (on) >= (off) for every smoke workload,
 //   * total DMA ops (on) <= (off) for every smoke workload.

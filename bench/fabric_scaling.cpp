@@ -18,7 +18,7 @@
 // write-backs into NVLink traffic, so summed d2h drops when --spill is on
 // and drops further on topologies with more peer bandwidth (switch > ring).
 // `--smoke` runs the 2-GPU ring subset only and fails unless spill cuts
-// host write-back (CI's check.sh gate). Engine wall-clock is measured
+// host write-back (a ctest gate, label smoke). Engine wall-clock is measured
 // like-for-like by the benchmark's fabric4 workload (bench/ledger), not
 // here: seq and sharded runs use two different fabric models.
 #include <iostream>

@@ -20,8 +20,8 @@
 // capacity, always/first-fit packs devices until resident jobs thrash —
 // tail slowdown grows sharply — while headroom admission with least-loaded
 // placement trades a little goodput (or queue wait) for a much flatter p95.
-// `--smoke` runs the high-load corner only and asserts that trade
-// (scripts/check.sh and the Release CI job gate on it).
+// `--smoke` runs the high-load corner only and asserts that trade (a ctest
+// gate, label smoke).
 #include <iostream>
 #include <vector>
 
