@@ -44,13 +44,13 @@ void FabricCoordinator::attach_device(u32 dev, UvmDriver* driver) {
 
 FabricDecision FabricCoordinator::route_fault(u32 dev, PageId p) {
   // Another device is already fetching this page, its fault queued or its
-  // migration in flight: wait for the page to land, then re-route (it will
-  // then be remote-accessible). Under first-touch a queued fault has not
-  // homed the chunk yet, so without this both devices would fetch the page
-  // from the host.
+  // migration in flight: forward the fault there, where it joins that fault
+  // as one more waiter and reads the page remotely once it lands. Under
+  // first-touch a queued fault has not homed the chunk yet, so without this
+  // both devices would fetch the page from the host.
   for (u32 d = 0; d < drivers_.size(); ++d)
     if (d != dev && drivers_[d]->fault_outstanding(p))
-      return {FabricRoute::kRetry, d, false};
+      return {FabricRoute::kForward, d, false};
 
   const u32 owner = owner_of(p);
   if (owner != kHostDevice) {
@@ -87,14 +87,15 @@ Cycle FabricCoordinator::charge_remote(u32 dev, u32 owner, PageId p) {
   return topo_.reserve_path(owner, dev, 1, eq_.now() + latency);
 }
 
-void FabricCoordinator::forward_fault(u32 from, u32 home, PageId p,
+void FabricCoordinator::forward_fault(u32 from, u32 to, PageId p,
                                       WakeCallback wake) {
   // The home device services the fault as its own (its chain, its policy,
-  // its prefetcher); the faulting warp then consumes the page with one
-  // remote access, which also starts the remote-vs-migrate counter.
-  drivers_[home]->fault(p, [this, from, home, p, w = std::move(wake)]() mutable {
+  // its prefetcher), or a peer already fetching the page coalesces it; the
+  // faulting warp then consumes the page with one remote access, which also
+  // starts the remote-vs-migrate counter.
+  drivers_[to]->fault(p, [this, from, to, p, w = std::move(wake)]() mutable {
     if (remote_count_[p] < 0xFFFF) ++remote_count_[p];
-    eq_.schedule_at(charge_remote(from, home, p), std::move(w));
+    eq_.schedule_at(charge_remote(from, to, p), std::move(w));
   });
 }
 

@@ -44,7 +44,7 @@ class FabricCoordinator final : public FabricPort {
   // --- FabricPort ------------------------------------------------------------
   FabricDecision route_fault(u32 dev, PageId p) override;
   Cycle charge_remote(u32 dev, u32 owner, PageId p) override;
-  void forward_fault(u32 from, u32 home, PageId p, WakeCallback wake) override;
+  void forward_fault(u32 from, u32 to, PageId p, WakeCallback wake) override;
   Cycle reserve_transfer(u32 src, u32 dst, u64 pages, Cycle earliest) override;
   void note_page_mapped(u32 dev, PageId p) override;
   void note_page_unmapped(u32 dev, PageId p) override;

@@ -10,7 +10,7 @@ namespace uvmsim {
 /// map; the only mutating entry points (forward_fault, note_page_unmapped)
 /// turn into engine messages. Peer fetch, spill and surrender are
 /// unreachable under the forward-only protocol: route_fault never returns
-/// kPeerFetch/kRemoteAccess/kRetry, and the fabric system disables spill.
+/// kPeerFetch/kRemoteAccess, and the fabric system disables spill.
 class ShardedFabric::Port final : public FabricPort {
  public:
   Port(ShardedFabric& f, u32 dev) : f_(f), dev_(dev) {}

@@ -171,19 +171,12 @@ void UvmDriver::fault(PageId p, u32 sm, WakeCallback wake) {
         peer_fetch(p, d.device, d.hopback, std::move(wake));
         return;
       case FabricRoute::kForward:
-        // Placement homes the page elsewhere: the home device services the
-        // fault with its own chain/policy; the reply crosses back as one
-        // remote access.
+        // Placement homes the page elsewhere, or a peer is already fetching
+        // it: that device services the fault with its own chain/policy, or
+        // its outstanding fault absorbs this one; the reply crosses back as
+        // one remote access.
         ++stats_.faults_forwarded;
         fabric_->forward_fault(device_, d.device, p, std::move(wake));
-        return;
-      case FabricRoute::kRetry:
-        // Another device is fetching the page right now; re-route once its
-        // migration has had time to land.
-        eq_.schedule_in(sys_.fault_latency_cycles() / 4 + 1,
-                        [this, p, sm, w = std::move(wake)]() mutable {
-                          fault(p, sm, std::move(w));
-                        });
         return;
     }
   }

@@ -161,7 +161,7 @@ class UvmDriver final : public ResidencyView {
   /// `p` is mapped. The SM id selects the GPU-driven backend's per-SM fault
   /// queue; the host backend ignores it.
   void fault(PageId p, u32 sm, WakeCallback wake);
-  /// Source-less fault (fabric forwards, retries, direct driver calls):
+  /// Source-less fault (fabric forwards, direct driver calls):
   /// lands in SM queue 0 under the GPU-driven backend.
   void fault(PageId p, WakeCallback wake) { fault(p, 0, std::move(wake)); }
 

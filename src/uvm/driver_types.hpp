@@ -154,7 +154,7 @@ struct DriverStats {
   u64 remote_accesses = 0;    ///< faults satisfied by a remote NVLink access
   u64 peer_fetches = 0;       ///< pages migrated in from a peer device
   u64 spill_hopbacks = 0;     ///< peer fetches that were spill second chances
-  u64 faults_forwarded = 0;   ///< faults routed to the page's home device
+  u64 faults_forwarded = 0;   ///< faults routed to the page's home or fetcher
   u64 chunks_spilled = 0;     ///< evictions that spilled to a peer, not host
   u64 pages_spilled = 0;
   u64 pages_surrendered = 0;  ///< resident pages handed to a fetching peer

@@ -19,8 +19,7 @@ enum class FabricRoute : u8 {
   kHostFetch,     ///< page is host-resident and homed here: normal path
   kRemoteAccess,  ///< page resident on a peer, below the migrate threshold
   kPeerFetch,     ///< migrate the page in from the peer that holds it
-  kForward,       ///< page is homed on another device: fault there instead
-  kRetry,         ///< transient conflict (another device is fetching it)
+  kForward,       ///< another device fetches or homes the page: fault there
 };
 
 struct FabricDecision {
@@ -40,10 +39,11 @@ class FabricPort {
   /// Charge one remote access from `dev` to the copy on `owner`; returns the
   /// completion cycle of the round trip.
   virtual Cycle charge_remote(u32 dev, u32 owner, PageId p) = 0;
-  /// Re-raise a fault of `from` on the page's home device `home` (placement
-  /// forwarding); `wake` fires after the home services it and the reply
+  /// Re-raise a fault of `from` on device `to`: the page's home (placement
+  /// forwarding), or a peer already fetching the page, whose outstanding
+  /// fault it joins. `wake` fires after `to` has the page and the reply
   /// crosses the fabric back.
-  virtual void forward_fault(u32 from, u32 home, PageId p, WakeCallback wake) = 0;
+  virtual void forward_fault(u32 from, u32 to, PageId p, WakeCallback wake) = 0;
 
   // --- Transfers ------------------------------------------------------------
   /// Reserve link occupancy for `pages` from `src` to `dst` starting no
