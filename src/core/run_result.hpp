@@ -122,7 +122,7 @@ struct RunResult {
 
   u64 h2d_pages = 0;             ///< pages moved host->device
   u64 d2h_pages = 0;             ///< pages moved device->host
-  double h2d_utilisation = 0.0;
+  double h2d_utilisation = 0.0;  ///< busy share of each device's H2D link, averaged
 
   // MHPE introspection (empty/false for other policies).
   bool mhpe_used = false;

@@ -80,4 +80,10 @@ RunResult SystemBase::run_and_collect(
   return r;
 }
 
+double SystemBase::mean_h2d_utilisation(Cycle cycles) const {
+  double sum = 0.0;
+  for (const auto& s : stacks_) sum += s->driver().h2d().utilisation(cycles);
+  return sum / static_cast<double>(stacks_.size());
+}
+
 }  // namespace uvmsim

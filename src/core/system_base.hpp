@@ -69,6 +69,8 @@ class SystemBase {
   /// shard clock before it returns.
   [[nodiscard]] RunResult run_and_collect(
       const std::vector<std::unique_ptr<Gpu>>& gpus, Cycle max_cycles);
+  /// H2D link utilisation over [0, cycles], averaged over the device stacks.
+  [[nodiscard]] double mean_h2d_utilisation(Cycle cycles) const;
 
   ShardedEngine engine_;
   TraceFanout trace_;

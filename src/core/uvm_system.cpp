@@ -164,7 +164,7 @@ UvmSystem::UvmSystem(const SystemConfig& sys, const PolicyConfig& pol,
 RunResult UvmSystem::run(Cycle max_cycles) {
   RunResult r = run_and_collect(gpus_, max_cycles);
   r.oversub = oversub_;
-  r.h2d_utilisation = driver().h2d().utilisation(r.cycles);
+  r.h2d_utilisation = mean_h2d_utilisation(r.cycles);
   if (const TenantTable* table = stack(0).tenants()) {
     const TenantMode mode = driver().frame_pool().tenant_mode();
     r.tenant_mode = kTenantModeNames.name(mode);

@@ -298,12 +298,9 @@ RunResult FleetSystem::run(Cycle max_cycles) {
   r.cycles = std::min(r.cycles, std::max<Cycle>(makespan, 1));
   r.completed =
       submitted_ == fleet_.jobs && completed_ + rejected_ == submitted_;
-  double h2d_util = 0.0;
-  for (u32 d = 0; d < devices(); ++d) {
+  for (u32 d = 0; d < devices(); ++d)
     r.devices.push_back(stack(d).result(d, r.cycles, r.completed));
-    h2d_util += stack(d).driver().h2d().utilisation(r.cycles);
-  }
-  r.h2d_utilisation = h2d_util / static_cast<double>(devices());
+  r.h2d_utilisation = mean_h2d_utilisation(r.cycles);
 
   FleetRunResult& f = r.fleet;
   f.enabled = true;

@@ -124,6 +124,20 @@ TEST(FabricSystem, PeerPathsAreExercised) {
   EXPECT_GT(moved, 0u);
 }
 
+// The run's H2D utilisation averages every device's host link, as a fleet
+// run's does, rather than reporting device 0's alone.
+TEST(FabricSystem, H2dUtilisationAveragesEveryDevice) {
+  const RunResult r =
+      fabric_run("NW", 0.5, fabric_of(4, FabricKind::kSwitch)).result;
+  ASSERT_EQ(r.devices.size(), 4u);
+  const Cycle page_cycles = SystemConfig{}.pcie_page_cycles();
+  double sum = 0.0;
+  for (const DeviceRunResult& d : r.devices)
+    sum += static_cast<double>(d.h2d_pages * page_cycles) /
+           static_cast<double>(r.cycles);
+  EXPECT_DOUBLE_EQ(r.h2d_utilisation, sum / 4.0);
+}
+
 // Spill-to-peer: on a thrashing preset the host write-back traffic must
 // drop when eviction may spill to a peer instead (acceptance criterion).
 // 75% fits still evicts thousands of pages but leaves the peers transient
