@@ -1,11 +1,13 @@
-// RecentEvictions: the bounded FIFO of recently evicted chunks that HPE and
-// MHPE detect wrong evictions with. A chunk that faults again while it is
-// still in the FIFO was evicted wrongly.
+// RecentEvictions: the bounded FIFO of recently evicted chunks. HPE and
+// MHPE detect wrong evictions with it: a chunk that faults again while it
+// is still in the FIFO was evicted wrongly. The phase classifier counts
+// refaults on it (obs/phase_classifier.hpp).
 //
 // The FIFO is a multiset: a chunk can be evicted, refetched and evicted
 // again while its first entry is still ageing out. A refault takes one
 // instance of the chunk and leaves the FIFO as it is; each entry that ages
-// out takes one more instance of its chunk, if one is left.
+// out takes one more instance of its chunk, if one is left. contains()
+// checks membership and takes nothing.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +34,9 @@ class RecentEvictions {
       fifo_.pop_front();
     }
   }
+
+  /// Was `c` evicted recently (an instance is left)?
+  [[nodiscard]] bool contains(ChunkId c) const { return live_.find(c) != nullptr; }
 
   /// `c` faulted again: true, and one instance taken, if it was evicted
   /// recently.

@@ -23,10 +23,9 @@
 // coupling (policy/adaptive.hpp, prefetch/adaptive.hpp).
 #pragma once
 
-#include <deque>
 #include <vector>
 
-#include "common/flat_map.hpp"
+#include "common/recent_evictions.hpp"
 #include "common/types.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_sink.hpp"
@@ -77,7 +76,8 @@ class PhaseClassifier final : public TraceSink {
     PatternType candidate = PatternType::kStreaming;
   };
 
-  explicit PhaseClassifier(Config cfg = Config()) : cfg_(cfg), phase_(cfg.initial) {}
+  explicit PhaseClassifier(Config cfg = Config())
+      : cfg_(cfg), phase_(cfg.initial), evicted_(cfg.refault_history) {}
 
   // --- TraceSink -------------------------------------------------------------
   void emit(const TraceEvent& e) override {
@@ -171,20 +171,14 @@ class PhaseClassifier final : public TraceSink {
     // entry on the first one would divide thrashing's refault rate by 16 and
     // make cyclic reuse look like forward progress. Entries only age out of
     // the FIFO.
-    if (evicted_lookup_.find(chunk) != nullptr) ++win_refaults_;
+    if (evicted_.contains(chunk)) ++win_refaults_;
     if (win_faults_ >= cfg_.window_faults) close_window(t);
   }
 
   void on_eviction(ChunkId chunk, u64 untouch) {
     ++win_evictions_;
     win_untouch_sum_ += untouch;
-    evicted_fifo_.push_back(chunk);
-    ++evicted_lookup_[chunk];
-    while (evicted_fifo_.size() > cfg_.refault_history) {
-      if (u32* n = evicted_lookup_.find(evicted_fifo_.front()); n != nullptr)
-        if (--*n == 0) evicted_lookup_.erase(evicted_fifo_.front());
-      evicted_fifo_.pop_front();
-    }
+    evicted_.push(chunk);
   }
 
   void close_window(Cycle t) {
@@ -247,10 +241,7 @@ class PhaseClassifier final : public TraceSink {
   bool have_last_chunk_ = false;
   ChunkId last_chunk_ = 0;
 
-  // Recently evicted chunks: FIFO + count map (multiset semantics, as a
-  // chunk can be evicted, refetched, and evicted again while ageing out).
-  std::deque<ChunkId> evicted_fifo_;
-  FlatMap<ChunkId, u32> evicted_lookup_;
+  RecentEvictions evicted_;  ///< the last refault_history evicted chunks
 
   Features last_;
   std::vector<Window> window_log_;

@@ -22,8 +22,8 @@
 #pragma once
 
 #include "common/config.hpp"
+#include "common/recent_evictions.hpp"
 #include "policy/eviction_policy.hpp"
-#include "policy/recent_evictions.hpp"
 
 namespace uvmsim {
 

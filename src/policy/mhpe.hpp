@@ -21,9 +21,8 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
+#include "common/recent_evictions.hpp"
 #include "policy/eviction_policy.hpp"
-#include "policy/recent_evictions.hpp"
 
 namespace uvmsim {
 
