@@ -115,7 +115,6 @@ class Gpu {
   };
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const PageWalker& walker() const noexcept { return walker_; }
-  [[nodiscard]] const Dram& dram() const noexcept { return dram_; }
 
   /// Does any TLB hold a per-page entry for `p`, or any data cache a line
   /// of it at frame `f` (kInvalidFrame: its remote lines)? Read-only: no

@@ -54,7 +54,6 @@ class MhpePolicy final : public EvictionPolicy {
   [[nodiscard]] const std::vector<u32>& interval_untouch_history() const noexcept {
     return untouch_history_;
   }
-  [[nodiscard]] u64 intervals_seen() const noexcept { return intervals_seen_; }
 
   /// Maps U1 (0..T1-1) onto the five adjustment buckets
   /// [0-3] [4-10] [11-17] [18-24] [25-31] -> 0..4 (paper §VI-A).

@@ -57,7 +57,6 @@ class PageWalker {
   [[nodiscard]] u64 walks_performed() const noexcept { return walks_performed_; }
   [[nodiscard]] u64 walks_coalesced() const noexcept { return walks_coalesced_; }
   [[nodiscard]] u64 pwc_hits() const noexcept { return pwc_hits_; }
-  [[nodiscard]] u64 pwc_misses() const noexcept { return pwc_misses_; }
   [[nodiscard]] u64 large_walks() const noexcept { return large_walks_; }
   [[nodiscard]] u64 walk_cycles() const noexcept { return walk_cycles_; }
   [[nodiscard]] u32 active_walks() const noexcept { return active_; }
@@ -83,7 +82,6 @@ class PageWalker {
         ++pwc_hits_;
         latency += cfg_.walk_cache_latency;
       } else {
-        ++pwc_misses_;
         latency += cfg_.walk_memory_latency;
         pwc_.insert(tag);
       }
@@ -122,7 +120,6 @@ class PageWalker {
   u64 walks_performed_ = 0;
   u64 walks_coalesced_ = 0;
   u64 pwc_hits_ = 0;
-  u64 pwc_misses_ = 0;
   u64 large_walks_ = 0;
   u64 walk_cycles_ = 0;
 };

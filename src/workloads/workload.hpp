@@ -53,8 +53,6 @@ class Workload {
   [[nodiscard]] virtual PatternType pattern() const = 0;
   [[nodiscard]] virtual std::unique_ptr<AccessStream> make_stream(
       const WarpContext& ctx) const = 0;
-
-  [[nodiscard]] u64 footprint_bytes() const { return footprint_pages() * kPageBytes; }
 };
 
 }  // namespace uvmsim
