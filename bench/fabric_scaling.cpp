@@ -14,13 +14,14 @@
 //     hop-backs) — how the relief happens,
 //   * per-link utilisation on the busiest link — where the fabric saturates.
 //
-// Expected shape: on a thrashing workload spill-to-peer converts host
-// write-backs into NVLink traffic, so summed d2h drops when --spill is on
-// and drops further on topologies with more peer bandwidth (switch > ring).
-// `--smoke` runs the 2-GPU ring subset only and fails unless spill cuts
-// host write-back (a ctest gate, label smoke). Engine wall-clock is measured
-// like-for-like by the benchmark's fabric4 workload (bench/ledger), not
-// here: seq and sharded runs use two different fabric models.
+// Measured shape: with transient headroom (75% fits on 2 GPUs) spill-to-
+// peer turns host write-backs into NVLink traffic, so summed d2h drops when
+// --spill is on. At 50% fits spill raises d2h on the 2- and 4-GPU rings
+// and cuts it on the 8-GPU ring and the 4-GPU switch. `--smoke` runs the
+// 75% 2-GPU ring pair only and fails unless spill cuts host write-back (a
+// ctest gate, label smoke). Engine wall-clock is measured like-for-like by
+// the benchmark's fabric4 workload (bench/ledger), not here: seq and
+// sharded runs use two different fabric models.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -133,9 +134,11 @@ int main(int argc, char** argv) {
   print_rows(topo);
 
   std::cout
-      << "Reading the table: d2h counts host write-backs — spill-to-peer\n"
-         "retargets them over NVLink, so 'spilled' rises as d2h falls. The\n"
-         "pcie preset has no peer links (spill is a no-op there); switch\n"
-         "beats ring as GPU count grows because every peer is one hop.\n";
+      << "Reading the table: d2h counts host write-backs, 'spilled' the\n"
+         "victim pages spill-to-peer sent over NVLink instead. Spill cuts\n"
+         "d2h at 75% fits, and at 50% on the 8-GPU ring and the switch;\n"
+         "at 50% it raises d2h on the 2- and 4-GPU rings. The pcie preset\n"
+         "has no peer links (spill is a no-op there); at 4 GPUs switch\n"
+         "beats ring because every peer is one hop.\n";
   return 0;
 }
