@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "fabric/sharded_fabric.hpp"
 #include "policy/adaptive.hpp"
 #include "policy/mhpe.hpp"
 #include "prefetch/adaptive.hpp"
@@ -15,10 +16,10 @@ namespace uvmsim {
 
 namespace {
 
-/// Sharded needs >= 2 devices (one shard per device); otherwise a single
-/// shard makes the engine a verbatim sequential EventQueue. Refuses more
-/// devices than the engine's fabric protocol can name, before anything is
-/// built.
+/// Sharded needs >= 2 devices (one shard per device, one hop of lookahead);
+/// otherwise a single shard makes the engine a verbatim sequential
+/// EventQueue. Refuses more devices than the engine's fabric protocol can
+/// name, before anything is built.
 EngineShape engine_shape(const SystemConfig& sys, const FabricConfig& fabric,
                          const EngineConfig& engine) {
   const u32 n = std::max(1u, fabric.gpus);
@@ -31,9 +32,7 @@ EngineShape engine_shape(const SystemConfig& sys, const FabricConfig& fabric,
         std::string(kEngineNames.name(engine.kind)) + " engine holds at most " +
         std::to_string(max_gpus));
   if (!sharded || n == 1) return {};
-  const Cycle hop_latency = std::max<Cycle>(
-      1, static_cast<Cycle>(fabric.nvlink_latency_us * sys.core_ghz * 1000.0));
-  return {n, hop_latency, engine.threads};
+  return {n, Fabric::hop_latency(sys, fabric), engine.threads};
 }
 
 /// The tenants' disjoint namespaces, carved in registration order.
@@ -104,15 +103,7 @@ UvmSystem::UvmSystem(const SystemConfig& sys, const PolicyConfig& pol,
   const u32 n = std::max(1u, fabric.gpus);
   fabric_cfg_.gpus = n;
   const u64 footprint = workload.footprint_pages();
-  if (sharded()) {
-    if (fabric.spill)
-      throw std::invalid_argument(
-          "the sharded engine does not support spill (chunks may not change "
-          "device; sharded_fabric.hpp)");
-    sharded_ = std::make_unique<ShardedFabric>(engine_, sys, fabric_cfg_, footprint);
-  } else if (n > 1) {
-    coord_ = std::make_unique<FabricCoordinator>(queue(), sys, fabric_cfg_, footprint);
-  }
+  if (n > 1) fabric_ = Fabric::make(engine_, sys, fabric_cfg_, footprint);
 
   // Each device gets a 1/N share of the capacity and runs warps
   // d*W .. (d+1)*W of one n*W-warp grid.
@@ -121,16 +112,12 @@ UvmSystem::UvmSystem(const SystemConfig& sys, const PolicyConfig& pol,
   for (u32 d = 0; d < n; ++d) {
     DeviceStack& s = add_stack(sharded() ? d : 0, sys, pol, footprint, capacity,
                                n > 1 ? d : kNoTraceDevice);
-    if (n > 1)
-      s.driver().attach_fabric(sharded_ ? sharded_->port(d) : coord_.get(), d,
-                               fabric_cfg_.spill);
+    if (fabric_) fabric_->attach_device(d, &s.driver());
     // Per-device warp seeds derive from pol.seed + device id, so device 0
     // seeds exactly as a one-GPU run.
     gpus_.push_back(std::make_unique<Gpu>(
         s.queue(), sys, s.driver(), workload, pol.seed + d,
         GpuSlice{d * warps_per_device, n * warps_per_device}));
-    if (sharded_) sharded_->attach_device(d, &s.driver());
-    if (coord_) coord_->attach_device(d, &s.driver());
   }
 }
 
@@ -202,13 +189,9 @@ RunResult UvmSystem::run(Cycle max_cycles) {
     r.devices.push_back(stack(d).result(
         d, g.finished() ? g.finish_cycle() : stack(d).queue().now(), g.finished()));
   }
-  // The coordinator charges one topology; sharded, every device charges its
-  // private copy. The copies share link ordering, so per-link totals are
-  // index-wise sums (utilisation = busy/now is additive at the same `now`).
-  std::vector<const FabricTopology*> topologies;
-  if (coord_ != nullptr) topologies.push_back(&coord_->topology());
-  for (u32 d = 0; sharded_ != nullptr && d < num_gpus(); ++d)
-    topologies.push_back(&sharded_->topology(d));
+  // Per-link totals are index-wise sums over the fabric's topologies
+  // (utilisation = busy/now is additive at the same `now`).
+  const std::vector<const FabricTopology*> topologies = fabric_->topologies();
   for (std::size_t i = 0; i < topologies[0]->links().size(); ++i) {
     LinkRunResult lr{topologies[0]->links()[i].name, 0, 0.0};
     for (const FabricTopology* t : topologies) {

@@ -8,11 +8,12 @@
 //  - one workload sharded over the `fabric.gpus` devices of an NVLink
 //    fabric (docs/fabric.md). Each device has its own stack and its Gpu
 //    runs a 1/N slice of the warps (GpuSlice), seeded with pol.seed + device
-//    and stamped with its device id in the trace. Under the sequential
-//    engine every device sits on one shard and the synchronous
-//    FabricCoordinator joins the drivers; under --engine sharded each device
-//    owns a shard and the message-passing ShardedFabric replaces it
-//    (docs/performance.md). A one-GPU run builds no fabric;
+//    and stamped with its device id in the trace. One Fabric joins the
+//    drivers, and Fabric::make picks its protocol from the engine: under the
+//    sequential engine every device sits on one shard and the synchronous
+//    FabricCoordinator serves them; under --engine sharded each device owns
+//    a shard and the message-passing ShardedFabric does (docs/performance.md).
+//    A one-GPU run builds no fabric;
 //  - N workloads as tenants of one device (docs/multitenancy.md). One stack
 //    (driver, frame pool, PCIe link pair and prefetcher) serves every
 //    tenant over disjoint namespaces (TenantTable). Each tenant's Gpu reads
@@ -36,7 +37,6 @@
 #include "core/run_result.hpp"
 #include "core/system_base.hpp"
 #include "fabric/fabric.hpp"
-#include "fabric/sharded_fabric.hpp"
 #include "gpu/gpu.hpp"
 #include "obs/flight_recorder.hpp"
 #include "tenancy/tenant.hpp"
@@ -96,8 +96,9 @@ class UvmSystem : public SystemBase {
   /// SMs each Gpu runs on: a tenant's slice, which its solo-baseline run
   /// must use too for slowdown to isolate memory interference.
   [[nodiscard]] u32 sms_per_tenant() const noexcept { return gpu_cfg_.num_sms; }
-  /// Null outside a multi-GPU fabric on the sequential engine.
-  [[nodiscard]] FabricCoordinator* fabric() noexcept { return coord_.get(); }
+  /// The fabric joining the devices, under either engine (Fabric::make);
+  /// null on one GPU and in a tenant run.
+  [[nodiscard]] Fabric* fabric() noexcept { return fabric_.get(); }
 
  private:
   SystemConfig gpu_cfg_;  ///< every Gpu's config (a tenant's SM slice)
@@ -105,8 +106,7 @@ class UvmSystem : public SystemBase {
   FabricConfig fabric_cfg_;
   double oversub_;
   std::vector<const Workload*> workloads_;  ///< the one workload, or each tenant's
-  std::unique_ptr<FabricCoordinator> coord_;
-  std::unique_ptr<ShardedFabric> sharded_;
+  std::unique_ptr<Fabric> fabric_;
   std::vector<std::unique_ptr<Gpu>> gpus_;
 };
 

@@ -2,26 +2,30 @@
 
 #include <algorithm>
 
+#include "fabric/sharded_fabric.hpp"
+
 namespace uvmsim {
 
-FabricCoordinator::FabricCoordinator(EventQueue& eq, const SystemConfig& sys,
+std::unique_ptr<Fabric> Fabric::make(ShardedEngine& engine,
+                                     const SystemConfig& sys,
                                      const FabricConfig& cfg,
-                                     u64 footprint_pages)
-    : eq_(eq),
-      cfg_(cfg),
-      topo_(sys, cfg),
-      hop_latency_cycles_(static_cast<Cycle>(cfg.nvlink_latency_us *
-                                             sys.core_ghz * 1000.0)),
-      lines_per_page_(static_cast<u32>(kPageBytes) / sys.cache_line_bytes),
-      drivers_(cfg.gpus, nullptr),
-      owner_(footprint_pages, kNone8),
-      remote_count_(footprint_pages, 0),
-      spilled_(footprint_pages, 0) {
+                                     u64 footprint_pages) {
+  if (engine.num_shards() > 1)
+    return std::make_unique<ShardedFabric>(engine, sys, cfg, footprint_pages);
+  return std::make_unique<FabricCoordinator>(engine.queue(0), sys, cfg,
+                                             footprint_pages);
+}
+
+Fabric::Fabric(const SystemConfig& sys, const FabricConfig& cfg,
+               u64 footprint_pages, PlacementKind placement)
+    : cfg_(cfg),
+      hop_latency_cycles_(hop_latency(sys, cfg)),
+      drivers_(cfg.gpus, nullptr) {
   const u64 chunks = (footprint_pages + kChunkPages - 1) / kChunkPages;
   home_.assign(chunks, kNone8);
-  switch (cfg.placement) {
+  switch (placement) {
     case PlacementKind::kFirstTouch:
-      break;  // assigned lazily in note_page_mapped
+      break;  // the coordinator assigns them in note_page_mapped
     case PlacementKind::kRoundRobin:
       for (u64 c = 0; c < chunks; ++c)
         home_[c] = static_cast<u8>(c % cfg.gpus);
@@ -37,10 +41,22 @@ FabricCoordinator::FabricCoordinator(EventQueue& eq, const SystemConfig& sys,
   }
 }
 
-void FabricCoordinator::attach_device(u32 dev, UvmDriver* driver) {
+void Fabric::attach_device(u32 dev, UvmDriver* driver) {
   assert(dev < drivers_.size() && driver != nullptr);
   drivers_[dev] = driver;
+  driver->attach_fabric(this, dev, cfg_.spill);
 }
+
+FabricCoordinator::FabricCoordinator(EventQueue& eq, const SystemConfig& sys,
+                                     const FabricConfig& cfg,
+                                     u64 footprint_pages)
+    : Fabric(sys, cfg, footprint_pages, cfg.placement),
+      eq_(eq),
+      topo_(sys, cfg),
+      lines_per_page_(static_cast<u32>(kPageBytes) / sys.cache_line_bytes),
+      owner_(footprint_pages, kNone8),
+      remote_count_(footprint_pages, 0),
+      spilled_(footprint_pages, 0) {}
 
 FabricDecision FabricCoordinator::route_fault(u32 dev, PageId p) {
   // Another device is already fetching this page, its fault queued or its

@@ -17,7 +17,10 @@
 //     immutable state plus messages;
 //   * evicting a remotely-accessed page broadcasts shootdown messages to
 //     the devices that actually touched it (physical hop latency); each
-//     runs on the reader's shard as its driver's remote_shootdown.
+//     runs on the reader's shard as its driver's remote_shootdown;
+//   * every port call names its device, so one object serves them all, and
+//     the only mutating calls (forward_fault, note_page_unmapped) become
+//     messages. Peer fetch, remote access, spill and surrender never happen.
 //
 // First-touch placement needs a lazily-written shared home directory, which
 // is exactly the cross-shard mutation this protocol removes — the sharded
@@ -30,62 +33,49 @@
 // approximation); per-link totals are summed across copies for RunResult.
 #pragma once
 
-#include <cassert>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/types.hpp"
+#include "fabric/fabric.hpp"
 #include "fabric/topology.hpp"
 #include "sim/sharded_engine.hpp"
-#include "uvm/driver.hpp"
-#include "uvm/fabric_port.hpp"
 
 namespace uvmsim {
 
-class ShardedFabric {
+class ShardedFabric final : public Fabric {
  public:
   /// Devices remote_readers_ can name: one bit each in a u32.
   static constexpr u32 kMaxDevices = std::numeric_limits<u32>::digits;
 
+  /// Throws std::invalid_argument for `cfg.spill`: chunks may not change
+  /// device.
   ShardedFabric(ShardedEngine& engine, const SystemConfig& sys,
                 const FabricConfig& cfg, u64 footprint_pages);
-  ~ShardedFabric();
 
-  ShardedFabric(const ShardedFabric&) = delete;
-  ShardedFabric& operator=(const ShardedFabric&) = delete;
+  // --- FabricPort ------------------------------------------------------------
+  FabricDecision route_fault(u32 dev, PageId p) override;
+  Cycle charge_remote(u32 dev, u32 owner, PageId p) override;
+  void forward_fault(u32 from, u32 home, PageId p, WakeCallback wake) override;
+  Cycle reserve_transfer(u32 src, u32 dst, u64 pages, Cycle earliest) override;
+  void note_page_mapped(u32 dev, PageId p) override;
+  void note_page_unmapped(u32 dev, PageId p) override;
+  void surrender_at(u32 src, PageId p) override;
+  u32 spill_target(u32 from, u64 pages) override;
+  void spill_chunk(u32 from, u32 dst, ChunkId c,
+                   const TouchBits& resident) override;
+  [[nodiscard]] bool host_fetchable(u32 dev, PageId p) const override;
 
-  /// Register device `dev`'s driver. Call for every device before launch.
-  void attach_device(u32 dev, UvmDriver* driver);
-
-  /// The FabricPort device `dev`'s driver attaches to.
-  [[nodiscard]] FabricPort* port(u32 dev) noexcept;
-
-  /// Device `dev`'s private topology copy (link stats aggregation).
-  [[nodiscard]] const FabricTopology& topology(u32 dev) const noexcept {
-    return *topos_[dev];
-  }
+  [[nodiscard]] std::vector<const FabricTopology*> topologies() const override;
 
  private:
-  class Port;
-
   ShardedEngine& engine_;
-  FabricConfig cfg_;
-  Cycle hop_latency_cycles_;
-  u32 lines_per_page_;
-  std::vector<UvmDriver*> drivers_;
-  std::vector<std::unique_ptr<FabricTopology>> topos_;
-  std::vector<std::unique_ptr<Port>> ports_;
-  /// Per chunk: the (static) home device.
-  std::vector<u8> home_;
+  std::vector<FabricTopology> topos_;  ///< per device: its private copy
   /// Per page: bitmask of devices that consumed it remotely since it last
   /// became resident — written and read only on the page's home shard, so
   /// no synchronisation is needed. Bounds the shootdown broadcast.
   std::vector<u32> remote_readers_;
-
-  void forward_fault(u32 from, u32 home, PageId p, WakeCallback wake);
-  void page_unmapped(u32 dev, PageId p);
 };
 
 }  // namespace uvmsim

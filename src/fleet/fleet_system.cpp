@@ -85,13 +85,10 @@ FleetSystem::FleetSystem(const SystemConfig& sys, const PolicyConfig& pol,
   for (u32 d = 0; d < fleet_.devices; ++d) {
     StackTenancy arena;
     arena.table.enable_arena(fleet_.arena_pages);
-    add_stack(sharded() ? 1 + d : 0, sys_cfg_, pol_cfg_, fleet_.arena_pages,
+    control_tables_.push_back(arena.table);
+    add_stack(shard_of(d), sys_cfg_, pol_cfg_, fleet_.arena_pages,
               capacity_frames_, fleet_.devices > 1 ? d : kNoTraceDevice,
               std::move(arena));
-    if (sharded()) {
-      shadow_tables_.push_back(std::make_unique<TenantTable>());
-      shadow_tables_.back()->enable_arena(fleet_.arena_pages);
-    }
   }
 
   jobs_.reserve(fleet_.jobs);
@@ -117,9 +114,7 @@ DeviceLoad FleetSystem::load_of(u32 device, const Job& j) const {
   l.promised_frames = d.promised_frames;
   l.active_jobs = d.active_jobs;
   l.job_slots = job_slots_;
-  l.namespace_fits = sharded()
-                         ? shadow_tables_[device]->can_fit(j.footprint_pages)
-                         : stack(device).tenants()->can_fit(j.footprint_pages);
+  l.namespace_fits = control_tables_[device].can_fit(j.footprint_pages);
   l.same_pattern_jobs = d.pattern_active[static_cast<std::size_t>(j.pattern)];
   return l;
 }
@@ -179,8 +174,8 @@ bool FleetSystem::try_admit(u64 id) {
 void FleetSystem::admit(u64 id, u32 device) {
   Job& j = jobs_[id];
   Device& d = devices_[device];
-  const TenantId t = view(device).attach(mix_[j.tpl]->abbr(),
-                                         j.footprint_pages);
+  TenantTable& control = control_tables_[device];
+  const TenantId t = control.attach(mix_[j.tpl]->abbr(), j.footprint_pages);
   assert(t != kNoTenant && "admissible() guaranteed a namespace region");
   j.tenant = t;
   j.device = device;
@@ -191,28 +186,24 @@ void FleetSystem::admit(u64 id, u32 device) {
   ++d.pattern_active[static_cast<std::size_t>(j.pattern)];
   job_recorder_->record(EventType::kJobAdmitted, id, device,
                         j.admit - j.arrival);
-  if (!sharded()) {
-    start_job(id, device, t);
-    return;
-  }
-  // Control half only: the device shard replays the attach at the base the
-  // shadow table chose, one admission round trip later. The shadow attaches
-  // now and detaches at finish + lookahead, so its occupied set is a
-  // superset of the device's — the region is guaranteed free there.
-  const PageId base = view(device).info(t).base;
-  engine_.post(0, 1 + device, j.admit + engine_.lookahead(),
-               [this, id, device, base] {
-                 const Job& job = jobs_[id];
-                 const TenantId dt = stack(device).tenants()->attach_at(
-                     mix_[job.tpl]->abbr(), job.footprint_pages, base);
-                 assert(dt != kNoTenant && "subset invariant: prescribed region free");
-                 start_job(id, device, dt);
-               });
+  // The device replays the attach at the base the control table chose. The
+  // control table attaches now and detaches at finish + lookahead, so its
+  // occupied set is a superset of the device's — the region is guaranteed
+  // free there.
+  const PageId base = control.info(t).base;
+  send(0, shard_of(device), j.admit + engine_.lookahead(),
+       [this, id, device, base] {
+         const Job& job = jobs_[id];
+         const TenantId dt = stack(device).tenants()->attach_at(
+             mix_[job.tpl]->abbr(), job.footprint_pages, base);
+         assert(dt != kNoTenant && "subset invariant: prescribed region free");
+         start_job(id, device, dt);
+       });
 }
 
 void FleetSystem::start_job(u64 id, u32 device, TenantId t) {
   // Device-shard context when sharded: the control shard finalised the job
-  // fields before it posted the launch, so the reads below are race-free.
+  // fields before it sent the launch, so the reads below are race-free.
   const Job& j = jobs_[id];
   DeviceStack& s = stack(device);
   Running& r = running_[id];
@@ -229,6 +220,13 @@ void FleetSystem::start_job(u64 id, u32 device, TenantId t) {
   r.gpu->launch();
 }
 
+void FleetSystem::send(u32 src, u32 dst, Cycle at, std::function<void()> fn) {
+  if (sharded())
+    engine_.post(src, dst, at, std::move(fn));
+  else
+    fn();
+}
+
 void FleetSystem::reject(u64 id, JobRejectReason reason) {
   Job& j = jobs_[id];
   j.state = JobState::kRejected;
@@ -240,27 +238,23 @@ void FleetSystem::reject(u64 id, JobRejectReason reason) {
 
 void FleetSystem::retire_job(u64 id) {
   // Device half: full local teardown (frames, arena region and slot return
-  // to the device). Sharded, the control shard learns the finish cycle one
+  // to the device). Sharded, the control plane learns the finish cycle one
   // round trip later.
   Running& r = running_[id];
   DeviceStack& s = stack(r.device);
   const Cycle finish = r.gpu->finish_cycle();
   s.retire_tenant(r.tenant, std::move(r.gpu));
-  if (!sharded()) {
-    finish_job(id, finish);
-    return;
-  }
-  engine_.post(1 + r.device, 0, s.queue().now() + engine_.lookahead(),
-               [this, id, finish] { finish_job(id, finish); });
+  send(shard_of(r.device), 0, s.queue().now() + engine_.lookahead(),
+       [this, id, finish] { finish_job(id, finish); });
 }
 
 void FleetSystem::finish_job(u64 id, Cycle finish) {
-  // Control half. Sharded, the shadow region frees only now (finish +
-  // lookahead), preserving the subset invariant for later admissions.
+  // Control half. The control region frees only now (finish + lookahead
+  // when sharded), preserving the subset invariant for later admissions.
   Job& j = jobs_[id];
   Device& d = devices_[j.device];
   j.finish = finish;
-  if (sharded()) view(j.device).detach(j.tenant);
+  control_tables_[j.device].detach(j.tenant);
   d.promised_frames -= promise_of(j);
   --d.active_jobs;
   --d.pattern_active[static_cast<std::size_t>(j.pattern)];

@@ -12,15 +12,17 @@
 // tenant slot and frames for reuse — before the admission queue is
 // re-drained.
 //
-// Under the default --engine seq the engine holds ONE shard and every
-// component shares its queue — byte-identical to the historical build.
-// Under --engine sharded, shard 0 is the CONTROL plane (arrivals, admission,
-// placement, job bookkeeping, per-device shadow tables) and shard 1+d is
-// device d (its stack and running Gpus); admission and completion
-// cross shards as messages delayed by the fault-service round trip (the
-// lookahead), and the control shard's shadow table attaches earlier /
-// detaches later than the device table, so the region it prescribes is
-// always free on arrival (the subset invariant, docs/performance.md).
+// The CONTROL plane (arrivals, admission, placement, job bookkeeping) keeps
+// its own arena table per device; admission attaches there, and the device
+// attaches at the base that table chose. Admission and completion cross
+// between them through send(). Under the default --engine seq the engine
+// holds ONE shard, send() runs at once and both tables see the same
+// attaches and detaches in the same order. Under --engine sharded, shard 0
+// is the control plane and shard 1+d is device d (its stack and running
+// Gpus); send() posts a message delayed by the fault-service round trip
+// (the lookahead), and the control table attaches earlier / detaches later
+// than the device table, so the region it prescribes is always free on
+// arrival (the subset invariant, docs/performance.md).
 //
 // SLA accounting: per-job slowdown against a solo-calibrated baseline (one
 // UvmSystem run per job template, cached in the constructor), nearest-rank
@@ -36,6 +38,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -82,9 +85,8 @@ class FleetSystem : public SystemBase {
 
  private:
   /// The load counters admission and placement consult for one device,
-  /// whose memory system is device stack d (with its arena table). Under
-  /// --engine sharded, the stack belongs to the device shard and these
-  /// counters are written only by the control shard.
+  /// whose memory system is device stack d (with its arena table). Only
+  /// the control plane writes them.
   struct Device {
     u64 promised_frames = 0;  ///< Σ min(footprint, capacity) of resident jobs
     u64 active_jobs = 0;
@@ -104,8 +106,9 @@ class FleetSystem : public SystemBase {
   void on_arrival(u64 id);
   /// Admit `id` somewhere if a device passes admission; false = no device.
   bool try_admit(u64 id);
-  /// Admission bookkeeping; sharded, the device shard starts the job one
-  /// admission round trip later at the base the shadow table chose.
+  /// Admission bookkeeping on the control table; the device starts the job
+  /// at the base that table chose (one admission round trip later when
+  /// sharded).
   void admit(u64 id, u32 device);
   void reject(u64 id, JobRejectReason reason);
   /// Build and launch the job's Gpu as tenant `t` of its device.
@@ -117,11 +120,14 @@ class FleetSystem : public SystemBase {
   /// Control-side bookkeeping and queue re-drain once the job has finished.
   void finish_job(u64 id, Cycle finish);
   void drain_queue();
-  /// The table admission consults: the device table itself (sequential) or
-  /// the control shard's shadow of it (sharded).
-  [[nodiscard]] TenantTable& view(u32 device) noexcept {
-    return sharded() ? *shadow_tables_[device] : *stack(device).tenants();
+  /// Device `device`'s shard: 1 + device under the sharded engine (shard 0
+  /// is the control plane), else the one shard every component shares.
+  [[nodiscard]] u32 shard_of(u32 device) const noexcept {
+    return sharded() ? 1 + device : 0;
   }
+  /// Run `fn` on shard `dst`: a message from shard `src` delivered at `at`
+  /// under the sharded engine, at once on one shard.
+  void send(u32 src, u32 dst, Cycle at, std::function<void()> fn);
   [[nodiscard]] DeviceLoad load_of(u32 device, const Job& j) const;
   [[nodiscard]] u64 job_seed(u64 id) const;
   [[nodiscard]] u64 promise_of(const Job& j) const;
@@ -140,8 +146,8 @@ class FleetSystem : public SystemBase {
   AdmissionController admission_;
   FleetScheduler scheduler_;
   std::vector<Device> devices_;
-  /// Sharded only: the control shard's per-device shadow arena tables.
-  std::vector<std::unique_ptr<TenantTable>> shadow_tables_;
+  /// The control plane's arena table per device, which admission consults.
+  std::vector<TenantTable> control_tables_;
 
   std::vector<Job> jobs_;
   std::vector<Running> running_;  ///< indexed by job id

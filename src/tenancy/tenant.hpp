@@ -129,13 +129,13 @@ class TenantTable {
     return kNoTenant;
   }
 
-  /// Attach a tenant at a PRESCRIBED base. The sharded fleet engine admits
-  /// on the control shard's shadow table (which picks the region first-fit)
-  /// and replays the attach on the device's table with the chosen base; the
-  /// control table attaches earlier and detaches later than the device one,
-  /// so the prescribed range is always inside a free region here (the subset
-  /// invariant, docs/performance.md). Returns kNoTenant if it is not — the
-  /// caller treats that as a protocol bug.
+  /// Attach a tenant at a PRESCRIBED base. The fleet admits on the control
+  /// plane's table (which picks the region first-fit) and replays the attach
+  /// on the device's table with the chosen base; the control table attaches
+  /// no later and detaches no earlier than the device one, so the prescribed
+  /// range is always inside a free region here (the subset invariant,
+  /// docs/performance.md). Returns kNoTenant if it is not — the caller
+  /// treats that as a protocol bug.
   TenantId attach_at(std::string name, u64 footprint_pages, PageId base) {
     assert(footprint_pages > 0);
     assert(base % kNamespaceAlignPages == 0);

@@ -106,7 +106,7 @@ TEST(UvmSystemTest, FabricRunCarriesDeviceAndLinkSlicesOnly) {
   const RunResult r = sys.run();
   ASSERT_EQ(r.devices.size(), 2u);
   ASSERT_NE(sys.fabric(), nullptr);
-  EXPECT_EQ(r.links.size(), sys.fabric()->topology().links().size());
+  EXPECT_EQ(r.links.size(), sys.fabric()->topologies().front()->links().size());
   EXPECT_FALSE(r.links.empty());
   EXPECT_EQ(r.fabric, "ring");
   EXPECT_EQ(r.gpus, 2u);

@@ -12,6 +12,7 @@
 #include "core/policy_factory.hpp"
 #include "core/uvm_system.hpp"
 #include "fabric/fabric_system.hpp"
+#include "fabric/sharded_fabric.hpp"
 #include "obs/trace_sink.hpp"
 #include "workloads/benchmarks.hpp"
 
