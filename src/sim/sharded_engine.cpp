@@ -97,6 +97,10 @@ void ShardedEngine::finish_window() {
   }
   if (active <= 1 && shards_.size() > 1) ++stats_.stall_windows;
   if (hi > lo) stats_.max_skew = std::max<u64>(stats_.max_skew, hi - lo);
+  stage_outboxes();
+}
+
+void ShardedEngine::stage_outboxes() {
   // Shard-id order keeps the staging buffer's contents (and therefore the
   // next window's injection order) independent of worker scheduling.
   for (const auto& s : shards_) {
@@ -124,6 +128,7 @@ void ShardedEngine::run(Cycle max_cycle) {
     shards_[0]->queue.run(max_cycle);
     return;
   }
+  stage_outboxes();  // messages posted before run() count for the first window
   while (prepare_window(max_cycle)) {
     if (workers_.empty()) {
       for (const auto& s : shards_) run_shard_window(*s);

@@ -71,8 +71,9 @@ class ShardedEngine {
 
   /// Post a message from shard `src` to shard `dst`, delivered at absolute
   /// cycle `deliver`. Must be called from `src`'s executing callback (or
-  /// before run()); the lookahead contract `deliver >= now + lookahead` is
-  /// asserted. `fn` runs on `dst`'s queue at `deliver`.
+  /// before run(), which stages it ahead of the first window); the
+  /// lookahead contract `deliver >= now + lookahead` is asserted. `fn` runs
+  /// on `dst`'s queue at `deliver`.
   void post(u32 src, u32 dst, Cycle deliver, std::function<void()> fn);
 
   /// Advance every shard until all queues and messages drain, or until
@@ -88,8 +89,10 @@ class ShardedEngine {
   bool prepare_window(Cycle max_cycle);
   /// Execute one shard's slice of the current window.
   void run_shard_window(Shard& s);
-  /// Drain outboxes (shard-id order) and update counters.
+  /// Update counters and stage the outboxes.
   void finish_window();
+  /// Move every outbox into the staging buffer, in shard-id order.
+  void stage_outboxes();
   void worker_loop();
 
   std::vector<std::unique_ptr<Shard>> shards_;

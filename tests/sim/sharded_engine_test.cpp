@@ -49,6 +49,19 @@ TEST(ShardedEngine, MessageDeliversAtRequestedCycle) {
   EXPECT_GE(eng.stats().windows, 1u);
 }
 
+// A message posted before run() is staged for the first window, so it lands
+// at its own cycle and not after that window has run the clock past it.
+TEST(ShardedEngine, MessagePostedBeforeRunArrivesOnTime) {
+  constexpr Cycle kL = 50;
+  ShardedEngine eng(2, kL, 1);
+  Cycle delivered_at = 0;
+  eng.post(0, 1, 60, [&] { delivered_at = eng.queue(1).now(); });
+  eng.queue(0).schedule_at(200, [] {});
+  eng.run();
+  EXPECT_EQ(delivered_at, 60u);
+  EXPECT_EQ(eng.queue(1).clamped_past(), 0u);
+}
+
 TEST(ShardedEngine, RespectsMaxCycleCap) {
   ShardedEngine eng(2, 10, 1);
   int ran = 0;
