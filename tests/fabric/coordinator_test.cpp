@@ -29,7 +29,6 @@ TEST(FabricCoordinator, FaultOnAPageAPeerIsFetchingJoinsThatFault) {
     dev[d]->set_policy(std::make_unique<LruPolicy>(dev[d]->chain()));
     dev[d]->set_prefetcher(std::make_unique<NoPrefetcher>());
     fabric.attach_device(d, dev[d].get());
-    dev[d]->attach_fabric(&fabric, d, /*spill=*/false);
   }
 
   const PageId p = 5;
@@ -48,8 +47,7 @@ TEST(FabricCoordinator, FaultOnAPageAPeerIsFetchingJoinsThatFault) {
   // Device 1 reads the landed page with one remote round trip on the idle
   // 0 -> 1 link: a hop there and back, then one line of data.
   FabricTopology idle(sys, fab);
-  const auto hop =
-      static_cast<Cycle>(fab.nvlink_latency_us * sys.core_ghz * 1000.0);
+  const Cycle hop = Fabric::hop_latency(sys, fab);
   EXPECT_EQ(joined,
             idle.reserve_path(0, 1, 1, landed + 2 * idle.hops(0, 1) * hop));
 }

@@ -167,28 +167,40 @@ TEST(FabricSystem, PcieFabricNeverRemoteMapsOrSpills) {
 }
 
 // Placement homing: round-robin and affinity pre-assign chunk homes, and
-// first-touch leaves them open until a page lands.
+// first-touch leaves them open until a page lands. The sharded engine's
+// fabric homes every chunk at construction, first-touch as affinity.
 TEST(FabricSystem, PlacementPolicyAssignsHomes) {
   const auto wl = make_benchmark("NW");
+  const u64 chunks = (wl->footprint_pages() + kChunkPages - 1) / kChunkPages;
+  const auto last = static_cast<ChunkId>(chunks - 1);
+  EngineConfig sharded;
+  sharded.kind = EngineKind::kSharded;
+  sharded.threads = 1;
 
   FabricConfig rr = fabric_of(2);
   rr.placement = PlacementKind::kRoundRobin;
-  FabricSystem rr_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, rr);
-  ASSERT_NE(rr_sys.fabric(), nullptr);
-  EXPECT_EQ(rr_sys.fabric()->home_of(0), 0u);
-  EXPECT_EQ(rr_sys.fabric()->home_of(1), 1u);
-  EXPECT_EQ(rr_sys.fabric()->home_of(2), 0u);
+  for (const EngineConfig& engine : {EngineConfig{}, sharded}) {
+    FabricSystem rr_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, rr, engine);
+    ASSERT_NE(rr_sys.fabric(), nullptr);
+    for (ChunkId c : {ChunkId{0}, ChunkId{1}, ChunkId{2}, last})
+      EXPECT_EQ(rr_sys.fabric()->home_of(c), c % 2);
+  }
 
   FabricConfig aff = fabric_of(2);
   aff.placement = PlacementKind::kAffinity;
   FabricSystem aff_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, aff);
-  const u64 chunks = (wl->footprint_pages() + kChunkPages - 1) / kChunkPages;
   EXPECT_EQ(aff_sys.fabric()->home_of(0), 0u);
-  EXPECT_EQ(aff_sys.fabric()->home_of(static_cast<ChunkId>(chunks - 1)), 1u);
+  EXPECT_EQ(aff_sys.fabric()->home_of(last), 1u);
 
   FabricConfig ft = fabric_of(2);  // first-touch: open until mapped
   FabricSystem ft_sys(SystemConfig{}, presets::cppe(), *wl, 0.5, ft);
   EXPECT_EQ(ft_sys.fabric()->home_of(0), kHostDevice);
+
+  // Sharded, first-touch and affinity give the same homes.
+  FabricSystem ft_sharded(SystemConfig{}, presets::cppe(), *wl, 0.5, ft, sharded);
+  ASSERT_NE(ft_sharded.fabric(), nullptr);
+  for (ChunkId c = 0; c < chunks; ++c)
+    EXPECT_EQ(ft_sharded.fabric()->home_of(c), aff_sys.fabric()->home_of(c));
 }
 
 // remote_threshold == 0 forces migrate-always: no remote mappings at all.
