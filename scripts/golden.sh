@@ -341,6 +341,9 @@ LAST=help/uvmsim
 "$UVMSIM" --help > "$TMP/stdout"
 has stdout 'each with its own header'
 
+# A pattern buffer of no entries is refused, not run as a one-entry buffer.
+rejects reject/uvmsim/pattern-capacity-zero uvmsim --workload NW --pattern-capacity 0
+
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
 for csv in fig8/out tenants-NW+BFS/out tenants-NW+BFS/tenant-out; do

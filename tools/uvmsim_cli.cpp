@@ -380,7 +380,7 @@ int main(int argc, char** argv) try {
   pol.t2_untouch_first4 = cli.get_u32("t2");
   pol.t3_forward_limit = cli.get_u32("t3");
   pol.interval_faults = cli.get_u32("interval", 1);
-  pol.pattern_buffer_entries = cli.get_u32("pattern-capacity");
+  pol.pattern_buffer_entries = cli.get_u32("pattern-capacity", 1);
   pol.seed = static_cast<u64>(cli.get_int("seed", 0));
   pol.prefetch_when_full = !cli.get_flag("no-prefetch-when-full");
   pol.large_pages = cli.get_flag("large-pages");
