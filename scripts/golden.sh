@@ -341,8 +341,10 @@ LAST=help/uvmsim
 "$UVMSIM" --help > "$TMP/stdout"
 has stdout 'each with its own header'
 
-# A pattern buffer of no entries is refused, not run as a one-entry buffer.
+# A pattern buffer of no entries is refused, not run as a one-entry buffer,
+# and a tenant run can skip its solo baselines.
 rejects reject/uvmsim/pattern-capacity-zero uvmsim --workload NW --pattern-capacity 0
+cli tenants/NW,BFS-quota-no-solo 0 --tenants NW,BFS --tenant-mode quota --no-solo
 
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
