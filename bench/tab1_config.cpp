@@ -3,6 +3,7 @@
 
 #include "bench_common.hpp"
 #include "common/config.hpp"
+#include "tlb/page_table.hpp"
 
 using namespace uvmsim;
 
@@ -21,7 +22,7 @@ int main() {
                                   std::to_string(c.l2_tlb_ports) + " ports, LRU"});
   t.add_row({"Page Table Walker", std::to_string(c.walker_threads) +
                                       " concurrent walks, " +
-                                      std::to_string(c.page_table_levels) + "-level page table"});
+                                      std::to_string(PageTable::kLevels) + "-level page table"});
   t.add_row({"Page Walk Cache", std::to_string(c.walk_cache_ways) + "-way " +
                                     std::to_string(c.walk_cache_bytes / 1024) + "KB, " +
                                     std::to_string(c.walk_cache_latency) + "-cycle latency"});

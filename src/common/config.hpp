@@ -107,7 +107,6 @@ struct SystemConfig {
 
   // --- Page table walker ----------------------------------------------------
   u32 walker_threads = 64;         ///< concurrent page-table walks
-  u32 page_table_levels = 4;
   Cycle walk_cache_latency = 10;
   u32 walk_cache_bytes = 8 * 1024; ///< 8 KB page walk cache
   u32 walk_cache_ways = 16;

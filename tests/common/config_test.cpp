@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tlb/page_table.hpp"
+
 namespace uvmsim {
 namespace {
 
@@ -14,7 +16,7 @@ TEST(Config, TableIDefaults) {
   EXPECT_EQ(c.l2_tlb_ways, 16u);
   EXPECT_EQ(c.l2_tlb_ports, 2u);
   EXPECT_EQ(c.walker_threads, 64u);
-  EXPECT_EQ(c.page_table_levels, 4u);
+  EXPECT_EQ(PageTable::kLevels, 4u);
   EXPECT_EQ(c.walk_cache_bytes, 8u * 1024u);
   EXPECT_EQ(c.dram_channels, 12u);
   EXPECT_DOUBLE_EQ(c.dram_bw_gbps, 528.0);
