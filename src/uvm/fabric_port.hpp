@@ -3,11 +3,10 @@
 // The port is the dependency seam between src/uvm and src/fabric: the
 // driver, eviction engine and migration scheduler talk to this abstract
 // interface, and both fabric protocols implement it on one Fabric base
-// (fabric/fabric.hpp); every call names its device, so one object serves
-// every driver. src/fabric depends on src/uvm, never the other way round. A
-// driver with no attached port (the single-GPU default) behaves bit-for-bit
-// as before: every fault is a host fetch and every eviction writes back over
-// PCIe.
+// (fabric/fabric.hpp) — src/fabric depends on src/uvm, never the other way
+// round. A driver with no attached port (the single-GPU default) behaves
+// bit-for-bit as before: every fault is a host fetch and every eviction
+// writes back over PCIe.
 #pragma once
 
 #include "common/touch_bits.hpp"
