@@ -346,6 +346,31 @@ has stdout 'each with its own header'
 rejects reject/uvmsim/pattern-capacity-zero uvmsim --workload NW --pattern-capacity 0
 cli tenants/NW,BFS-quota-no-solo 0 --tenants NW,BFS --tenant-mode quota --no-solo
 
+# Feature combinations no scenario above runs: threshold-0 peer fetches on
+# round-robin homes (each landing surrenders its source copy), spill on
+# affinity homes (spilled chunks hop back), the partitioned and shared-self
+# tenant modes, the fleet's headroom admission with least-loaded placement,
+# an arrival-trace replay, and depth-1 GPU-driven fault queues.
+cli fabric/ring2-NW-0.5-round-robin-migrate 1 --workload NW --oversub 0.5 --gpus 2 \
+  --fabric ring --placement round-robin --remote-threshold 0
+has trace '"ev":"peer_migration"'
+cli fabric/ring2-NW-0.75-affinity-spill 1 --workload NW --oversub 0.75 --gpus 2 \
+  --fabric ring --placement affinity --spill
+has trace '"ev":"page_spilled"'
+cli tenants/NW,BFS-partitioned 1 --tenants NW,BFS --oversub 0.5 --tenant-mode partitioned
+cli tenants/NW,BFS-shared-self 1 --tenants NW,BFS --oversub 0.5 --tenant-mode shared \
+  --tenant-evict self
+printf '100\n2500\n40000\n' > "$TMP/gaps.txt"
+# shellcheck disable=SC2086
+{
+  cli fleet/2gpu-headroom-least-loaded 1 $FLEET --admission headroom \
+    --fleet-sched least-loaded
+  cli fleet/2gpu-arrival-trace 1 $FLEET --arrival-trace "$TMP/gaps.txt"
+}
+cli single/BFR-0.5-gpu-driven-depth1 1 --workload BFR --oversub 0.5 \
+  --fault-backend gpu-driven --gpu-fault-queue-depth 1
+has trace '"ev":"fault_queue_full"'
+
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
 for csv in fig8/out tenants-NW+BFS/out tenants-NW+BFS/tenant-out; do
