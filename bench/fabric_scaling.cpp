@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     // CI gate: 2-GPU ring, spill off vs on, assert spill relieves the host
     // write-back path. 75% fits thrashes while leaving the peers transient
     // headroom to absorb spills (at 50% both devices pin their watermark
-    // and spill_target rarely finds room).
+    // and spill rarely finds a peer with room).
     const FabricCell off = run_cell(wl, 0.75, 2, FabricKind::kRing, false);
     const FabricCell on = run_cell(wl, 0.75, 2, FabricKind::kRing, true);
     print_rows({off, on});

@@ -84,7 +84,7 @@ FabricDecision FabricCoordinator::route_fault(u32 dev, PageId p) {
       return {FabricRoute::kPeerFetch, owner, hopback};
     }
     if (remote_count_[p] < 0xFFFF) ++remote_count_[p];
-    return {FabricRoute::kRemoteAccess, owner, false};
+    return {FabricRoute::kRemoteAccess, owner, false, charge_remote(dev, owner)};
   }
 
   // Host-resident: respect the placement homing — a page homed elsewhere is
@@ -95,8 +95,7 @@ FabricDecision FabricCoordinator::route_fault(u32 dev, PageId p) {
   return {};
 }
 
-Cycle FabricCoordinator::charge_remote(u32 dev, u32 owner, PageId p) {
-  (void)p;
+Cycle FabricCoordinator::charge_remote(u32 dev, u32 owner) {
   // Request out, one line of data back: two latency traversals plus the
   // line's occupancy on the owner -> accessor path.
   const Cycle latency = 2 * topo_.hops(owner, dev) * hop_latency_cycles_;
@@ -111,7 +110,7 @@ void FabricCoordinator::forward_fault(u32 from, u32 to, PageId p,
   // starts the remote-vs-migrate counter.
   drivers_[to]->fault(p, [this, from, to, p, w = std::move(wake)]() mutable {
     if (remote_count_[p] < 0xFFFF) ++remote_count_[p];
-    eq_.schedule_at(charge_remote(from, to, p), std::move(w));
+    eq_.schedule_at(charge_remote(from, to), std::move(w));
   });
 }
 
@@ -122,6 +121,7 @@ Cycle FabricCoordinator::reserve_transfer(u32 src, u32 dst, u64 pages,
 }
 
 void FabricCoordinator::note_page_mapped(u32 dev, PageId p) {
+  const u32 prev = owner_of(p);
   owner_[p] = static_cast<u8>(dev);
   remote_count_[p] = 0;
   spilled_[p] = 0;
@@ -129,6 +129,12 @@ void FabricCoordinator::note_page_mapped(u32 dev, PageId p) {
     const ChunkId c = chunk_of_page(p);
     if (home_[c] == kNone8) home_[c] = static_cast<u8>(dev);
   }
+  // A previous holder means a peer fetch landed: the route pinned the
+  // source's chunk and every other fault on the page joined the fetcher's,
+  // so the directory still names the source. It surrenders its copy now,
+  // after the directory has moved on, so the unmap keeps the new entry.
+  assert(prev != dev);
+  if (prev != kHostDevice) drivers_[prev]->surrender_page(p);
 }
 
 void FabricCoordinator::note_page_unmapped(u32 dev, PageId p) {
@@ -146,18 +152,14 @@ void FabricCoordinator::note_page_unmapped(u32 dev, PageId p) {
     if (d != dev) drivers_[d]->remote_shootdown(p);
 }
 
-void FabricCoordinator::surrender_at(u32 src, PageId p) {
-  assert(src < drivers_.size());
-  drivers_[src]->surrender_page(p);
-}
-
-u32 FabricCoordinator::spill_target(u32 from, u64 pages) {
+u32 FabricCoordinator::spill(u32 from, ChunkId c, const TouchBits& resident) {
   // Spilling over the pcie preset would ride the same host link it is meant
   // to relieve; write back to host instead.
   if (!topo_.peer_capable()) return kHostDevice;
   // Nearest peer (fewest hops) that can absorb the chunk without dipping
   // into its own pre-eviction headroom; ties go to the lowest device id.
-  u32 best = kHostDevice;
+  const u64 pages = resident.count();
+  u32 dst = kHostDevice;
   u32 best_hops = ~u32{0};
   for (u32 d = 0; d < drivers_.size(); ++d) {
     if (d == from) continue;
@@ -165,18 +167,15 @@ u32 FabricCoordinator::spill_target(u32 from, u64 pages) {
     if (fp.free_frames() < pages + fp.watermark_pages()) continue;
     const u32 h = topo_.hops(from, d);
     if (h < best_hops) {
-      best = d;
+      dst = d;
       best_hops = h;
     }
   }
-  return best;
-}
+  if (dst == kHostDevice) return kHostDevice;
 
-void FabricCoordinator::spill_chunk(u32 from, u32 dst, ChunkId c,
-                                    const TouchBits& resident) {
   // The victim's pages cross the fabric (occupancy only — the spill happens
   // off the fault critical path) and the peer adopts the chunk.
-  topo_.reserve_path(from, dst, resident.count() * lines_per_page_,
+  topo_.reserve_path(from, dst, pages * lines_per_page_,
                      eq_.now() + topo_.hops(from, dst) * hop_latency_cycles_);
   drivers_[dst]->adopt_spilled_chunk(c, resident);
   const PageId base = first_page_of_chunk(c);
@@ -187,6 +186,7 @@ void FabricCoordinator::spill_chunk(u32 from, u32 dst, ChunkId c,
     remote_count_[p] = 0;
     spilled_[p] = 1;  // re-fault anywhere hops it back (second chance)
   }
+  return dst;
 }
 
 bool FabricCoordinator::host_fetchable(u32 dev, PageId p) const {

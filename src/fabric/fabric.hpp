@@ -92,15 +92,11 @@ class FabricCoordinator final : public Fabric {
 
   // --- FabricPort ------------------------------------------------------------
   FabricDecision route_fault(u32 dev, PageId p) override;
-  Cycle charge_remote(u32 dev, u32 owner, PageId p) override;
   void forward_fault(u32 from, u32 to, PageId p, WakeCallback wake) override;
   Cycle reserve_transfer(u32 src, u32 dst, u64 pages, Cycle earliest) override;
   void note_page_mapped(u32 dev, PageId p) override;
   void note_page_unmapped(u32 dev, PageId p) override;
-  void surrender_at(u32 src, PageId p) override;
-  u32 spill_target(u32 from, u64 pages) override;
-  void spill_chunk(u32 from, u32 dst, ChunkId c,
-                   const TouchBits& resident) override;
+  u32 spill(u32 from, ChunkId c, const TouchBits& resident) override;
   [[nodiscard]] bool host_fetchable(u32 dev, PageId p) const override;
 
   [[nodiscard]] std::vector<const FabricTopology*> topologies() const override {
@@ -110,6 +106,9 @@ class FabricCoordinator final : public Fabric {
  private:
   /// Device currently holding `p`, kHostDevice if none.
   [[nodiscard]] u32 owner_of(PageId p) const noexcept { return widen(owner_[p]); }
+  /// Charge one remote access from `dev` to the copy on `owner`; returns the
+  /// cycle its round trip ends.
+  Cycle charge_remote(u32 dev, u32 owner);
 
   EventQueue& eq_;
   FabricTopology topo_;

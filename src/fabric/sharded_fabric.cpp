@@ -31,16 +31,6 @@ FabricDecision ShardedFabric::route_fault(u32 dev, PageId p) {
   return {FabricRoute::kForward, home, false};
 }
 
-Cycle ShardedFabric::charge_remote(u32 dev, u32 owner, PageId p) {
-  // Unreachable (route_fault never returns kRemoteAccess) — kept
-  // semantically correct for direct API users: same timing model as the
-  // coordinator, charged on the accessor's private topology copy.
-  (void)p;
-  FabricTopology& topo = topos_[dev];
-  const Cycle latency = 2 * topo.hops(owner, dev) * hop_latency_cycles_;
-  return topo.reserve_path(owner, dev, 1, engine_.queue(dev).now() + latency);
-}
-
 void ShardedFabric::forward_fault(u32 from, u32 home, PageId p,
                                   WakeCallback wake) {
   // Request: one message crossing the fabric to the home shard (latency
@@ -98,18 +88,10 @@ void ShardedFabric::note_page_unmapped(u32 dev, PageId p) {
   }
 }
 
-void ShardedFabric::surrender_at(u32, PageId) {
-  assert(!"unreachable: no peer fetch");
-}
-
-u32 ShardedFabric::spill_target(u32, u64) {
-  // Spill is refused under the sharded engine (chunks may not change
+u32 ShardedFabric::spill(u32, ChunkId, const TouchBits&) {
+  // Spill is refused when the fabric is built (chunks may not change
   // device); evictions write back to host as usual.
   return kHostDevice;
-}
-
-void ShardedFabric::spill_chunk(u32, u32, ChunkId, const TouchBits&) {
-  assert(!"unreachable: spill refused");
 }
 
 bool ShardedFabric::host_fetchable(u32 dev, PageId p) const {

@@ -20,7 +20,8 @@
 //     runs on the reader's shard as its driver's remote_shootdown;
 //   * every port call names its device, so one object serves them all, and
 //     the only mutating calls (forward_fault, note_page_unmapped) become
-//     messages. Peer fetch, remote access, spill and surrender never happen.
+//     messages. Peer fetch, remote access, spill and surrender never happen,
+//     so reserve_transfer and spill are the port's only stubs.
 //
 // First-touch placement needs a lazily-written shared home directory, which
 // is exactly the cross-shard mutation this protocol removes — the sharded
@@ -56,15 +57,11 @@ class ShardedFabric final : public Fabric {
 
   // --- FabricPort ------------------------------------------------------------
   FabricDecision route_fault(u32 dev, PageId p) override;
-  Cycle charge_remote(u32 dev, u32 owner, PageId p) override;
   void forward_fault(u32 from, u32 home, PageId p, WakeCallback wake) override;
   Cycle reserve_transfer(u32 src, u32 dst, u64 pages, Cycle earliest) override;
   void note_page_mapped(u32 dev, PageId p) override;
   void note_page_unmapped(u32 dev, PageId p) override;
-  void surrender_at(u32 src, PageId p) override;
-  u32 spill_target(u32 from, u64 pages) override;
-  void spill_chunk(u32 from, u32 dst, ChunkId c,
-                   const TouchBits& resident) override;
+  u32 spill(u32 from, ChunkId c, const TouchBits& resident) override;
   [[nodiscard]] bool host_fetchable(u32 dev, PageId p) const override;
 
   [[nodiscard]] std::vector<const FabricTopology*> topologies() const override;

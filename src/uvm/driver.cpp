@@ -157,16 +157,14 @@ void UvmDriver::fault(PageId p, u32 sm, WakeCallback wake) {
     switch (d.route) {
       case FabricRoute::kHostFetch:
         break;  // fall through to the normal host-migration path
-      case FabricRoute::kRemoteAccess: {
+      case FabricRoute::kRemoteAccess:
         // Map the access over NVLink: one cache line crosses the fabric and
-        // the warp resumes; the page stays on its owner.
+        // the warp resumes when it is back; the page stays on its owner.
         ++stats_.remote_accesses;
-        const Cycle done = fabric_->charge_remote(device_, d.device, p);
         record_event(rec_, EventType::kRemoteAccess, p, d.device,
-                     done - eq_.now());
-        eq_.schedule_at(done, std::move(wake));
+                     d.ready - eq_.now());
+        eq_.schedule_at(d.ready, std::move(wake));
         return;
-      }
       case FabricRoute::kPeerFetch:
         peer_fetch(p, d.device, d.hopback, std::move(wake));
         return;
@@ -205,7 +203,6 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
     record_event(rec_, EventType::kFaultBatchFormed, leads.front(),
                  leads.size(), backend_->queued());
   const TenantId t = tenant_of(leads.front());
-  ChunkChain& chain = chains_.chain_for(t);
 
   // 1. Let the prefetcher plan the migration set, one plan per fault in the
   //    batch, merged and deduped. A lead page already swept into an earlier
@@ -255,6 +252,12 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
     backend_->requeue_front(leads.back());
     leads.pop_back();
   }
+  admit(std::move(m), std::move(leads));
+}
+
+void UvmDriver::admit(MigrationBatch m, std::vector<PageId> leads) {
+  const TenantId t = m.tenant;
+  ChunkChain& chain = chains_.chain_for(t);
 
   // 2. Make room. Chunks touched by this plan are pinned before any eviction
   //    so a victim search can never select what we are about to fill. All
@@ -277,15 +280,20 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
   const auto room = evictor_.make_room(m.pages.size(), t);
   if (room.starved) {
     // Every candidate chunk is pinned by concurrent migrations. If even the
-    // faulted pages cannot fit, release our pins and retry once a
-    // concurrent migration has completed (one must exist — pins come only
-    // from active migrations). Otherwise shrink the plan to what fits now;
-    // a trimmed lead fault goes back to the front of the backlog.
+    // faulted pages cannot fit, release our pins and form the batch again
+    // once a concurrent migration has completed (one must exist — pins come
+    // only from active migrations); its pages stay pending or in flight, so
+    // later faults keep coalescing onto them. Otherwise shrink the plan to
+    // what fits now; a trimmed lead fault goes back to the front of the
+    // backlog. A one-page batch is never trimmed.
     if (frames_.admissible_frames(t) == 0) {
       for (const ChunkId c : m.pinned) --chain.entry(c).pin_count;
       eq_.schedule_in(sys_.fault_latency_cycles() / 4 + 1,
-                      [this, ls = std::move(leads)]() mutable {
-                        service_batch(std::move(ls));
+                      [this, src = m.src_device, ls = std::move(leads)]() mutable {
+                        if (src != kHostDevice)
+                          service_peer(ls.front(), src);
+                        else
+                          service_batch(std::move(ls));
                       });
       return;
     }
@@ -305,7 +313,7 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
 
   // 3. Mark every planned page in flight, absorbing pending faults: their
   //    waiters ride this migration and their queue entries will be skipped
-  //    at batch formation.
+  //    at batch formation. A peer fetch's page is in flight already.
   for (const PageId page : m.pages) faults_.start(page);
 
   // 4. Hand over to the scheduler for timing and completion.
@@ -330,32 +338,12 @@ void UvmDriver::peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake) {
 }
 
 void UvmDriver::service_peer(PageId p, u32 src) {
-  const TenantId t = tenant_of(p);
-  ChunkChain& chain = chains_.chain_for(t);
   MigrationBatch m;
   m.formed_at = eq_.now();
-  m.tenant = t;
+  m.tenant = tenant_of(p);
   m.src_device = src;
-  m.lead = p;
   m.pages.push_back(p);
-  if (ChunkEntry* e = chain.find(chunk_of_page(p))) {
-    ++e->pin_count;
-    m.pinned.push_back(e->id);
-  }
-  const auto room = evictor_.make_room(1, t);
-  if (room.starved && frames_.admissible_frames(t) == 0) {
-    // Every candidate chunk is pinned by concurrent migrations; retry once
-    // one of them has completed (the page stays marked in flight, so peer
-    // and local faults keep coalescing onto it).
-    for (const ChunkId c : m.pinned) --chain.entry(c).pin_count;
-    eq_.schedule_in(sys_.fault_latency_cycles() / 4 + 1,
-                    [this, p, src] { service_peer(p, src); });
-    return;
-  }
-  frames_.reserve(1, t);
-  ++stats_.migration_ops;
-  stats_.demand_evictions += room.evicted;
-  scheduler_.dispatch(std::move(m), room.evicted);
+  admit(std::move(m), {p});
 }
 
 void UvmDriver::surrender_page(PageId p) {

@@ -12,9 +12,10 @@
 //   MigrationScheduler  plan timing, PCIe scheduling, completion + wake
 //
 // The facade keeps what genuinely spans the layers: the far-fault entry
-// point, merging the batch's prefetch plans into one migration, pinning the
-// chunks a plan touches, and the post-completion step (pre-evict, free the
-// slot, admit the next batch):
+// point, merging the batch's prefetch plans into one migration, admitting
+// every migration — host batch or peer fetch — in one routine (pin the
+// chunks it fills, make room, reserve, dispatch), and the post-completion
+// step (pre-evict, free the slot, admit the next batch):
 //
 //   fault -> (coalesce with an outstanding fault?) -> backend queue ->
 //   batch of <= fault_batch faults -> prefetcher plans merged/deduped ->
@@ -141,7 +142,8 @@ class UvmDriver final : public ResidencyView {
   /// spill second chance. Peer fetches are single-page and bypass both the
   /// backend's queues and the driver-concurrency slots.
   void peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake);
-  /// A peer finished fetching `p` from us: unmap and free our (pinned) copy.
+  /// `p` landed on the peer that fetched it from us: unmap and free our
+  /// (pinned) copy.
   void surrender_page(PageId p);
   /// Adopt a chunk spilled from a peer: reserve frames, map the pages and
   /// insert (or extend) the chain entry, marked `spilled`. The fabric has
@@ -207,12 +209,17 @@ class UvmDriver final : public ResidencyView {
     return table_ != nullptr ? table_->tenant_of_page(p) : kNoTenant;
   }
   /// Service a formed batch of still-pending faults: merge the prefetcher's
-  /// plans, pin, make room (retrying later if every chunk is pinned), then
-  /// hand the migration to the scheduler.
+  /// plans into one migration, clamp it to capacity, then admit it.
   void service_batch(std::vector<PageId> leads);
-  /// Service a single-page peer fetch (no queue, no slot): make room for
-  /// one frame, then dispatch a src-device migration.
+  /// Service a single-page peer fetch (no queue, no slot): admit a one-page
+  /// migration from device `src`.
   void service_peer(PageId p, u32 src);
+  /// Admit a planned migration whose faulted pages `leads` head `m.pages`:
+  /// pin the chunks it fills, make room (trimming the plan to what fits, or
+  /// forming the batch again later if every chunk is pinned), reserve its
+  /// frames, mark its pages in flight and dispatch it. Host batches and
+  /// peer fetches alike.
+  void admit(MigrationBatch m, std::vector<PageId> leads);
   /// Post-completion: pre-evict back to the watermark (scoped to the
   /// completed batch's tenant), free the driver slot and admit the next
   /// batch. Peer batches never held a slot, so they skip the slot release.

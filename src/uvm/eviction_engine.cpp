@@ -145,14 +145,6 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
   // empty at adoption and would poison the pattern buffer.
   if (!e.spilled) prefetcher_->on_chunk_evicted(victim, e.touched);
 
-  // Spill-to-peer (docs/fabric.md): if a peer has room, the victim's pages
-  // move over NVLink instead of writing back to host over PCIe. Spilled
-  // chunks never re-spill — their second eviction is a host write-back.
-  const u64 resident_pages = e.resident.count();
-  u32 spill_dst = kHostDevice;
-  if (fabric_ != nullptr && spill_ && !e.spilled && resident_pages > 0)
-    spill_dst = fabric_->spill_target(device_, resident_pages);
-
   const TenantId owner =
       tenants_ != nullptr ? tenants_->tenant_of_chunk(victim) : kNoTenant;
   u64 pages_out = 0;
@@ -162,8 +154,13 @@ void EvictionEngine::evict_chunk(ChunkId victim, TenantId initiator) {
     release(base + i, pt_.unmap(base + i), owner);
     ++pages_out;
   }
+  // Spill-to-peer (docs/fabric.md): if a peer has room, the victim's pages
+  // move over NVLink instead of writing back to host over PCIe. Spilled
+  // chunks never re-spill — their second eviction is a host write-back.
+  const u32 spill_dst = fabric_ != nullptr && spill_ && !e.spilled && pages_out > 0
+                            ? fabric_->spill(device_, victim, e.resident)
+                            : kHostDevice;
   if (spill_dst != kHostDevice) {
-    fabric_->spill_chunk(device_, spill_dst, victim, e.resident);
     record_event(rec_, EventType::kPageSpilled, victim, spill_dst, pages_out);
     ++stats_.chunks_spilled;
     stats_.pages_spilled += pages_out;

@@ -7,6 +7,10 @@
 // round. A driver with no attached port (the single-GPU default) behaves
 // bit-for-bit as before: every fault is a host fetch and every eviction
 // writes back over PCIe.
+//
+// Each call commits what it decides: a routed fault has already pinned its
+// source or charged its remote round trip, a mapped page has already
+// displaced its previous holder, and a spill has already moved the chunk.
 #pragma once
 
 #include "common/touch_bits.hpp"
@@ -27,6 +31,7 @@ struct FabricDecision {
   FabricRoute route = FabricRoute::kHostFetch;
   u32 device = kHostDevice;  ///< peer / home device for non-host routes
   bool hopback = false;      ///< peer fetch reclaims a spilled victim
+  Cycle ready = 0;           ///< kRemoteAccess: cycle its round trip ends
 };
 
 class FabricPort {
@@ -34,12 +39,10 @@ class FabricPort {
   virtual ~FabricPort() = default;
 
   // --- Fault routing --------------------------------------------------------
-  /// Decide how device `dev`'s fault on `p` is serviced. A kPeerFetch
-  /// decision pins the source chunk until the page is surrendered.
+  /// Decide how device `dev`'s fault on `p` is serviced, and commit it: a
+  /// kPeerFetch decision pins the source chunk until the page lands, and a
+  /// kRemoteAccess decision charges its round trip on the fabric.
   virtual FabricDecision route_fault(u32 dev, PageId p) = 0;
-  /// Charge one remote access from `dev` to the copy on `owner`; returns the
-  /// completion cycle of the round trip.
-  virtual Cycle charge_remote(u32 dev, u32 owner, PageId p) = 0;
   /// Re-raise a fault of `from` on device `to`: the page's home (placement
   /// forwarding), or a peer already fetching the page, whose outstanding
   /// fault it joins. `wake` fires after `to` has the page and the reply
@@ -52,21 +55,18 @@ class FabricPort {
   virtual Cycle reserve_transfer(u32 src, u32 dst, u64 pages, Cycle earliest) = 0;
 
   // --- Directory maintenance ------------------------------------------------
+  /// `p` landed on `dev`. When a peer fetch brought it, the peer that held
+  /// it surrenders its (pinned) copy.
   virtual void note_page_mapped(u32 dev, PageId p) = 0;
   virtual void note_page_unmapped(u32 dev, PageId p) = 0;
-  /// A peer fetch completed at its destination: tell the source driver to
-  /// surrender its (pinned) copy of `p`.
-  virtual void surrender_at(u32 src, PageId p) = 0;
 
   // --- Eviction spill -------------------------------------------------------
-  /// Pick a peer with room for `pages` spilled frames; kHostDevice when no
-  /// peer qualifies (the eviction then writes back to host as usual).
-  virtual u32 spill_target(u32 from, u64 pages) = 0;
-  /// Move an evicted chunk's resident pages from `from` to `dst` over the
-  /// fabric: reserves the link, adopts the chunk at `dst` and updates the
-  /// directory. The caller has already unmapped the pages at `from`.
-  virtual void spill_chunk(u32 from, u32 dst, ChunkId c,
-                           const TouchBits& resident) = 0;
+  /// Move an evicted chunk's `resident` pages from `from` to a peer with
+  /// room for them: reserves the link, adopts the chunk there and updates
+  /// the directory. Returns the peer, or kHostDevice when none qualifies
+  /// (the eviction then writes back to host as usual). The caller has
+  /// already unmapped the pages at `from`.
+  virtual u32 spill(u32 from, ChunkId c, const TouchBits& resident) = 0;
 
   // --- Prefetch oracle ------------------------------------------------------
   /// May `dev` bring `p` in from the host right now? False when a peer holds

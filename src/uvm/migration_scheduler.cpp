@@ -63,16 +63,12 @@ void MigrationScheduler::complete(MigrationBatch m) {
   TenantStats* ts =
       tenants_ != nullptr && m.tenant != kNoTenant ? &tenants_->stats(m.tenant)
                                                    : nullptr;
-  const bool peer = m.src_device != kHostDevice;
   for (const PageId page : m.pages) {
     // Bind a physical frame (accounting was done at service time); the
     // slot-binding allocator is a plain allocate() outside large mode.
     pt_.map(page, frames_.allocate_for(page));
-    if (fabric_ != nullptr) {
-      fabric_->note_page_mapped(device_, page);
-      // Peer fetch: the source now surrenders its (pinned) copy.
-      if (peer) fabric_->surrender_at(m.src_device, page);
-    }
+    // On a fabric a peer fetch's source surrenders its (pinned) copy here.
+    if (fabric_ != nullptr) fabric_->note_page_mapped(device_, page);
 
     const ChunkId c = chunk_of_page(page);
     ChunkEntry* e = chain.find(c);
@@ -138,7 +134,7 @@ void MigrationScheduler::complete(MigrationBatch m) {
 
   // Driver facade: pre-evict ahead of the next fault, release the slot and
   // admit the next batch.
-  hook_(m.tenant, peer);
+  hook_(m.tenant, m.src_device != kHostDevice);
 }
 
 }  // namespace uvmsim

@@ -143,7 +143,7 @@ TEST(FabricSystem, H2dUtilisationAveragesEveryDevice) {
 // drop when eviction may spill to a peer instead (acceptance criterion).
 // 75% fits still evicts thousands of pages but leaves the peers transient
 // headroom to absorb spills; at 50% both devices sit at their watermark and
-// spill_target finds no headroom worth using.
+// spill finds no peer with headroom worth using.
 TEST(FabricSystem, SpillToPeerCutsHostWriteback) {
   const FabricRun off = fabric_run("NW", 0.75, fabric_of(2, FabricKind::kRing, false));
   const FabricRun on = fabric_run("NW", 0.75, fabric_of(2, FabricKind::kRing, true));

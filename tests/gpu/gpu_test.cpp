@@ -72,16 +72,13 @@ class RemoteChunkZero final : public FabricPort {
   explicit RemoteChunkZero(EventQueue& eq) : eq_(eq) {}
   FabricDecision route_fault(u32, PageId p) override {
     if (chunk_of_page(p) != 0) return {};
-    return {FabricRoute::kRemoteAccess, 1, false};
+    return {FabricRoute::kRemoteAccess, 1, false, eq_.now() + 100};
   }
-  Cycle charge_remote(u32, u32, PageId) override { return eq_.now() + 100; }
   void forward_fault(u32, u32, PageId, WakeCallback) override {}
   Cycle reserve_transfer(u32, u32, u64, Cycle earliest) override { return earliest; }
   void note_page_mapped(u32, PageId) override {}
   void note_page_unmapped(u32, PageId) override {}
-  void surrender_at(u32, PageId) override {}
-  u32 spill_target(u32, u64) override { return kHostDevice; }
-  void spill_chunk(u32, u32, ChunkId, const TouchBits&) override {}
+  u32 spill(u32, ChunkId, const TouchBits&) override { return kHostDevice; }
   [[nodiscard]] bool host_fetchable(u32, PageId p) const override {
     return chunk_of_page(p) != 0;
   }
