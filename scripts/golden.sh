@@ -371,6 +371,11 @@ cli single/BFR-0.5-gpu-driven-depth1 1 --workload BFR --oversub 0.5 \
   --fault-backend gpu-driven --gpu-fault-queue-depth 1
 has trace '"ev":"fault_queue_full"'
 
+# Spill needs a fabric run: one GPU, a fleet and a tenant run refuse it.
+rejects reject/uvmsim/spill-gpus1 uvmsim --workload NW --spill
+rejects reject/uvmsim/spill-fleet uvmsim --workload NW --fleet --spill
+rejects reject/uvmsim/spill-tenants uvmsim --tenants NW,BFS --spill
+
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
 for csv in fig8/out tenants-NW+BFS/out tenants-NW+BFS/tenant-out; do

@@ -25,9 +25,10 @@ LabelledResult run_experiment(const ExperimentSpec& spec,
     throw std::invalid_argument(
         "the sharded engine does not support tenant runs (one shared driver "
         "cannot shard)");
-  if (sharded && spec.fabric.spill && !spec.fleet.enabled)
+  if (spec.fabric.spill && (!fabric || sharded))
     throw std::invalid_argument(
-        "the sharded engine does not support spill (chunks may not change "
+        "spill needs a fabric run (--gpus >= 2) on the sequential engine (a "
+        "victim moves to a peer GPU; the sharded engine keeps chunks on their "
         "device)");
   if (workload != nullptr && (tenants || fabric || spec.fleet.enabled))
     throw std::invalid_argument("a caller-built workload runs on one GPU only");

@@ -109,18 +109,24 @@ TEST(Runner, RunExperimentRejectsShardedTenants) {
   EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
 }
 
-// Spill moves chunks between devices, which the sharded engine forbids: a
-// spec asking for both is refused at any GPU count, not only where a
-// sharded fabric would be built.
-TEST(Runner, RunExperimentRejectsShardedSpill) {
-  ExperimentSpec s;
-  s.workload = "STN";
-  s.engine.kind = EngineKind::kSharded;
-  s.fabric.spill = true;
-  for (const u32 gpus : {1u, 2u}) {
-    s.fabric.gpus = gpus;
-    EXPECT_THROW((void)run_experiment(s), std::invalid_argument) << gpus;
-  }
+// Spill moves an evicted chunk to a peer GPU: it needs a fabric run, and
+// the sequential engine, since the sharded one keeps chunks on their device.
+// One GPU, a fleet (which builds no fabric) and a tenant run are refused
+// instead of running without spill, and the sharded engine at any GPU count.
+TEST(Runner, RunExperimentRejectsSpillOffTheSequentialFabric) {
+  ExperimentSpec one_gpu;
+  one_gpu.workload = "STN";
+  one_gpu.fabric.spill = true;
+  ExperimentSpec fleet = one_gpu;
+  fleet.fleet.enabled = true;
+  ExperimentSpec tenants = one_gpu;
+  tenants.tenants = {"STN", "HOT"};
+  ExperimentSpec sharded1 = one_gpu;
+  sharded1.engine.kind = EngineKind::kSharded;
+  ExperimentSpec sharded2 = sharded1;
+  sharded2.fabric.gpus = 2;
+  for (const ExperimentSpec& s : {one_gpu, fleet, tenants, sharded1, sharded2})
+    EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
 }
 
 // A caller-built workload runs on one GPU only.

@@ -306,7 +306,10 @@ int main(int argc, char** argv) try {
   cli.add_option("remote-threshold",
                  "remote accesses before a page migrates to the accessor "
                  "(0 = always migrate)", "4");
-  cli.add_flag("spill", "evict to the least-loaded peer instead of the host");
+  cli.add_flag("spill",
+               "fabric, sequential engine: evict to the nearest peer whose free "
+               "frames cover the chunk plus its watermark (ties: lowest id) "
+               "instead of the host");
   cli.add_choice("engine",
                  "simulation engine for multi-GPU fabric / fleet runs "
                  "(docs/performance.md)",
