@@ -53,10 +53,6 @@ struct ChunkEntry {
   /// spilled chunk never re-spills (it writes back to host when evicted
   /// again) and its synthetic touch state stays out of the pattern buffer.
   bool spilled = false;
-  /// Chunk is one of the kLargeChunks members of a coalesced 2 MB frame
-  /// (large-pages mode; docs/memory.md). Set on coalesce, cleared on
-  /// splinter; never set in default runs.
-  bool in_large = false;
 
   /// Pinned chunks have pages arriving and must not be evicted.
   [[nodiscard]] bool pinned() const { return pin_count > 0; }

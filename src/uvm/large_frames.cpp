@@ -18,7 +18,7 @@ bool LargeFrameManager::candidate(LargeId l, FrameId& base_out) const {
   for (u32 k = 0; k < kLargeChunks; ++k) {
     const ChunkEntry* e = chains_.find(c0 + k);
     if (e == nullptr || !e->resident.full() || !e->touched.full() ||
-        e->pinned() || e->spilled || e->in_large)
+        e->pinned() || e->spilled)
       return false;
   }
   // Physical contiguity on an aligned slot: the FramePool's slot binding
@@ -37,25 +37,17 @@ bool LargeFrameManager::try_coalesce(LargeId l) {
   FrameId base = kInvalidFrame;
   if (!candidate(l, base)) return false;
   pt_.promote(l, base);
-  const ChunkId c0 = first_chunk_of_large(l);
-  for (u32 k = 0; k < kLargeChunks; ++k)
-    chains_.chain_of_chunk(c0 + k).entry(c0 + k).in_large = true;
   ++stats_.coalesces;
-  record_event(rec_, EventType::kCoalesce, c0, base, l);
+  record_event(rec_, EventType::kCoalesce, first_chunk_of_large(l), base, l);
   return true;
 }
 
 void LargeFrameManager::splinter(LargeId l, SplinterReason reason) {
   assert(pt_.large_mapped(l));
   pt_.demote(l);
-  const ChunkId c0 = first_chunk_of_large(l);
-  for (u32 k = 0; k < kLargeChunks; ++k) {
-    ChunkEntry* e = chains_.find(c0 + k);
-    assert(e != nullptr);
-    e->in_large = false;
-  }
   ++stats_.splinters;
-  record_event(rec_, EventType::kSplinter, c0, l, static_cast<u64>(reason));
+  record_event(rec_, EventType::kSplinter, first_chunk_of_large(l), l,
+               static_cast<u64>(reason));
   shootdowns_.large(l);
 }
 

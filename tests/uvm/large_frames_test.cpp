@@ -57,9 +57,6 @@ TEST_F(LargeFramesTest, CoalescesQualifyingRegion) {
   // Promotion is a pure metadata flip: every per-page translation survives.
   for (u32 i = 0; i < kLargePages; ++i)
     EXPECT_EQ(pt_.frame_of(first_page_of_large(0) + i), FrameId{i});
-  // Member chunks are flagged so eviction treats the region as one victim.
-  for (u32 k = 0; k < kLargeChunks; ++k)
-    EXPECT_TRUE(chains_.find(first_chunk_of_large(0) + k)->in_large);
 }
 
 TEST_F(LargeFramesTest, RejectsMisalignedFrameBase) {
@@ -137,8 +134,6 @@ TEST_F(LargeFramesTest, SplinterRestoresPerPageStateAndFiresShootdown) {
   // Frames stay put: per-page translations are valid again as small PTEs.
   for (u32 i = 0; i < kLargePages; ++i)
     EXPECT_EQ(pt_.frame_of(first_page_of_large(0) + i), FrameId{i});
-  for (u32 k = 0; k < kLargeChunks; ++k)
-    EXPECT_FALSE(chains_.find(first_chunk_of_large(0) + k)->in_large);
 
   // The splintered region may re-qualify later (lazy re-coalescing).
   EXPECT_TRUE(lfm_.try_coalesce(0));
