@@ -7,10 +7,6 @@
 // round. A driver with no attached port (the single-GPU default) behaves
 // bit-for-bit as before: every fault is a host fetch and every eviction
 // writes back over PCIe.
-//
-// Each call commits what it decides: a routed fault has already pinned its
-// source or charged its remote round trip, a mapped page has already
-// displaced its previous holder, and a spill has already moved the chunk.
 #pragma once
 
 #include "common/touch_bits.hpp"
