@@ -376,6 +376,16 @@ rejects reject/uvmsim/spill-gpus1 uvmsim --workload NW --spill
 rejects reject/uvmsim/spill-fleet uvmsim --workload NW --fleet --spill
 rejects reject/uvmsim/spill-tenants uvmsim --tenants NW,BFS --spill
 
+# 2 MB frames on the sequential fabric. Regions coalesce on affinity homes,
+# so a threshold-0 peer fetch splinters a region to surrender one of its
+# pages, and a spilling victim splinters its region before it moves.
+cli fabric/ring2-SRD-0.9-affinity-large-pages-migrate 1 --workload SRD --oversub 0.9 \
+  --gpus 2 --fabric ring --placement affinity --large-pages --remote-threshold 0
+has trace '"ev":"splinter".*"reason":2'
+cli fabric/ring2-SRD-0.9-affinity-large-pages-spill 1 --workload SRD --oversub 0.9 \
+  --gpus 2 --fabric ring --placement affinity --large-pages --spill
+has trace '"ev":"splinter".*"reason":3'
+
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
 for csv in fig8/out tenants-NW+BFS/out tenants-NW+BFS/tenant-out; do

@@ -3,10 +3,11 @@
 // invalidated the departing page, so no TLB may still hold a per-page entry
 // for it and no data cache a line of it. Checked on one oversubscribed Gpu
 // (with 2 MB whole-frame eviction too), on every tenant's Gpu of a shared
-// driver, and on every device of a 4-GPU fabric under both engines, where a
-// peer's unmap arrives as a remote shootdown (kInvalidFrame). On the
-// sequential fabric no page is mapped on two devices at once, save for the
-// moment a peer fetch's source surrenders its copy.
+// driver, on every device of a 4-GPU fabric under both engines, where a
+// peer's unmap arrives as a remote shootdown (kInvalidFrame), and on a
+// 2-GPU ring whose 2 MB regions splinter to surrender a page or spill a
+// chunk. On the sequential fabric no page is mapped on two devices at once,
+// save for the moment a peer fetch's source surrenders its copy.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -84,20 +85,28 @@ TEST(ShootdownCoherence, EveryTenantGpuOnTheSharedDriverIsClean) {
   EXPECT_EQ(audit.stale, 0u);
 }
 
-/// Run NW at 0.5 on a fabric, auditing every device, and return the totals
-/// with the run's driver counters. The sequential engine runs every driver
-/// on one thread, so each audit also reads its peers' page tables; a shard
-/// of the sharded engine owns its driver alone and reads no peer.
-Audit audit_fabric(FabricKind topology, u32 gpus, EngineKind engine,
-                   RunResult& r) {
-  const auto wl = make_benchmark("NW");
+FabricConfig fabric_of(FabricKind topology, u32 gpus) {
   FabricConfig fab;
   fab.gpus = gpus;
   fab.topology = topology;
+  return fab;
+}
+
+/// Run `abbr` at `oversub` on a fabric, auditing every device, and return
+/// the totals with the run's driver counters. The sequential engine runs
+/// every driver on one thread, so each audit also reads its peers' page
+/// tables; a shard of the sharded engine owns its driver alone and reads no
+/// peer.
+Audit audit_fabric(const FabricConfig& fab, EngineKind engine, RunResult& r,
+                   const char* abbr = "NW", double oversub = 0.5,
+                   bool large_pages = false) {
+  const auto wl = make_benchmark(abbr);
+  PolicyConfig pol = presets::cppe();
+  pol.large_pages = large_pages;
   EngineConfig eng;
   eng.kind = engine;
   eng.threads = 2;
-  FabricSystem sys(SystemConfig{}, presets::cppe(), *wl, 0.5, fab, eng);
+  FabricSystem sys(SystemConfig{}, pol, *wl, oversub, fab, eng);
   // One audit per device: under the sharded engine each runs on the shard
   // that owns its driver, so the counters are never shared between threads.
   std::vector<Audit> audits(fab.gpus);
@@ -122,7 +131,8 @@ Audit audit_fabric(FabricKind topology, u32 gpus, EngineKind engine,
 
 TEST(ShootdownCoherence, FabricPeersDropRemoteLinesUnderTheSequentialEngine) {
   RunResult r;
-  const Audit a = audit_fabric(FabricKind::kSwitch, 4, EngineKind::kSequential, r);
+  const Audit a =
+      audit_fabric(fabric_of(FabricKind::kSwitch, 4), EngineKind::kSequential, r);
   EXPECT_GT(a.local, 0u);
   EXPECT_GT(a.remote, 0u);
   EXPECT_EQ(a.stale, 0u);
@@ -134,7 +144,8 @@ TEST(ShootdownCoherence, FabricPeersDropRemoteLinesUnderTheSequentialEngine) {
 
 TEST(ShootdownCoherence, FabricPeersDropRemoteLinesUnderTheShardedEngine) {
   RunResult r;
-  const Audit a = audit_fabric(FabricKind::kSwitch, 4, EngineKind::kSharded, r);
+  const Audit a =
+      audit_fabric(fabric_of(FabricKind::kSwitch, 4), EngineKind::kSharded, r);
   EXPECT_GT(a.local, 0u);
   EXPECT_GT(a.remote, 0u);
   EXPECT_EQ(a.stale, 0u);
@@ -145,10 +156,32 @@ TEST(ShootdownCoherence, FabricPeersDropRemoteLinesUnderTheShardedEngine) {
 // the same page from the host.
 TEST(ShootdownCoherence, TwoGpuRingNeverMapsAPageOnBothDevices) {
   RunResult r;
-  const Audit a = audit_fabric(FabricKind::kRing, 2, EngineKind::kSequential, r);
+  const Audit a =
+      audit_fabric(fabric_of(FabricKind::kRing, 2), EngineKind::kSequential, r);
   EXPECT_GT(a.local, 0u);
   EXPECT_EQ(a.stale, 0u);
   EXPECT_EQ(a.mapped_elsewhere, r.driver.pages_surrendered);
+}
+
+// SRD's 2 MB regions coalesce on affinity homes. A region splinters before
+// a threshold-0 peer fetch takes one of its pages, and before one of its
+// chunks spills to the peer.
+TEST(ShootdownCoherence, LargeFramesOnTheSequentialFabricLeaveNothingBehind) {
+  for (const bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "spill" : "migrate");
+    FabricConfig fab = fabric_of(FabricKind::kRing, 2);
+    fab.placement = PlacementKind::kAffinity;
+    if (spill)
+      fab.spill = true;
+    else
+      fab.remote_threshold = 0;
+    RunResult r;
+    const Audit a = audit_fabric(fab, EngineKind::kSequential, r, "SRD", 0.9,
+                                 /*large_pages=*/true);
+    EXPECT_GT(r.driver.splinters, 0u);
+    EXPECT_EQ(a.stale, 0u);
+    EXPECT_EQ(a.mapped_elsewhere, r.driver.pages_surrendered);
+  }
 }
 
 }  // namespace
