@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/policy_factory.hpp"
+#include "fabric/fabric.hpp"
 
 namespace uvmsim {
 
@@ -19,18 +20,21 @@ u64 device_capacity(u64 footprint_pages, double oversub, u32 devices,
 DeviceStack::DeviceStack(EventQueue& eq, const SystemConfig& sys,
                          const PolicyConfig& pol, u64 span_pages,
                          u64 capacity_pages, u32 device,
-                         std::optional<StackTenancy> tenancy)
+                         std::optional<StackTenancy> tenancy, Fabric* fabric)
     : eq_(eq),
       tenancy_(std::move(tenancy)),
-      recorder_(eq),
-      driver_(eq, sys, pol, span_pages, capacity_pages) {
-  recorder_.set_device(device);
-  if (tenancy_) recorder_.set_tenant_table(&tenancy_->table);
-  driver_.set_recorder(&recorder_);
-  if (tenancy_)
-    driver_.configure_tenancy(&tenancy_->table, tenancy_->mode, tenancy_->scope);
+      recorder_(eq, device, tenants()),
+      driver_(eq, sys, pol, span_pages, capacity_pages,
+              {.recorder = &recorder_,
+               .tenants = tenants(),
+               .mode = tenancy_ ? tenancy_->mode : TenantMode::kShared,
+               .scope = tenancy_ ? tenancy_->scope : EvictionScope::kGlobal,
+               .fabric = fabric,
+               .device = device,
+               .spill = fabric != nullptr && fabric->spill_enabled()}) {
+  if (fabric != nullptr) fabric->attach_device(device, &driver_);
   // One policy instance per chain domain: a single domain unless the tenants
-  // are partitioned, where stateful policies then run per tenant.
+  // are split, where stateful policies then run per tenant.
   for (u64 d = 0; d < driver_.chains().domains(); ++d)
     driver_.set_domain_policy(d, make_eviction_policy(pol, driver_.chains().chain(d)));
   driver_.set_prefetcher(make_prefetcher(pol));

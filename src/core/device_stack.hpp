@@ -1,8 +1,9 @@
 // DeviceStack: one device's memory-management stack, built the same way by
 // every system (core/system_base.hpp): the FlightRecorder and the UvmDriver,
-// with the configured eviction policy in every chain domain and the
-// configured prefetcher. A stack shared between tenants also owns their
-// TenantTable. The Gpus running on a stack stay with the system.
+// linked to each other, the tenants and the fabric when they are built, with
+// the configured eviction policy in every chain domain and the configured
+// prefetcher. A stack shared between tenants also owns their TenantTable.
+// The Gpus running on a stack stay with the system.
 #pragma once
 
 #include <memory>
@@ -17,6 +18,8 @@
 #include "uvm/driver.hpp"
 
 namespace uvmsim {
+
+class Fabric;
 
 /// The capacity rule every system sizes its drivers with: a 1/`devices`
 /// share of `oversub` x `footprint`, capped at the footprint and floored at
@@ -37,10 +40,12 @@ class DeviceStack {
  public:
   /// A driver over `span_pages` of address space with `capacity_pages`
   /// frames, on `eq`. Events are stamped with `device` unless it is
-  /// kNoTraceDevice (single-device runs keep the trace unstamped).
+  /// kNoTraceDevice (single-device runs keep the trace unstamped). On a
+  /// `fabric` the driver is device `device` and registers with it.
   DeviceStack(EventQueue& eq, const SystemConfig& sys, const PolicyConfig& pol,
               u64 span_pages, u64 capacity_pages, u32 device = kNoTraceDevice,
-              std::optional<StackTenancy> tenancy = std::nullopt);
+              std::optional<StackTenancy> tenancy = std::nullopt,
+              Fabric* fabric = nullptr);
 
   // Callbacks and the driver hold this stack's address.
   DeviceStack(const DeviceStack&) = delete;

@@ -12,10 +12,12 @@ SystemBase::SystemBase(EngineShape shape)
 DeviceStack& SystemBase::add_stack(u32 shard, const SystemConfig& sys,
                                    const PolicyConfig& pol, u64 span_pages,
                                    u64 capacity_pages, u32 device,
-                                   std::optional<StackTenancy> tenancy) {
+                                   std::optional<StackTenancy> tenancy,
+                                   Fabric* fabric) {
   stacks_.push_back(std::make_unique<DeviceStack>(engine_.queue(shard), sys, pol,
                                                   span_pages, capacity_pages,
-                                                  device, std::move(tenancy)));
+                                                  device, std::move(tenancy),
+                                                  fabric));
   trace_.add_recorder(stacks_.back()->recorder());
   return *stacks_.back();
 }

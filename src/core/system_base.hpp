@@ -47,11 +47,13 @@ class SystemBase {
   explicit SystemBase(EngineShape shape = {});
   ~SystemBase() = default;
 
-  /// Build a device stack on shard `shard`'s queue and fan traces out to it.
+  /// Build a device stack on shard `shard`'s queue (see DeviceStack) and fan
+  /// traces out to it.
   DeviceStack& add_stack(u32 shard, const SystemConfig& sys,
                          const PolicyConfig& pol, u64 span_pages,
                          u64 capacity_pages, u32 device = kNoTraceDevice,
-                         std::optional<StackTenancy> tenancy = std::nullopt);
+                         std::optional<StackTenancy> tenancy = std::nullopt,
+                         Fabric* fabric = nullptr);
   [[nodiscard]] DeviceStack& stack(u32 i) noexcept { return *stacks_[i]; }
   [[nodiscard]] const DeviceStack& stack(u32 i) const noexcept { return *stacks_[i]; }
 

@@ -111,8 +111,8 @@ UvmSystem::UvmSystem(const SystemConfig& sys, const PolicyConfig& pol,
   const u32 warps_per_device = sys.num_sms * sys.warps_per_sm;
   for (u32 d = 0; d < n; ++d) {
     DeviceStack& s = add_stack(sharded() ? d : 0, sys, pol, footprint, capacity,
-                               n > 1 ? d : kNoTraceDevice);
-    if (fabric_) fabric_->attach_device(d, &s.driver());
+                               n > 1 ? d : kNoTraceDevice, std::nullopt,
+                               fabric_.get());
     // Per-device warp seeds derive from pol.seed + device id, so device 0
     // seeds exactly as a one-GPU run.
     gpus_.push_back(std::make_unique<Gpu>(

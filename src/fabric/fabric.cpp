@@ -44,7 +44,6 @@ Fabric::Fabric(const SystemConfig& sys, const FabricConfig& cfg,
 void Fabric::attach_device(u32 dev, UvmDriver* driver) {
   assert(dev < drivers_.size() && driver != nullptr);
   drivers_[dev] = driver;
-  driver->attach_fabric(this, dev, cfg_.spill);
 }
 
 FabricCoordinator::FabricCoordinator(EventQueue& eq, const SystemConfig& sys,

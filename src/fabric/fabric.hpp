@@ -1,7 +1,7 @@
 // Fabric: the multi-GPU fabric's two protocols on one base, and the
 // sequential one, FabricCoordinator (docs/fabric.md).
 //
-// Fabric is the FabricPort the per-device UvmDrivers attach to. It owns
+// Fabric is the FabricPort each device's UvmDriver is built with. It owns
 // what both protocols share: the device drivers, the per-chunk placement
 // homes (--placement) and the hop latency. Fabric::make picks the protocol
 // from the engine: the coordinator when every device shares one queue, the
@@ -51,9 +51,11 @@ class Fabric : public FabricPort {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Register device `dev`'s driver and attach the driver to this fabric.
+  /// Register device `dev`'s driver, built with this fabric in its links.
   /// Call for every device before launch.
   void attach_device(u32 dev, UvmDriver* driver);
+  /// May evictions spill to a peer (--spill)? Each driver is built with it.
+  [[nodiscard]] bool spill_enabled() const noexcept { return cfg_.spill; }
 
   /// Placement home of chunk `c`, kHostDevice while unassigned.
   [[nodiscard]] u32 home_of(ChunkId c) const noexcept { return widen(home_[c]); }

@@ -55,8 +55,9 @@ struct FaultBackendStats {
 
 class FaultServiceBackend {
  public:
-  FaultServiceBackend(const FaultTable& faults, const PolicyConfig& pol)
-      : faults_(faults), window_(std::max(1u, pol.fault_batch)) {}
+  FaultServiceBackend(const FaultTable& faults, const PolicyConfig& pol,
+                      FlightRecorder* rec)
+      : faults_(faults), window_(std::max(1u, pol.fault_batch)), rec_(rec) {}
   virtual ~FaultServiceBackend() = default;
 
   [[nodiscard]] virtual FaultBackendKind kind() const noexcept = 0;
@@ -83,7 +84,6 @@ class FaultServiceBackend {
   virtual Cycle reserve_service(Cycle now, PageId lead, u32 faults,
                                 u64 demand_evictions) = 0;
 
-  void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
   [[nodiscard]] const FaultBackendStats& backend_stats() const noexcept {
     return bstats_;
   }
@@ -117,13 +117,14 @@ class FaultServiceBackend {
 
   const FaultTable& faults_;
   u32 window_;  ///< faults per service batch (--fault-batch)
-  FlightRecorder* rec_ = nullptr;
+  FlightRecorder* rec_;  ///< null: tracing off
   FaultBackendStats bstats_;
 };
 
 /// Build the backend SystemConfig::fault_backend selects, borrowing the
-/// driver's fault table.
+/// driver's fault table and recorder.
 [[nodiscard]] std::unique_ptr<FaultServiceBackend> make_fault_backend(
-    const SystemConfig& sys, const PolicyConfig& pol, const FaultTable& faults);
+    const SystemConfig& sys, const PolicyConfig& pol, const FaultTable& faults,
+    FlightRecorder* rec = nullptr);
 
 }  // namespace uvmsim

@@ -7,8 +7,9 @@ namespace uvmsim {
 
 GpuDrivenBackend::GpuDrivenBackend(const SystemConfig& sys,
                                    const PolicyConfig& pol,
-                                   const FaultTable& faults)
-    : FaultServiceBackend(faults, pol),
+                                   const FaultTable& faults,
+                                   FlightRecorder* rec)
+    : FaultServiceBackend(faults, pol, rec),
       queue_depth_(std::max(1u, sys.gpu_fault_queue_depth)),
       per_fault_cycles_(sys.gpu_fault_service_cycles()),
       doorbell_cycles_(sys.gpu_doorbell_cycles()),

@@ -35,7 +35,7 @@ namespace uvmsim {
 class GpuDrivenBackend final : public FaultServiceBackend {
  public:
   GpuDrivenBackend(const SystemConfig& sys, const PolicyConfig& pol,
-                   const FaultTable& faults);
+                   const FaultTable& faults, FlightRecorder* rec = nullptr);
 
   [[nodiscard]] FaultBackendKind kind() const noexcept override {
     return FaultBackendKind::kGpuDriven;

@@ -17,8 +17,8 @@ namespace uvmsim {
 class HostDriverBackend final : public FaultServiceBackend {
  public:
   HostDriverBackend(const SystemConfig& sys, const PolicyConfig& pol,
-                    const FaultTable& faults)
-      : FaultServiceBackend(faults, pol),
+                    const FaultTable& faults, FlightRecorder* rec = nullptr)
+      : FaultServiceBackend(faults, pol, rec),
         fault_latency_cycles_(sys.fault_latency_cycles()),
         evict_service_cycles_(sys.evict_service_cycles()) {}
 

@@ -21,7 +21,15 @@ namespace uvmsim {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(const EventQueue& eq) : eq_(&eq) {}
+  /// Every event is stamped with `device`: the multi-GPU fabric gives each
+  /// device its own recorder over shared sinks. With `tenants` set, events
+  /// whose payload carries a page or chunk are stamped with the owning
+  /// tenant; global events (no page/chunk key) only via the explicit
+  /// `tenant` argument. Single-GPU, single-tenant recorders keep both
+  /// sentinels, so the JSONL carries neither field.
+  explicit FlightRecorder(const EventQueue& eq, u32 device = kNoTraceDevice,
+                          const TenantTable* tenants = nullptr)
+      : eq_(&eq), tenants_(tenants), device_(device) {}
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -34,18 +42,6 @@ class FlightRecorder {
   /// destructor so the recorder never holds a dangling observer.
   void remove_sink(TraceSink* sink) { std::erase(sinks_, sink); }
   [[nodiscard]] bool active() const noexcept { return !sinks_.empty(); }
-
-  /// Attach the tenant table for multi-tenant runs: events whose payload
-  /// carries a page or chunk are stamped with the owning tenant
-  /// automatically; global events (no page/chunk key) are stamped only via
-  /// the explicit `tenant` argument. Never attached in single-tenant runs,
-  /// so every event keeps tenant == kNoTenant and the JSONL is unchanged.
-  void set_tenant_table(const TenantTable* table) noexcept { tenants_ = table; }
-
-  /// Stamp every event with the emitting device id. Only called by the
-  /// multi-GPU fabric (one recorder per device, shared sinks); single-GPU
-  /// recorders keep the kNoTraceDevice sentinel and the JSONL is unchanged.
-  void set_device(u32 dev) noexcept { device_ = dev; }
 
   void record(EventType t, u64 a = 0, u64 b = 0, u64 c = 0,
               TenantId tenant = kNoTenant) {
@@ -67,8 +63,8 @@ class FlightRecorder {
  private:
   const EventQueue* eq_;
   std::vector<TraceSink*> sinks_;
-  const TenantTable* tenants_ = nullptr;
-  u32 device_ = kNoTraceDevice;
+  const TenantTable* tenants_;
+  u32 device_;
   u64 recorded_ = 0;
 };
 

@@ -25,40 +25,22 @@ namespace uvmsim {
 
 class ChainSet {
  public:
-  explicit ChainSet(u64 interval_faults) : interval_faults_(interval_faults) {
-    chains_.push_back(std::make_unique<ChunkChain>(interval_faults_));
-    policies_.resize(1);
+  /// `domains` chains (one per tenant in the partitioned and quota modes,
+  /// else one), each pre-sized for `reserve_chunks` resident chunks
+  /// (normally the device capacity in chunks). `table` resolves a chunk's
+  /// owner, in the shared mode's one domain too (scoped selection, stats).
+  explicit ChainSet(u64 interval_faults, std::size_t reserve_chunks = 0,
+                    const TenantTable* table = nullptr, u64 domains = 1)
+      : policies_(domains), table_(table) {
+    assert(domains >= 1 && (domains == 1 || table != nullptr));
+    for (u64 d = 0; d < domains; ++d) {
+      chains_.push_back(std::make_unique<ChunkChain>(interval_faults));
+      if (reserve_chunks > 0) chains_.back()->reserve(reserve_chunks);
+    }
   }
 
   ChainSet(const ChainSet&) = delete;
   ChainSet& operator=(const ChainSet&) = delete;
-
-  /// Split into one domain per tenant (partitioned/quota modes). Discards
-  /// all chains and installed policies — call before the run starts, then
-  /// install a policy per domain.
-  void configure_domains(u64 domains, const TenantTable* table) {
-    assert(domains >= 1);
-    table_ = table;
-    chains_.clear();
-    for (u64 d = 0; d < domains; ++d) {
-      chains_.push_back(std::make_unique<ChunkChain>(interval_faults_));
-      if (reserve_chunks_ > 0) chains_.back()->reserve(reserve_chunks_);
-    }
-    policies_.clear();
-    policies_.resize(domains);
-  }
-
-  /// Attach the table without splitting (shared mode: one chain, but chunk
-  /// ownership still resolvable for scoped selection and stats).
-  void set_tenant_table(const TenantTable* table) noexcept { table_ = table; }
-
-  /// Pre-size every domain's slab/index for `chunks` resident chunks
-  /// (normally the device capacity in chunks). Also applied to domains
-  /// created by a later configure_domains().
-  void reserve_chunks(std::size_t chunks) {
-    reserve_chunks_ = chunks;
-    for (auto& c : chains_) c->reserve(chunks);
-  }
 
   [[nodiscard]] u64 domains() const noexcept { return chains_.size(); }
   [[nodiscard]] bool per_tenant() const noexcept { return chains_.size() > 1; }
@@ -94,11 +76,6 @@ class ChainSet {
     return chains_[domain_of_chunk(c)]->find(c);
   }
 
-  void set_recorder(FlightRecorder* rec) {
-    for (auto& p : policies_)
-      if (p) p->set_recorder(rec);
-  }
-
   // --- Simulator-perf observability (RunResult.sim / --sim-stats) ----------
   /// Slab slots allocated across all domains (live + free-listed).
   [[nodiscard]] u64 total_slab_capacity() const noexcept {
@@ -108,11 +85,9 @@ class ChainSet {
   }
 
  private:
-  u64 interval_faults_;
-  std::size_t reserve_chunks_ = 0;
   std::vector<std::unique_ptr<ChunkChain>> chains_;
   std::vector<std::unique_ptr<EvictionPolicy>> policies_;
-  const TenantTable* table_ = nullptr;
+  const TenantTable* table_;
 };
 
 }  // namespace uvmsim

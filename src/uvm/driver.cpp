@@ -4,40 +4,51 @@
 
 namespace uvmsim {
 
+namespace {
+
+/// Chain domains: one per tenant in the partitioned and quota modes, else
+/// one.
+u64 chain_domains(const DriverLinks& links) {
+  return links.tenants != nullptr && links.mode != TenantMode::kShared
+             ? links.tenants->size()
+             : 1;
+}
+
+}  // namespace
+
 UvmDriver::UvmDriver(EventQueue& eq, const SystemConfig& sys,
                      const PolicyConfig& pol, u64 footprint_pages,
-                     u64 capacity_pages)
+                     u64 capacity_pages, const DriverLinks& links)
     : eq_(eq),
       sys_(sys),
       pol_(pol),
       footprint_pages_(footprint_pages),
-      chains_(pol.interval_faults),
-      frames_(capacity_pages, u64{pol.pre_evict_watermark_chunks} * kChunkPages),
-      backend_(make_fault_backend(sys, pol, faults_)),
-      evictor_(eq, chains_, pt_, frames_, shootdowns_, sys.pcie_page_cycles(), stats_),
-      scheduler_(eq, sys, pol, frames_, pt_, chains_, faults_, *backend_,
-                 stats_) {
-  scheduler_.set_completion_hook(
-      [this](TenantId t, bool peer) { post_migration(t, peer); });
+      rec_(links.recorder),
+      table_(links.tenants),
+      mode_(links.mode),
+      fabric_(links.fabric),
+      device_(links.device),
+      chains_(pol.interval_faults, capacity_pages / kChunkPages + 1, links.tenants,
+              chain_domains(links)),
+      frames_(capacity_pages, u64{pol.pre_evict_watermark_chunks} * kChunkPages,
+              links.tenants, links.mode, pol.large_pages),
+      backend_(make_fault_backend(sys, pol, faults_, rec_)),
+      lfm_(pol.large_pages ? std::make_unique<LargeFrameManager>(
+                                 eq, sys, pt_, chains_, shootdowns_, stats_, rec_)
+                           : nullptr),
+      evictor_(eq, chains_, pt_, frames_, shootdowns_, sys.pcie_page_cycles(), stats_,
+               links, lfm_.get(), sys.bulk_dma_percent),
+      scheduler_(eq, sys, pol, frames_, pt_, chains_, faults_, *backend_, stats_,
+                 links, lfm_.get(),
+                 [this](TenantId t, bool peer) { post_migration(t, peer); }) {
   // Mapped pages never exceed the frames backing them: size the page table
-  // once so the fault path never rehashes mid-run.
+  // (and, above, every chain) once so the fault path never rehashes mid-run.
   pt_.reserve(capacity_pages);
-  chains_.reserve_chunks(capacity_pages / kChunkPages + 1);
-  if (pol.large_pages) {
-    frames_.enable_large_frames();
-    lfm_ = std::make_unique<LargeFrameManager>(eq_, sys_, pt_, chains_,
-                                               shootdowns_, stats_);
-    evictor_.set_large_manager(lfm_.get(), sys_.bulk_dma_percent);
-    scheduler_.set_large_manager(lfm_.get());
-  }
+  if (table_ != nullptr) table_->compute_quotas(frames_.capacity());
 }
 
 UvmDriver::~UvmDriver() = default;
 
-void UvmDriver::set_policy(std::unique_ptr<EvictionPolicy> policy) {
-  if (policy) policy->set_recorder(rec_);
-  chains_.set_policy(0, std::move(policy));
-}
 void UvmDriver::set_domain_policy(u64 domain,
                                   std::unique_ptr<EvictionPolicy> policy) {
   if (policy) policy->set_recorder(rec_);
@@ -47,30 +58,6 @@ void UvmDriver::set_prefetcher(std::unique_ptr<Prefetcher> prefetcher) {
   prefetcher_ = std::move(prefetcher);
   evictor_.set_prefetcher(prefetcher_.get());
   if (prefetcher_) prefetcher_->set_recorder(rec_);
-}
-void UvmDriver::set_recorder(FlightRecorder* rec) {
-  rec_ = rec;
-  backend_->set_recorder(rec_);
-  evictor_.set_recorder(rec_);
-  scheduler_.set_recorder(rec_);
-  chains_.set_recorder(rec_);
-  if (lfm_) lfm_->set_recorder(rec_);
-  if (prefetcher_) prefetcher_->set_recorder(rec_);
-}
-
-void UvmDriver::configure_tenancy(TenantTable* table, TenantMode mode,
-                                  EvictionScope scope) {
-  assert(table != nullptr);
-  table_ = table;
-  mode_ = mode;
-  table_->compute_quotas(frames_.capacity());
-  frames_.attach_tenants(table, mode);
-  evictor_.set_tenancy(table, mode, scope);
-  scheduler_.set_tenant_table(table);
-  if (mode == TenantMode::kShared)
-    chains_.set_tenant_table(table);
-  else
-    chains_.configure_domains(table->size(), table);
 }
 
 u64 UvmDriver::detach_tenant(TenantId t) {
@@ -102,14 +89,6 @@ u64 UvmDriver::detach_tenant(TenantId t) {
   }
   if (prefetcher_) prefetcher_->forget_range(base, span);
   return reclaimed;
-}
-
-void UvmDriver::attach_fabric(FabricPort* fabric, u32 device, bool spill) {
-  assert(fabric != nullptr);
-  fabric_ = fabric;
-  device_ = device;
-  evictor_.set_fabric(fabric, device, spill);
-  scheduler_.set_fabric(fabric, device);
 }
 
 void UvmDriver::note_touch(PageId p) {

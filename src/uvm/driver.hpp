@@ -34,12 +34,12 @@
 // traffic the paper rules out for HPE.
 //
 // Multi-tenancy (src/tenancy/, docs/multitenancy.md): one driver serves all
-// tenants. configure_tenancy attaches the TenantTable and sharing mode;
+// tenants, built with their TenantTable and sharing mode in its links;
 // plans are clipped to the faulting tenant's namespace, admission respects
 // per-tenant quotas (FramePool::admissible_frames), room-making is scoped
 // to the initiator, and the partitioned/quota modes split the chunk chain
 // into per-tenant domains with their own policy instances. Single-tenant
-// runs never call configure_tenancy and are bit-for-bit unchanged.
+// runs have no table and are bit-for-bit unchanged.
 #pragma once
 
 #include <cassert>
@@ -70,17 +70,22 @@ class UvmDriver final : public ResidencyView {
   /// Driver-wide counters (kept under the historical name).
   using Stats = DriverStats;
 
+  /// A driver over `footprint_pages` of address space with `capacity_pages`
+  /// frames, each of its layers built with what `links` gives it. A driver
+  /// with a tenant table computes the tenants' quotas.
   UvmDriver(EventQueue& eq, const SystemConfig& sys, const PolicyConfig& pol,
-            u64 footprint_pages, u64 capacity_pages);
+            u64 footprint_pages, u64 capacity_pages, const DriverLinks& links = {});
   ~UvmDriver() override;
 
   UvmDriver(const UvmDriver&) = delete;
   UvmDriver& operator=(const UvmDriver&) = delete;
 
-  /// Install the policy/prefetcher pair (see core/policy_factory). The
-  /// policy lands in domain 0 — the only domain for single-tenant runs and
-  /// the shared tenant mode.
-  void set_policy(std::unique_ptr<EvictionPolicy> policy);
+  /// Install the policy/prefetcher pair (see core/policy_factory), handing
+  /// each the driver's recorder. The policy lands in domain 0 — the only
+  /// domain for single-tenant runs and the shared tenant mode.
+  void set_policy(std::unique_ptr<EvictionPolicy> policy) {
+    set_domain_policy(0, std::move(policy));
+  }
   void set_prefetcher(std::unique_ptr<Prefetcher> prefetcher);
   /// Register a shootdown observer (one per GPU sharing the driver); `page`
   /// runs just after each page's shootdown_issued event. The returned
@@ -101,19 +106,11 @@ class UvmDriver final : public ResidencyView {
   }
   /// The coalescing/splintering subsystem; nullptr when large pages are off.
   [[nodiscard]] LargeFrameManager* large_frames() noexcept { return lfm_.get(); }
-  /// Attach the flight recorder (nullptr = tracing off); forwarded to every
-  /// layer and to the installed policy and prefetcher, in whichever order
-  /// they arrive.
-  void set_recorder(FlightRecorder* rec);
 
   // --- Multi-tenancy ---------------------------------------------------------
-  /// Attach the tenant table and sharing mode (tenancy/tenant.hpp). Call
-  /// once, before launch and before installing per-domain policies. The
-  /// partitioned/quota modes split the chunk chain per tenant — install a
-  /// policy per domain with set_domain_policy afterwards; the shared mode
-  /// keeps the single domain-0 chain/policy.
-  void configure_tenancy(TenantTable* table, TenantMode mode,
-                         EvictionScope scope);
+  /// The partitioned/quota modes split the chunk chain per tenant: install a
+  /// policy in every domain of chains(). The shared mode keeps the single
+  /// domain-0 chain/policy.
   void set_domain_policy(u64 domain, std::unique_ptr<EvictionPolicy> policy);
   [[nodiscard]] ChainSet& chains() noexcept { return chains_; }
   /// Tear down a departing arena tenant's residency (fleet serving): unmap
@@ -126,12 +123,10 @@ class UvmDriver final : public ResidencyView {
   u64 detach_tenant(TenantId t);
 
   // --- Multi-GPU fabric (src/fabric, docs/fabric.md) -------------------------
-  /// Attach this driver to the fabric as device `device`. Faults are routed
-  /// through the port (remote access / peer fetch / forward), evictions may
-  /// spill to a peer when `spill` is set, and migrations update the fabric
-  /// directory. Never called in single-GPU runs — the driver is then
-  /// bit-for-bit the pre-fabric driver.
-  void attach_fabric(FabricPort* fabric, u32 device, bool spill);
+  // A driver built with a fabric in its links routes faults through the port
+  // (remote access / peer fetch / forward), may spill evictions to a peer,
+  // and updates the fabric directory on every migration. Without one (a
+  // single-GPU run) it is bit-for-bit the pre-fabric driver.
   /// Is `p` on its way to this device: a raised fault still queued in the
   /// backend, or a migration in flight? The fabric's oracle for "a peer is
   /// already fetching this page".
@@ -231,16 +226,16 @@ class UvmDriver final : public ResidencyView {
   SystemConfig sys_;
   PolicyConfig pol_;
   u64 footprint_pages_;
+  FlightRecorder* rec_;
+  TenantTable* table_;
+  TenantMode mode_;
+  FabricPort* fabric_;
+  u32 device_;
 
   PageTable pt_;
   ChainSet chains_;
   std::unique_ptr<Prefetcher> prefetcher_;
-  FlightRecorder* rec_ = nullptr;
   Stats stats_;
-  TenantTable* table_ = nullptr;
-  TenantMode mode_ = TenantMode::kShared;
-  FabricPort* fabric_ = nullptr;
-  u32 device_ = kHostDevice;
 
   FramePool frames_;
   ShootdownList shootdowns_;
@@ -249,11 +244,11 @@ class UvmDriver final : public ResidencyView {
   /// service timing. Chosen once at construction from
   /// SystemConfig::fault_backend.
   std::unique_ptr<FaultServiceBackend> backend_;
-  EvictionEngine evictor_;
-  MigrationScheduler scheduler_;
   /// Coalescing/splintering subsystem — created only when
   /// PolicyConfig::large_pages is set; default runs never construct it.
   std::unique_ptr<LargeFrameManager> lfm_;
+  EvictionEngine evictor_;
+  MigrationScheduler scheduler_;
 };
 
 }  // namespace uvmsim

@@ -11,9 +11,13 @@
 #include "common/flat_map.hpp"
 #include "common/inline_function.hpp"
 #include "common/types.hpp"
+#include "tenancy/tenant.hpp"
 #include "tlb/page_table.hpp"  // FrameId
 
 namespace uvmsim {
+
+class FabricPort;
+class FlightRecorder;
 
 /// Fires when a faulted page has become resident (warp replay point).
 /// Deliberately the same type as EventQueue::Callback: a wake moved into
@@ -24,6 +28,23 @@ using WakeCallback = InlineFunction<void(), kCallbackInlineBytes>;
 /// Device id meaning "the host" as a migration source/destination (also the
 /// single-GPU default everywhere a device id appears in the driver stack).
 inline constexpr u32 kHostDevice = ~u32{0};
+
+/// What a device's driver stack is linked to, fixed when it is built and
+/// handed by the driver to each layer that needs it. The defaults are a lone
+/// GPU with tracing off.
+struct DriverLinks {
+  FlightRecorder* recorder = nullptr;  ///< null: tracing off
+  /// The tenants sharing the device (null: one tenant), how they split its
+  /// frames and chunk chains, and whose chunks their room-making may evict.
+  TenantTable* tenants = nullptr;
+  TenantMode mode = TenantMode::kShared;
+  EvictionScope scope = EvictionScope::kGlobal;
+  /// The fabric the device sits on as `device` (null: a lone GPU), and
+  /// whether its evictions may spill to a peer.
+  FabricPort* fabric = nullptr;
+  u32 device = kHostDevice;
+  bool spill = false;
+};
 
 /// Shootdown hooks. The page handler runs for every page that leaves a
 /// device, with the frame it occupied (caches are physically indexed), or

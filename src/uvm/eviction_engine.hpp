@@ -41,40 +41,29 @@ class LargeFrameManager;
 
 class EvictionEngine {
  public:
+  /// `links` carry the recorder, the tenancy that sources victims (above)
+  /// and the fabric: evictions update its directory, and with `links.spill`
+  /// set victims move to a peer with free frames over NVLink instead of
+  /// writing back to host over PCIe. With `lfm` set (large-pages mode,
+  /// docs/memory.md) a victim inside a coalesced 2 MB frame either takes
+  /// the whole frame out as one bulk DMA (every sibling chunk cold and
+  /// unpinned) or splinters it first and evicts just the cold part;
+  /// `bulk_dma_percent` is the per-page D2H occupancy of the bulk transfer
+  /// relative to scattered page copies (SystemConfig).
   EvictionEngine(EventQueue& eq, ChainSet& chains, PageTable& pt, FramePool& frames,
                  const ShootdownList& shootdowns, Cycle pcie_page_cycles,
-                 DriverStats& stats)
+                 DriverStats& stats, const DriverLinks& links = {},
+                 LargeFrameManager* lfm = nullptr, u32 bulk_dma_percent = 100)
       : eq_(eq), chains_(chains), pt_(pt), frames_(frames),
-        shootdowns_(shootdowns), d2h_(pcie_page_cycles), stats_(stats) {}
+        shootdowns_(shootdowns), d2h_(pcie_page_cycles), stats_(stats),
+        rec_(links.recorder), tenants_(links.tenants), mode_(links.mode),
+        scope_(links.scope), fabric_(links.fabric), device_(links.device),
+        spill_(links.spill), lfm_(lfm), bulk_dma_percent_(bulk_dma_percent) {}
 
   EvictionEngine(const EvictionEngine&) = delete;
   EvictionEngine& operator=(const EvictionEngine&) = delete;
 
   void set_prefetcher(Prefetcher* p) noexcept { prefetcher_ = p; }
-  void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
-  /// Multi-tenant wiring (tenancy off when table is null).
-  void set_tenancy(TenantTable* table, TenantMode mode, EvictionScope scope) {
-    tenants_ = table;
-    mode_ = mode;
-    scope_ = scope;
-  }
-  /// Multi-GPU wiring: evictions update the fabric directory, and with
-  /// `spill` set victims move to a peer with free frames over NVLink
-  /// instead of writing back to host over PCIe.
-  void set_fabric(FabricPort* fabric, u32 device, bool spill) noexcept {
-    fabric_ = fabric;
-    device_ = device;
-    spill_ = spill;
-  }
-  /// Large-pages wiring (docs/memory.md): victims inside a coalesced 2 MB
-  /// frame either take the whole frame out as one bulk DMA (every sibling
-  /// chunk cold and unpinned) or splinter it first and evict just the cold
-  /// part. `bulk_dma_percent` is the per-page D2H occupancy of the bulk
-  /// transfer relative to scattered page copies (SystemConfig).
-  void set_large_manager(LargeFrameManager* lfm, u32 bulk_dma_percent) noexcept {
-    lfm_ = lfm;
-    bulk_dma_percent_ = bulk_dma_percent;
-  }
 
   /// Page `p`, just unmapped from frame `f`, leaves this device: free the
   /// frame to `owner`, record shootdown_issued, run the shootdown handlers
@@ -127,15 +116,15 @@ class EvictionEngine {
   BandwidthLink d2h_;  ///< device -> host eviction write-backs
   DriverStats& stats_;
   Prefetcher* prefetcher_ = nullptr;
-  FlightRecorder* rec_ = nullptr;
-  TenantTable* tenants_ = nullptr;
-  TenantMode mode_ = TenantMode::kShared;
-  EvictionScope scope_ = EvictionScope::kGlobal;
-  FabricPort* fabric_ = nullptr;
-  u32 device_ = kHostDevice;
-  bool spill_ = false;
-  LargeFrameManager* lfm_ = nullptr;  ///< null when --large-pages is off
-  u32 bulk_dma_percent_ = 100;
+  FlightRecorder* rec_;
+  TenantTable* tenants_;
+  TenantMode mode_;
+  EvictionScope scope_;
+  FabricPort* fabric_;
+  u32 device_;
+  bool spill_;
+  LargeFrameManager* lfm_;  ///< null when --large-pages is off
+  u32 bulk_dma_percent_;
 };
 
 }  // namespace uvmsim

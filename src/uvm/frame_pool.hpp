@@ -14,13 +14,13 @@
 // the driver keeps free on purpose and which therefore must not read as
 // available. Unlike the old `chunks_evicted > 0` rule, pressure clears if
 // frames ever free back up past that threshold.
-// Multi-tenant modes (tenancy/tenant.hpp): with a TenantTable attached the
+// Multi-tenant modes (tenancy/tenant.hpp): built with a TenantTable the
 // pool also tracks per-tenant frame usage and answers the *admissible*
 // frame count — how many of the free frames a given tenant may take right
 // now. Partitioned mode caps admission at the tenant's static quota; quota
 // mode admits freely (borrowing) and relies on over-quota-first eviction to
-// restore guarantees; shared mode (and single-tenant runs, which never
-// attach a table) is the unchanged global accounting.
+// restore guarantees; shared mode (and single-tenant runs, which have no
+// table) is the unchanged global accounting.
 #pragma once
 
 #include <algorithm>
@@ -36,11 +36,24 @@ namespace uvmsim {
 
 class FramePool {
  public:
-  FramePool(u64 capacity_pages, u64 watermark_pages)
+  /// With `tenants` set the pool updates per-tenant used_frames on
+  /// reserve/release and enforces partitioned-mode quotas at admission
+  /// time. `large_frames` switches allocation to 2 MB slot binding (below).
+  FramePool(u64 capacity_pages, u64 watermark_pages,
+            TenantTable* tenants = nullptr, TenantMode mode = TenantMode::kShared,
+            bool large_frames = false)
       : capacity_(capacity_pages),
         watermark_pages_(watermark_pages),
-        free_frames_(capacity_pages) {
+        free_frames_(capacity_pages),
+        tenants_(tenants),
+        mode_(mode),
+        large_mode_(large_frames) {
     assert(capacity_ > 0);
+    if (!large_mode_) return;
+    free_bit_.assign(capacity_, 1);
+    region_slot_.reserve(capacity_ / kLargePages + 1);
+    slot_free_.assign(capacity_ / kLargePages, kLargePages);
+    slot_region_.assign(capacity_ / kLargePages, kInvalidLarge);
   }
 
   [[nodiscard]] u64 capacity() const noexcept { return capacity_; }
@@ -58,13 +71,6 @@ class FramePool {
   }
 
   // --- Multi-tenant accounting ---------------------------------------------
-  /// Attach the tenant table (never called in single-tenant runs). The pool
-  /// updates per-tenant used_frames on reserve/release and enforces
-  /// partitioned-mode quotas at admission time.
-  void attach_tenants(TenantTable* table, TenantMode mode) noexcept {
-    tenants_ = table;
-    mode_ = mode;
-  }
   [[nodiscard]] TenantMode tenant_mode() const noexcept { return mode_; }
 
   /// How many frames tenant `t` may take right now. Shared/quota modes (and
@@ -135,16 +141,6 @@ class FramePool {
   // page falls back to any free frame, exactly preserving the pool's
   // accounting guarantees. Never enabled in default runs.
 
-  /// Switch allocation to slot-binding mode. Must be called before any
-  /// frame has been handed out.
-  void enable_large_frames() {
-    assert(next_frame_ == 0 && recycled_.empty());
-    large_mode_ = true;
-    free_bit_.assign(capacity_, 1);
-    region_slot_.reserve(capacity_ / kLargePages + 1);
-    slot_free_.assign(capacity_ / kLargePages, kLargePages);
-    slot_region_.assign(capacity_ / kLargePages, kInvalidLarge);
-  }
   [[nodiscard]] bool large_mode() const noexcept { return large_mode_; }
   [[nodiscard]] u64 large_slots() const noexcept {
     return large_mode_ ? capacity_ / kLargePages : 0;
@@ -233,10 +229,10 @@ class FramePool {
   FrameId next_frame_ = 0;
   std::vector<FrameId> recycled_;
   bool evictions_seen_ = false;
-  TenantTable* tenants_ = nullptr;
-  TenantMode mode_ = TenantMode::kShared;
+  TenantTable* tenants_;
+  TenantMode mode_;
 
-  bool large_mode_ = false;
+  bool large_mode_;
   std::vector<u8> free_bit_;          ///< per-frame free bit (large mode only)
   FlatMap<LargeId, u64> region_slot_; ///< virtual region -> preferred slot
   std::vector<u64> slot_free_;        ///< free frames per aligned slot

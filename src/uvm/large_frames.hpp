@@ -34,18 +34,17 @@ class LargeFrameManager {
  public:
   LargeFrameManager(EventQueue& eq, const SystemConfig& sys, PageTable& pt,
                     ChainSet& chains, const ShootdownList& shootdowns,
-                    DriverStats& stats)
+                    DriverStats& stats, FlightRecorder* rec = nullptr)
       : eq_(eq),
         scan_delay_(sys.coalesce_delay_cycles()),
         pt_(pt),
         chains_(chains),
         shootdowns_(shootdowns),
-        stats_(stats) {}
+        stats_(stats),
+        rec_(rec) {}
 
   LargeFrameManager(const LargeFrameManager&) = delete;
   LargeFrameManager& operator=(const LargeFrameManager&) = delete;
-
-  void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
 
   /// Is `l` currently backed by one large mapping? The page table is the
   /// single source of truth.
@@ -77,7 +76,7 @@ class LargeFrameManager {
   ChainSet& chains_;
   const ShootdownList& shootdowns_;
   DriverStats& stats_;
-  FlightRecorder* rec_ = nullptr;
+  FlightRecorder* rec_;  ///< null: tracing off
   FlatSet<LargeId> pending_;  ///< regions with a scan already queued
 };
 

@@ -13,7 +13,10 @@ MigrationScheduler::MigrationScheduler(EventQueue& eq, const SystemConfig& sys,
                                        FramePool& frames, PageTable& pt,
                                        ChainSet& chains, FaultTable& faults,
                                        FaultServiceBackend& backend,
-                                       DriverStats& stats)
+                                       DriverStats& stats,
+                                       const DriverLinks& links,
+                                       LargeFrameManager* lfm,
+                                       std::function<void(TenantId, bool)> on_complete)
     : eq_(eq),
       frames_(frames),
       pt_(pt),
@@ -23,7 +26,13 @@ MigrationScheduler::MigrationScheduler(EventQueue& eq, const SystemConfig& sys,
       stats_(stats),
       h2d_(sys.pcie_page_cycles()),
       fault_batch_(std::max(1u, pol.fault_batch)),
-      max_concurrent_migrations_(std::max(1u, pol.driver_concurrency)) {}
+      max_concurrent_migrations_(std::max(1u, pol.driver_concurrency)),
+      rec_(links.recorder),
+      tenants_(links.tenants),
+      fabric_(links.fabric),
+      device_(links.device),
+      lfm_(lfm),
+      hook_(std::move(on_complete)) {}
 
 void MigrationScheduler::merge_plan(std::vector<PageId>& merged,
                                     const std::vector<PageId>& plan) {

@@ -35,31 +35,22 @@ class LargeFrameManager;
 
 class MigrationScheduler {
  public:
+  /// Peer batches reserve fabric (not H2D) occupancy and completions
+  /// maintain the directory of `links.fabric`; with `lfm` set (large-pages
+  /// mode) completions bind frames through the slot-binding allocator and
+  /// queue a coalesce scan when a chunk goes fully-touched. `on_complete`
+  /// runs after each completed batch (driver facade: pre-evict, release the
+  /// slot, admit the next batch) with the batch's tenant; `peer` marks peer
+  /// fetches, which never held a driver slot.
   MigrationScheduler(EventQueue& eq, const SystemConfig& sys,
                      const PolicyConfig& pol, FramePool& frames, PageTable& pt,
                      ChainSet& chains, FaultTable& faults,
-                     FaultServiceBackend& backend, DriverStats& stats);
+                     FaultServiceBackend& backend, DriverStats& stats,
+                     const DriverLinks& links, LargeFrameManager* lfm,
+                     std::function<void(TenantId, bool)> on_complete);
 
   MigrationScheduler(const MigrationScheduler&) = delete;
   MigrationScheduler& operator=(const MigrationScheduler&) = delete;
-
-  void set_recorder(FlightRecorder* rec) noexcept { rec_ = rec; }
-  void set_tenant_table(TenantTable* table) noexcept { tenants_ = table; }
-  /// Multi-GPU wiring: peer batches reserve fabric (not H2D) occupancy, and
-  /// completions maintain the fabric directory.
-  void set_fabric(FabricPort* fabric, u32 device) noexcept {
-    fabric_ = fabric;
-    device_ = device;
-  }
-  /// Large-pages wiring: completions bind frames through the slot-binding
-  /// allocator and queue a coalesce scan when a chunk goes fully-touched.
-  void set_large_manager(LargeFrameManager* lfm) noexcept { lfm_ = lfm; }
-  /// Runs after each completed batch (driver facade: pre-evict, release the
-  /// slot, admit the next batch) with the batch's tenant; `peer` marks peer
-  /// fetches, which never held a driver slot.
-  void set_completion_hook(std::function<void(TenantId, bool)> hook) {
-    hook_ = std::move(hook);
-  }
 
   // --- Driver-concurrency slots --------------------------------------------
   [[nodiscard]] bool has_free_slot() const noexcept {
@@ -93,11 +84,11 @@ class MigrationScheduler {
   u32 active_migrations_ = 0;
   u32 max_concurrent_migrations_;  ///< PolicyConfig::driver_concurrency
 
-  FlightRecorder* rec_ = nullptr;
-  TenantTable* tenants_ = nullptr;
-  FabricPort* fabric_ = nullptr;
-  u32 device_ = kHostDevice;
-  LargeFrameManager* lfm_ = nullptr;  ///< null when --large-pages is off
+  FlightRecorder* rec_;
+  TenantTable* tenants_;
+  FabricPort* fabric_;
+  u32 device_;
+  LargeFrameManager* lfm_;  ///< null when --large-pages is off
   std::function<void(TenantId, bool)> hook_;
 };
 

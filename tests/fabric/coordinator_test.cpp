@@ -33,7 +33,8 @@ struct Ring2 {
     pol.eviction_name = "lru";
     pol.prefetch_name = "none";
     for (u32 d = 0; d < fab.gpus; ++d) {
-      dev.push_back(std::make_unique<UvmDriver>(eq, sys, pol, kPages, kPages));
+      dev.push_back(std::make_unique<UvmDriver>(
+          eq, sys, pol, kPages, kPages, DriverLinks{.fabric = &fabric, .device = d}));
       dev[d]->set_policy(std::make_unique<LruPolicy>(dev[d]->chain()));
       dev[d]->set_prefetcher(std::make_unique<NoPrefetcher>());
       fabric.attach_device(d, dev[d].get());

@@ -27,8 +27,9 @@ TEST(ShardedFabric, ForwardedFaultJoinsTheHomesOutstandingFault) {
   ShardedFabric fabric(eng, sys, fab, kPages);
   std::vector<std::unique_ptr<UvmDriver>> dev;
   for (u32 d = 0; d < fab.gpus; ++d) {
-    dev.push_back(
-        std::make_unique<UvmDriver>(eng.queue(d), sys, pol, kPages, kPages));
+    dev.push_back(std::make_unique<UvmDriver>(
+        eng.queue(d), sys, pol, kPages, kPages,
+        DriverLinks{.fabric = &fabric, .device = d}));
     dev[d]->set_policy(std::make_unique<LruPolicy>(dev[d]->chain()));
     dev[d]->set_prefetcher(std::make_unique<NoPrefetcher>());
     fabric.attach_device(d, dev[d].get());

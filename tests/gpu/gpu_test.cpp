@@ -97,8 +97,9 @@ struct GpuFixture : ::testing::Test {
     sys.warps_per_sm = 2;
   }
 
-  std::unique_ptr<UvmDriver> make_driver(u64 footprint, u64 capacity) {
-    auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint, capacity);
+  std::unique_ptr<UvmDriver> make_driver(u64 footprint, u64 capacity,
+                                         const DriverLinks& links = {}) {
+    auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint, capacity, links);
     d->set_policy(std::make_unique<LruPolicy>(d->chain()));
     d->set_prefetcher(std::make_unique<LocalityPrefetcher>());
     return d;
@@ -186,9 +187,8 @@ TEST_F(GpuFixture, RemoteLinesDoNotAliasLocalFrames) {
   std::vector<PageId> pages{0, 0};  // both accesses touch the same line
   for (PageId p = kChunkPages; p < 4 * kChunkPages; ++p) pages.push_back(p);
   PageListWorkload wl(4 * kChunkPages, pages);
-  auto d = make_driver(4 * kChunkPages, 2 * kChunkPages);
   RemoteChunkZero port(eq);
-  d->attach_fabric(&port, 0, false);
+  auto d = make_driver(4 * kChunkPages, 2 * kChunkPages, {.fabric = &port, .device = 0});
   Gpu gpu(eq, sys, *d, wl, 1);
   int frame0_shootdowns = 0;
   d->add_shootdown_handler([&](PageId p, FrameId f) {

@@ -21,8 +21,7 @@ struct TwoTenants {
 
 TEST(FramePoolTenancy, PartitionedCapsAdmissionAtQuota) {
   TwoTenants tt(1000, 1000, 200);  // 100 frames each
-  FramePool pool(200, 0);
-  pool.attach_tenants(&tt.table, TenantMode::kPartitioned);
+  FramePool pool(200, 0, &tt.table, TenantMode::kPartitioned);
 
   EXPECT_EQ(pool.admissible_frames(tt.a), 100u);
   pool.reserve(100, tt.a);
@@ -34,8 +33,7 @@ TEST(FramePoolTenancy, PartitionedCapsAdmissionAtQuota) {
 
 TEST(FramePoolTenancy, QuotaModeAdmitsBeyondQuota) {
   TwoTenants tt(1000, 1000, 200);
-  FramePool pool(200, 0);
-  pool.attach_tenants(&tt.table, TenantMode::kQuota);
+  FramePool pool(200, 0, &tt.table, TenantMode::kQuota);
 
   pool.reserve(150, tt.a);  // borrow 50 past the 100-frame quota
   EXPECT_EQ(tt.table.over_quota_by(tt.a), 50u);
@@ -45,8 +43,7 @@ TEST(FramePoolTenancy, QuotaModeAdmitsBeyondQuota) {
 
 TEST(FramePoolTenancy, ReleaseCreditsTheOwnerNotTheInitiator) {
   TwoTenants tt(1000, 1000, 200);
-  FramePool pool(200, 0);
-  pool.attach_tenants(&tt.table, TenantMode::kQuota);
+  FramePool pool(200, 0, &tt.table, TenantMode::kQuota);
 
   pool.reserve(32, tt.a);
   const FrameId f = pool.allocate();
@@ -59,8 +56,7 @@ TEST(FramePoolTenancy, ReleaseCreditsTheOwnerNotTheInitiator) {
 
 TEST(FramePoolTenancy, PartitionedPressureIsPerTenant) {
   TwoTenants tt(1000, 1000, 200);
-  FramePool pool(200, 0);
-  pool.attach_tenants(&tt.table, TenantMode::kPartitioned);
+  FramePool pool(200, 0, &tt.table, TenantMode::kPartitioned);
 
   pool.reserve(100 - kChunkPages + 1, tt.a);  // headroom < one chunk
   EXPECT_TRUE(pool.under_pressure(tt.a));
@@ -70,8 +66,7 @@ TEST(FramePoolTenancy, PartitionedPressureIsPerTenant) {
 
 TEST(FramePoolTenancy, SharedModeIsGlobalAccounting) {
   TwoTenants tt(1000, 1000, 200);
-  FramePool pool(200, 0);
-  pool.attach_tenants(&tt.table, TenantMode::kShared);
+  FramePool pool(200, 0, &tt.table, TenantMode::kShared);
 
   pool.reserve(150, tt.a);
   // Shared mode: admissibility is the global free count for everyone.
@@ -101,8 +96,7 @@ TEST(FramePoolTenancy, QuotaModeAdmitsAChunkEvenWhenQuotaCannotHoldOne) {
   TwoTenants tt(1000, 1000, 24);
   ASSERT_LT(tt.table.quota_frames(tt.a), kChunkPages);
 
-  FramePool pool(24, 0);
-  pool.attach_tenants(&tt.table, TenantMode::kQuota);
+  FramePool pool(24, 0, &tt.table, TenantMode::kQuota);
   ASSERT_GE(pool.admissible_frames(tt.a), kChunkPages);
   pool.reserve(kChunkPages, tt.a);
   EXPECT_EQ(tt.table.over_quota_by(tt.a),
@@ -112,8 +106,7 @@ TEST(FramePoolTenancy, QuotaModeAdmitsAChunkEvenWhenQuotaCannotHoldOne) {
 
 TEST(FramePoolTenancy, PartitionedModeCapsBelowAChunkAtTinyQuotas) {
   TwoTenants tt(1000, 1000, 24);
-  FramePool pool(24, 0);
-  pool.attach_tenants(&tt.table, TenantMode::kPartitioned);
+  FramePool pool(24, 0, &tt.table, TenantMode::kPartitioned);
   // Admission can never reach one chunk: the caller must detect this (the
   // driver falls back to a retry; see UvmDriver::service_batch) rather than
   // waiting for room that cannot appear.

@@ -22,11 +22,13 @@ struct DriverFixture : ::testing::Test {
   PolicyConfig pol;
 
   std::unique_ptr<UvmDriver> make_driver(u64 footprint_pages, u64 capacity_pages,
-                                         bool prefetch = true) {
+                                         bool prefetch = true,
+                                         const DriverLinks& links = {}) {
     pol.eviction_name = "lru";
     pol.prefetch_name = prefetch ? "locality" : "none";
     pol.pre_evict_watermark_chunks = 0;  // exact demand-eviction accounting
-    auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint_pages, capacity_pages);
+    auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint_pages, capacity_pages,
+                                         links);
     d->set_policy(std::make_unique<LruPolicy>(d->chain()));
     if (prefetch)
       d->set_prefetcher(std::make_unique<LocalityPrefetcher>());
@@ -118,11 +120,10 @@ TEST_F(DriverFixture, FrameAccountingConserved) {
 // entry; the trace tells the stages apart (0 = raised, 1 = in flight).
 TEST_F(DriverFixture, PendingAndInFlightFaultsCoalesceWithTheirStage) {
   pol.driver_concurrency = 1;
-  auto d = make_driver(256, 128);
   FlightRecorder rec(eq);
   RingSink ring(256);
   rec.add_sink(&ring);
-  d->set_recorder(&rec);
+  auto d = make_driver(256, 128, /*prefetch=*/true, {.recorder = &rec});
   int wakes = 0;
   const auto wake = [&] { ++wakes; };
   d->fault(0, wake);
@@ -206,8 +207,7 @@ TEST_F(DriverFixture, ShootdownHandlersRunInOrderJustAfterTheEvent) {
   } sink;
   FlightRecorder rec(eq);
   rec.add_sink(&sink);
-  auto d = make_driver(16 * 16, 4 * 16);
-  d->set_recorder(&rec);
+  auto d = make_driver(16 * 16, 4 * 16, /*prefetch=*/true, {.recorder = &rec});
   std::string order;
   d->add_shootdown_handler([&](PageId p, FrameId f) {
     EXPECT_EQ(sink.last.type, EventType::kShootdownIssued);

@@ -22,9 +22,11 @@
 namespace uvmsim {
 namespace {
 
+/// An engine over `capacity_pages` frames, with an LRU policy in each chain
+/// domain: one per tenant of `table` unless `mode` shares one.
 struct EngineFixture {
   EventQueue eq;
-  ChainSet chains{64};
+  ChainSet chains;
   PageTable pt;
   FramePool frames;
   DriverStats stats;
@@ -32,11 +34,15 @@ struct EngineFixture {
   ShootdownList shootdowns;
   EvictionEngine engine;
 
-  explicit EngineFixture(u64 capacity_pages)
-      : frames(capacity_pages, /*watermark_pages=*/0),
+  explicit EngineFixture(u64 capacity_pages, TenantTable* table = nullptr,
+                         TenantMode mode = TenantMode::kShared)
+      : chains(64, 0, table,
+               table != nullptr && mode != TenantMode::kShared ? table->size() : 1),
+        frames(capacity_pages, /*watermark_pages=*/0, table, mode),
         engine(eq, chains, pt, frames, shootdowns, /*pcie_page_cycles=*/100,
-               stats) {
-    chains.set_policy(0, std::make_unique<LruPolicy>(chains.chain(0)));
+               stats, {.tenants = table, .mode = mode}) {
+    for (u64 d = 0; d < chains.domains(); ++d)
+      chains.set_policy(d, std::make_unique<LruPolicy>(chains.chain(d)));
     engine.set_prefetcher(&prefetcher);
   }
 
@@ -106,16 +112,12 @@ TEST(MakeRoom, ShellChunkRoundWithoutProgressStarvesInsteadOfLooping) {
 // chunks here), admissible_frames(initiator) = min(free, quota headroom)
 // cannot move. The round must end in starvation, not a loop.
 TEST(MakeRoom, AtQuotaPartitionedInitiatorStarvesWithoutProgress) {
-  EngineFixture f(4 * kChunkPages);
   TenantTable table;
   const TenantId a = table.add("a", 2 * kChunkPages);
   const TenantId b = table.add("b", 2 * kChunkPages);
   table.compute_quotas(4 * kChunkPages);
-  f.frames.attach_tenants(&table, TenantMode::kPartitioned);
-  f.chains.configure_domains(2, &table);
-  for (u64 d = 0; d < 2; ++d)
-    f.chains.set_policy(d, std::make_unique<LruPolicy>(f.chains.chain(d)));
-  f.engine.set_tenancy(&table, TenantMode::kPartitioned, EvictionScope::kGlobal);
+  EngineFixture f(4 * kChunkPages, &table, TenantMode::kPartitioned);
+  ASSERT_EQ(f.chains.domains(), 2u);
 
   // Tenant a sits exactly at quota; its one resident-set-free shell chunk
   // is the only victim partitioning will offer it.

@@ -21,11 +21,13 @@ struct FaultBatchFixture : ::testing::Test {
   PolicyConfig pol;
 
   std::unique_ptr<UvmDriver> make_driver(u64 footprint_pages, u64 capacity_pages,
-                                         bool prefetch = false) {
+                                         bool prefetch = false,
+                                         const DriverLinks& links = {}) {
     pol.eviction_name = "lru";
     pol.prefetch_name = prefetch ? "locality" : "none";
     pol.pre_evict_watermark_chunks = 0;  // exact demand-eviction accounting
-    auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint_pages, capacity_pages);
+    auto d = std::make_unique<UvmDriver>(eq, sys, pol, footprint_pages, capacity_pages,
+                                         links);
     d->set_policy(std::make_unique<LruPolicy>(d->chain()));
     if (prefetch)
       d->set_prefetcher(std::make_unique<LocalityPrefetcher>());
@@ -94,11 +96,10 @@ TEST_F(FaultBatchFixture, OverlappingPlansMergeAndDedup) {
 TEST_F(FaultBatchFixture, BatchEventsCarryFanIn) {
   pol.driver_concurrency = 1;
   pol.fault_batch = 4;
-  auto d = make_driver(16 * 16, 16 * 16);
   FlightRecorder rec(eq);
   RingSink ring(4096);
   rec.add_sink(&ring);
-  d->set_recorder(&rec);
+  auto d = make_driver(16 * 16, 16 * 16, /*prefetch=*/false, {.recorder = &rec});
   for (ChunkId c = 0; c < 5; ++c) d->fault(first_page_of_chunk(c), [] {});
   eq.run();
   bool formed4 = false, serviced4 = false;

@@ -89,9 +89,13 @@ TEST(FramePool, PressureClearsWhenFramesFreeBackUp) {
 // A 2-slot pool: frames [0, 512) are slot 0, [512, 1024) slot 1.
 constexpr u64 kLargeCap = 2 * kLargePages;
 
+FramePool large_pool(u64 capacity_pages) {
+  return FramePool(capacity_pages, 0, nullptr, TenantMode::kShared,
+                   /*large_frames=*/true);
+}
+
 TEST(FramePoolLarge, RegionsBindDistinctSlotsAndGetContiguousFrames) {
-  FramePool pool(kLargeCap, 0);
-  pool.enable_large_frames();
+  FramePool pool = large_pool(kLargeCap);
   EXPECT_TRUE(pool.large_mode());
   EXPECT_EQ(pool.large_slots(), 2u);
 
@@ -107,8 +111,7 @@ TEST(FramePoolLarge, RegionsBindDistinctSlotsAndGetContiguousFrames) {
 }
 
 TEST(FramePoolLarge, UnboundRegionFallsBackToAnyFreeFrame) {
-  FramePool pool(kLargeCap, 0);
-  pool.enable_large_frames();
+  FramePool pool = large_pool(kLargeCap);
   pool.reserve(3);
   EXPECT_EQ(pool.allocate_for(0), 0u);                      // region 0 -> slot 0
   EXPECT_EQ(pool.allocate_for(kLargePages), kLargePages);   // region 1 -> slot 1
@@ -120,8 +123,7 @@ TEST(FramePoolLarge, UnboundRegionFallsBackToAnyFreeFrame) {
 }
 
 TEST(FramePoolLarge, PreferredFrameTakenMeansFallbackNotFailure) {
-  FramePool pool(kLargeCap, 0);
-  pool.enable_large_frames();
+  FramePool pool = large_pool(kLargeCap);
   pool.reserve(3);
   EXPECT_EQ(pool.allocate_for(0), 0u);  // region 0 -> slot 0
   // A squatter (unbound region, both slots bound after region 1 arrives)
@@ -137,8 +139,7 @@ TEST(FramePoolLarge, PreferredFrameTakenMeansFallbackNotFailure) {
 }
 
 TEST(FramePoolLarge, ChurnReclaimsFullyFreedBoundSlot) {
-  FramePool pool(kLargeCap, 0);
-  pool.enable_large_frames();
+  FramePool pool = large_pool(kLargeCap);
   pool.reserve(2);
   EXPECT_EQ(pool.allocate_for(0), 0u);                     // region 0 -> slot 0
   EXPECT_EQ(pool.allocate_for(kLargePages), kLargePages);  // region 1 -> slot 1
@@ -155,8 +156,7 @@ TEST(FramePoolLarge, ChurnReclaimsFullyFreedBoundSlot) {
 }
 
 TEST(FramePoolLarge, AccountingStaysExactThroughChurn) {
-  FramePool pool(kLargeCap, 0);
-  pool.enable_large_frames();
+  FramePool pool = large_pool(kLargeCap);
   // Interleave allocations from three regions (only two slots), release in
   // a mixed order, and re-allocate: the free count and the per-frame bitmap
   // must agree at every step.
@@ -188,8 +188,7 @@ TEST(FramePoolLarge, AccountingStaysExactThroughChurn) {
 // The tail of a capacity that is not slot-aligned is plain 4 KB territory:
 // allocations and releases there must not touch slot accounting.
 TEST(FramePoolLarge, UnalignedCapacityTailStaysSmall) {
-  FramePool pool(kLargePages + 3 * kChunkPages, 0);
-  pool.enable_large_frames();
+  FramePool pool = large_pool(kLargePages + 3 * kChunkPages);
   EXPECT_EQ(pool.large_slots(), 1u);
   pool.reserve(kLargePages);  // region 0 fills slot 0 completely
   for (u32 i = 0; i < kLargePages; ++i)

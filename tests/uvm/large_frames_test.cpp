@@ -18,10 +18,7 @@ namespace {
 
 class LargeFramesTest : public ::testing::Test {
  protected:
-  LargeFramesTest() {
-    pt_.reserve(4 * kLargePages);
-    chains_.reserve_chunks(4 * kLargeChunks);
-  }
+  LargeFramesTest() { pt_.reserve(4 * kLargePages); }
 
   /// Make region `l` a perfect coalesce candidate: all 512 pages mapped
   /// contiguously from `base`, all 32 chunks fully resident + demand-touched.
@@ -39,7 +36,7 @@ class LargeFramesTest : public ::testing::Test {
   EventQueue eq_;
   SystemConfig sys_;
   PageTable pt_;
-  ChainSet chains_{64};
+  ChainSet chains_{64, 4 * kLargeChunks};
   DriverStats stats_;
   ShootdownList shootdowns_;
   LargeFrameManager lfm_{eq_, sys_, pt_, chains_, shootdowns_, stats_};

@@ -62,9 +62,11 @@ TEST_F(LargePagesDriverFixture, PartitionedAtQuotaPressureSplintersNotStalls) {
   TenantTable table;
   table.add("A", 2 * kLargePages);
   table.add("B", kLargePages);
-  auto d = std::make_unique<UvmDriver>(eq, sys, pol, table.span_pages(),
-                                       capacity);
-  d->configure_tenancy(&table, TenantMode::kPartitioned, EvictionScope::kSelf);
+  auto d = std::make_unique<UvmDriver>(
+      eq, sys, pol, table.span_pages(), capacity,
+      DriverLinks{.tenants = &table,
+                  .mode = TenantMode::kPartitioned,
+                  .scope = EvictionScope::kSelf});
   for (u64 dom = 0; dom < 2; ++dom)
     d->set_domain_policy(dom,
                          std::make_unique<LruPolicy>(d->chains().chain(dom)));
