@@ -55,7 +55,7 @@ void ShardedFabric::forward_fault(u32 from, u32 home, PageId p,
 
 Cycle ShardedFabric::reserve_transfer(u32 src, u32 dst, u64 pages,
                                       Cycle earliest) {
-  // Unreachable: the scheduler only calls this for peer-sourced
+  // Unreachable: the driver only calls this for peer-sourced
   // migrations, which the forward-only protocol never creates.
   assert(src == kHostDevice || dst == kHostDevice || !"peer transfer");
   (void)src;

@@ -4,7 +4,7 @@
 // wake. A backend holds only what differs between fault-service models: the
 // queue discipline that forms raised faults into service batches, and how
 // long the driver-side service work of an admitted batch takes. UvmDriver
-// and MigrationScheduler stay backend-agnostic:
+// stays backend-agnostic:
 //
 //   HostDriverBackend  the paper's model — one FIFO backlog drained in
 //                      `fault_batch` windows, every batch charged the fixed

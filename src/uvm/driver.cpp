@@ -38,9 +38,7 @@ UvmDriver::UvmDriver(EventQueue& eq, const SystemConfig& sys,
                            : nullptr),
       evictor_(eq, chains_, pt_, frames_, shootdowns_, sys.pcie_page_cycles(), stats_,
                links, lfm_.get(), sys.bulk_dma_percent),
-      scheduler_(eq, sys, pol, frames_, pt_, chains_, faults_, *backend_, stats_,
-                 links, lfm_.get(),
-                 [this](TenantId t, bool peer) { post_migration(t, peer); }) {
+      h2d_(sys.pcie_page_cycles()) {
   // Mapped pages never exceed the frames backing them: size the page table
   // (and, above, every chain) once so the fault path never rehashes mid-run.
   pt_.reserve(capacity_pages);
@@ -174,7 +172,7 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
   // release the slot and move on.
   std::erase_if(leads, [&](PageId p) { return !faults_.pending(p); });
   if (leads.empty()) {
-    scheduler_.release_slot();
+    --active_migrations_;
     dispatch_pending();
     return;
   }
@@ -210,7 +208,9 @@ void UvmDriver::service_batch(std::vector<PageId> leads) {
     // prefetcher mis-plans around it.
     if (std::find(plan.begin(), plan.end(), p) == plan.end())
       plan.push_back(p);
-    MigrationScheduler::merge_plan(m.pages, plan);
+    for (const PageId q : plan)
+      if (std::find(m.pages.begin(), m.pages.end(), q) == m.pages.end())
+        m.pages.push_back(q);
   }
 
   // Keep the faulted pages at the front (in batch order) so plan trimming
@@ -295,12 +295,28 @@ void UvmDriver::admit(MigrationBatch m, std::vector<PageId> leads) {
   //    at batch formation. A peer fetch's page is in flight already.
   for (const PageId page : m.pages) faults_.start(page);
 
-  // 4. Hand over to the scheduler for timing and completion.
+  // 4. Service happens first — the backend's timing model (the classic
+  //    20 us host round trip, or the GPU-driven handler's occupancy),
+  //    lengthened by any eviction work that had to run synchronously on
+  //    this batch's critical path (pre-eviction exists to keep that at
+  //    zero) — then the pages occupy the H2D link, or the fabric for a peer
+  //    fetch.
   m.lead = leads.front();
   m.faults = static_cast<u32>(leads.size());
   ++stats_.migration_ops;
   stats_.demand_evictions += room.evicted;
-  scheduler_.dispatch(std::move(m), room.evicted);
+  const Cycle service_done =
+      backend_->reserve_service(eq_.now(), m.lead, m.faults, room.evicted);
+  const Cycle transfer_done =
+      m.src_device != kHostDevice
+          ? fabric_->reserve_transfer(m.src_device, device_, m.pages.size(),
+                                      service_done)
+          : h2d_.reserve(service_done, m.pages.size());
+  record_event(rec_, EventType::kMigrationPlanned, m.lead, m.pages.size(),
+               transfer_done - service_done);
+  eq_.schedule_at(transfer_done, [this, mig = std::move(m)]() mutable {
+    complete(std::move(mig));
+  });
 }
 
 void UvmDriver::peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake) {
@@ -374,7 +390,83 @@ void UvmDriver::pin_for_transfer(ChunkId c) {
   ++e->pin_count;
 }
 
-void UvmDriver::post_migration(TenantId tenant, bool peer) {
+void UvmDriver::complete(MigrationBatch m) {
+  // Batches are tenant-homogeneous: every page of the plan lives in the
+  // batch tenant's namespace, so one chain/policy domain covers the batch.
+  const TenantId t = m.tenant;
+  ChunkChain& chain = chains_.chain_for(t);
+  EvictionPolicy* policy = chains_.policy_for(t);
+  assert(policy != nullptr);
+  TenantStats* ts = t != kNoTenant ? &table_->stats(t) : nullptr;
+  for (const PageId page : m.pages) {
+    // Bind a physical frame (accounting was done at admission); the
+    // slot-binding allocator is a plain allocate() outside large mode.
+    pt_.map(page, frames_.allocate_for(page));
+    // On a fabric a peer fetch's source surrenders its (pinned) copy here.
+    if (fabric_ != nullptr) fabric_->note_page_mapped(device_, page);
+
+    const ChunkId c = chunk_of_page(page);
+    ChunkEntry* e = chain.find(c);
+    if (e == nullptr) {
+      const bool at_head = policy->insert_position(c) == InsertPosition::kHead;
+      e = &chain.insert(c, at_head);
+      policy->on_chunk_inserted(*e);
+    }
+    const u32 idx = page_index_in_chunk(page);
+    e->resident.set(idx);
+    ++e->hpe_counter;  // HPE's counter counts *migrated* pages — the
+                       // prefetch pollution the paper's Inefficiency 1 describes
+
+    // Wake any warps that faulted on this page; their presence marks the
+    // page as demanded (touched) rather than purely prefetched.
+    if (PendingFault pf; faults_.take(page, pf) && !pf.waiters.empty()) {
+      e->touched.set(idx);
+      e->last_touch_interval = chain.current_interval();
+      ++stats_.pages_demanded;
+      if (ts != nullptr) ++ts->pages_demanded;
+      if (pf.faulted) {
+        stats_.fault_wait_cycles += eq_.now() - pf.raised_at;
+        if (ts != nullptr) ts->fault_wait_cycles += eq_.now() - pf.raised_at;
+      }
+      policy->on_page_touched(*e, idx);
+      // Lazy coalescing trigger: a chunk whose every page has now been
+      // demanded may complete its 2 MB region — scan off the critical path.
+      if (lfm_ != nullptr && e->touched.full())
+        lfm_->schedule_scan(large_of_chunk(c));
+      for (auto& wake : pf.waiters) wake();
+    } else {
+      ++stats_.pages_prefetched;
+      if (ts != nullptr) ++ts->pages_prefetched;
+    }
+  }
+  stats_.pages_migrated_in += m.pages.size();
+  if (ts != nullptr) ts->pages_migrated_in += m.pages.size();
+
+  // Release admission-time pins.
+  for (const ChunkId c : m.pinned) {
+    ChunkEntry& e = chain.entry(c);  // pinned chunks cannot have been evicted
+    assert(e.pin_count > 0);
+    --e.pin_count;
+  }
+
+  // Advance the interval clock by migrated pages (64 pages = 4 chunks per
+  // interval with whole-chunk prefetch, matching §IV-B). A batch larger than
+  // one interval crosses several boundaries at once (a 512-page tree-
+  // prefetch plan crosses 8): the policy's per-interval work (threshold
+  // checks, accumulator resets) must run once per boundary, not once per
+  // batch. Per-tenant domains advance their own interval clocks.
+  const u64 crossed = chain.note_pages_migrated(m.pages.size());
+  for (u64 i = 0; i < crossed; ++i) {
+    record_event_for(rec_, t, EventType::kIntervalBoundary,
+                     chain.current_interval() - crossed + i + 1,
+                     chain.pages_migrated());
+    policy->on_interval_boundary();
+  }
+
+  if (pol_.fault_batch > 1)
+    record_event(rec_, EventType::kBatchServiced, m.lead, m.faults,
+                 (eq_.now() - m.formed_at) / std::max<u64>(1, m.faults));
+
   // Pre-evict ahead of the next fault: keep the configured watermark of
   // frames free so eviction work stays off fault critical paths. Only
   // meaningful when memory is actually oversubscribed — with the footprint
@@ -383,24 +475,24 @@ void UvmDriver::post_migration(TenantId tenant, bool peer) {
   // its scope preference (shared) supplies the victims.
   if (frames_.capacity() < footprint_pages_) {
     const u64 watermark = frames_.watermark_pages();
-    if (frames_.admissible_frames(tenant) < watermark)
-      record_event_for(rec_, tenant, EventType::kPreEvictionTriggered,
+    if (frames_.admissible_frames(t) < watermark)
+      record_event_for(rec_, t, EventType::kPreEvictionTriggered,
                        frames_.free_frames(), watermark);
-    stats_.pre_evictions += evictor_.make_room(watermark, tenant).evicted;
+    stats_.pre_evictions += evictor_.make_room(watermark, t).evicted;
   }
 
   // Admit backlogged faults into the freed driver slot. Peer fetches never
   // held a slot (they bypass the backend), so there is nothing to release.
-  if (peer) return;
-  scheduler_.release_slot();
+  if (m.src_device != kHostDevice) return;
+  --active_migrations_;
   dispatch_pending();
 }
 
 void UvmDriver::dispatch_pending() {
-  if (!scheduler_.has_free_slot()) return;
+  if (active_migrations_ >= std::max(1u, pol_.driver_concurrency)) return;
   std::vector<PageId> leads = backend_->take_batch(table_);
   if (leads.empty()) return;
-  scheduler_.acquire_slot();
+  ++active_migrations_;
   service_batch(std::move(leads));
 }
 

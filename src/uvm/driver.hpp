@@ -1,21 +1,22 @@
 // UvmDriver: the GPU software runtime + GMMU pair that manages unified
-// memory (paper §II-A) — now a thin facade wiring the layers of the
-// fault-service pipeline (docs/architecture.md):
+// memory (paper §II-A). It runs every migration itself, over three layers
+// of the fault-service pipeline (docs/architecture.md):
 //
-//   FaultTable          every outstanding fault, one entry from raise to wake
 //   FaultServiceBackend queue discipline and service timing — the pluggable
 //                       seam (src/faultsvc): the classic host driver (FIFO
 //                       backlog + fault_latency_us) or the GPUVM-style
 //                       GPU-driven handler (--fault-backend)
 //   FramePool           frame accounting, oversubscription cap, live pressure
 //   EvictionEngine      room-making: demand eviction + pre-eviction
-//   MigrationScheduler  plan timing, PCIe scheduling, completion + wake
 //
-// The facade keeps what genuinely spans the layers: the far-fault entry
-// point, merging the batch's prefetch plans into one migration, admitting
-// every migration — host batch or peer fetch — in one routine (pin the
-// chunks it fills, make room, reserve, dispatch), and the post-completion
-// step (pre-evict, free the slot, admit the next batch):
+// The driver owns the FaultTable (every outstanding fault, one entry from
+// raise to wake) and the H2D link. It merges a batch's prefetch plans into
+// one migration, admits every migration — host batch or peer fetch — in
+// one routine (pin the chunks it fills, make room, reserve frames, charge
+// the service and the link, at most driver_concurrency host batches at
+// once), and completes it: map the pages, fill the chain, wake the stalled
+// warps, advance the interval clock, pre-evict and admit the next batch
+// (paper §IV-A's coordination, in one place):
 //
 //   fault -> (coalesce with an outstanding fault?) -> backend queue ->
 //   batch of <= fault_batch faults -> prefetcher plans merged/deduped ->
@@ -61,7 +62,6 @@
 #include "uvm/fabric_port.hpp"
 #include "uvm/frame_pool.hpp"
 #include "uvm/large_frames.hpp"
-#include "uvm/migration_scheduler.hpp"
 
 namespace uvmsim {
 
@@ -195,7 +195,7 @@ class UvmDriver final : public ResidencyView {
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const BandwidthLink& h2d() const noexcept { return scheduler_.h2d(); }
+  [[nodiscard]] const BandwidthLink& h2d() const noexcept { return h2d_; }
   [[nodiscard]] const BandwidthLink& d2h() const noexcept { return evictor_.d2h(); }
 
  private:
@@ -212,13 +212,15 @@ class UvmDriver final : public ResidencyView {
   /// Admit a planned migration whose faulted pages `leads` head `m.pages`:
   /// pin the chunks it fills, make room (trimming the plan to what fits, or
   /// forming the batch again later if every chunk is pinned), reserve its
-  /// frames, mark its pages in flight and dispatch it. Host batches and
-  /// peer fetches alike.
+  /// frames, mark its pages in flight, charge the service and the link and
+  /// schedule its completion. Host batches and peer fetches alike.
   void admit(MigrationBatch m, std::vector<PageId> leads);
-  /// Post-completion: pre-evict back to the watermark (scoped to the
-  /// completed batch's tenant), free the driver slot and admit the next
-  /// batch. Peer batches never held a slot, so they skip the slot release.
-  void post_migration(TenantId tenant, bool peer);
+  /// The migration landed: map its pages, fill the chain, wake the warps
+  /// waiting on them, release the pins and advance the interval clock; then
+  /// pre-evict back to the watermark (scoped to the batch's tenant), free
+  /// the driver slot and admit the next batch. Peer batches never held a
+  /// slot, so they skip the slot release.
+  void complete(MigrationBatch m);
   /// Hand a free driver slot to the next formed batch, if any.
   void dispatch_pending();
 
@@ -248,7 +250,8 @@ class UvmDriver final : public ResidencyView {
   /// PolicyConfig::large_pages is set; default runs never construct it.
   std::unique_ptr<LargeFrameManager> lfm_;
   EvictionEngine evictor_;
-  MigrationScheduler scheduler_;
+  BandwidthLink h2d_;  ///< host -> device page migrations
+  u32 active_migrations_ = 0;  ///< host batches in service
 };
 
 }  // namespace uvmsim

@@ -1,7 +1,7 @@
-// Shared vocabulary of the layered fault-service pipeline (FramePool,
-// FaultTable, EvictionEngine, MigrationScheduler — see
+// Shared vocabulary of the layered fault-service pipeline (UvmDriver, its
+// FaultTable, the fault-service backends, FramePool, EvictionEngine — see
 // docs/architecture.md). Kept in one small header so the layers can talk
-// about faults, batches and statistics without including each other.
+// about faults, batches, links and statistics without including each other.
 #pragma once
 
 #include <cassert>
@@ -102,8 +102,7 @@ struct PendingFault {
 /// fault is pending until a migration plan absorbs it (`start`), then in
 /// flight until completion `take`s the entry and wakes its waiters. A page
 /// planned purely as a prefetch gets an in-flight entry with no waiters.
-/// The driver owns the table; the migration scheduler and, read-only, the
-/// fault-service backends borrow it.
+/// The driver owns the table; the fault-service backends read it.
 class FaultTable {
  public:
   [[nodiscard]] PendingFault* find(PageId p) { return faults_.find(p); }
@@ -155,7 +154,8 @@ struct MigrationBatch {
   u32 src_device = kHostDevice;
 };
 
-/// Driver-wide counters, updated by all four layers.
+/// Driver-wide counters, updated by the driver, its eviction engine and its
+/// large-frame manager.
 struct DriverStats {
   u64 page_faults = 0;        ///< distinct far-fault events (post-coalescing)
   u64 faults_coalesced = 0;   ///< faults that joined an in-flight migration
