@@ -36,7 +36,7 @@ struct DeviceRunResult {
   u64 capacity_pages = 0;
   Cycle finish_cycle = 0;
   bool completed = false;
-  UvmDriver::Stats driver;
+  DriverStats driver;
   u64 h2d_pages = 0;  ///< this device's host PCIe traffic
   u64 d2h_pages = 0;
 };
@@ -117,7 +117,7 @@ struct RunResult {
 
   Cycle cycles = 0;              ///< end-to-end execution time
   bool completed = false;        ///< false if the cycle cap was hit
-  UvmDriver::Stats driver;
+  DriverStats driver;
   Gpu::Stats gpu;
 
   u64 h2d_pages = 0;             ///< pages moved host->device

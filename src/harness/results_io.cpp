@@ -131,7 +131,7 @@ void put_json_array(std::ostream& os, std::string_view name,
 
 /// Run: the sweep CSV's columns.
 Fields run_fields(const RunResult& x, std::string_view label) {
-  const UvmDriver::Stats& d = x.driver;
+  const DriverStats& d = x.driver;
   return {{"workload", x.workload}, {"label", label}, {"eviction", x.eviction_name},
           {"prefetcher", x.prefetcher_name}, {"oversub", x.oversub}, {"cycles", x.cycles},
           {"completed", x.completed}, {"page_faults", d.page_faults},
@@ -168,7 +168,7 @@ Fields tenant_fields(const RunResult& x, const TenantRunResult& t) {
 
 /// Device: one GPU of a fabric or fleet run.
 Fields device_fields(const DeviceRunResult& d) {
-  const UvmDriver::Stats& s = d.driver;
+  const DriverStats& s = d.driver;
   return {{"id", d.id}, {"capacity_pages", d.capacity_pages},
           {"finish_cycle", d.finish_cycle}, {"completed", d.completed},
           {"page_faults", s.page_faults}, {"pages_in", s.pages_migrated_in},

@@ -67,9 +67,6 @@ namespace uvmsim {
 
 class UvmDriver final : public ResidencyView {
  public:
-  /// Driver-wide counters (kept under the historical name).
-  using Stats = DriverStats;
-
   /// A driver over `footprint_pages` of address space with `capacity_pages`
   /// frames, each of its layers built with what `links` gives it. A driver
   /// with a tenant table computes the tenants' quotas.
@@ -133,10 +130,6 @@ class UvmDriver final : public ResidencyView {
   [[nodiscard]] bool fault_outstanding(PageId p) const {
     return faults_.outstanding(p);
   }
-  /// Bring `p` in from peer `src` (fabric-routed fault). `hopback` marks a
-  /// spill second chance. Peer fetches are single-page and bypass both the
-  /// backend's queues and the driver-concurrency slots.
-  void peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake);
   /// `p` landed on the peer that fetched it from us: unmap and free our
   /// (pinned) copy.
   void surrender_page(PageId p);
@@ -194,7 +187,7 @@ class UvmDriver final : public ResidencyView {
     return frames_.under_pressure();
   }
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const DriverStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const BandwidthLink& h2d() const noexcept { return h2d_; }
   [[nodiscard]] const BandwidthLink& d2h() const noexcept { return evictor_.d2h(); }
 
@@ -206,6 +199,10 @@ class UvmDriver final : public ResidencyView {
   /// Service a formed batch of still-pending faults: merge the prefetcher's
   /// plans into one migration, clamp it to capacity, then admit it.
   void service_batch(std::vector<PageId> leads);
+  /// Bring `p` in from peer `src` (fabric-routed fault). `hopback` marks a
+  /// spill second chance. Peer fetches are single-page and bypass both the
+  /// backend's queues and the driver-concurrency slots.
+  void peer_fetch(PageId p, u32 src, bool hopback, WakeCallback wake);
   /// Service a single-page peer fetch (no queue, no slot): admit a one-page
   /// migration from device `src`.
   void service_peer(PageId p, u32 src);
@@ -237,7 +234,7 @@ class UvmDriver final : public ResidencyView {
   PageTable pt_;
   ChainSet chains_;
   std::unique_ptr<Prefetcher> prefetcher_;
-  Stats stats_;
+  DriverStats stats_;
 
   FramePool frames_;
   ShootdownList shootdowns_;

@@ -444,7 +444,7 @@ TEST(ResultsIo, RunCsvWritesEveryCliShape) {
 using Numbers = std::multimap<std::string, double>;
 
 Numbers numbers_of(const RunResult& x) {
-  const UvmDriver::Stats& d = x.driver;
+  const DriverStats& d = x.driver;
   const FaultBackendStats& b = x.faultsvc;
   const EngineRunStats& e = x.engine_stats;
   const FleetRunResult& f = x.fleet;
@@ -510,7 +510,7 @@ Numbers numbers_of(const RunResult& x) {
               {"fault_wait_cycles", ts.fault_wait_cycles}});
   }
   for (const DeviceRunResult& dv : x.devices) {
-    const UvmDriver::Stats& ds = dv.driver;
+    const DriverStats& ds = dv.driver;
     n.insert({{"id", dv.id}, {"device", dv.id}, {"capacity_pages", dv.capacity_pages},
               {"finish_cycle", dv.finish_cycle}, {"completed", dv.completed},
               {"page_faults", ds.page_faults}, {"pages_in", ds.pages_migrated_in},
