@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Golden digests: run a fixed matrix of uvmsim and uvmsim_sweep scenarios and
-# hash each one's exit code, stdout and JSONL trace (or sweep JSON or CSV). The
-# result must match tests/golden/digests.txt line for line, so any change in
-# simulated behaviour or in an output format shows up as a named scenario.
+# Golden digests: run a fixed matrix of uvmsim, uvmsim_sweep and uvmsim_report
+# scenarios and hash each one's exit code, stdout and JSONL trace (or sweep
+# JSON or CSV). The result must match tests/golden/digests.txt line for line,
+# so any change in simulated behaviour or in an output format shows up as a
+# named scenario.
 #
 # Alongside the digests it checks assertions that hold whatever the manifest
 # says: malformed or unsupported invocations exit exactly 2, scenario pairs
@@ -71,6 +72,15 @@ sweep() {
   rm -f "$TMP/sweep.json"
   "$SWEEP" "$@" --threads 2 --json "$TMP/sweep.json" > "$TMP/stdout" 2>/dev/null || rc=$?
   echo "$name $rc $(digest "$TMP/stdout") $(digest "$TMP/sweep.json")" >> "$OUT"
+}
+
+# report <scenario> <uvmsim_report args...>: hash the exit code and the
+# Markdown report, written to stdout.
+report() {
+  local name="$1" rc=0
+  shift
+  "$REPORT" "$@" --out - > "$TMP/stdout" 2>/dev/null || rc=$?
+  echo "$name $rc $(digest "$TMP/stdout") -" >> "$OUT"
 }
 
 # rejects <scenario> <binary> <args...>: an invocation that must be refused
@@ -385,6 +395,17 @@ has trace '"ev":"splinter".*"reason":2'
 cli fabric/ring2-SRD-0.9-affinity-large-pages-spill 1 --workload SRD --oversub 0.9 \
   --gpus 2 --fabric ring --placement affinity --large-pages --spill
 has trace '"ev":"splinter".*"reason":3'
+
+# The whole report, every section on (tenants, fabric, large pages), on two
+# and on one sweep thread; and a Gpu with more SMs than a 32-bit SM mask.
+REPORT_ALL="--oversubs 0.5 --tenants NW+BFS --fabric 2 --large-pages SRD"
+# shellcheck disable=SC2086
+{
+  report report/0.5-all-sections $REPORT_ALL --threads 2
+  report report/0.5-all-sections-t1 $REPORT_ALL --threads 1
+}
+same report/0.5-all-sections report/0.5-all-sections-t1
+cli single/NW-0.5-sms40 1 --workload NW --oversub 0.5 --sms 40
 
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
