@@ -1,6 +1,6 @@
 // GPU model: translation path, far-fault replay, shootdown wiring, remote
-// line tags, workload slices, and end-to-end completion on a tiny synthetic
-// workload.
+// line tags, a page held locally and remotely at once, workload slices, and
+// end-to-end completion on a tiny synthetic workload.
 #include "gpu/gpu.hpp"
 
 #include <gtest/gtest.h>
@@ -85,6 +85,30 @@ class RemoteChunkZero final : public FabricPort {
 
  private:
   EventQueue& eq_;
+};
+
+/// A fabric seen from device 0: device 1 serves the first `remote_reads`
+/// faults on page 0 remotely, and every other fault comes from the host.
+class RemoteThenHost final : public FabricPort {
+ public:
+  RemoteThenHost(EventQueue& eq, u32 remote_reads) : eq_(eq), remote_left_(remote_reads) {}
+  FabricDecision route_fault(u32, PageId p) override {
+    if (p != 0 || remote_left_ == 0) return {};
+    --remote_left_;
+    return {FabricRoute::kRemoteAccess, 1, false, eq_.now() + 100};
+  }
+  void forward_fault(u32, u32, PageId, WakeCallback) override {}
+  Cycle reserve_transfer(u32, u32, u64, Cycle earliest) override { return earliest; }
+  void note_page_mapped(u32, PageId) override {}
+  void note_page_unmapped(u32, PageId) override {}
+  u32 spill(u32, ChunkId, const TouchBits&) override { return kHostDevice; }
+  [[nodiscard]] bool host_fetchable(u32, PageId p) const override {
+    return p != 0 || remote_left_ == 0;
+  }
+
+ private:
+  EventQueue& eq_;
+  u32 remote_left_;
 };
 
 struct GpuFixture : ::testing::Test {
@@ -204,6 +228,59 @@ TEST_F(GpuFixture, RemoteLinesDoNotAliasLocalFrames) {
   EXPECT_EQ(d->stats().remote_accesses, 1u);
   EXPECT_EQ(frame0_shootdowns, 1);
   EXPECT_EQ(gpu.stats().l1d_hits, 1u);  // page 0's second access
+}
+
+// One page with a local and a remote copy at once: both SMs read page 0
+// remotely, then read it again once it has migrated in (one-entry TLBs make
+// that read fault), so each SM's L1D holds a line of each copy. Shooting
+// down one copy, in either order, must drop every translation of the page
+// and every line of that copy while the other copy's lines stay; its own
+// shootdown then drops those too.
+TEST_F(GpuFixture, EachCopyOfAPageHeldBothWaysIsShotDownAlone) {
+  sys.num_sms = 2;
+  sys.warps_per_sm = 1;
+  sys.l1_tlb_entries = 1;
+  sys.l2_tlb_entries = 1;
+  sys.l2_tlb_ways = 1;
+  pol.pre_evict_watermark_chunks = 0;
+  for (const bool remote_first : {false, true}) {
+    SCOPED_TRACE(remote_first ? "remote copy first" : "local copy first");
+    EventQueue q;
+    RemoteThenHost port(q, /*remote_reads=*/2);
+    UvmDriver d(q, sys, pol, 2 * kChunkPages, 2 * kChunkPages,
+                {.fabric = &port, .device = 0});
+    d.set_policy(std::make_unique<LruPolicy>(d.chain()));
+    d.set_prefetcher(std::make_unique<LocalityPrefetcher>());
+    PageListWorkload wl(2 * kChunkPages, {0, kChunkPages, 0});
+    Gpu gpu(q, sys, d, wl, 1);
+    gpu.launch();
+    q.run();
+    ASSERT_TRUE(gpu.finished());
+    ASSERT_EQ(d.stats().remote_accesses, 2u);
+    ASSERT_TRUE(d.page_resident(0));
+    const FrameId local = d.page_table().frame_of(0);
+    ASSERT_TRUE(gpu.holds(0, local));
+    ASSERT_TRUE(gpu.holds(0, kInvalidFrame));
+
+    const FrameId first = remote_first ? kInvalidFrame : local;
+    const FrameId second = remote_first ? local : kInvalidFrame;
+    const auto shoot_down = [&](FrameId f) {
+      if (f == kInvalidFrame) {
+        d.remote_shootdown(0);
+      } else {
+        d.pin_for_transfer(chunk_of_page(0));
+        d.surrender_page(0);
+      }
+    };
+    // holds() reads every TLB as well, so a false answer also says that no
+    // TLB holds page 0.
+    shoot_down(first);
+    EXPECT_FALSE(gpu.holds(0, first));
+    EXPECT_TRUE(gpu.holds(0, second));
+    shoot_down(second);
+    EXPECT_FALSE(gpu.holds(0, second));
+    EXPECT_FALSE(gpu.holds(0, first));
+  }
 }
 
 /// Records the WarpContext of every stream it makes; warp g reads page g.

@@ -2,15 +2,17 @@
 // bench/ledger registers its bracket) runs once every Gpu on the driver has
 // invalidated the departing page, so no TLB may still hold a per-page entry
 // for it and no data cache a line of it. Checked on one oversubscribed Gpu
-// (with 2 MB whole-frame eviction too), on every tenant's Gpu of a shared
-// driver, on every device of a 4-GPU fabric under both engines, where a
-// peer's unmap arrives as a remote shootdown (kInvalidFrame), and on a
-// 2-GPU ring whose 2 MB regions splinter to surrender a page or spill a
-// chunk. On the sequential fabric no page is mapped on two devices at once,
-// save for the moment a peer fetch's source surrenders its copy.
+// (one workload of each Table II type, one on 40 SMs, and with 2 MB
+// whole-frame eviction too), on every tenant's Gpu of a shared driver, on
+// every device of a 4-GPU fabric under both engines, where a peer's unmap
+// arrives as a remote shootdown (kInvalidFrame), and on a 2-GPU ring whose
+// 2 MB regions splinter to surrender a page or spill a chunk. On the
+// sequential fabric no page is mapped on two devices at once, save for the
+// moment a peer fetch's source surrenders its copy.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/policy_factory.hpp"
@@ -42,23 +44,35 @@ struct Audit {
 };
 
 RunResult audit_single(const char* abbr, double oversub, bool large_pages,
-                       Audit& audit) {
+                       Audit& audit, const SystemConfig& cfg = {}) {
   PolicyConfig pol = presets::cppe();
   pol.large_pages = large_pages;
   const auto wl = make_benchmark(abbr);
-  UvmSystem sys(SystemConfig{}, pol, *wl, oversub);
+  UvmSystem sys(cfg, pol, *wl, oversub);
   audit.watch(sys.driver(), {&sys.gpu()});
   return sys.run();
 }
 
+// One workload of each Table II type (HOT I, KMN II, SRD III, HWL IV, NW V,
+// B+T VI), and NW on 40 SMs, more than a 32-bit SM mask has bits.
 TEST(ShootdownCoherence, OversubscribedGpuHoldsNothingOfAnEvictedPage) {
-  Audit audit;
-  const RunResult r = audit_single("HOT", 0.5, false, audit);
-  EXPECT_TRUE(r.completed);
-  EXPECT_GT(audit.local, 0u);
-  EXPECT_EQ(audit.local, r.driver.pages_evicted);
-  EXPECT_EQ(audit.remote, 0u);
-  EXPECT_EQ(audit.stale, 0u);
+  struct Case {
+    const char* abbr;
+    u32 sms;
+  };
+  for (const Case c : {Case{"HOT", 0}, Case{"KMN", 0}, Case{"SRD", 0}, Case{"HWL", 0},
+                       Case{"NW", 0}, Case{"B+T", 0}, Case{"NW", 40}}) {
+    SCOPED_TRACE(std::string(c.abbr) + (c.sms != 0 ? " on 40 SMs" : ""));
+    SystemConfig cfg;
+    if (c.sms != 0) cfg.num_sms = c.sms;
+    Audit audit;
+    const RunResult r = audit_single(c.abbr, 0.5, false, audit, cfg);
+    EXPECT_TRUE(r.completed);
+    EXPECT_GT(audit.local, 0u);
+    EXPECT_EQ(audit.local, r.driver.pages_evicted);
+    EXPECT_EQ(audit.remote, 0u);
+    EXPECT_EQ(audit.stale, 0u);
+  }
 }
 
 TEST(ShootdownCoherence, WholeFrameEvictionLeavesNoPageBehind) {
