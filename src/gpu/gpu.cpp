@@ -1,8 +1,17 @@
 #include "gpu/gpu.hpp"
 
+#include <bit>
+
 #include "common/rng.hpp"
 
 namespace uvmsim {
+namespace {
+
+// The widths of Gpu::Held's SM mask and of each copy's line mask.
+constexpr u32 kSmBits = 32;
+constexpr u32 kLineBits = 16;
+
+}  // namespace
 
 Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
          const Workload& workload, u64 seed, GpuSlice slice)
@@ -17,6 +26,7 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
       // may pass a temporary config (multi-tenant SM slices do).
       walker_(eq, driver.page_table(), cfg_),
       page_base_(slice.page_base),
+      held_(workload.footprint_pages()),
       lines_per_page_(static_cast<u32>(kPageBytes) / cfg.cache_line_bytes) {
   if (slice.total_warps == 0) slice.total_warps = cfg.num_sms * cfg.warps_per_sm;
   SplitMix64 seeder(seed);
@@ -77,6 +87,7 @@ void Gpu::warp_step(u32 sm, u32 warp) {
     warp_finished();
     return;
   }
+  assert(a.page < held_.size() && "every access lies inside the slice");
   ++accesses_;
   auto ev = [this, sm, warp, page = a.page + page_base_] {
     do_access(sm, warp, page);
@@ -145,8 +156,14 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
   // (short-range reuse the L1D catches), then moves to another line.
   const FrameId f = driver_.page_table().frame_of(page);
   Warp& wp = sms_[sm].warps[warp];
-  const u64 line =
-      line_base(page, f) + (wp.access_count++ / 2 * 7) % lines_per_page_;
+  const u32 offset = (wp.access_count++ / 2 * 7) % lines_per_page_;
+  const u64 line = line_base(page, f) + offset;
+  // This SM's L1 TLB may hold the page (every fill is followed by this
+  // call), and its L1D and the L2 the line inserted below.
+  Held& h = held_[page - page_base_];
+  h.sms |= 1u << (sm % kSmBits);
+  u16& lines = f == kInvalidFrame ? h.remote : h.local;
+  lines |= static_cast<u16>(1u << (offset % kLineBits));
 
   Cycle done;
   if (sms_[sm].l1d->lookup(line)) {
@@ -171,12 +188,29 @@ void Gpu::finish_access(u32 sm, u32 warp, PageId page, Cycle ready) {
 
 void Gpu::invalidate(PageId p, FrameId f) {
   l2_tlb_.invalidate(p);
-  for (auto& sm : sms_) sm.l1_tlb->invalidate(p);
+  // A page outside the slice (another tenant's or another fleet job's) was
+  // never read here.
+  if (p - page_base_ >= held_.size()) return;
+  Held& h = held_[p - page_base_];
+  // Every SM s whose bit s % kSmBits is set, and every line offset o of
+  // the departing copy whose bit o % kLineBits is set.
+  const auto each_sm = [&](auto&& probe) {
+    for (u32 bits = h.sms; bits != 0; bits &= bits - 1)
+      for (u32 s = std::countr_zero(bits); s < sms_.size(); s += kSmBits) probe(sms_[s]);
+  };
+  each_sm([&](Sm& sm) { sm.l1_tlb->invalidate(p); });
+  u16& lines = f == kInvalidFrame ? h.remote : h.local;
   const u64 base = line_base(p, f);
-  for (u64 tag = base; tag < base + lines_per_page_; ++tag) {
-    l2_cache_.invalidate(tag);
-    for (auto& sm : sms_) sm.l1d->invalidate(tag);
+  for (u32 bits = lines; bits != 0; bits &= bits - 1) {
+    for (u64 o = std::countr_zero(bits); o < lines_per_page_; o += kLineBits) {
+      l2_cache_.invalidate(base + o);
+      each_sm([&](Sm& sm) { sm.l1d->invalidate(base + o); });
+    }
   }
+  lines = 0;
+  // The SM list serves both copies (a TLB entry is tagged by page, not by
+  // copy), so it clears only once neither copy has a line left.
+  if (h.local == 0 && h.remote == 0) h.sms = 0;
 }
 
 bool Gpu::holds(PageId p, FrameId f) const {

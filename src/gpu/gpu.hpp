@@ -14,7 +14,12 @@
 // Caches are physically indexed (line_base: by frame, or by a pseudo-frame
 // above all local ones for a page reached remotely over the fabric). Every
 // page that leaves the device, or that a fabric peer unmaps, reaches one
-// routine, invalidate, through the driver's ShootdownList.
+// routine, invalidate, through the driver's ShootdownList. It probes only
+// what the page's summary (Held) says this Gpu may hold: the L1 TLBs and
+// L1Ds of the SMs that reached the page, and the line offsets read at the
+// departing copy. A superset is exact, since probing an absent tag changes
+// no statistic and no LRU stamp; holds() probes everything, as the
+// reference the coherence tests assert through.
 //
 // Demand touches are reported to the driver on L1 TLB misses (see
 // UvmDriver::note_touch for the fidelity argument).
@@ -133,6 +138,19 @@ class Gpu {
     std::vector<Warp> warps;
   };
 
+  /// What this Gpu may hold of one page of its slice, folded to 8 bytes: a
+  /// superset whatever the SM count and line size. SM s sets bit s % 32 of
+  /// `sms` (its L1 TLB or L1D may hold the page); a line at offset o sets
+  /// bit o % 16 of the copy it was read at, `local` (the page's frame) or
+  /// `remote` (its pseudo-frame). finish_access sets it: it follows every
+  /// L1 TLB fill and makes both cache inserts. invalidate reads and clears
+  /// it.
+  struct Held {
+    u32 sms = 0;
+    u16 local = 0;
+    u16 remote = 0;
+  };
+
   void warp_step(u32 sm, u32 warp);
   void do_access(u32 sm, u32 warp, PageId page);
   /// Translation resolved (page resident): charge DRAM and move on.
@@ -157,6 +175,7 @@ class Gpu {
   PageWalker walker_;
   std::vector<Sm> sms_;
   PageId page_base_;
+  std::vector<Held> held_;  ///< one per page of the slice, at page - page_base_
   u32 lines_per_page_;
   u32 live_warps_ = 0;
   Cycle finish_cycle_ = 0;

@@ -5,13 +5,17 @@
 // tags are modelled — the simulator cares about hit/miss timing, not data.
 //
 // Alongside the way array, a FlatMap tag -> line index is maintained so
-// lookup/contains/invalidate are O(1) instead of a way scan. This matters
-// enormously for shootdowns: evicting a chunk probes every SM's L1 TLB and
-// every cached line tag of every evicted page, which profiled as ~85% of
-// total runtime when each probe scanned a 128-way fully-associative set.
-// Replacement behaviour is untouched — insert still scans its set for the
-// true-LRU victim, and the index is a pure accelerator (tags are unique
-// within a cache, so index hits and scan hits agree by construction).
+// lookup/contains/invalidate are O(1) instead of a way scan (a 128-entry L1
+// TLB is one fully-associative set). Replacement behaviour is untouched —
+// insert still scans its set for the true-LRU victim, and the index is a
+// pure accelerator (tags are unique within a cache, so index hits and scan
+// hits agree by construction).
+//
+// invalidate of an absent tag changes no statistic and no LRU stamp, so a
+// shootdown may probe any superset of the tags a cache holds and leave the
+// same state. Gpu::invalidate relies on it: it probes only the SMs and line
+// offsets its per-page summaries name, and Gpu::holds, the reference,
+// probes every structure.
 #pragma once
 
 #include <cassert>
