@@ -19,8 +19,7 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
       cfg_(cfg),
       driver_(driver),
       dram_(cfg),
-      l2_tlb_("L2TLB", cfg.l2_tlb_entries, cfg.l2_tlb_ways, cfg.l2_tlb_latency,
-              cfg.l2_tlb_ports),
+      l2_tlb_(cfg.l2_tlb_entries, cfg.l2_tlb_ways, cfg.l2_tlb_latency, cfg.l2_tlb_ports),
       l2_cache_(cfg.l2_cache_bytes / cfg.cache_line_bytes, cfg.l2_cache_ways),
       // Bind the walker to the member copy, not the ctor argument: callers
       // may pass a temporary config (multi-tenant SM slices do).
@@ -33,9 +32,8 @@ Gpu::Gpu(EventQueue& eq, const SystemConfig& cfg, UvmDriver& driver,
   sms_.resize(cfg.num_sms);
   for (u32 s = 0; s < cfg.num_sms; ++s) {
     Sm& sm = sms_[s];
-    sm.l1_tlb = std::make_unique<Tlb>("L1TLB." + std::to_string(s),
-                                      cfg.l1_tlb_entries, cfg.l1_tlb_ways,
-                                      cfg.l1_tlb_latency);
+    sm.l1_tlb =
+        std::make_unique<Tlb>(cfg.l1_tlb_entries, cfg.l1_tlb_ways, cfg.l1_tlb_latency);
     sm.l1d = std::make_unique<SetAssocCache>(
         cfg.l1_cache_bytes / cfg.cache_line_bytes, cfg.l1_cache_ways);
     sm.warps.resize(cfg.warps_per_sm);

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -16,9 +15,8 @@ namespace uvmsim {
 class Tlb {
  public:
   /// `ways == 0` means fully associative (used for the 128-entry L1 TLBs).
-  Tlb(std::string name, u32 entries, u32 ways, Cycle latency, u32 ports = 1)
-      : name_(std::move(name)),
-        cache_(entries, ways),
+  Tlb(u32 entries, u32 ways, Cycle latency, u32 ports = 1)
+      : cache_(entries, ways),
         latency_(latency),
         port_free_(std::max(1u, ports), 0) {}
 
@@ -74,8 +72,6 @@ class Tlb {
     const u64 total = hits_ + misses_;
     return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] u32 entries() const noexcept { return cache_.entries(); }
 
  private:
   /// Each port serves one lookup per cycle; pick the earliest-free port.
@@ -86,7 +82,6 @@ class Tlb {
     return start;
   }
 
-  std::string name_;
   SetAssocCache cache_;
   std::unique_ptr<SetAssocCache> large_;  ///< 2 MB entries; null when off
   Cycle latency_;

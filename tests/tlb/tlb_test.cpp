@@ -6,7 +6,7 @@ namespace uvmsim {
 namespace {
 
 TEST(Tlb, MissThenFillThenHit) {
-  Tlb tlb("t", 8, 0, 1);
+  Tlb tlb(8, 0, 1);
   EXPECT_FALSE(tlb.lookup(0, 5).hit);
   tlb.fill(5);
   EXPECT_TRUE(tlb.lookup(10, 5).hit);
@@ -15,20 +15,20 @@ TEST(Tlb, MissThenFillThenHit) {
 }
 
 TEST(Tlb, LatencyIsCharged) {
-  Tlb tlb("t", 8, 0, 10);
+  Tlb tlb(8, 0, 10);
   const auto r = tlb.lookup(100, 1);
   EXPECT_EQ(r.ready_at, 110u);  // starts at 100, 10-cycle access
 }
 
 TEST(Tlb, SinglePortSerialises) {
-  Tlb tlb("t", 8, 0, 1, /*ports=*/1);
+  Tlb tlb(8, 0, 1, /*ports=*/1);
   const auto a = tlb.lookup(0, 1);
   const auto b = tlb.lookup(0, 2);  // same cycle: must queue behind a
   EXPECT_GT(b.ready_at, a.ready_at);
 }
 
 TEST(Tlb, TwoPortsServeTwoPerCycle) {
-  Tlb tlb("t", 8, 0, 10, /*ports=*/2);
+  Tlb tlb(8, 0, 10, /*ports=*/2);
   const auto a = tlb.lookup(0, 1);
   const auto b = tlb.lookup(0, 2);
   const auto c = tlb.lookup(0, 3);
@@ -37,7 +37,7 @@ TEST(Tlb, TwoPortsServeTwoPerCycle) {
 }
 
 TEST(Tlb, InvalidateRemovesTranslation) {
-  Tlb tlb("t", 8, 0, 1);
+  Tlb tlb(8, 0, 1);
   tlb.fill(9);
   EXPECT_TRUE(tlb.invalidate(9));
   EXPECT_FALSE(tlb.lookup(0, 9).hit);
@@ -45,7 +45,7 @@ TEST(Tlb, InvalidateRemovesTranslation) {
 }
 
 TEST(Tlb, CapacityEviction) {
-  Tlb tlb("t", 4, 0, 1);  // fully associative, 4 entries
+  Tlb tlb(4, 0, 1);  // fully associative, 4 entries
   for (PageId p = 0; p < 5; ++p) tlb.fill(p);
   u32 hits = 0;
   for (PageId p = 0; p < 5; ++p)
@@ -54,7 +54,7 @@ TEST(Tlb, CapacityEviction) {
 }
 
 TEST(Tlb, HitRate) {
-  Tlb tlb("t", 8, 0, 1);
+  Tlb tlb(8, 0, 1);
   tlb.fill(1);
   tlb.lookup(0, 1);
   tlb.lookup(0, 2);
@@ -64,7 +64,7 @@ TEST(Tlb, HitRate) {
 // --- 2 MB-entry sub-array (large-pages mode; docs/memory.md) ---------------
 
 TEST(Tlb, LargeSubArrayOffByDefault) {
-  Tlb tlb("t", 8, 0, 1);
+  Tlb tlb(8, 0, 1);
   EXPECT_FALSE(tlb.large_enabled());
   tlb.fill_large(0);                      // silently ignored when off
   EXPECT_FALSE(tlb.invalidate_large(0));
@@ -73,7 +73,7 @@ TEST(Tlb, LargeSubArrayOffByDefault) {
 }
 
 TEST(Tlb, OneLargeEntryCoversWholeRegion) {
-  Tlb tlb("t", 8, 0, 1);
+  Tlb tlb(8, 0, 1);
   tlb.configure_large(4);
   tlb.fill_large(large_of_page(0));
   // Every page of region 0 hits on the single large entry...
@@ -89,7 +89,7 @@ TEST(Tlb, OneLargeEntryCoversWholeRegion) {
 }
 
 TEST(Tlb, LargeHitShortCircuitsPerPageArray) {
-  Tlb tlb("t", 2, 0, 1);  // tiny per-page array
+  Tlb tlb(2, 0, 1);  // tiny per-page array
   tlb.configure_large(4);
   tlb.fill_large(0);
   // Probe many distinct pages of region 0: all large hits, and none of them
@@ -102,7 +102,7 @@ TEST(Tlb, LargeHitShortCircuitsPerPageArray) {
 }
 
 TEST(Tlb, InvalidateLargeDropsRegionButNotSmallEntries) {
-  Tlb tlb("t", 8, 0, 1);
+  Tlb tlb(8, 0, 1);
   tlb.configure_large(4);
   tlb.fill_large(0);
   tlb.fill(3);  // a stale-but-correct small entry for the same region
@@ -117,7 +117,7 @@ TEST(Tlb, InvalidateLargeDropsRegionButNotSmallEntries) {
 }
 
 TEST(Tlb, LargeSubArrayHasItsOwnCapacity) {
-  Tlb tlb("t", 8, 0, 1);
+  Tlb tlb(8, 0, 1);
   tlb.configure_large(2);  // 2 large entries only
   for (LargeId l = 0; l < 3; ++l) tlb.fill_large(l);
   u32 hits = 0;
