@@ -94,7 +94,6 @@ class SetAssocCache {
 
   [[nodiscard]] u32 ways() const noexcept { return ways_; }
   [[nodiscard]] u32 sets() const noexcept { return sets_; }
-  [[nodiscard]] u32 entries() const noexcept { return ways_ * sets_; }
 
   [[nodiscard]] u32 occupancy() const noexcept {
     return static_cast<u32>(index_.size());
