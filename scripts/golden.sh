@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Golden digests: run a fixed matrix of uvmsim, uvmsim_sweep and uvmsim_report
-# scenarios and hash each one's exit code, stdout and JSONL trace (or sweep
-# JSON or CSV). The result must match tests/golden/digests.txt line for line,
-# so any change in simulated behaviour or in an output format shows up as a
-# named scenario.
+# Golden digests: run a fixed matrix of uvmsim, uvmsim_sweep, uvmsim_report
+# and uvmsim_trace scenarios and hash each one's exit code, stdout and JSONL
+# trace (or sweep JSON or CSV). The result must match
+# tests/golden/digests.txt line for line, so any change in simulated
+# behaviour or in an output format shows up as a named scenario.
 #
 # Alongside the digests it checks assertions that hold whatever the manifest
 # says: malformed or unsupported invocations exit exactly 2, scenario pairs
@@ -406,6 +406,41 @@ REPORT_ALL="--oversubs 0.5 --tenants NW+BFS --fabric 2 --large-pages SRD"
 }
 same report/0.5-all-sections report/0.5-all-sections-t1
 cli single/NW-0.5-sms40 1 --workload NW --oversub 0.5 --sms 40
+
+# Tool paths no scenario above runs: the workload and policy listings, an
+# unknown policy name, and a sweep of registered <eviction>/<prefetch>
+# pairs (the adaptive pair and FIFO) printed as its stdout table.
+cli tool/uvmsim-list 0 --list
+cli tool/uvmsim-list-policies 0 --list-policies
+rejects reject/uvmsim/eviction-nope uvmsim --workload NW --eviction nope
+rejects reject/uvmsim/prefetch-nope uvmsim --workload NW --prefetch nope
+rc=0
+"$SWEEP" --workloads NW,SRD --policies adaptive/adaptive,fifo/locality --oversubs 0.5 \
+  --threads 2 > "$TMP/stdout" 2>/dev/null || rc=$?
+echo "sweep/NW,SRD-pairs-table $rc $(digest "$TMP/stdout") -" >> "$OUT"
+
+# A recorded trace replays as the live run: every --csv cell matches but the
+# workload name, which the replay takes from the trace file. The recording
+# run prints the trace's path, so only its exit code is checked.
+LAST=single/NW-record-trace
+rc=0
+"$UVMSIM" --workload NW --record-trace "$TMP/nw.trc" > /dev/null 2>&1 || rc=$?
+ASSERTIONS=$((ASSERTIONS + 1))
+[ "$rc" = 0 ] || fail "$LAST exited $rc, not 0"
+"$UVMSIM" --workload NW --oversub 0.5 --csv > "$TMP/live.csv" 2>/dev/null || true
+cli single/trace-NW-0.5-csv 0 --trace "$TMP/nw.trc" --oversub 0.5 --csv
+ASSERTIONS=$((ASSERTIONS + 1))
+cmp -s <(cut -d, -f2- "$TMP/stdout") <(cut -d, -f2- "$TMP/live.csv") ||
+  fail "$LAST: the replay's --csv differs from the live run's past the workload"
+rc=0
+"$TRACE" --info "$TMP/nw.trc" > "$TMP/stdout" 2>/dev/null || rc=$?
+echo "trace/NW-info $rc $(digest "$TMP/stdout") -" >> "$OUT"
+
+# Fleet rejections: by the quota policy, and at a full queue.
+cli fleet/2gpu-quota-0.05 1 --fleet --gpus 2 --jobs 60 --admission quota --oversub 0.05
+has trace '"ev":"job_rejected"'
+cli fleet/2gpu-400-jobs-rate-2000 1 --fleet --gpus 2 --jobs 400 --arrival-rate 2000
+has trace '"ev":"job_rejected"'
 
 # The CSV files the two sweep runs above wrote (--out, --tenant-out); the
 # file digest sits in the fourth column.
