@@ -8,11 +8,14 @@
 //     is requested — the hot path then pays one pointer test (see emit());
 //   * a recorder with no sinks short-circuits before building the event.
 // Sinks are borrowed, never owned: the CLI/harness owns file streams and
-// their lifetimes.
+// their lifetimes. The one exception is the device's phase classifier,
+// which the recorder builds for the adaptive policies that read it.
 #pragma once
 
+#include <optional>
 #include <vector>
 
+#include "obs/phase_classifier.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/event_queue.hpp"
 #include "tenancy/tenant.hpp"
@@ -37,11 +40,16 @@ class FlightRecorder {
   void add_sink(TraceSink* sink) {
     if (sink != nullptr) sinks_.push_back(sink);
   }
-  /// Detach one sink (no-op if absent). Components that self-attach a sink
-  /// (the adaptive policy's phase classifier) call this from their
-  /// destructor so the recorder never holds a dangling observer.
-  void remove_sink(TraceSink* sink) { std::erase(sinks_, sink); }
   [[nodiscard]] bool active() const noexcept { return !sinks_.empty(); }
+
+  /// The device's one phase classifier (docs/policies.md), built and added
+  /// to the sinks on the first call. The adaptive policy and prefetcher ask
+  /// for it when their driver hands them this recorder, before any event,
+  /// so every reader of one device sees the same phases.
+  [[nodiscard]] const PhaseClassifier& phases() {
+    if (!phases_) add_sink(&phases_.emplace());
+    return *phases_;
+  }
 
   void record(EventType t, u64 a = 0, u64 b = 0, u64 c = 0,
               TenantId tenant = kNoTenant) {
@@ -66,6 +74,7 @@ class FlightRecorder {
   const TenantTable* tenants_;
   u32 device_;
   u64 recorded_ = 0;
+  std::optional<PhaseClassifier> phases_;
 };
 
 /// Null-tolerant emit: instrumented components keep a possibly-null recorder

@@ -17,10 +17,11 @@
 // the features to a phase; hysteresis (K consecutive agreeing windows and a
 // minimum dwell after each switch) keeps desynchronised-SM thrashing from
 // oscillating the consumer. The classifier is a pure, deterministic
-// function of the event stream: two sinks fed the same recorder reach
-// identical decisions at identical events, which is how the adaptive
-// eviction policy and the adaptive prefetcher stay in lockstep without
-// coupling (policy/adaptive.hpp, prefetch/adaptive.hpp).
+// function of the event stream. Each flight recorder keeps one
+// (FlightRecorder::phases), and the adaptive eviction policy and the
+// adaptive prefetcher of its device read that one, so they see the same
+// phases without knowing each other (policy/adaptive.hpp,
+// prefetch/adaptive.hpp).
 #pragma once
 
 #include <vector>

@@ -2,33 +2,25 @@
 
 namespace uvmsim {
 
-AdaptiveEvictionPolicy::AdaptiveEvictionPolicy(
-    ChunkChain& chain, const PolicyConfig& cfg,
-    PhaseClassifier::Config classifier_cfg)
+AdaptiveEvictionPolicy::AdaptiveEvictionPolicy(ChunkChain& chain,
+                                               const PolicyConfig& cfg)
     : EvictionPolicy(chain),
       cfg_(cfg),
-      classifier_(classifier_cfg),
       lru_(chain),
       mhpe_(std::make_unique<MhpePolicy>(chain, cfg)),
-      mhpe_active_(wants_mhpe(classifier_.phase())) {}
-
-AdaptiveEvictionPolicy::~AdaptiveEvictionPolicy() {
-  if (attached_ != nullptr) attached_->remove_sink(&classifier_);
-}
+      mhpe_active_(wants_mhpe(PhaseClassifierConfig{}.initial)) {}
 
 void AdaptiveEvictionPolicy::set_recorder(FlightRecorder* rec) {
-  if (attached_ != nullptr) attached_->remove_sink(&classifier_);
   EvictionPolicy::set_recorder(rec);
   lru_.set_recorder(rec);
-  if (mhpe_) mhpe_->set_recorder(rec);
-  if (rec != nullptr) rec->add_sink(&classifier_);
-  attached_ = rec;
+  mhpe_->set_recorder(rec);
+  phases_ = rec != nullptr ? &rec->phases() : nullptr;
 }
 
 void AdaptiveEvictionPolicy::reconcile() {
-  if (classifier_.decisions() == seen_decisions_) return;
-  seen_decisions_ = classifier_.decisions();
-  const bool want = wants_mhpe(classifier_.phase());
+  if (phases_ == nullptr || phases_->decisions() == seen_decisions_) return;
+  seen_decisions_ = phases_->decisions();
+  const bool want = wants_mhpe(phases_->phase());
   if (want == mhpe_active_) return;
   if (want) {
     // Fresh instance per MHPE phase: resets the one-way MRU->LRU switch and

@@ -3,10 +3,10 @@
 // A composite policy that delegates every EvictionPolicy hook to one of two
 // inner strategies — recency (LRU) or MHPE — and switches between them at
 // the phase boundaries detected by an online PhaseClassifier. The
-// classifier is a TraceSink the policy self-attaches to the driver's
-// flight recorder in set_recorder(): the driver already records every
-// fault, eviction and pattern-buffer outcome through that recorder, so the
-// policy observes the workload without any new driver plumbing.
+// classifier is the driver's flight recorder's own (FlightRecorder::phases,
+// taken in set_recorder()): the driver already records every fault,
+// eviction and pattern-buffer outcome through that recorder, so the policy
+// observes the workload without any new driver plumbing.
 //
 // Phase -> strategy map (Table II reasoning):
 //   LRU    Streaming, Partly Repetitive, Region Moving — forward-moving
@@ -34,9 +34,7 @@ namespace uvmsim {
 
 class AdaptiveEvictionPolicy final : public EvictionPolicy {
  public:
-  AdaptiveEvictionPolicy(ChunkChain& chain, const PolicyConfig& cfg,
-                         PhaseClassifier::Config classifier_cfg = {});
-  ~AdaptiveEvictionPolicy() override;
+  AdaptiveEvictionPolicy(ChunkChain& chain, const PolicyConfig& cfg);
 
   void on_chunk_inserted(ChunkEntry& e) override;
   void on_page_touched(ChunkEntry& e, u32 page_in_chunk) override;
@@ -64,9 +62,9 @@ class AdaptiveEvictionPolicy final : public EvictionPolicy {
   }
 
   // --- Introspection (abl_adaptive, RunResult) -------------------------------
-  [[nodiscard]] PatternType phase() const noexcept { return classifier_.phase(); }
+  /// The recorder's classifier; only after set_recorder() with a recorder.
   [[nodiscard]] const PhaseClassifier& classifier() const noexcept {
-    return classifier_;
+    return *phases_;
   }
   /// Strategy switches actually performed (a confirmed phase change between
   /// two LRU phases, say, changes nothing and is not counted here).
@@ -80,7 +78,7 @@ class AdaptiveEvictionPolicy final : public EvictionPolicy {
   /// Catch up with the classifier (cheap generation-counter compare) and
   /// swap the active strategy if a confirmed phase change calls for it.
   /// Called on entry to every mutating hook, so a switch can never happen
-  /// in the middle of one selection.
+  /// in the middle of one selection. Without a recorder it does nothing.
   void reconcile();
   [[nodiscard]] EvictionPolicy& active() noexcept {
     return mhpe_active_ ? static_cast<EvictionPolicy&>(*mhpe_) : lru_;
@@ -90,13 +88,12 @@ class AdaptiveEvictionPolicy final : public EvictionPolicy {
   }
 
   PolicyConfig cfg_;
-  PhaseClassifier classifier_;
+  const PhaseClassifier* phases_ = nullptr;  ///< the recorder's, if any
   LruPolicy lru_;
   std::unique_ptr<MhpePolicy> mhpe_;
   bool mhpe_active_;
   u64 seen_decisions_ = 0;
   u64 switches_ = 0;
-  FlightRecorder* attached_ = nullptr;  ///< recorder holding classifier_ sink
 };
 
 }  // namespace uvmsim

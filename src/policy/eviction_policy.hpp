@@ -108,7 +108,7 @@ class EvictionPolicy {
   /// Attach the flight recorder (nullptr = tracing off). Policies emit the
   /// decision events only they can see (e.g. MHPE's wrong-eviction hits).
   /// Virtual so composite policies can forward it to their inner policies
-  /// (and, for the adaptive policy, self-attach a classifier sink).
+  /// (and, for the adaptive policy, take the recorder's phase classifier).
   virtual void set_recorder(FlightRecorder* rec) { recorder_ = rec; }
 
  protected:

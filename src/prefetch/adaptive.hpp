@@ -2,7 +2,8 @@
 //
 // The prefetch-side counterpart of policy/adaptive.hpp: a composite that
 // delegates plan() to one of three inner prefetchers and switches at the
-// phase boundaries detected by its own PhaseClassifier. Phase -> strategy:
+// phase boundaries detected by the PhaseClassifier of the driver's flight
+// recorder. Phase -> strategy:
 //
 //   locality   Streaming, Partly Repetitive — dense forward progress, the
 //              whole faulting chunk is about to be consumed;
@@ -12,11 +13,10 @@
 //              data returns, so last-round touch patterns predict (CPPE
 //              §IV-C).
 //
-// The classifier instance here is deliberately SEPARATE from the adaptive
-// eviction policy's: both are sinks on the same flight recorder, fed the
-// identical deterministic event stream, so with the same Config they reach
-// identical decisions at identical events — lockstep without coupling, and
-// either side still works when paired with a static partner.
+// The classifier is the recorder's one (FlightRecorder::phases), so an
+// adaptive eviction policy on the same device reads the very same phases,
+// and neither side knows the other: either still works when paired with a
+// static partner.
 //
 // Eviction notifications fan out to ALL inner prefetchers: the pattern
 // buffer keeps learning while locality/tree are active (recording is how it
@@ -35,15 +35,8 @@ namespace uvmsim {
 
 class AdaptivePrefetcher final : public Prefetcher {
  public:
-  explicit AdaptivePrefetcher(const PolicyConfig& cfg,
-                              PhaseClassifier::Config classifier_cfg = {})
-      : classifier_(classifier_cfg),
-        pattern_(cfg),
-        mode_(mode_for(classifier_.phase())) {}
-
-  ~AdaptivePrefetcher() override {
-    if (attached_ != nullptr) attached_->remove_sink(&classifier_);
-  }
+  explicit AdaptivePrefetcher(const PolicyConfig& cfg)
+      : pattern_(cfg), mode_(mode_for(PhaseClassifierConfig{}.initial)) {}
 
   [[nodiscard]] std::vector<PageId> plan(PageId faulted,
                                          const ResidencyView& view) override {
@@ -67,13 +60,11 @@ class AdaptivePrefetcher final : public Prefetcher {
   [[nodiscard]] std::string name() const override { return "adaptive"; }
 
   void set_recorder(FlightRecorder* rec) override {
-    if (attached_ != nullptr) attached_->remove_sink(&classifier_);
     Prefetcher::set_recorder(rec);
     locality_.set_recorder(rec);
     tree_.set_recorder(rec);
     pattern_.set_recorder(rec);
-    if (rec != nullptr) rec->add_sink(&classifier_);
-    attached_ = rec;
+    phases_ = rec != nullptr ? &rec->phases() : nullptr;
   }
 
   /// Phase -> inner strategy, exposed for tests/bench.
@@ -94,9 +85,9 @@ class AdaptivePrefetcher final : public Prefetcher {
   }
 
   // --- Introspection (abl_adaptive, RunResult) -------------------------------
-  [[nodiscard]] PatternType phase() const noexcept { return classifier_.phase(); }
+  /// The recorder's classifier; only after set_recorder() with a recorder.
   [[nodiscard]] const PhaseClassifier& classifier() const noexcept {
-    return classifier_;
+    return *phases_;
   }
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
   [[nodiscard]] u64 strategy_switches() const noexcept { return switches_; }
@@ -106,10 +97,11 @@ class AdaptivePrefetcher final : public Prefetcher {
   }
 
  private:
+  /// Without a recorder there are no phases, and the mode stays.
   void reconcile() {
-    if (classifier_.decisions() == seen_decisions_) return;
-    seen_decisions_ = classifier_.decisions();
-    const Mode want = mode_for(classifier_.phase());
+    if (phases_ == nullptr || phases_->decisions() == seen_decisions_) return;
+    seen_decisions_ = phases_->decisions();
+    const Mode want = mode_for(phases_->phase());
     if (want == mode_) return;
     mode_ = want;
     ++switches_;
@@ -124,14 +116,13 @@ class AdaptivePrefetcher final : public Prefetcher {
     return pattern_;
   }
 
-  PhaseClassifier classifier_;
+  const PhaseClassifier* phases_ = nullptr;  ///< the recorder's, if any
   LocalityPrefetcher locality_;
   TreeNeighborhoodPrefetcher tree_;
   PatternAwarePrefetcher pattern_;
   Mode mode_;  ///< derived from the classifier's initial phase
   u64 seen_decisions_ = 0;
   u64 switches_ = 0;
-  FlightRecorder* attached_ = nullptr;
 };
 
 }  // namespace uvmsim

@@ -45,5 +45,23 @@ TEST(AdaptivePair, BothSidesFollowOnePhaseHistory) {
   }
 }
 
+// A quota run keeps one eviction policy per tenant's chain domain. Each of
+// them and the prefetcher read the device's one classifier.
+TEST(AdaptivePair, EveryDomainPolicyAndThePrefetcherShareOneClassifier) {
+  const auto nw = make_benchmark("NW");
+  const auto bfs = make_benchmark("BFS");
+  UvmSystem sys(SystemConfig{}, adaptive_pair(), {nw.get(), bfs.get()}, 0.5,
+                TenantMode::kQuota);
+  UvmDriver& driver = sys.driver();
+  const auto& prefetcher = dynamic_cast<const AdaptivePrefetcher&>(driver.prefetcher());
+  ASSERT_EQ(driver.chains().domains(), 2u);
+  for (u64 d = 0; d < driver.chains().domains(); ++d) {
+    const auto* policy =
+        dynamic_cast<const AdaptiveEvictionPolicy*>(driver.chains().policy(d));
+    ASSERT_NE(policy, nullptr);
+    EXPECT_EQ(&policy->classifier(), &prefetcher.classifier()) << "domain " << d;
+  }
+}
+
 }  // namespace
 }  // namespace uvmsim
