@@ -74,9 +74,6 @@ inline constexpr TenantId kNoTenant = std::numeric_limits<TenantId>::max();
 [[nodiscard]] constexpr u32 page_index_in_large(PageId p) noexcept {
   return static_cast<u32>(p & (kLargePages - 1));
 }
-[[nodiscard]] constexpr u32 chunk_index_in_large(ChunkId c) noexcept {
-  return static_cast<u32>(c & (kLargeChunks - 1));
-}
 [[nodiscard]] constexpr PageId first_page_of_large(LargeId l) noexcept {
   return l << kLargePageShift;
 }

@@ -81,7 +81,6 @@ void Gpu::warp_step(u32 sm, u32 warp) {
   Warp& wp = sms_[sm].warps[warp];
   Access a;
   if (!wp.stream->next(a)) {
-    wp.done = true;
     warp_finished();
     return;
   }

@@ -130,7 +130,6 @@ class Gpu {
   struct Warp {
     std::unique_ptr<AccessStream> stream;
     u64 access_count = 0;  ///< drives the deterministic line-offset sequence
-    bool done = false;
   };
   struct Sm {
     std::unique_ptr<Tlb> l1_tlb;

@@ -1,7 +1,7 @@
 // FramePool: physical-frame accounting under an oversubscription cap.
 //
-// The pool hands out frame numbers in two tiers — never-used frames in
-// ascending order, then recycled frames LIFO — and tracks the free-frame
+// The pool hands out frame numbers in two tiers — recycled frames LIFO,
+// then never-used frames in ascending order — and tracks the free-frame
 // count that admission/eviction decisions key off. Reservation (accounting
 // at fault-service time) is deliberately split from allocation (frame
 // numbers handed out at migration-completion time): the driver reserves
@@ -49,8 +49,8 @@ class FramePool {
         mode_(mode),
         large_mode_(large_frames) {
     assert(capacity_ > 0);
-    if (!large_mode_) return;
     free_bit_.assign(capacity_, 1);
+    if (!large_mode_) return;
     region_slot_.reserve(capacity_ / kLargePages + 1);
     slot_free_.assign(capacity_ / kLargePages, kLargePages);
     slot_region_.assign(capacity_ / kLargePages, kInvalidLarge);
@@ -103,18 +103,7 @@ class FramePool {
 
   /// Bind one frame for a landing page (accounting already done by
   /// reserve()): recycled frames LIFO first, then fresh frames in order.
-  [[nodiscard]] FrameId allocate() {
-    if (!large_mode_) {
-      if (!recycled_.empty()) {
-        const FrameId f = recycled_.back();
-        recycled_.pop_back();
-        return f;
-      }
-      assert(next_frame_ < capacity_);
-      return next_frame_++;
-    }
-    return take(any_free_frame());
-  }
+  [[nodiscard]] FrameId allocate() { return take(any_free_frame()); }
 
   /// Return an evicted page's frame to the pool. `owner` is the tenant the
   /// frame is taken from (the evicted chunk's owner, not the initiator).
@@ -122,12 +111,10 @@ class FramePool {
     recycled_.push_back(f);
     ++free_frames_;
     evictions_seen_ = true;
-    if (large_mode_) {
-      assert(!free_bit_[f]);
-      free_bit_[f] = 1;
-      const u64 s = f >> kLargePageShift;
-      if (s < slot_free_.size()) ++slot_free_[s];
-    }
+    assert(!free_bit_[f]);
+    free_bit_[f] = 1;
+    const u64 s = f >> kLargePageShift;
+    if (s < slot_free_.size()) ++slot_free_[s];
     if (tenants_ != nullptr) tenants_->note_released(owner, 1);
   }
 
@@ -190,9 +177,9 @@ class FramePool {
     return take(any_free_frame());
   }
 
-  /// Is frame `f` currently free? (large mode only; used by tests.)
+  /// Is frame `f` currently free? (used by tests)
   [[nodiscard]] bool frame_free(FrameId f) const {
-    assert(large_mode_ && f < capacity_);
+    assert(f < capacity_);
     return free_bit_[f] != 0;
   }
 
@@ -208,7 +195,8 @@ class FramePool {
   /// Any free frame: stale-tolerant recycled hints LIFO (validity checked
   /// against the bitmap — preferred-slot allocation can consume a hinted
   /// frame first), then fresh frames in ascending order, skipping frames
-  /// the preferred path already took.
+  /// the preferred path already took. Off large mode nothing else takes
+  /// frames, so every hint and every fresh frame is free.
   [[nodiscard]] FrameId any_free_frame() {
     while (!recycled_.empty()) {
       const FrameId f = recycled_.back();
@@ -233,7 +221,7 @@ class FramePool {
   TenantMode mode_;
 
   bool large_mode_;
-  std::vector<u8> free_bit_;          ///< per-frame free bit (large mode only)
+  std::vector<u8> free_bit_;          ///< per-frame free bit
   FlatMap<LargeId, u64> region_slot_; ///< virtual region -> preferred slot
   std::vector<u64> slot_free_;        ///< free frames per aligned slot
   std::vector<LargeId> slot_region_;  ///< slot -> bound region (or invalid)
