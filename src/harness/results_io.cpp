@@ -326,45 +326,14 @@ void write_json(std::ostream& os, const std::vector<LabelledResult>& results) {
                      "evicted_by_others", "evictions_of_others"});
       });
     }
-    // Fleet runs fill `devices` too, but report them in the fleet block.
-    if (!x.devices.empty() && !x.fleet.enabled) {
-      put(os << ',', fabric_fields(x), Render::kJson);
-      put_json_array(os, "devices", x.devices, device_fields);
-      put_json_array(os, "links", x.links, link_fields);
-    }
-    if (x.fleet.enabled) {
-      put(os << ",\"fleet\":{", fleet_fields(x.fleet), Render::kJson) << '}';
-      put_json_array(os, "fleet_devices", x.devices, [](const DeviceRunResult& d) {
-        return pick(device_fields(d), {"id", "capacity_pages", "page_faults", "pages_in",
-                                       "pages_evicted", "h2d_pages", "d2h_pages"});
-      });
-    }
-    if (x.large_pages)
-      put(os << ',', {{"large_pages", true}, {"coalesces", x.driver.coalesces},
-                     {"splinters", x.driver.splinters},
-                     {"large_frames_evicted", x.driver.large_frames_evicted},
-                     {"l1_tlb_large_hits", x.gpu.l1_tlb_large_hits},
-                     {"l2_tlb_large_hits", x.gpu.l2_tlb_large_hits}}, Render::kJson);
-    if (x.gpu_fault_backend) put(os << ',', backend_fields(x), Render::kJson);
     // Simulator-overhead counters (docs/performance.md), as flat keys.
-    if (x.sim.events_executed != 0)
-      put(os << ',', {{"sim_events_executed", x.sim.events_executed},
-                     {"sim_event_heap_peak", x.sim.event_heap_peak},
-                     {"sim_event_heap_capacity", x.sim.event_heap_capacity},
-                     {"sim_oversize_events", x.sim.oversize_events},
-                     {"sim_chain_slab_capacity", x.sim.chain_slab_capacity},
-                     {"sim_page_table_capacity", x.sim.page_table_capacity},
-                     {"sim_page_table_load", x.sim.page_table_load}}, Render::kJson);
-    const EngineRunStats& e = x.engine_stats;
-    if (e.sharded)
-      put(os << ",\"engine\":{",
-          {{"kind", kEngineNames.name(EngineKind::kSharded)}, {"shards", e.shards},
-           {"threads", e.threads}, {"lookahead_cycles", e.lookahead_cycles},
-           {"windows", e.windows}, {"messages", e.messages},
-           {"stall_windows", e.stall_windows}, {"barrier_waits", e.barrier_waits},
-           {"max_skew", e.max_skew}},
-          Render::kJson)
-          << '}';
+    put(os << ',', {{"sim_events_executed", x.sim.events_executed},
+                   {"sim_event_heap_peak", x.sim.event_heap_peak},
+                   {"sim_event_heap_capacity", x.sim.event_heap_capacity},
+                   {"sim_oversize_events", x.sim.oversize_events},
+                   {"sim_chain_slab_capacity", x.sim.chain_slab_capacity},
+                   {"sim_page_table_capacity", x.sim.page_table_capacity},
+                   {"sim_page_table_load", x.sim.page_table_load}}, Render::kJson);
     if (x.clamped_past != 0)
       put(os << ',', {{"clamped_past", x.clamped_past}}, Render::kJson);
     os << "}" << (i + 1 < results.size() ? "," : "") << '\n';

@@ -19,10 +19,12 @@ namespace uvmsim {
 /// Full CSV document (header + rows).
 void write_csv(std::ostream& os, const std::vector<LabelledResult>& results);
 
-/// JSON array of result objects; strings are escaped, so arbitrary labels
-/// are safe. Each optional block (tenants, fabric, fleet, large pages,
-/// GPU-driven backend, sim counters, sharded engine, clamped events) appears
-/// only when its feature was on, so results without it keep their bytes.
+/// JSON array of result objects, as `uvmsim_sweep --json` writes them;
+/// strings are escaped, so arbitrary labels are safe. Each object holds the
+/// run's columns and simulator counters, plus a tenants block for a tenant
+/// run and the clamped-event count when an event was clamped. The sweep
+/// runs no fabric, fleet, large-page, GPU-driven-backend or sharded spec,
+/// so no block of theirs is written.
 void write_json(std::ostream& os, const std::vector<LabelledResult>& results);
 
 /// Per-tenant CSV: one row per (experiment, tenant). Single-tenant results
