@@ -278,7 +278,7 @@ for fmt in csv jsonl; do
 done
 
 # --trace-events filters the trace file alone: the run, its adaptive phase
-# classifiers and its interval rows see every event, and only a run with
+# classifier and its interval rows see every event, and only a run with
 # --trace-out reports a trace-event count.
 cli single/MLT-0.5-adaptive-csv 0 --workload MLT --oversub 0.5 --eviction adaptive \
   --prefetch adaptive --csv
